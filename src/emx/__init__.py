@@ -30,8 +30,6 @@ from .harness import (
 )
 from .numerics import (
     DivergenceError,
-    as_vector,
-    elementwise_fma,
     global_norm_clip,
     l2_norm,
     make_rng,

@@ -153,107 +153,42 @@ def load_state(data: bytes) -> CheckpointData:
     return CheckpointData(slots=slots, hyper=hyper, step=step)
 
 
-def _require(slots: dict, name: str, dim: int) -> np.ndarray:
-    if name not in slots:
-        raise CheckpointFormatError(f"missing state slot {name!r}")
-    vec = slots[name]
-    if len(vec) != dim:
-        raise CheckpointFormatError(
-            f"slot {name!r} has length {len(vec)}, expected {dim}"
-        )
-    return vec.copy()
-
-
-def _slot_dim(slots: dict, name: str) -> int:
-    if name not in slots:
-        raise CheckpointFormatError(f"missing state slot {name!r}")
-    return len(slots[name])
-
-
 def restore_optimizer(ck: CheckpointData):
     """Rebuild the optimizer named by ``hyper['variant']`` from a checkpoint.
 
-    Extra slots (anything not consumed by the optimizer, e.g. ``theta``) are
-    left in ``ck.slots`` untouched.
+    One path serves every registered kind: a fresh instance's ``hyper()``
+    names the keys and their types, the constructor takes its ``keywords()``
+    and the rest is set afterwards, then each ``state_slots()`` buffer is
+    filled. Bad content raises :class:`CheckpointFormatError`. Extra slots
+    (e.g. ``theta``) are left in ``ck.slots`` untouched.
     """
-    hyper = ck.hyper
-    variant = hyper.get("variant")
-    slots = ck.slots
-
-    if variant == "adamw":
-        dim = _slot_dim(slots, "m")
-        opt = optimizers.AdamW(
-            dim,
-            beta1=float(hyper["beta1"]),
-            beta2=float(hyper["beta2"]),
-            weight_decay=float(hyper["weight_decay"]),
-            eps=float(hyper["eps"]),
-        )
-        opt.m = _require(slots, "m", dim)
-        opt.nu = _require(slots, "nu", dim)
-    elif variant == "ademamix":
-        dim = _slot_dim(slots, "m2")
-        opt = optimizers.AdEMAMix(
-            dim,
-            beta1=float(hyper["beta1"]),
-            beta2=float(hyper["beta2"]),
-            beta3=float(hyper["beta3"]),
-            alpha=float(hyper["alpha"]),
-            weight_decay=float(hyper["weight_decay"]),
-            eps=float(hyper["eps"]),
-            t_alpha=int(hyper["t_alpha"]),
-            t_beta3=int(hyper["t_beta3"]),
-            beta_start=float(hyper["beta_start"]),
-            with_m1_buffer="m1" in slots,
-        )
-        opt.sched_offset = int(hyper.get("sched_offset", 0))
-        if "m1" in slots:
-            opt.m1 = _require(slots, "m1", dim)
-        opt.m2 = _require(slots, "m2", dim)
-        opt.nu = _require(slots, "nu", dim)
-    elif variant == "lion":
-        dim = _slot_dim(slots, "m")
-        opt = optimizers.Lion(
-            dim,
-            alpha=float(hyper["alpha"]),
-            beta=float(hyper["beta"]),
-            weight_decay=float(hyper["weight_decay"]),
-        )
-        opt.m = _require(slots, "m", dim)
-    elif variant == "admeta_s":
-        dim = _slot_dim(slots, "m1")
-        opt = optimizers.AdMetaS(
-            dim, beta1=float(hyper["beta1"]), beta2=float(hyper["beta2"])
-        )
-        opt.m1 = _require(slots, "m1", dim)
-        opt.m2 = _require(slots, "m2", dim)
-    elif variant == "aggmo":
-        betas = [float(b) for b in hyper["betas"].split(",")]
-        dim = _slot_dim(slots, "m0")
-        opt = optimizers.AggMo(dim, betas=betas)
-        opt.m = [_require(slots, f"m{i}", dim) for i in range(len(betas))]
-    elif variant == "ad3emamix":
-        dim = _slot_dim(slots, "m1")
-        opt = optimizers.Ad3EMAMix(
-            dim,
-            beta1=float(hyper["beta1"]),
-            beta2=float(hyper["beta2"]),
-            beta3=float(hyper["beta3"]),
-            beta4=float(hyper["beta4"]),
-            alpha=float(hyper["alpha"]),
-            weight_decay=float(hyper["weight_decay"]),
-            eps=float(hyper["eps"]),
-            t_alpha=int(hyper["t_alpha"]),
-            t_beta3=int(hyper["t_beta3"]),
-            beta_start=float(hyper["beta_start"]),
-        )
-        opt.sched_offset = int(hyper.get("sched_offset", 0))
-        opt.m1 = _require(slots, "m1", dim)
-        opt.m2 = _require(slots, "m2", dim)
-        opt.m3 = _require(slots, "m3", dim)
-        opt.nu = _require(slots, "nu", dim)
-    else:
+    variant = ck.hyper.get("variant")
+    cls = optimizers.OPTIMIZERS.get(variant)
+    if cls is None:
         raise CheckpointFormatError(f"unknown optimizer variant {variant!r}")
-
+    proto = cls(0)
+    try:
+        hyper = {key: type(value)(ck.hyper[key]) for key, value in proto.hyper().items()}
+    except KeyError as exc:
+        raise CheckpointFormatError(f"missing hyper key {exc.args[0]!r}") from exc
+    except ValueError as exc:
+        raise CheckpointFormatError(f"malformed hyper value: {exc}") from exc
+    dim = len(ck.slots.get(next(iter(proto.state_slots())), ()))
+    try:
+        opt = cls(dim, **{key: hyper.pop(key) for key in cls.keywords()})
+    except ValueError as exc:
+        raise CheckpointFormatError(f"invalid {variant} hyperparameters: {exc}") from exc
+    for key, value in hyper.items():
+        setattr(opt, key, value)
+    for name in opt.slot_names:  # an optional buffer (lean AdEMAMix's m1) the state kept
+        if getattr(opt, name) is None and name in ck.slots:
+            setattr(opt, name, np.zeros(dim))
+    for name, buf in opt.state_slots().items():
+        vec = ck.slots.get(name)
+        if vec is None:
+            raise CheckpointFormatError(f"missing state slot {name!r}")
+        if len(vec) != dim:
+            raise CheckpointFormatError(f"slot {name!r} has length {len(vec)}, expected {dim}")
+        buf[...] = vec
     opt.t = ck.step
     return opt

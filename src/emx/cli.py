@@ -25,6 +25,7 @@ from .config import (
     load_config,
     parse_config,
 )
+from .optimizers import OPTIMIZERS, AdamW
 
 EXIT_OK = 0
 EXIT_DIVERGED = 2
@@ -227,8 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_toy = sub.add_parser("toy", help="run a 2-D toy landscape without a config file")
     p_toy.add_argument("landscape", choices=["rosenbrock", "valley"])
-    p_toy.add_argument("--optimizer", default="adamw",
-                       choices=["adamw", "ademamix", "lion", "admeta_s", "aggmo", "ad3emamix"])
+    p_toy.add_argument("--optimizer", default=AdamW.variant,
+                       choices=list(OPTIMIZERS))
     p_toy.add_argument("--steps", type=int, default=1000)
     p_toy.add_argument("--lr", type=float, default=1e-3)
     p_toy.add_argument("--beta1", type=float)

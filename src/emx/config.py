@@ -24,13 +24,14 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
+from .optimizers import OPTIMIZERS, SWITCHES
+
 
 class ConfigError(Exception):
     """Invalid experiment configuration (reported before any step runs)."""
 
 
 TESTBEDS = ("rosenbrock", "valley", "mlp")
-OPTIMIZERS = ("adamw", "ademamix", "lion", "admeta_s", "aggmo", "ad3emamix")
 LR_KINDS = ("constant", "lr_warmup_cosine", "lr_warmup_constant_linear_decay")
 
 _TESTBED_KEYS = {
@@ -38,19 +39,10 @@ _TESTBED_KEYS = {
     "valley": {"x0"},
     "mlp": {"input_dim", "hidden", "batch_size", "noise", "eval_size"},
 }
+# a kind's keys: its constructor keywords, and preseed if it has momentum
 _OPTIMIZER_KEYS = {
-    "adamw": {"beta1", "beta2", "weight_decay", "eps", "preseed"},
-    "ademamix": {
-        "beta1", "beta2", "beta3", "alpha", "weight_decay", "eps",
-        "t_alpha", "t_beta3", "beta_start", "preseed",
-    },
-    "lion": {"alpha", "beta", "weight_decay", "preseed"},
-    "admeta_s": {"beta1", "beta2"},
-    "aggmo": {"betas"},
-    "ad3emamix": {
-        "beta1", "beta2", "beta3", "beta4", "alpha", "weight_decay", "eps",
-        "t_alpha", "t_beta3", "beta_start", "preseed",
-    },
+    kind: {*cls.keywords(), *(["preseed"] if cls.momentum else [])}
+    for kind, cls in OPTIMIZERS.items()
 }
 _LR_KEYS = {
     "constant": {"value"},
@@ -60,10 +52,7 @@ _LR_KEYS = {
     },
 }
 _RUN_KEYS = {"steps", "seed", "cadence", "clip", "constant_after", "out"}
-_SWITCH_KEYS = {"to", "at", "beta3", "alpha", "t_alpha", "t_beta3", "beta_start"}
 _FORGET_KEYS = {"t_b"}
-
-_DECAYED = {"adamw", "ademamix", "lion", "ad3emamix"}
 
 _INT_RE = re.compile(r"^[+-]?\d+$")
 
@@ -182,7 +171,7 @@ def config_from_sections(sections: dict) -> ExperimentConfig:
 
     optimizer = optimizer_sec.pop("kind", None)
     if optimizer not in OPTIMIZERS:
-        raise ConfigError(f"optimizer.kind must be one of {OPTIMIZERS}, got {optimizer!r}")
+        raise ConfigError(f"optimizer.kind must be one of {tuple(OPTIMIZERS)}, got {optimizer!r}")
     for key in optimizer_sec:
         if key not in _OPTIMIZER_KEYS[optimizer]:
             raise ConfigError(f"unknown key optimizer.{key} for optimizer {optimizer!r}")
@@ -214,27 +203,24 @@ def config_from_sections(sections: dict) -> ExperimentConfig:
             raise ConfigError(f"run.clip must be positive, got {clip}")
 
     # LM-analogue default: decayed optimizers on the MLP task use lambda=0.1
-    if testbed == "mlp" and optimizer in _DECAYED:
+    if testbed == "mlp" and "weight_decay" in _OPTIMIZER_KEYS[optimizer]:
         optimizer_sec.setdefault("weight_decay", 0.1)
 
     switch = None
     if "switch" in sections:
         switch_sec = dict(sections["switch"])
-        for key in switch_sec:
-            if key not in _SWITCH_KEYS:
-                raise ConfigError(f"unknown key switch.{key}")
         to = switch_sec.pop("to", None)
-        if to not in ("adamw", "ademamix"):
-            raise ConfigError(f"switch.to must be 'adamw' or 'ademamix', got {to!r}")
+        target = SWITCHES.get(OPTIMIZERS[optimizer])
+        if target is None or to != target.variant:
+            allowed = ", ".join(f"{a.variant} -> {b.variant}" for a, b in SWITCHES.items())
+            raise ConfigError(f"switch.to = {to!r} from {optimizer} is not one of: {allowed}")
         at = switch_sec.pop("at", None)
         if not isinstance(at, int) or not 0 <= at <= steps:
             raise ConfigError(f"switch.at must be an integer in [0, steps], got {at!r}")
-        if to == "ademamix" and optimizer != "adamw":
-            raise ConfigError("switch.to = ademamix requires optimizer.kind = adamw")
-        if to == "adamw" and optimizer != "ademamix":
-            raise ConfigError("switch.to = adamw requires optimizer.kind = ademamix")
-        if to == "adamw" and switch_sec:
-            raise ConfigError("switch.to = adamw takes no extra parameters")
+        # the new state's own keys; beta1, beta2, weight_decay and eps carry over
+        for key in switch_sec:
+            if key not in _OPTIMIZER_KEYS[to] - _OPTIMIZER_KEYS[optimizer]:
+                raise ConfigError(f"unknown key switch.{key} for switch.to = {to}")
         switch = SwitchSpec(to=to, at=at, params=switch_sec)
 
     forget = None

@@ -19,24 +19,8 @@ import numpy as np
 from .checkpoint import CheckpointData, restore_optimizer, save_state
 from .config import ConfigError, ExperimentConfig, format_config, parse_config
 from .numerics import DivergenceError, global_norm_clip, l2_norm
-from .optimizers import (
-    Ad3EMAMix,
-    AdamW,
-    AdEMAMix,
-    AggMo,
-    AdMetaS,
-    Lion,
-    preseed_momentum,
-    switch_to_adamw,
-    switch_to_ademamix,
-)
-from .schedules import (
-    ConstantSchedule,
-    HalfLifeLinearWarmup,
-    LinearWarmup,
-    WarmupConstantLinearDecay,
-    WarmupCosineDecay,
-)
+from .optimizers import OPTIMIZERS, preseed_momentum, switch_optimizer
+from .schedules import ConstantSchedule, WarmupConstantLinearDecay, WarmupCosineDecay
 from .testbeds import SyntheticDataset, TinyMlp, rosenbrock_testbed, sharp_valley_testbed
 
 RECORD_COLUMNS = (
@@ -118,28 +102,22 @@ def _build_lr_schedule(cfg: ExperimentConfig):
     raise ConfigError(f"unknown lr kind {kind!r}")
 
 
-def _build_optimizer(kind: str, params: dict, dim: int):
+def _build_optimizer(kind: str, params: dict, dim: int, switch=None):
+    """The configured optimizer or, given ``switch``, what it becomes there."""
     params = dict(params)
     preseed = params.pop("preseed", None)
+    cls = OPTIMIZERS.get(kind)
+    if cls is None:
+        raise ConfigError(f"unknown optimizer kind {kind!r}")
     try:
-        if kind == "adamw":
-            opt = AdamW(dim, **params)
-        elif kind == "ademamix":
-            opt = AdEMAMix(dim, **params)
-        elif kind == "lion":
-            opt = Lion(dim, **params)
-        elif kind == "admeta_s":
-            opt = AdMetaS(dim, **params)
-        elif kind == "aggmo":
-            opt = AggMo(dim, **params)
-        elif kind == "ad3emamix":
-            opt = Ad3EMAMix(dim, **params)
-        else:
-            raise ConfigError(f"unknown optimizer kind {kind!r}")
+        opt = cls(dim, **params)
+        if switch is not None:
+            return switch_optimizer(opt, OPTIMIZERS[switch.to], **switch.params)
+        if preseed is not None:
+            preseed_momentum(opt, np.asarray(preseed, dtype=np.float64))
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad optimizer parameters for {kind!r}: {exc}") from exc
-    if preseed is not None:
-        preseed_momentum(opt, np.asarray(preseed, dtype=np.float64))
+        what = "switch" if switch else "optimizer"
+        raise ConfigError(f"bad {what} parameters for {kind!r}: {exc}") from exc
     return opt
 
 
@@ -202,55 +180,38 @@ class Experiment:
 
         if resume_from is not None:
             self.opt = restore_optimizer(resume_from)
-            if "theta" not in resume_from.slots:
-                raise ConfigError("checkpoint has no 'theta' slot to resume from")
-            self.theta = resume_from.slots["theta"].copy()
+            theta = resume_from.slots.get("theta")
+            if theta is None or not len(theta) == self.opt.dim == self.testbed.dim:
+                raise ConfigError(f"checkpoint has no theta and state of length {self.testbed.dim}")
+            sw, t = cfg.switch, self.opt.t  # the kind before switch.at, the target after
+            expected = {cfg.optimizer} if sw is None or t <= sw.at else set()
+            if sw is not None and t >= sw.at:
+                expected.add(sw.to)
+            if self.opt.variant not in expected:
+                raise ConfigError(
+                    f"checkpoint holds a {self.opt.variant!r} state at step {t}, "
+                    f"the config expects {' or '.join(sorted(expected))}"
+                )
+            self.theta = theta.copy()
         else:
             self.opt = _build_optimizer(cfg.optimizer, cfg.optimizer_params, self.testbed.dim)
             self.theta = theta0.copy()
+        if cfg.switch is not None:  # fail now rather than at step switch.at
+            _build_optimizer(cfg.optimizer, cfg.optimizer_params, 0, cfg.switch)
 
-        self._bind_schedules()
         self.record = RunRecord()
         self.heldout_series: list[tuple[int, float]] = []
         self._heldout_batch = self.dataset.heldout_batch() if self.dataset else None
         if self.track_heldout and self.opt.t == 0:
             self.heldout_series.append((0, self._heldout_loss()))
 
-    def _bind_schedules(self):
-        opt = self.opt
-        if isinstance(opt, (AdEMAMix, Ad3EMAMix)):
-            self.alpha_sched = LinearWarmup(final=opt.alpha, horizon=opt.t_alpha)
-            if opt.t_beta3 > 0:
-                self.beta3_sched = HalfLifeLinearWarmup(
-                    final=opt.beta3, start=opt.beta_start, horizon=opt.t_beta3
-                )
-            else:
-                self.beta3_sched = ConstantSchedule(opt.beta3)
-            if isinstance(opt, Ad3EMAMix):
-                if opt.t_beta3 > 0:
-                    self.beta4_sched = HalfLifeLinearWarmup(
-                        final=opt.beta4, start=opt.beta_start, horizon=opt.t_beta3
-                    )
-                else:
-                    self.beta4_sched = ConstantSchedule(opt.beta4)
-        else:
-            self.alpha_sched = None
-            self.beta3_sched = None
-
     def _heldout_loss(self) -> float:
         return self.testbed.loss(self.theta, self._heldout_batch)
 
     def _maybe_switch(self):
         sw = self.cfg.switch
-        if sw is None or self.opt.t != sw.at:
-            return
-        if sw.to == "ademamix" and isinstance(self.opt, AdamW):
-            self.opt = switch_to_ademamix(self.opt, **sw.params)
-        elif sw.to == "adamw" and isinstance(self.opt, AdEMAMix):
-            self.opt = switch_to_adamw(self.opt)
-        else:
-            return
-        self._bind_schedules()
+        if sw is not None and self.opt.t == sw.at and self.opt.variant != sw.to:
+            self.opt = switch_optimizer(self.opt, OPTIMIZERS[sw.to], **sw.params)
 
     def run(self, until: int | None = None) -> RunRecord:
         """Advance to step ``until`` (default: the configured total)."""
@@ -272,21 +233,8 @@ class Experiment:
                 if cfg.clip is not None:
                     grad = global_norm_clip(grad, cfg.clip)
                 eta = self.lr_schedule.at(t)
-                if isinstance(self.opt, (AdEMAMix, Ad3EMAMix)):
-                    t_sched = t - self.opt.sched_offset
-                    alpha_t = self.alpha_sched.at(t_sched)
-                    beta3_t = self.beta3_sched.at(t_sched)
-                    if isinstance(self.opt, Ad3EMAMix):
-                        beta4_t = self.beta4_sched.at(t_sched)
-                        new_theta = self.opt.step(
-                            self.theta, grad, eta, alpha_t, beta3_t, beta4_t
-                        )
-                    else:
-                        new_theta = self.opt.step(self.theta, grad, eta, alpha_t, beta3_t)
-                else:
-                    alpha_t = None
-                    beta3_t = None
-                    new_theta = self.opt.step(self.theta, grad, eta)
+                args = self.opt.schedule_args(t)
+                new_theta = self.opt.step(self.theta, grad, eta, *args)
             except DivergenceError:
                 self.record.status = "diverged"
                 self.record.diverged_step = t
@@ -311,8 +259,8 @@ class Experiment:
                         loss=loss,
                         distance_to_optimum=dist,
                         eta=eta,
-                        alpha=alpha_t,
-                        beta3=beta3_t,
+                        alpha=args[0] if args else None,
+                        beta3=args[1] if args else None,
                         update_norm=update_norm,
                         heldout_loss=heldout,
                     )

@@ -23,14 +23,6 @@ class DivergenceError(ArithmeticError):
         self.step = step
 
 
-def as_vector(data) -> np.ndarray:
-    """Coerce ``data`` to a 1-D float64 array (copying if needed)."""
-    vec = np.array(data, dtype=np.float64)
-    if vec.ndim != 1:
-        raise ValueError(f"expected a 1-D vector, got shape {vec.shape}")
-    return vec
-
-
 def zeros(n: int) -> np.ndarray:
     return np.zeros(n, dtype=np.float64)
 
@@ -38,12 +30,6 @@ def zeros(n: int) -> np.ndarray:
 def check_same_length(a: np.ndarray, b: np.ndarray) -> None:
     if len(a) != len(b):
         raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
-
-
-def elementwise_fma(a: np.ndarray, ca: float, b: np.ndarray, cb: float) -> np.ndarray:
-    """Return ``ca*a + cb*b`` elementwise. Lengths must match exactly."""
-    check_same_length(a, b)
-    return ca * a + cb * b
 
 
 def l2_norm(a: np.ndarray) -> float:

@@ -13,7 +13,7 @@ from emx.checkpoint import (
     save_state,
 )
 from emx.numerics import make_rng
-from emx.optimizers import Ad3EMAMix, AdamW, AdEMAMix, AggMo, AdMetaS, Lion
+from emx.optimizers import OPTIMIZERS, Ad3EMAMix, AdamW, AdEMAMix, AggMo, AdMetaS, Lion
 
 
 def _warm(opt, steps=7, seed=3):
@@ -167,3 +167,48 @@ class TestResume:
         for t in range(51, 101):
             theta = resumed.step(theta, gradient(theta, t), 1e-2)
             assert theta.tobytes() == history[t - 1]
+
+
+def _hyper_cases():
+    for kind, cls in OPTIMIZERS.items():
+        for key in cls(1).hyper():
+            yield kind, key
+
+
+class TestRestoreErrors:
+    """Bad checkpoint content is a CheckpointFormatError, never a bare error."""
+
+    def _checkpoint(self, kind):
+        opt = OPTIMIZERS[kind](4)
+        _warm(opt)
+        return load_state(save_state(opt))
+
+    @pytest.mark.parametrize("kind,key", list(_hyper_cases()))
+    @pytest.mark.parametrize("tamper", ["missing", "non_numeric"])
+    def test_bad_hyper_key(self, kind, key, tamper):
+        ck = self._checkpoint(kind)
+        if tamper == "missing":
+            del ck.hyper[key]
+        else:
+            ck.hyper[key] = "abc"
+        with pytest.raises(CheckpointFormatError):
+            restore_optimizer(ck)
+
+    @pytest.mark.parametrize("kind", list(OPTIMIZERS))
+    def test_missing_slot(self, kind):
+        ck = self._checkpoint(kind)
+        del ck.slots[sorted(ck.slots)[-1]]
+        with pytest.raises(CheckpointFormatError, match="missing state slot"):
+            restore_optimizer(ck)
+
+    def test_out_of_range_hyper(self):
+        ck = self._checkpoint("ademamix")
+        ck.hyper["beta2"] = "1.5"
+        with pytest.raises(CheckpointFormatError, match="beta2"):
+            restore_optimizer(ck)
+
+    def test_fast_buffer_required_when_beta1_nonzero(self):
+        ck = self._checkpoint("ademamix")
+        del ck.slots["m1"]
+        with pytest.raises(CheckpointFormatError, match="m1"):
+            restore_optimizer(ck)

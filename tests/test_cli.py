@@ -1,3 +1,4 @@
+import argparse
 import os
 
 import pytest
@@ -215,3 +216,64 @@ class TestCheckpointCommand:
         ck.write_bytes(bytes(blob))
         assert main(["checkpoint", "load", str(ck)]) == 3
         assert "checkpoint error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "old,new",
+        [(b"\nbeta2=", b"\nbetaX="), (b"\neps=1e-08\n", b"\neps=abcde\n")],
+        ids=["missing_key", "non_numeric"],
+    )
+    def test_bad_hyper_on_resume_exits_3(self, toy_cfg_file, tmp_path, capsys, old, new):
+        ck = tmp_path / "state.emx"
+        main(["checkpoint", "save", toy_cfg_file, "--at-step", "5", "--out", str(ck)])
+        blob = ck.read_bytes()
+        assert old in blob
+        ck.write_bytes(blob.replace(old, new))
+        assert main(["run", toy_cfg_file, "--resume", str(ck)]) == 3
+        assert "checkpoint error" in capsys.readouterr().err
+
+    def test_resume_under_other_testbed_exits_3(self, toy_cfg_file, mlp_cfg_file, tmp_path, capsys):
+        ck = tmp_path / "state.emx"
+        main(["checkpoint", "save", toy_cfg_file, "--at-step", "5", "--out", str(ck)])
+        assert main(["run", mlp_cfg_file, "--resume", str(ck)]) == 3
+        assert "config error" in capsys.readouterr().err
+
+    def test_resume_of_other_kind_exits_3(self, toy_cfg_file, tmp_path, capsys):
+        lion = tmp_path / "lion.cfg"
+        lion.write_text(TOY_CFG.replace("ademamix", "lion").replace("optimizer.beta3 = 0.999\n", "")
+                        .replace("optimizer.alpha = 5.0\n", ""))
+        ck = tmp_path / "state.emx"
+        assert main(["checkpoint", "save", str(lion), "--at-step", "5", "--out", str(ck)]) == 0
+        assert main(["run", toy_cfg_file, "--resume", str(ck)]) == 3
+        assert "config error" in capsys.readouterr().err
+
+
+def _flags(parser):
+    """Every option string and choice list of a parser and its subcommands."""
+    out = {}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                out.update({f"{name} {k}": v for k, v in _flags(sub).items()})
+        elif action.option_strings:
+            out[" ".join(action.option_strings)] = sorted(action.choices or [])
+    return out
+
+
+def test_cli_flags_unchanged():
+    from emx.cli import build_parser
+
+    flags = _flags(build_parser())
+    assert flags["toy --optimizer"] == sorted(
+        ["adamw", "ademamix", "lion", "admeta_s", "aggmo", "ad3emamix"]
+    )
+    assert sorted(k for k in flags if k.startswith("toy ")) == sorted(
+        f"toy {f}" for f in (
+            "-h --help", "--optimizer", "--steps", "--lr", "--beta1", "--beta2", "--beta3",
+            "--beta", "--alpha", "--weight-decay", "--eps", "--t-alpha", "--t-beta3",
+            "--beta-start", "--x0", "--preseed", "--clip", "--seed", "--cadence", "--out",
+            "--jsonl",
+        )
+    )
+    assert sorted(k for k in flags if k.startswith("run ")) == [
+        "run --jsonl", "run --out", "run --resume", "run -h --help"
+    ]

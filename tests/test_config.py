@@ -1,6 +1,6 @@
 import pytest
 
-from emx.config import ConfigError, format_config, parse_config
+from emx.config import _OPTIMIZER_KEYS, ConfigError, format_config, parse_config
 
 TOY_TEXT = """
 # two-speed momentum on the banana valley
@@ -152,3 +152,55 @@ switch.at = 50
     def test_unknown_optimizer(self):
         with pytest.raises(ConfigError, match="optimizer.kind"):
             parse_config(TOY_TEXT.replace("ademamix", "sgd"))
+
+
+# the optimizer.* keys each kind accepted before the optimizer registry
+KEYS_BEFORE_REGISTRY = {
+    "adamw": {"beta1", "beta2", "weight_decay", "eps", "preseed"},
+    "ademamix": {
+        "beta1", "beta2", "beta3", "alpha", "weight_decay", "eps",
+        "t_alpha", "t_beta3", "beta_start", "preseed",
+    },
+    "lion": {"alpha", "beta", "weight_decay", "preseed"},
+    "admeta_s": {"beta1", "beta2"},
+    "aggmo": {"betas"},
+    "ad3emamix": {
+        "beta1", "beta2", "beta3", "beta4", "alpha", "weight_decay", "eps",
+        "t_alpha", "t_beta3", "beta_start", "preseed",
+    },
+}
+
+
+class TestOptimizerKeys:
+    def test_accepted_keys_unchanged(self):
+        assert _OPTIMIZER_KEYS == KEYS_BEFORE_REGISTRY
+
+    @pytest.mark.parametrize("kind", ["adamw", "ademamix", "ad3emamix"])
+    @pytest.mark.parametrize("key", ["with_m1_buffer", "sched_offset", "slow"])
+    def test_internal_keywords_are_not_config_keys(self, kind, key):
+        text = (
+            f"testbed.kind = rosenbrock\noptimizer.kind = {kind}\nlr.kind = constant\n"
+            "lr.value = 0.001\nrun.steps = 10\n"
+        )
+        parse_config(text)
+        with pytest.raises(ConfigError, match="unknown key"):
+            parse_config(text + f"optimizer.{key} = 1\n")
+
+    def test_mlp_weight_decay_default_follows_the_keys(self):
+        for kind, keys in KEYS_BEFORE_REGISTRY.items():
+            cfg = parse_config(
+                f"testbed.kind = mlp\noptimizer.kind = {kind}\nlr.kind = constant\n"
+                "lr.value = 0.01\nrun.steps = 10\n"
+            )
+            assert ("weight_decay" in cfg.optimizer_params) == ("weight_decay" in keys)
+
+    def test_switch_keys(self):
+        base = MLP_TEXT.replace("forget.t_b = 500\n", "")
+        with pytest.raises(ConfigError, match="unknown key switch.beta1"):
+            parse_config(base + "switch.beta1 = 0.8\n")
+        back = base.replace("optimizer.kind = adamw", "optimizer.kind = ademamix")
+        back = back.replace("switch.to = ademamix", "switch.to = adamw")
+        with pytest.raises(ConfigError, match="unknown key switch.alpha"):
+            parse_config(back)
+        back = back.replace("switch.alpha = 2.0\nswitch.beta3 = 0.9999\n", "")
+        assert parse_config(back).switch.params == {}

@@ -308,3 +308,105 @@ class TestEmission:
         lines = format_sweep_csv(sweep).splitlines()
         assert lines[0] == "index,lr.value,final_loss,best_loss,diverged"
         assert len(lines) == 3
+
+
+def kind_config(kind, optimizer_lines="", steps=100, extra=""):
+    return parse_config(
+        f"testbed.kind = rosenbrock\noptimizer.kind = {kind}\n{optimizer_lines}\n"
+        f"lr.kind = constant\nlr.value = 0.001\nrun.steps = {steps}\n{extra}\n"
+    )
+
+
+FORWARD = "switch.to = ademamix\nswitch.at = 50\nswitch.alpha = 3.0\nswitch.beta3 = 0.999"
+BACKWARD = "switch.to = adamw\nswitch.at = 50"
+MIX = "optimizer.alpha = 3.0\noptimizer.beta3 = 0.999"
+DIRECTIONS = {
+    "forward": ("adamw", "", FORWARD),
+    "backward": ("ademamix", MIX, BACKWARD),
+}
+
+
+class TestResumeGuards:
+    def test_theta_length_mismatch_is_config_error(self):
+        part = Experiment(toy_config(steps=20))
+        part.run(until=10)
+        with pytest.raises(ConfigError, match="length"):
+            Experiment(mlp_config(steps=20), resume_from=load_state(part.checkpoint()))
+
+    def test_foreign_kind_is_config_error(self):
+        lion = Experiment(kind_config("lion", steps=20))
+        lion.run(until=10)
+        with pytest.raises(ConfigError, match="lion"):
+            Experiment(kind_config("adamw", steps=20), resume_from=load_state(lion.checkpoint()))
+
+    @pytest.mark.parametrize("direction", list(DIRECTIONS))
+    @pytest.mark.parametrize("split", [30, 50, 70])
+    def test_split_around_switch_matches_full_run(self, direction, split):
+        kind, lines, switch = DIRECTIONS[direction]
+        cfg = kind_config(kind, lines, extra=switch)
+        full = run_experiment(cfg)
+        part = Experiment(cfg)
+        head = part.run(until=split)
+        tail = Experiment(cfg, resume_from=load_state(part.checkpoint())).run()
+        assert format_record_csv_rows(head.rows + tail.rows) == format_record_csv(full)
+
+    @pytest.mark.parametrize("direction", list(DIRECTIONS))
+    def test_pre_switch_kind_accepted_at_switch_step(self, direction):
+        kind, lines, switch = DIRECTIONS[direction]
+        cfg = kind_config(kind, lines, extra=switch)
+        plain = Experiment(kind_config(kind, lines))
+        plain.run(until=50)
+        resumed = Experiment(cfg, resume_from=load_state(plain.checkpoint()))
+        assert resumed.opt.variant == kind
+        resumed.run()
+        full = Experiment(cfg)
+        full.run()
+        assert resumed.theta.tobytes() == full.theta.tobytes()
+
+    @pytest.mark.parametrize("direction", list(DIRECTIONS))
+    @pytest.mark.parametrize("split", [30, 70])
+    def test_kind_on_wrong_side_of_switch_is_config_error(self, direction, split):
+        kind, lines, switch = DIRECTIONS[direction]
+        target, target_lines = ("ademamix", MIX) if kind == "adamw" else ("adamw", "")
+        # before switch.at the state must be of `kind`, after it of `target`
+        wrong = kind_config(target, target_lines) if split < 50 else kind_config(kind, lines)
+        part = Experiment(wrong)
+        part.run(until=split)
+        cfg = kind_config(kind, lines, extra=switch)
+        with pytest.raises(ConfigError, match="expects"):
+            Experiment(cfg, resume_from=load_state(part.checkpoint()))
+
+
+class TestBuildTimeValidation:
+    def test_bad_switch_parameter(self):
+        cfg = kind_config("adamw", extra="switch.to = ademamix\nswitch.at = 50\nswitch.beta3 = 1.5")
+        with pytest.raises(ConfigError, match="beta3"):
+            Experiment(cfg)
+
+    def test_switch_warmup_below_beta_start(self):
+        cfg = kind_config(
+            "adamw",
+            extra="switch.to = ademamix\nswitch.at = 50\nswitch.beta3 = 0.5\nswitch.t_beta3 = 20",
+        )
+        with pytest.raises(ConfigError, match="beta_start"):
+            Experiment(cfg)
+
+    @pytest.mark.parametrize(
+        "kind,lines",
+        [
+            ("ademamix", "optimizer.beta1 = 0.0\noptimizer.t_beta3 = 50"),
+            ("ademamix", "optimizer.beta3 = 0.5\noptimizer.t_beta3 = 50"),
+            ("ad3emamix", "optimizer.beta4 = 0.5\noptimizer.t_beta3 = 50"),
+            (
+                "ademamix",
+                "optimizer.beta3 = 0.99\noptimizer.t_beta3 = 50\noptimizer.beta_start = 0.995",
+            ),
+        ],
+    )
+    def test_beta_start_must_fit_the_warmup(self, kind, lines):
+        with pytest.raises(ConfigError, match="beta_start"):
+            Experiment(kind_config(kind, lines))
+
+    def test_beta_start_unchecked_without_warmup(self):
+        exp = Experiment(kind_config("ademamix", "optimizer.beta3 = 0.5", steps=5))
+        assert exp.run().status == "completed"

@@ -6,55 +6,11 @@ from hypothesis.extra.numpy import arrays
 
 from emx.numerics import (
     DivergenceError,
-    as_vector,
-    elementwise_fma,
     global_norm_clip,
     l2_norm,
     make_rng,
     spawn_rng,
 )
-
-finite_floats = st.floats(min_value=-1e8, max_value=1e8, allow_nan=False)
-
-
-def vec_pairs(max_len=32):
-    return st.integers(min_value=0, max_value=max_len).flatmap(
-        lambda n: st.tuples(
-            arrays(np.float64, n, elements=finite_floats),
-            arrays(np.float64, n, elements=finite_floats),
-        )
-    )
-
-
-class TestElementwiseFma:
-    def test_hand_values(self):
-        out = elementwise_fma(np.array([1.0, 2.0]), 0.9, np.array([10.0, 10.0]), 0.1)
-        np.testing.assert_allclose(out, [1.9, 2.8], rtol=1e-15)
-
-    def test_identity(self):
-        x = np.array([3.5, -1.25, 0.0])
-        out = elementwise_fma(x, 1.0, np.zeros(3), 0.0)
-        assert np.array_equal(out, x)
-
-    def test_small_coefficients(self):
-        out = elementwise_fma(np.array([0.5]), 0.9999, np.array([1.0]), 0.0001)
-        assert out[0] == pytest.approx(0.50005, abs=1e-15)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError, match="length mismatch"):
-            elementwise_fma(np.zeros(3), 1.0, np.zeros(4), 1.0)
-
-    @given(vec_pairs())
-    def test_identity_property(self, pair):
-        a, b = pair
-        assert np.array_equal(elementwise_fma(a, 1.0, b, 0.0), a)
-
-    @given(vec_pairs(), finite_floats, finite_floats)
-    @settings(max_examples=50)
-    def test_matches_direct_expression(self, pair, ca, cb):
-        a, b = pair
-        np.testing.assert_array_equal(elementwise_fma(a, ca, b, cb), ca * a + cb * b)
-
 
 class TestGlobalNormClip:
     def test_below_threshold_unchanged(self):
@@ -102,16 +58,6 @@ class TestL2Norm:
 
     def test_ones(self):
         assert l2_norm(np.ones(4)) == 2.0
-
-
-class TestAsVector:
-    def test_coerces_list(self):
-        v = as_vector([1, 2, 3])
-        assert v.dtype == np.float64 and v.shape == (3,)
-
-    def test_rejects_matrix(self):
-        with pytest.raises(ValueError):
-            as_vector([[1.0, 2.0]])
 
 
 class TestRng:

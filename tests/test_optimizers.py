@@ -3,6 +3,7 @@ import pytest
 
 from emx.numerics import DivergenceError, make_rng
 from emx.optimizers import (
+    OPTIMIZERS,
     Ad3EMAMix,
     AdamW,
     AdEMAMix,
@@ -383,3 +384,55 @@ class TestPreseed:
         opt.step(np.zeros(2), np.ones(2), 0.1)
         with pytest.raises(ValueError):
             preseed_momentum(opt, np.zeros(2))
+
+
+class TestKernelAndRegistry:
+    def test_registry_maps_kind_to_class(self):
+        assert list(OPTIMIZERS) == ["adamw", "ademamix", "lion", "admeta_s", "aggmo", "ad3emamix"]
+        assert all(cls.variant == kind for kind, cls in OPTIMIZERS.items())
+
+    def test_constructor_keywords_unchanged(self):
+        mix = ["beta1", "beta2", "beta3", "alpha", "weight_decay", "eps", "t_alpha", "t_beta3",
+               "beta_start"]
+        assert AdamW.keywords() == ["beta1", "beta2", "weight_decay", "eps"]
+        assert AdEMAMix.keywords() == mix
+        assert Ad3EMAMix.keywords() == [*mix[:3], "beta4", *mix[3:]]
+        assert Lion.keywords() == ["alpha", "beta", "weight_decay"]
+        assert AdMetaS.keywords() == ["beta1", "beta2"]
+        assert AggMo.keywords() == ["betas"]
+        AdEMAMix(2, beta1=0.0, with_m1_buffer=True)
+
+    @pytest.mark.parametrize(
+        "factory",
+        [
+            lambda: AdamW(2, beta3=0.9),
+            lambda: AdamW(2, alpha=1.0),
+            lambda: AdamW(2, with_m1_buffer=True),
+            lambda: AdamW(2, 0.9),
+            lambda: AdEMAMix(2, beta4=0.9),
+            lambda: AdEMAMix(2, slow=(0.9,)),
+            lambda: Ad3EMAMix(2, with_m1_buffer=True),
+        ],
+    )
+    def test_unknown_keywords_rejected(self, factory):
+        with pytest.raises(TypeError):
+            factory()
+
+    def test_beta_start_checked_when_warming_up(self):
+        with pytest.raises(ValueError, match="beta_start"):
+            AdEMAMix(2, beta1=0.0, t_beta3=10)
+        with pytest.raises(ValueError, match="beta_start"):
+            AdEMAMix(2, beta3=0.5, t_beta3=10)
+        with pytest.raises(ValueError, match="beta_start"):
+            Ad3EMAMix(2, beta3=0.99, beta4=0.5, t_beta3=10)
+        AdEMAMix(2, beta3=0.5)
+        AdEMAMix(2, beta1=0.0, t_beta3=10, beta_start=0.5)
+
+    def test_schedule_args(self):
+        assert AdamW(2).schedule_args(5) == [] and Lion(2).schedule_args(5) == []
+        mix = AdEMAMix(2, alpha=4.0, beta3=0.999, t_alpha=10, t_beta3=10)
+        mix.sched_offset = 5
+        alpha_t, beta3_t = mix.schedule_args(10)
+        assert alpha_t == 2.0 and 0.9 < beta3_t < 0.999
+        assert len(Ad3EMAMix(2).schedule_args(1)) == 3
+        assert mix.schedule_args(10) == mix.schedule_args(10)
