@@ -16,7 +16,7 @@ import os
 import numpy as np
 
 from emx import dema_weights, ema_weights, mixture_weights, nested_ema_weights
-from emx.harness import format_profile_csv, write_text
+from emx.harness import format_series_csv, write_text
 
 HORIZON = 10_000
 AGES = (0, 10, 100, 1000, 6000)
@@ -48,5 +48,5 @@ if args.csv_dir:
     for name, weights in profiles.items():
         slug = name.split(" (")[0].replace(" ", "_")
         path = os.path.join(args.csv_dir, f"{slug}.csv")
-        write_text(path, format_profile_csv(weights))
+        write_text(path, format_series_csv(enumerate(weights), ("age", "weight")))
         print(f"wrote {path}")

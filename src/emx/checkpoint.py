@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import optimizers
+from .config import _format_scalar
 
 MAGIC = b"EMXCKPT1"
 VERSION = 1
@@ -53,14 +54,6 @@ class CheckpointData:
     step: int
 
 
-def _format_value(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def save_state(opt, extra_slots: dict | None = None) -> bytes:
     """Serialize an optimizer (plus optional extra named vectors)."""
     slots = dict(opt.state_slots())
@@ -84,7 +77,7 @@ def save_state(opt, extra_slots: dict | None = None) -> bytes:
         out += struct.pack("<Q", vec.size)
         out += vec.astype("<f8", copy=False).tobytes()
     hyper_bytes = "".join(
-        f"{k}={_format_value(v)}\n" for k, v in hyper.items()
+        f"{k}={_format_scalar(v)}\n" for k, v in hyper.items()
     ).encode("utf-8")
     out += struct.pack("<I", len(hyper_bytes))
     out += hyper_bytes

@@ -3,7 +3,8 @@
 Subcommands: ``run``, ``sweep``, ``toy``, ``analyze-ema``, ``forget``,
 ``checkpoint``. Outputs are CSV (or JSONL behind ``--jsonl``); no plotting.
 The ``EMX_SEED`` environment variable overrides the config seed. Exit codes:
-0 completed, 2 diverged, 3 invalid config.
+0 completed, 2 diverged, 3 invalid config or checkpoint, or a file that
+cannot be read or written (such as an ``--out`` path in a missing directory).
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 
 from . import harness
 from .ema_weights import dema_weights, ema_weights, mixture_weights, nested_ema_weights
@@ -19,11 +19,10 @@ from .checkpoint import CheckpointError, load_state
 from .config import (
     ConfigError,
     ExperimentConfig,
-    ForgetSpec,
-    LrSpec,
-    format_config,
+    _parse_value,
+    config_from_sections,
+    config_sections,
     load_config,
-    parse_config,
 )
 from .optimizers import OPTIMIZERS, AdamW
 
@@ -40,15 +39,21 @@ def _apply_env_seed(cfg: ExperimentConfig) -> ExperimentConfig:
         seed = int(env)
     except ValueError as exc:
         raise ConfigError(f"EMX_SEED must be an integer, got {env!r}") from exc
-    return replace(cfg, seed=seed)
+    sections = config_sections(cfg)  # validated like a seed from the config file
+    sections["run"]["seed"] = seed
+    return config_from_sections(sections)
 
 
-def _emit_record(record, path: str | None, jsonl: bool) -> None:
-    text = harness.format_record_jsonl(record) if jsonl else harness.format_record_csv(record)
+def _emit(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
     else:
         harness.write_text(path, text)
+
+
+def _emit_record(record, path: str | None, jsonl: bool) -> None:
+    text = harness.format_record_jsonl(record) if jsonl else harness.format_record_csv(record)
+    _emit(text, path)
 
 
 def _record_exit(record) -> int:
@@ -75,22 +80,15 @@ def _parse_grid(specs) -> dict:
         if "=" not in item:
             raise ConfigError(f"--grid expects key=v1,v2,..., got {item!r}")
         key, _, values = item.partition("=")
-        from .config import _parse_value  # same value grammar as config files
-
-        parsed = _parse_value(values.strip())
+        parsed = _parse_value(values.strip())  # same value grammar as config files
         grid[key.strip()] = parsed if isinstance(parsed, list) else [parsed]
     return grid
 
 
 def _cmd_sweep(args) -> int:
     cfg = _apply_env_seed(load_config(args.config))
-    grid = _parse_grid(args.grid)
-    result = harness.run_sweep(cfg, grid)
-    text = harness.format_sweep_csv(result)
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        harness.write_text(args.out, text)
+    result = harness.run_sweep(cfg, _parse_grid(args.grid))
+    _emit(harness.format_sweep_csv(result), args.out)
     if any(e.diverged for e in result.entries):
         return EXIT_DIVERGED
     return EXIT_OK
@@ -116,8 +114,6 @@ def _toy_config(args) -> ExperimentConfig:
     }
     if args.clip is not None:
         sections["run"]["clip"] = args.clip
-    from .config import config_from_sections
-
     return config_from_sections(sections)
 
 
@@ -143,40 +139,26 @@ def _cmd_analyze_ema(args) -> int:
         weights = dema_weights(args.beta, window, horizon)
     else:
         raise ConfigError(f"unknown profile kind {args.kind!r}")
-    text = harness.format_profile_csv(weights)
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        harness.write_text(args.out, text)
+    _emit(harness.format_series_csv(enumerate(weights), ("age", "weight")), args.out)
     return EXIT_OK
 
 
 def _cmd_forget(args) -> int:
     cfg = _apply_env_seed(load_config(args.config))
     if args.t_b is not None:
-        cfg = replace(cfg, forget=ForgetSpec(t_b=args.t_b))
-        cfg = parse_config(format_config(cfg))  # re-validate
+        cfg = config_from_sections({**config_sections(cfg), "forget": {"t_b": args.t_b}})
     result = harness.run_forgetting_protocol(cfg)
-    outdir = args.out_dir
-    os.makedirs(outdir, exist_ok=True)
-    harness.write_text(
-        os.path.join(outdir, "control.csv"), harness.format_record_csv(result.control)
-    )
-    harness.write_text(
-        os.path.join(outdir, "injected.csv"), harness.format_record_csv(result.injected)
-    )
-    harness.write_text(
-        os.path.join(outdir, "heldout_control.csv"),
-        harness.format_series_csv(result.control_heldout, ("step", "heldout_loss")),
-    )
-    harness.write_text(
-        os.path.join(outdir, "heldout_injected.csv"),
-        harness.format_series_csv(result.injected_heldout, ("step", "heldout_loss")),
-    )
-    harness.write_text(
-        os.path.join(outdir, "normalized.csv"),
-        harness.format_series_csv(result.normalized, ("step", "normalized_loss")),
-    )
+    os.makedirs(args.out_dir, exist_ok=True)
+    heldout = ("step", "heldout_loss")
+    outputs = {
+        "control.csv": harness.format_record_csv(result.control),
+        "injected.csv": harness.format_record_csv(result.injected),
+        "heldout_control.csv": harness.format_series_csv(result.control_heldout, heldout),
+        "heldout_injected.csv": harness.format_series_csv(result.injected_heldout, heldout),
+        "normalized.csv": harness.format_series_csv(result.normalized, ("step", "normalized_loss")),
+    }
+    for name, text in outputs.items():
+        harness.write_text(os.path.join(args.out_dir, name), text)
     if result.control.diverged or result.injected.diverged:
         return EXIT_DIVERGED
     return EXIT_OK
@@ -188,8 +170,7 @@ def _cmd_checkpoint(args) -> int:
         exp = harness.Experiment(cfg)
         record = exp.run(until=args.at_step)
         if record.diverged:
-            print(f"diverged at step {record.diverged_step}", file=sys.stderr)
-            return EXIT_DIVERGED
+            return _record_exit(record)
         with open(args.out, "wb") as fh:
             fh.write(exp.checkpoint())
         return EXIT_OK
@@ -298,7 +279,7 @@ def main(argv=None) -> int:
     except CheckpointError as exc:
         print(f"checkpoint error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a config, checkpoint or output path that cannot be opened
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

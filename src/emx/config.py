@@ -22,17 +22,17 @@ explicitly.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .optimizers import OPTIMIZERS, SWITCHES
+from .schedules import LR_SCHEDULES
 
 
 class ConfigError(Exception):
     """Invalid experiment configuration (reported before any step runs)."""
 
 
-TESTBEDS = ("rosenbrock", "valley", "mlp")
-LR_KINDS = ("constant", "lr_warmup_cosine", "lr_warmup_constant_linear_decay")
+LR_KINDS = tuple(LR_SCHEDULES)
 
 _TESTBED_KEYS = {
     "rosenbrock": {"x0"},
@@ -44,13 +44,7 @@ _OPTIMIZER_KEYS = {
     kind: {*cls.keywords(), *(["preseed"] if cls.momentum else [])}
     for kind, cls in OPTIMIZERS.items()
 }
-_LR_KEYS = {
-    "constant": {"value"},
-    "lr_warmup_cosine": {"eta_max", "eta_min", "warmup", "total"},
-    "lr_warmup_constant_linear_decay": {
-        "eta_max", "eta_min", "warmup", "decay_start", "decay_end",
-    },
-}
+_LR_KEYS = {kind: {f.name for f in fields(cls)} for kind, cls in LR_SCHEDULES.items()}
 _RUN_KEYS = {"steps", "seed", "cadence", "clip", "constant_after", "out"}
 _FORGET_KEYS = {"t_b"}
 
@@ -119,7 +113,7 @@ def _format_scalar(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        return repr(value)
+        return repr(float(value))  # numpy 2 reprs a np.float64 as "np.float64(x)"
     return str(value)
 
 
@@ -151,46 +145,50 @@ def parse_config(text: str) -> ExperimentConfig:
     return config_from_sections(sections)
 
 
+def _kind_and_params(sections: dict, section: str, keys_by_kind: dict, what: str):
+    """Check a section's ``kind`` and the keys that kind allows."""
+    params = dict(sections.get(section, {}))
+    kind = params.pop("kind", None)
+    kinds = tuple(keys_by_kind)  # a tuple: an unhashable list value is simply not found
+    if kind not in kinds:
+        raise ConfigError(f"{section}.kind must be one of {kinds}, got {kind!r}")
+    for key in params:
+        if key not in keys_by_kind[kind]:
+            raise ConfigError(f"unknown key {section}.{key} for {what} {kind!r}")
+    return kind, params
+
+
 def config_from_sections(sections: dict) -> ExperimentConfig:
     known_sections = {"testbed", "optimizer", "lr", "run", "switch", "forget"}
     for section in sections:
         if section not in known_sections:
             raise ConfigError(f"unknown section {section!r}")
 
-    testbed_sec = dict(sections.get("testbed", {}))
-    optimizer_sec = dict(sections.get("optimizer", {}))
-    lr_sec = dict(sections.get("lr", {}))
+    testbed, testbed_sec = _kind_and_params(sections, "testbed", _TESTBED_KEYS, "testbed")
+    optimizer, optimizer_sec = _kind_and_params(sections, "optimizer", _OPTIMIZER_KEYS, "optimizer")
+    lr_kind, lr_sec = _kind_and_params(sections, "lr", _LR_KEYS, "lr kind")
     run_sec = dict(sections.get("run", {}))
 
-    testbed = testbed_sec.pop("kind", None)
-    if testbed not in TESTBEDS:
-        raise ConfigError(f"testbed.kind must be one of {TESTBEDS}, got {testbed!r}")
-    for key in testbed_sec:
-        if key not in _TESTBED_KEYS[testbed]:
-            raise ConfigError(f"unknown key testbed.{key} for testbed {testbed!r}")
+    if testbed == "mlp":  # layer widths and sample counts
+        for key in ("input_dim", "hidden", "batch_size", "eval_size"):
+            sizes = testbed_sec.get(key, 1)
+            for size in sizes if isinstance(sizes, list) else [sizes]:
+                if not isinstance(size, int) or size < 1:
+                    raise ConfigError(f"testbed.{key} must be positive integers, got {sizes!r}")
 
-    optimizer = optimizer_sec.pop("kind", None)
-    if optimizer not in OPTIMIZERS:
-        raise ConfigError(f"optimizer.kind must be one of {tuple(OPTIMIZERS)}, got {optimizer!r}")
-    for key in optimizer_sec:
-        if key not in _OPTIMIZER_KEYS[optimizer]:
-            raise ConfigError(f"unknown key optimizer.{key} for optimizer {optimizer!r}")
-
-    lr_kind = lr_sec.pop("kind", None)
-    if lr_kind not in LR_KINDS:
-        raise ConfigError(f"lr.kind must be one of {LR_KINDS}, got {lr_kind!r}")
-    for key in lr_sec:
-        if key not in _LR_KEYS[lr_kind]:
-            raise ConfigError(f"unknown key lr.{key} for lr kind {lr_kind!r}")
-
-    for key in run_sec:
-        if key not in _RUN_KEYS:
-            raise ConfigError(f"unknown key run.{key}")
+    for section, allowed in (("run", _RUN_KEYS), ("forget", _FORGET_KEYS)):
+        for key in sections.get(section, {}):
+            if key not in allowed:
+                raise ConfigError(f"unknown key {section}.{key}")
     if "steps" not in run_sec:
         raise ConfigError("run.steps is required")
     steps = run_sec["steps"]
     if not isinstance(steps, int) or steps < 0:
         raise ConfigError(f"run.steps must be a non-negative integer, got {steps!r}")
+
+    seed = run_sec.get("seed", 0)
+    if not isinstance(seed, int) or seed < 0:
+        raise ConfigError(f"run.seed must be a non-negative integer, got {seed!r}")
 
     cadence = run_sec.get("cadence", 10 if testbed == "mlp" else 1)
     if not isinstance(cadence, int) or cadence < 1:
@@ -198,9 +196,13 @@ def config_from_sections(sections: dict) -> ExperimentConfig:
 
     clip = run_sec.get("clip")
     if clip is not None:
+        if not isinstance(clip, (int, float)) or not clip > 0:
+            raise ConfigError(f"run.clip must be a positive number, got {clip!r}")
         clip = float(clip)
-        if clip <= 0:
-            raise ConfigError(f"run.clip must be positive, got {clip}")
+
+    constant_after = run_sec.get("constant_after", False)
+    if not isinstance(constant_after, bool):
+        raise ConfigError(f"run.constant_after must be true or false, got {constant_after!r}")
 
     # LM-analogue default: decayed optimizers on the MLP task use lambda=0.1
     if testbed == "mlp" and "weight_decay" in _OPTIMIZER_KEYS[optimizer]:
@@ -225,11 +227,7 @@ def config_from_sections(sections: dict) -> ExperimentConfig:
 
     forget = None
     if "forget" in sections:
-        forget_sec = dict(sections["forget"])
-        for key in forget_sec:
-            if key not in _FORGET_KEYS:
-                raise ConfigError(f"unknown key forget.{key}")
-        t_b = forget_sec.get("t_b")
+        t_b = sections["forget"].get("t_b")
         if not isinstance(t_b, int) or t_b < 1:
             raise ConfigError(f"forget.t_b must be a positive integer, got {t_b!r}")
         if t_b >= steps:
@@ -245,10 +243,10 @@ def config_from_sections(sections: dict) -> ExperimentConfig:
         optimizer_params=optimizer_sec,
         lr=LrSpec(kind=lr_kind, params=lr_sec),
         steps=steps,
-        seed=run_sec.get("seed", 0),
+        seed=seed,
         cadence=cadence,
         clip=clip,
-        constant_after=bool(run_sec.get("constant_after", False)),
+        constant_after=constant_after,
         switch=switch,
         forget=forget,
         out=run_sec.get("out"),
@@ -258,8 +256,6 @@ def config_from_sections(sections: dict) -> ExperimentConfig:
 
 
 def _check_horizons(cfg: ExperimentConfig) -> None:
-    if cfg.constant_after:
-        return
     horizons = []
     for key in ("t_alpha", "t_beta3"):
         if key in cfg.optimizer_params:
@@ -268,41 +264,53 @@ def _check_horizons(cfg: ExperimentConfig) -> None:
         if key in cfg.lr.params:
             horizons.append((f"lr.{key}", cfg.lr.params[key]))
     for name, value in horizons:
-        if value > cfg.steps:
+        if not isinstance(value, (int, float)):
+            raise ConfigError(f"{name} must be a number, got {value!r}")
+        if value > cfg.steps and not cfg.constant_after:
             raise ConfigError(
                 f"{name} = {value} exceeds run.steps = {cfg.steps}; "
                 "set run.constant_after = true to allow schedules that outlive the run"
             )
 
 
+def config_sections(cfg: ExperimentConfig) -> dict:
+    """The ``section -> {name: value}`` view of ``cfg``; inverse of :func:`config_from_sections`.
+
+    Keys are in :func:`format_config` order: ``kind``/``to``/``at``, then the rest sorted.
+    """
+    run = {"steps": cfg.steps, "seed": cfg.seed, "cadence": cfg.cadence}
+    if cfg.clip is not None:
+        run["clip"] = cfg.clip
+    if cfg.constant_after:
+        run["constant_after"] = True
+    if cfg.out is not None:
+        run["out"] = cfg.out
+    sections = {
+        "testbed": {"kind": cfg.testbed, **dict(sorted(cfg.testbed_params.items()))},
+        "optimizer": {"kind": cfg.optimizer, **dict(sorted(cfg.optimizer_params.items()))},
+        "lr": {"kind": cfg.lr.kind, **dict(sorted(cfg.lr.params.items()))},
+        "run": run,
+    }
+    if cfg.switch is not None:
+        sw = cfg.switch
+        sections["switch"] = {"to": sw.to, "at": sw.at, **dict(sorted(sw.params.items()))}
+    if cfg.forget is not None:
+        sections["forget"] = {"t_b": cfg.forget.t_b}
+    return sections
+
+
+def format_sections(sections: dict) -> str:
+    """Render a section view as config text, one ``section.name = value`` line per key."""
+    return "".join(
+        f"{section}.{name} = {_format_value(value)}\n"
+        for section, keys in sections.items()
+        for name, value in keys.items()
+    )
+
+
 def format_config(cfg: ExperimentConfig) -> str:
     """Render a config back to its textual form (inverse of :func:`parse_config`)."""
-    lines = [f"testbed.kind = {cfg.testbed}"]
-    for key in sorted(cfg.testbed_params):
-        lines.append(f"testbed.{key} = {_format_value(cfg.testbed_params[key])}")
-    lines.append(f"optimizer.kind = {cfg.optimizer}")
-    for key in sorted(cfg.optimizer_params):
-        lines.append(f"optimizer.{key} = {_format_value(cfg.optimizer_params[key])}")
-    lines.append(f"lr.kind = {cfg.lr.kind}")
-    for key in sorted(cfg.lr.params):
-        lines.append(f"lr.{key} = {_format_value(cfg.lr.params[key])}")
-    lines.append(f"run.steps = {cfg.steps}")
-    lines.append(f"run.seed = {cfg.seed}")
-    lines.append(f"run.cadence = {cfg.cadence}")
-    if cfg.clip is not None:
-        lines.append(f"run.clip = {_format_value(cfg.clip)}")
-    if cfg.constant_after:
-        lines.append("run.constant_after = true")
-    if cfg.out is not None:
-        lines.append(f"run.out = {cfg.out}")
-    if cfg.switch is not None:
-        lines.append(f"switch.to = {cfg.switch.to}")
-        lines.append(f"switch.at = {cfg.switch.at}")
-        for key in sorted(cfg.switch.params):
-            lines.append(f"switch.{key} = {_format_value(cfg.switch.params[key])}")
-    if cfg.forget is not None:
-        lines.append(f"forget.t_b = {cfg.forget.t_b}")
-    return "\n".join(lines) + "\n"
+    return format_sections(config_sections(cfg))
 
 
 def load_config(path: str) -> ExperimentConfig:

@@ -8,35 +8,31 @@ runs and checkpoint-resumed runs compare bit-for-bit.
 
 from __future__ import annotations
 
-import copy
 import itertools
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
+from typing import NamedTuple, get_type_hints
 
 import numpy as np
 
 from .checkpoint import CheckpointData, restore_optimizer, save_state
-from .config import ConfigError, ExperimentConfig, format_config, parse_config
+from .config import (
+    ConfigError,
+    ExperimentConfig,
+    config_sections,
+    format_sections,
+    parse_config,
+)
 from .numerics import DivergenceError, global_norm_clip, l2_norm
 from .optimizers import OPTIMIZERS, preseed_momentum, switch_optimizer
-from .schedules import ConstantSchedule, WarmupConstantLinearDecay, WarmupCosineDecay
+from .schedules import LR_SCHEDULES
 from .testbeds import SyntheticDataset, TinyMlp, rosenbrock_testbed, sharp_valley_testbed
 
-RECORD_COLUMNS = (
-    "step",
-    "loss",
-    "distance_to_optimum",
-    "eta",
-    "alpha",
-    "beta3",
-    "update_norm",
-    "heldout_loss",
-)
 
+class RunRow(NamedTuple):
+    """One recorded step; the field order is the record's column order."""
 
-@dataclass
-class RunRow:
     step: int
     loss: float
     distance_to_optimum: float | None
@@ -46,17 +42,8 @@ class RunRow:
     update_norm: float
     heldout_loss: float | None = None
 
-    def as_tuple(self):
-        return (
-            self.step,
-            self.loss,
-            self.distance_to_optimum,
-            self.eta,
-            self.alpha,
-            self.beta3,
-            self.update_norm,
-            self.heldout_loss,
-        )
+
+RECORD_COLUMNS = RunRow._fields
 
 
 @dataclass
@@ -78,28 +65,15 @@ class RunRecord:
 
 
 def _build_lr_schedule(cfg: ExperimentConfig):
-    kind, p = cfg.lr.kind, cfg.lr.params
+    cls = LR_SCHEDULES.get(cfg.lr.kind)
+    if cls is None:
+        raise ConfigError(f"unknown lr kind {cfg.lr.kind!r}")
+    p = {"eta_min": 0.0, "warmup": 0, "total": cfg.steps, **cfg.lr.params}
+    types = get_type_hints(cls)
     try:
-        if kind == "constant":
-            return ConstantSchedule(value=float(p["value"]))
-        if kind == "lr_warmup_cosine":
-            return WarmupCosineDecay(
-                eta_max=float(p["eta_max"]),
-                eta_min=float(p.get("eta_min", 0.0)),
-                warmup=int(p.get("warmup", 0)),
-                total=int(p.get("total", cfg.steps)),
-            )
-        if kind == "lr_warmup_constant_linear_decay":
-            return WarmupConstantLinearDecay(
-                eta_max=float(p["eta_max"]),
-                eta_min=float(p.get("eta_min", 0.0)),
-                warmup=int(p.get("warmup", 0)),
-                decay_start=int(p["decay_start"]),
-                decay_end=int(p["decay_end"]),
-            )
-    except (KeyError, ValueError) as exc:
+        return cls(**{f.name: types[f.name](p[f.name]) for f in fields(cls)})
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad lr schedule parameters: {exc}") from exc
-    raise ConfigError(f"unknown lr kind {kind!r}")
 
 
 def _build_optimizer(kind: str, params: dict, dim: int, switch=None):
@@ -357,50 +331,23 @@ class SweepResult:
 
 
 def apply_override(cfg: ExperimentConfig, dotted_key: str, value) -> ExperimentConfig:
-    """Return a copy of ``cfg`` with one dotted config key replaced."""
-    new = copy.deepcopy(cfg)
+    """Return a copy of ``cfg`` with one dotted config key replaced.
+
+    The copy is rendered to config text and parsed again, so the value is
+    validated and normalized like a parsed one (a tuple becomes a list).
+    """
     section, _, name = dotted_key.partition(".")
     if not name:
         raise ConfigError(f"override key {dotted_key!r} is missing its section prefix")
-    if section == "testbed":
-        if name == "kind":
-            new = replace(new, testbed=value)
-        else:
-            new.testbed_params[name] = value
-    elif section == "optimizer":
-        if name == "kind":
-            new = replace(new, optimizer=value)
-        else:
-            new.optimizer_params[name] = value
-    elif section == "lr":
-        if name == "kind":
-            new.lr.kind = value
-        else:
-            new.lr.params[name] = value
-    elif section == "run":
-        if name == "steps":
-            new = replace(new, steps=value)
-        elif name == "seed":
-            new = replace(new, seed=value)
-        elif name == "cadence":
-            new = replace(new, cadence=value)
-        elif name == "clip":
-            new = replace(new, clip=value)
-        else:
-            raise ConfigError(f"cannot sweep run.{name}")
-    elif section == "switch":
-        if new.switch is None:
-            raise ConfigError("config has no switch directive to override")
-        if name == "at":
-            new.switch.at = value
-        elif name == "to":
-            new.switch.to = value
-        else:
-            new.switch.params[name] = value
-    else:
+    if section == "switch" and cfg.switch is None:
+        raise ConfigError("config has no switch directive to override")
+    if section not in ("testbed", "optimizer", "lr", "run", "switch"):
         raise ConfigError(f"unknown override section {section!r}")
-    # round-trip through the textual form to re-validate
-    return parse_config(format_config(new))
+    if section == "run" and name not in ("steps", "seed", "cadence", "clip"):
+        raise ConfigError(f"cannot sweep run.{name}")
+    sections = config_sections(cfg)
+    sections[section][name] = value
+    return parse_config(format_sections(sections))
 
 
 def run_sweep(cfg: ExperimentConfig, grid: dict) -> SweepResult:
@@ -412,20 +359,17 @@ def run_sweep(cfg: ExperimentConfig, grid: dict) -> SweepResult:
     """
     if not grid:
         raise ConfigError("sweep grid is empty")
-    keys = list(grid.keys())
-    value_lists = [grid[k] for k in keys]
-    for key, values in zip(keys, value_lists):
+    for key, values in grid.items():
         if not values:
             raise ConfigError(f"sweep grid for {key!r} is empty")
 
     entries = []
     records = []
-    for index, combo in enumerate(itertools.product(*value_lists)):
+    for index, combo in enumerate(itertools.product(*grid.values())):
+        overrides = dict(zip(grid, combo))
         point = cfg
-        overrides = {}
-        for key, value in zip(keys, combo):
+        for key, value in overrides.items():
             point = apply_override(point, key, value)
-            overrides[key] = value
         record = run_experiment(point)
         entries.append(
             SweepEntry(
@@ -451,16 +395,12 @@ def _cell(value) -> str:
 def format_record_csv(record: RunRecord) -> str:
     lines = [",".join(RECORD_COLUMNS)]
     for row in record.rows:
-        lines.append(",".join(_cell(v) for v in row.as_tuple()))
+        lines.append(",".join(_cell(v) for v in row))
     return "\n".join(lines) + "\n"
 
 
 def format_record_jsonl(record: RunRecord) -> str:
-    out = []
-    for row in record.rows:
-        obj = dict(zip(RECORD_COLUMNS, row.as_tuple()))
-        out.append(json.dumps(obj))
-    return "\n".join(out) + ("\n" if out else "")
+    return "".join(json.dumps(row._asdict()) + "\n" for row in record.rows)
 
 
 def format_sweep_csv(result: SweepResult) -> str:
@@ -486,16 +426,6 @@ def format_series_csv(series, columns=("step", "value")) -> str:
     return "\n".join(lines) + "\n"
 
 
-def format_profile_csv(weights) -> str:
-    lines = ["age,weight"]
-    for age, w in enumerate(weights):
-        lines.append(f"{age},{_cell(float(w))}")
-    return "\n".join(lines) + "\n"
-
-
 def write_text(path: str, text: str) -> None:
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise OSError(f"cannot write {path!r}: {exc}") from exc
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)

@@ -152,3 +152,9 @@ class WarmupConstantLinearDecay:
             return self.eta_min
         frac = (t - self.decay_start) / (self.decay_end - self.decay_start)
         return self.eta_max + frac * (self.eta_min - self.eta_max)
+
+
+# the lr.kind values a config may name; each class's fields are its lr.* keys
+LR_SCHEDULES = {
+    cls.kind: cls for cls in (ConstantSchedule, WarmupCosineDecay, WarmupConstantLinearDecay)
+}

@@ -277,3 +277,50 @@ def test_cli_flags_unchanged():
     assert sorted(k for k in flags if k.startswith("run ")) == [
         "run --jsonl", "run --out", "run --resume", "run -h --help"
     ]
+
+
+class TestBoundaryExitCodes:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "{cfg}"],
+            ["sweep", "{cfg}", "--grid", "lr.value=0.001,0.0001"],
+            ["toy", "rosenbrock", "--steps", "5"],
+            ["analyze-ema", "--kind", "single", "--horizon", "10"],
+        ],
+        ids=["run", "sweep", "toy", "analyze-ema"],
+    )
+    def test_unwritable_out_exits_three(self, argv, toy_cfg_file, tmp_path, capsys):
+        out = tmp_path / "no" / "such" / "dir" / "x.csv"
+        argv = [a.format(cfg=toy_cfg_file) for a in argv] + ["--out", str(out)]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "x.csv" in err
+
+    @pytest.mark.parametrize("command", ["run", "forget"])
+    def test_negative_env_seed_on_mlp_exits_three(self, command, mlp_cfg_file, tmp_path,
+                                                   monkeypatch, capsys):
+        monkeypatch.setenv("EMX_SEED", "-1")
+        out = ["--out", str(tmp_path / "x.csv")] if command == "run" else [
+            "--out-dir", str(tmp_path / "f")
+        ]
+        assert main([command, mlp_cfg_file, *out]) == 3
+        assert "config error: run.seed" in capsys.readouterr().err
+
+    def test_negative_env_seed_on_toy_exits_three(self, monkeypatch, capsys):
+        monkeypatch.setenv("EMX_SEED", "-1")
+        assert main(["toy", "rosenbrock", "--steps", "5"]) == 3
+        assert "run.seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("t_b", ["0", "180"])
+    def test_bad_t_b_flag_exits_three(self, t_b, mlp_cfg_file, tmp_path, capsys):
+        outdir = tmp_path / "forget"
+        assert main(["forget", mlp_cfg_file, "--t-b", t_b, "--out-dir", str(outdir)]) == 3
+        assert "forget.t_b" in capsys.readouterr().err
+        assert not outdir.exists()
+
+    def test_zero_batch_size_exits_three(self, tmp_path, capsys):
+        cfg = tmp_path / "zero.cfg"
+        cfg.write_text(MLP_CFG.replace("testbed.batch_size = 8", "testbed.batch_size = 0"))
+        assert main(["run", str(cfg), "--out", str(tmp_path / "x.csv")]) == 3
+        assert "config error: testbed.batch_size" in capsys.readouterr().err

@@ -1,6 +1,20 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from emx.config import _OPTIMIZER_KEYS, ConfigError, format_config, parse_config
+from emx.config import (
+    _LR_KEYS,
+    _OPTIMIZER_KEYS,
+    LR_KINDS,
+    ConfigError,
+    ExperimentConfig,
+    _format_value,
+    config_from_sections,
+    config_sections,
+    format_config,
+    parse_config,
+)
+from emx.optimizers import OPTIMIZERS, SWITCHES
 
 TOY_TEXT = """
 # two-speed momentum on the banana valley
@@ -204,3 +218,234 @@ class TestOptimizerKeys:
             parse_config(back)
         back = back.replace("switch.alpha = 2.0\nswitch.beta3 = 0.9999\n", "")
         assert parse_config(back).switch.params == {}
+
+
+# the lr.* keys each kind accepted before the lr schedule registry
+LR_KEYS_BEFORE_REGISTRY = {
+    "constant": {"value"},
+    "lr_warmup_cosine": {"eta_max", "eta_min", "warmup", "total"},
+    "lr_warmup_constant_linear_decay": {
+        "eta_max", "eta_min", "warmup", "decay_start", "decay_end",
+    },
+}
+
+
+class TestLrKeys:
+    def test_accepted_keys_unchanged(self):
+        assert _LR_KEYS == LR_KEYS_BEFORE_REGISTRY
+        assert LR_KINDS == tuple(LR_KEYS_BEFORE_REGISTRY)
+
+    def test_unknown_lr_kind_message_lists_the_kinds(self):
+        with pytest.raises(ConfigError, match=r"lr.kind must be one of \('constant', "):
+            parse_config(TOY_TEXT.replace("lr.kind = constant", "lr.kind = step"))
+
+
+def with_setting(text, key, value):
+    """``text`` with the ``key`` line replaced by (or extended with) ``key = value``."""
+    lines = [line for line in text.splitlines() if not line.startswith(f"{key} =")]
+    return "\n".join([*lines, f"{key} = {value}"]) + "\n"
+
+
+class TestTypedErrors:
+    @pytest.mark.parametrize(
+        "base,key,value,match",
+        [
+            ("toy", "run.clip", "abc", "run.clip"),
+            ("toy", "run.clip", "1, 2", "run.clip"),
+            ("toy", "run.clip", "nan", "run.clip"),
+            ("toy", "optimizer.t_alpha", "abc", "optimizer.t_alpha"),
+            ("toy", "optimizer.t_beta3", "1, 2", "optimizer.t_beta3"),
+            ("mlp", "lr.total", "abc", "lr.total"),
+            ("toy", "run.constant_after", "7", "run.constant_after"),
+            ("toy", "run.constant_after", "yes", "run.constant_after"),
+            ("toy", "run.seed", "1.5", "run.seed"),
+            ("toy", "run.seed", "-1", "run.seed"),
+            ("toy", "optimizer.kind", "adamw, lion", "optimizer.kind"),
+        ],
+    )
+    def test_bad_value_is_config_error(self, base, key, value, match):
+        text = {"toy": TOY_TEXT, "mlp": MLP_TEXT}[base]
+        with pytest.raises(ConfigError, match=match):
+            parse_config(with_setting(text, key, value))
+
+    def test_horizon_type_checked_even_with_constant_after(self):
+        text = with_setting(TOY_TEXT, "run.constant_after", "true")
+        with pytest.raises(ConfigError, match="optimizer.t_alpha"):
+            parse_config(with_setting(text, "optimizer.t_alpha", "abc"))
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("testbed.batch_size", "0"),
+            ("testbed.input_dim", "0"),
+            ("testbed.eval_size", "-4"),
+            ("testbed.hidden", "0"),
+            ("testbed.hidden", "32, 0"),
+            ("testbed.batch_size", "1.5"),
+        ],
+    )
+    def test_mlp_sizes_below_one_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            parse_config(with_setting(MLP_TEXT, key, value))
+
+    def test_mlp_sizes_of_one_accepted(self):
+        text = MLP_TEXT
+        for key in ("testbed.batch_size", "testbed.input_dim", "testbed.eval_size", "testbed.hidden"):
+            text = with_setting(text, key, "1")
+        assert parse_config(text).testbed_params["hidden"] == 1
+
+
+SETTING_VALUES = st.one_of(
+    st.sampled_from([
+        "abc", "1, 2", "a, b", "-1", "0", "1", "1.5", "true", "false", "none", "nan",
+        "inf", "", "adamw", "ademamix", "lion", "mlp", "rosenbrock", "constant",
+        "lr_warmup_cosine", "0.9, x", "1, 2.5",
+    ]),
+    st.integers(min_value=-10, max_value=3000).map(str),
+    st.floats(allow_nan=True).map(repr),
+)
+KNOWN_KEYS = sorted(
+    {f"testbed.{k}" for k in ("kind", "x0", "input_dim", "hidden", "batch_size", "noise",
+                              "eval_size")}
+    | {f"optimizer.{k}" for keys in _OPTIMIZER_KEYS.values() for k in keys | {"kind"}}
+    | {f"lr.{k}" for keys in _LR_KEYS.values() for k in keys | {"kind"}}
+    | {f"run.{k}" for k in ("steps", "seed", "cadence", "clip", "constant_after", "out")}
+    | {"switch.to", "switch.at", "switch.alpha", "switch.beta3", "forget.t_b"}
+)
+
+
+def settings_of(text):
+    pairs = (line.split("=", 1) for line in text.splitlines() if "=" in line)
+    return {key.strip(): value.strip() for key, value in pairs}
+
+
+class TestParseFuzz:
+    @given(
+        st.sampled_from([TOY_TEXT, MLP_TEXT]),
+        st.dictionaries(st.sampled_from(KNOWN_KEYS), SETTING_VALUES, max_size=4),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_mutated_config_parses_or_raises_config_error(self, base, changes):
+        lines = {**settings_of(base), **changes}
+        text = "".join(f"{key} = {value}\n" for key, value in lines.items())
+        try:
+            assert isinstance(parse_config(text), ExperimentConfig)
+        except ConfigError:
+            pass
+
+    @given(st.text())
+    @settings(max_examples=200, deadline=None)
+    def test_any_text_parses_or_raises_config_error(self, text):
+        try:
+            parse_config(text)
+        except ConfigError:
+            pass
+
+
+def format_config_before_section_view(cfg):
+    """The hand-written renderer that :func:`format_config` replaced (reference)."""
+    lines = [f"testbed.kind = {cfg.testbed}"]
+    for key in sorted(cfg.testbed_params):
+        lines.append(f"testbed.{key} = {_format_value(cfg.testbed_params[key])}")
+    lines.append(f"optimizer.kind = {cfg.optimizer}")
+    for key in sorted(cfg.optimizer_params):
+        lines.append(f"optimizer.{key} = {_format_value(cfg.optimizer_params[key])}")
+    lines.append(f"lr.kind = {cfg.lr.kind}")
+    for key in sorted(cfg.lr.params):
+        lines.append(f"lr.{key} = {_format_value(cfg.lr.params[key])}")
+    lines.append(f"run.steps = {cfg.steps}")
+    lines.append(f"run.seed = {cfg.seed}")
+    lines.append(f"run.cadence = {cfg.cadence}")
+    if cfg.clip is not None:
+        lines.append(f"run.clip = {_format_value(cfg.clip)}")
+    if cfg.constant_after:
+        lines.append("run.constant_after = true")
+    if cfg.out is not None:
+        lines.append(f"run.out = {cfg.out}")
+    if cfg.switch is not None:
+        lines.append(f"switch.to = {cfg.switch.to}")
+        lines.append(f"switch.at = {cfg.switch.at}")
+        for key in sorted(cfg.switch.params):
+            lines.append(f"switch.{key} = {_format_value(cfg.switch.params[key])}")
+    if cfg.forget is not None:
+        lines.append(f"forget.t_b = {cfg.forget.t_b}")
+    return "\n".join(lines) + "\n"
+
+
+FLOATS = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+HORIZONS = ("t_alpha", "t_beta3", "total", "decay_end")
+
+
+@st.composite
+def valid_sections(draw):
+    """Section views that :func:`config_from_sections` accepts."""
+    testbed = draw(st.sampled_from(["rosenbrock", "valley", "mlp"]))
+    kind = draw(st.sampled_from(sorted(OPTIMIZERS)))
+    lr_kind = draw(st.sampled_from(LR_KINDS))
+    steps = draw(st.integers(min_value=0, max_value=5000))
+
+    def params(keys):
+        chosen = draw(st.lists(st.sampled_from(sorted(keys)), unique=True)) if keys else []
+        return {
+            k: draw(st.integers(0, steps)) if k in HORIZONS
+            else draw(st.lists(FLOATS, min_size=2, max_size=3)) if k in ("preseed", "x0")
+            else draw(FLOATS)
+            for k in chosen
+        }
+
+    if testbed == "mlp":
+        sizes = st.integers(min_value=1, max_value=512)
+        tb = {k: draw(sizes) for k in draw(st.lists(
+            st.sampled_from(["input_dim", "batch_size", "eval_size"]), unique=True))}
+        if draw(st.booleans()):
+            tb["hidden"] = draw(st.one_of(sizes, st.lists(sizes, min_size=2, max_size=3)))
+        if draw(st.booleans()):
+            tb["noise"] = draw(FLOATS)
+    else:
+        tb = params({"x0"})
+    run = {"steps": steps}
+    for key, strategy in (
+        ("seed", st.integers(min_value=0, max_value=2**32)),
+        ("cadence", st.integers(min_value=1, max_value=50)),
+        ("clip", st.floats(min_value=1e-6, max_value=1e6)),
+        ("constant_after", st.booleans()),
+        ("out", st.sampled_from(["run.csv", "out/run.jsonl"])),
+    ):
+        if draw(st.booleans()):
+            run[key] = draw(strategy)
+    sections = {
+        "testbed": {"kind": testbed, **tb},
+        "optimizer": {"kind": kind, **params(_OPTIMIZER_KEYS[kind])},
+        "lr": {"kind": lr_kind, **params(_LR_KEYS[lr_kind])},
+        "run": run,
+    }
+    target = SWITCHES.get(OPTIMIZERS[kind])
+    if target is not None and draw(st.booleans()):
+        switch_keys = _OPTIMIZER_KEYS[target.variant] - _OPTIMIZER_KEYS[kind]
+        sections["switch"] = {
+            "to": target.variant, "at": draw(st.integers(0, steps)), **params(switch_keys),
+        }
+    if testbed == "mlp" and steps >= 2 and draw(st.booleans()):
+        sections["forget"] = {"t_b": draw(st.integers(1, steps - 1))}
+    return sections
+
+
+class TestSectionView:
+    def test_parsed_configs_keep_their_sections(self):
+        for text in (TOY_TEXT, MLP_TEXT):
+            cfg = parse_config(text)
+            assert config_from_sections(config_sections(cfg)) == cfg
+            assert format_config(cfg) == format_config_before_section_view(cfg)
+
+    def test_key_order_is_format_order(self):
+        cfg = parse_config(MLP_TEXT)
+        keys = [f"{s}.{k}" for s, names in config_sections(cfg).items() for k in names]
+        assert keys == [line.split(" = ")[0] for line in format_config(cfg).splitlines()]
+
+    @given(valid_sections())
+    @settings(max_examples=300, deadline=None)
+    def test_sections_round_trip(self, sections):
+        cfg = config_from_sections(sections)
+        assert config_from_sections(config_sections(cfg)) == cfg
+        assert format_config(cfg) == format_config_before_section_view(cfg)
+        assert parse_config(format_config(cfg)) == cfg

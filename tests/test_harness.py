@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,7 +7,11 @@ import pytest
 from emx.checkpoint import load_state
 from emx.config import ConfigError, parse_config
 from emx.harness import (
+    RECORD_COLUMNS,
     Experiment,
+    RunRow,
+    _build_lr_schedule,
+    apply_override,
     format_record_csv,
     format_record_jsonl,
     format_sweep_csv,
@@ -14,6 +19,7 @@ from emx.harness import (
     run_forgetting_protocol,
     run_sweep,
 )
+from emx.schedules import ConstantSchedule, WarmupConstantLinearDecay, WarmupCosineDecay
 
 
 def toy_config(optimizer="adamw", steps=200, lr=1e-3, seed=0, extra=""):
@@ -410,3 +416,131 @@ class TestBuildTimeValidation:
     def test_beta_start_unchecked_without_warmup(self):
         exp = Experiment(kind_config("ademamix", "optimizer.beta3 = 0.5", steps=5))
         assert exp.run().status == "completed"
+
+
+def build_lr_schedule_before_registry(cfg):
+    """The hand-written lr schedule construction the registry replaced (reference)."""
+    kind, p = cfg.lr.kind, cfg.lr.params
+    if kind == "constant":
+        return ConstantSchedule(value=float(p["value"]))
+    if kind == "lr_warmup_cosine":
+        return WarmupCosineDecay(
+            eta_max=float(p["eta_max"]),
+            eta_min=float(p.get("eta_min", 0.0)),
+            warmup=int(p.get("warmup", 0)),
+            total=int(p.get("total", cfg.steps)),
+        )
+    return WarmupConstantLinearDecay(
+        eta_max=float(p["eta_max"]),
+        eta_min=float(p.get("eta_min", 0.0)),
+        warmup=int(p.get("warmup", 0)),
+        decay_start=int(p["decay_start"]),
+        decay_end=int(p["decay_end"]),
+    )
+
+
+def lr_config(lines, steps=400):
+    return parse_config(
+        f"testbed.kind = rosenbrock\noptimizer.kind = adamw\n{lines}\nrun.steps = {steps}\n"
+    )
+
+
+class TestLrScheduleConstruction:
+    @pytest.mark.parametrize(
+        "lines",
+        [
+            "lr.kind = constant\nlr.value = 0.001",
+            "lr.kind = constant\nlr.value = 1",
+            "lr.kind = lr_warmup_cosine\nlr.eta_max = 0.01",
+            "lr.kind = lr_warmup_cosine\nlr.eta_max = 1\nlr.eta_min = 0\nlr.warmup = 10\n"
+            "lr.total = 300",
+            "lr.kind = lr_warmup_constant_linear_decay\nlr.eta_max = 0.01\n"
+            "lr.decay_start = 100\nlr.decay_end = 400",
+            "lr.kind = lr_warmup_constant_linear_decay\nlr.eta_max = 0.01\nlr.eta_min = 1e-05\n"
+            "lr.warmup = 50\nlr.decay_start = 100.0\nlr.decay_end = 400",
+        ],
+    )
+    def test_matches_explicit_constructors(self, lines):
+        cfg = lr_config(lines)
+        built, reference = _build_lr_schedule(cfg), build_lr_schedule_before_registry(cfg)
+        # repr shows the field types too: 0 and 0.0 would compare equal
+        assert repr(built) == repr(reference)
+        steps = range(0, 401, 7)
+        assert [built.at(t) for t in steps] == [reference.at(t) for t in steps]
+
+    @pytest.mark.parametrize(
+        "lines,match",
+        [
+            ("lr.kind = constant", "'value'"),
+            ("lr.kind = constant\nlr.value = abc", "abc"),
+            ("lr.kind = constant\nlr.value = 1, 2", "bad lr schedule"),
+            ("lr.kind = lr_warmup_cosine\nlr.eta_max = 0.1\nlr.warmup = 500\nlr.total = 300",
+             "warmup"),
+            ("lr.kind = lr_warmup_constant_linear_decay\nlr.eta_max = 0.1\nlr.decay_end = 9",
+             "'decay_start'"),
+        ],
+    )
+    def test_bad_parameters_are_config_errors(self, lines, match):
+        with pytest.raises(ConfigError, match=match):
+            Experiment(lr_config(lines))
+
+    def test_unknown_kind_is_config_error(self):
+        cfg = lr_config("lr.kind = constant\nlr.value = 0.1")
+        cfg.lr.kind = "step"
+        with pytest.raises(ConfigError, match="unknown lr kind 'step'"):
+            Experiment(cfg)
+
+
+class TestOverrides:
+    @pytest.mark.parametrize(
+        "key,message",
+        [
+            ("run.constant_after", "cannot sweep run.constant_after"),
+            ("run.out", "cannot sweep run.out"),
+            ("run.bogus", "cannot sweep run.bogus"),
+            ("forget.t_b", "unknown override section 'forget'"),
+            ("switch.at", "config has no switch directive to override"),
+            ("switch.alpha", "config has no switch directive to override"),
+            ("nope.key", "unknown override section 'nope'"),
+            ("steps", "override key 'steps' is missing its section prefix"),
+        ],
+    )
+    def test_refused_keys(self, key, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            apply_override(toy_config(steps=10), key, 1)
+
+    def test_forget_refused_with_a_forget_directive(self):
+        cfg = mlp_config(steps=100, extra="forget.t_b = 40")
+        with pytest.raises(ConfigError, match="unknown override section 'forget'"):
+            apply_override(cfg, "forget.t_b", 50)
+
+    def test_switch_keys_accepted_with_a_switch_directive(self):
+        cfg = kind_config("adamw", extra=FORWARD)
+        assert apply_override(cfg, "switch.at", 60).switch.at == 60
+        assert apply_override(cfg, "switch.alpha", 4.0).switch.params["alpha"] == 4.0
+
+    def test_values_are_normalized_like_parsed_ones(self):
+        cfg = toy_config(steps=10)
+        assert apply_override(cfg, "testbed.x0", (1.0, 2.0)).testbed_params["x0"] == [1.0, 2.0]
+        steps = apply_override(cfg, "run.steps", np.int64(7)).steps
+        assert steps == 7 and type(steps) is int
+
+    def test_numpy_float_values_stay_numbers(self):
+        cfg = toy_config(steps=10)
+        value = apply_override(cfg, "lr.value", np.float64(0.01)).lr.params["value"]
+        assert value == 0.01 and type(value) is float
+
+    def test_input_config_is_not_modified(self):
+        cfg = toy_config(steps=10, extra="testbed.x0 = 1.0, 2.0")
+        before = repr(cfg)
+        apply_override(cfg, "testbed.x0", [3.0, 4.0])
+        apply_override(cfg, "optimizer.beta1", 0.5)
+        assert repr(cfg) == before
+
+
+def test_record_columns_are_the_row_fields():
+    assert RECORD_COLUMNS == (
+        "step", "loss", "distance_to_optimum", "eta", "alpha", "beta3", "update_norm",
+        "heldout_loss",
+    )
+    assert RunRow._fields == RECORD_COLUMNS
