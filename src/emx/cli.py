@@ -17,6 +17,7 @@ from . import harness
 from .ema_weights import dema_weights, ema_weights, mixture_weights, nested_ema_weights
 from .checkpoint import CheckpointError, load_state
 from .config import (
+    _TESTBED_KEYS,
     ConfigError,
     ExperimentConfig,
     _parse_value,
@@ -95,17 +96,9 @@ def _cmd_sweep(args) -> int:
 
 
 def _toy_config(args) -> ExperimentConfig:
-    opt_params = {}
-    for name in ("beta1", "beta2", "beta3", "alpha", "weight_decay", "eps",
-                 "t_alpha", "t_beta3", "beta_start", "beta"):
-        value = getattr(args, name, None)
-        if value is not None:
-            opt_params[name] = value
-    if args.preseed is not None:
-        opt_params["preseed"] = [float(v) for v in args.preseed.split(",")]
-    testbed_params = {}
-    if args.x0 is not None:
-        testbed_params["x0"] = [float(v) for v in args.x0.split(",")]
+    names = {"preseed", *(name for cls in OPTIMIZERS.values() for name in cls.keywords())}
+    opt_params = {n: v for n in names if (v := getattr(args, n, None)) is not None}  # flags set
+    testbed_params = {} if args.x0 is None else {"x0": args.x0}
     sections = {
         "testbed": {"kind": args.landscape, **testbed_params},
         "optimizer": {"kind": args.optimizer, **opt_params},
@@ -208,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(fn=_cmd_sweep)
 
     p_toy = sub.add_parser("toy", help="run a 2-D toy landscape without a config file")
-    p_toy.add_argument("landscape", choices=["rosenbrock", "valley"])
+    p_toy.add_argument("landscape", choices=[k for k in _TESTBED_KEYS if "x0" in _TESTBED_KEYS[k]])
     p_toy.add_argument("--optimizer", default=AdamW.variant,
                        choices=list(OPTIMIZERS))
     p_toy.add_argument("--steps", type=int, default=1000)
@@ -223,8 +216,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_toy.add_argument("--t-alpha", dest="t_alpha", type=int)
     p_toy.add_argument("--t-beta3", dest="t_beta3", type=int)
     p_toy.add_argument("--beta-start", dest="beta_start", type=float)
-    p_toy.add_argument("--x0", help="start point, e.g. --x0=-3,5")
-    p_toy.add_argument("--preseed", help="momentum preseed vector, e.g. --preseed=-3,0")
+    p_toy.add_argument("--x0", type=_parse_value, help="start point, e.g. --x0=-3,5")
+    p_toy.add_argument("--preseed", type=_parse_value,
+                       help="momentum preseed vector, e.g. --preseed=-3,0")
     p_toy.add_argument("--clip", type=float)
     p_toy.add_argument("--seed", type=int, default=0)
     p_toy.add_argument("--cadence", type=int, default=1)

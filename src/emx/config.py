@@ -21,11 +21,13 @@ explicitly.
 
 from __future__ import annotations
 
+import inspect
 import re
 from dataclasses import dataclass, field, fields
 
 from .optimizers import OPTIMIZERS, SWITCHES
 from .schedules import LR_SCHEDULES
+from .testbeds import TESTBEDS
 
 
 class ConfigError(Exception):
@@ -34,10 +36,10 @@ class ConfigError(Exception):
 
 LR_KINDS = tuple(LR_SCHEDULES)
 
+# a kind's keys, each with its default: the factory's keywords after seed
 _TESTBED_KEYS = {
-    "rosenbrock": {"x0"},
-    "valley": {"x0"},
-    "mlp": {"input_dim", "hidden", "batch_size", "noise", "eval_size"},
+    kind: {name: p.default for name, p in list(inspect.signature(build).parameters.items())[1:]}
+    for kind, build in TESTBEDS.items()
 }
 # a kind's keys: its constructor keywords, and preseed if it has momentum
 _OPTIMIZER_KEYS = {
@@ -169,12 +171,14 @@ def config_from_sections(sections: dict) -> ExperimentConfig:
     lr_kind, lr_sec = _kind_and_params(sections, "lr", _LR_KEYS, "lr kind")
     run_sec = dict(sections.get("run", {}))
 
-    if testbed == "mlp":  # layer widths and sample counts
-        for key in ("input_dim", "hidden", "batch_size", "eval_size"):
-            sizes = testbed_sec.get(key, 1)
-            for size in sizes if isinstance(sizes, list) else [sizes]:
-                if not isinstance(size, int) or size < 1:
-                    raise ConfigError(f"testbed.{key} must be positive integers, got {sizes!r}")
+    for key, value in testbed_sec.items():  # typed like the default; a tuple one takes a list
+        default = _TESTBED_KEYS[testbed][key]
+        sized = isinstance(default, tuple)
+        size = type(default[0] if sized else default) is int  # a width or count: int >= 1
+        for v in value if sized and isinstance(value, list) else [value]:
+            if type(v) is not int and (size or not isinstance(v, float)) or size and v < 1:
+                what = "positive integers" if size else "numbers"
+                raise ConfigError(f"testbed.{key} must be {what}, got {value!r}")
 
     for section, allowed in (("run", _RUN_KEYS), ("forget", _FORGET_KEYS)):
         for key in sections.get(section, {}):
@@ -203,6 +207,9 @@ def config_from_sections(sections: dict) -> ExperimentConfig:
     constant_after = run_sec.get("constant_after", False)
     if not isinstance(constant_after, bool):
         raise ConfigError(f"run.constant_after must be true or false, got {constant_after!r}")
+    out = run_sec.get("out")
+    if out is not None and not isinstance(out, str):
+        raise ConfigError(f"run.out must be a path, got {out!r}")
 
     # LM-analogue default: decayed optimizers on the MLP task use lambda=0.1
     if testbed == "mlp" and "weight_decay" in _OPTIMIZER_KEYS[optimizer]:
@@ -249,7 +256,7 @@ def config_from_sections(sections: dict) -> ExperimentConfig:
         constant_after=constant_after,
         switch=switch,
         forget=forget,
-        out=run_sec.get("out"),
+        out=out,
     )
     _check_horizons(cfg)
     return cfg

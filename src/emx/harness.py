@@ -26,8 +26,8 @@ from .config import (
 )
 from .numerics import DivergenceError, global_norm_clip, l2_norm
 from .optimizers import OPTIMIZERS, preseed_momentum, switch_optimizer
-from .schedules import LR_SCHEDULES
-from .testbeds import SyntheticDataset, TinyMlp, rosenbrock_testbed, sharp_valley_testbed
+from .schedules import LR_SCHEDULES, step_count
+from .testbeds import TESTBEDS
 
 
 class RunRow(NamedTuple):
@@ -71,7 +71,8 @@ def _build_lr_schedule(cfg: ExperimentConfig):
     p = {"eta_min": 0.0, "warmup": 0, "total": cfg.steps, **cfg.lr.params}
     types = get_type_hints(cls)
     try:
-        return cls(**{f.name: types[f.name](p[f.name]) for f in fields(cls)})
+        return cls(**{f.name: step_count(f"lr.{f.name}", p[f.name]) if types[f.name] is int
+                      else float(p[f.name]) for f in fields(cls)})
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad lr schedule parameters: {exc}") from exc
 
@@ -112,39 +113,10 @@ class Experiment:
         track_heldout: bool = False,
     ):
         self.cfg = cfg
-        self.dataset = None
         self.inject_heldout_at = inject_heldout_at
         self.track_heldout = track_heldout
 
-        if cfg.testbed == "rosenbrock":
-            self.testbed = rosenbrock_testbed()
-            theta0 = np.asarray(
-                cfg.testbed_params.get("x0", [-3.0, 5.0]), dtype=np.float64
-            )
-        elif cfg.testbed == "valley":
-            self.testbed = sharp_valley_testbed()
-            theta0 = np.asarray(
-                cfg.testbed_params.get("x0", [0.3, 1.5]), dtype=np.float64
-            )
-        elif cfg.testbed == "mlp":
-            p = cfg.testbed_params
-            input_dim = int(p.get("input_dim", 16))
-            hidden = p.get("hidden", [64, 64])
-            if isinstance(hidden, int):
-                hidden = [hidden]
-            dims = [input_dim, *[int(h) for h in hidden], 1]
-            self.testbed = TinyMlp(dims)
-            self.dataset = SyntheticDataset(
-                input_dim=input_dim,
-                batch_size=int(p.get("batch_size", 32)),
-                seed=cfg.seed,
-                noise=float(p.get("noise", 0.05)),
-                eval_size=int(p.get("eval_size", 256)),
-            )
-            theta0 = self.testbed.init_params(self.dataset.init_rng())
-        else:
-            raise ConfigError(f"unknown testbed {cfg.testbed!r}")
-
+        self.testbed, self.dataset, theta0 = TESTBEDS[cfg.testbed](cfg.seed, **cfg.testbed_params)
         if theta0.shape != (self.testbed.dim,):
             raise ConfigError(
                 f"initial point has length {theta0.shape}, testbed needs {self.testbed.dim}"

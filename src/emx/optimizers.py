@@ -27,7 +27,7 @@ import inspect
 import numpy as np
 
 from .numerics import DivergenceError, check_same_length, zeros
-from .schedules import ConstantSchedule, HalfLifeLinearWarmup, LinearWarmup
+from .schedules import ConstantSchedule, HalfLifeLinearWarmup, LinearWarmup, step_count
 
 
 def _check_finite(step_index: int, *arrays: np.ndarray) -> None:
@@ -108,7 +108,8 @@ class AdamFamily(Optimizer):
         if "beta_start" in kw and kw["beta_start"] is None:
             kw["beta_start"] = kw["beta1"]
         for name, value in kw.items():
-            setattr(self, name, int(value) if type(self.defaults[name]) is int else float(value))
+            int_key = type(self.defaults[name]) is int
+            setattr(self, name, step_count(name, value) if int_key else float(value))
         slow = [getattr(self, name) for name in slow_names]
         if slow and self.t_beta3 > 0 and not 0.0 < self.beta_start <= min(slow):
             raise ValueError(f"beta_start must be in (0, {min(slow)}], got {self.beta_start}")

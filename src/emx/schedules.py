@@ -38,6 +38,13 @@ def t_half_inverse(t: float) -> float:
     return 0.5 ** (1.0 / (t + 1.0))
 
 
+def step_count(name: str, value) -> int:
+    """A horizon as an int; a fractional or non-finite float is a ``ValueError``."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{name} must be a whole number of steps, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class ConstantSchedule:
     kind: ClassVar[str] = "constant"

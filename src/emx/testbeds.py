@@ -5,6 +5,9 @@ tanh MLP with hand-written backprop for regression on synthetic data, and a
 finite-difference gradient checker. Everything is deterministic given
 (theta, batch), and every analytic gradient is validated against central
 differences in the test suite.
+
+:data:`TESTBEDS` maps each ``testbed.kind`` to a factory ``(seed, **params) ->
+(testbed, dataset or None, theta0)``; its keywords are the ``testbed.*`` keys.
 """
 
 from __future__ import annotations
@@ -172,15 +175,13 @@ class SyntheticDataset:
     training stream unless injected explicitly.
     """
 
-    def __init__(self, input_dim=16, batch_size=32, seed=0, noise=0.05,
-                 teacher_dims=None, eval_size=256):
+    def __init__(self, input_dim=16, batch_size=32, seed=0, noise=0.05, eval_size=256):
         self.input_dim = int(input_dim)
         self.batch_size = int(batch_size)
         self.seed = int(seed)
         self.noise = float(noise)
         self.eval_size = int(eval_size)
-        dims = teacher_dims if teacher_dims is not None else (input_dim, 64, 64, 1)
-        self.teacher = TinyMlp(dims)
+        self.teacher = TinyMlp((self.input_dim, 64, 64, 1))
         self.teacher_theta = self.teacher.init_params(spawn_rng(self.seed, _KEY_TEACHER))
 
     def _make_batch(self, rng: np.random.Generator, size: int):
@@ -204,6 +205,23 @@ class SyntheticDataset:
     def init_rng(self) -> np.random.Generator:
         """Generator reserved for model parameter initialization."""
         return spawn_rng(self.seed, _KEY_INIT)
+
+
+def _rosenbrock(seed, x0=(-3.0, 5.0)):
+    return rosenbrock_testbed(), None, np.asarray(x0, dtype=np.float64)
+
+
+def _valley(seed, x0=(0.3, 1.5)):
+    return sharp_valley_testbed(), None, np.asarray(x0, dtype=np.float64)
+
+
+def _mlp(seed, input_dim=16, hidden=(64, 64), batch_size=32, noise=0.05, eval_size=256):
+    net = TinyMlp([input_dim, *([hidden] if isinstance(hidden, int) else hidden), 1])
+    data = SyntheticDataset(input_dim, batch_size, seed, noise, eval_size)
+    return net, data, net.init_params(data.init_rng())
+
+
+TESTBEDS = {"rosenbrock": _rosenbrock, "valley": _valley, "mlp": _mlp}
 
 
 def finite_difference_grad(loss_fn, theta, rel_step=1e-5) -> np.ndarray:

@@ -319,6 +319,14 @@ class TestBoundaryExitCodes:
         assert "forget.t_b" in capsys.readouterr().err
         assert not outdir.exists()
 
+    @pytest.mark.parametrize("flag,message", [
+        ("--x0=a,b", "config error: testbed.x0"),
+        ("--preseed=a,b", "config error: bad optimizer parameters"),
+    ])
+    def test_non_numeric_toy_vector_exits_three(self, flag, message, capsys):
+        assert main(["toy", "rosenbrock", "--steps", "5", flag]) == 3
+        assert message in capsys.readouterr().err
+
     def test_zero_batch_size_exits_three(self, tmp_path, capsys):
         cfg = tmp_path / "zero.cfg"
         cfg.write_text(MLP_CFG.replace("testbed.batch_size = 8", "testbed.batch_size = 0"))

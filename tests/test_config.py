@@ -1,10 +1,11 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from emx.config import (
     _LR_KEYS,
     _OPTIMIZER_KEYS,
+    _TESTBED_KEYS,
     LR_KINDS,
     ConfigError,
     ExperimentConfig,
@@ -14,7 +15,9 @@ from emx.config import (
     format_config,
     parse_config,
 )
+from emx.harness import Experiment
 from emx.optimizers import OPTIMIZERS, SWITCHES
+from emx.testbeds import TESTBEDS
 
 TOY_TEXT = """
 # two-speed momentum on the banana valley
@@ -449,3 +452,130 @@ class TestSectionView:
         assert config_from_sections(config_sections(cfg)) == cfg
         assert format_config(cfg) == format_config_before_section_view(cfg)
         assert parse_config(format_config(cfg)) == cfg
+
+
+TESTBED_KEYS_BEFORE_REGISTRY = {
+    "rosenbrock": {"x0"},
+    "valley": {"x0"},
+    "mlp": {"input_dim", "hidden", "batch_size", "noise", "eval_size"},
+}
+
+
+class TestTestbedKeys:
+    def test_accepted_keys_unchanged(self):
+        assert {kind: set(keys) for kind, keys in _TESTBED_KEYS.items()} == (
+            TESTBED_KEYS_BEFORE_REGISTRY
+        )
+
+    def test_defaults_are_the_old_harness_constants(self):
+        assert _TESTBED_KEYS["rosenbrock"]["x0"] == (-3.0, 5.0)
+        assert _TESTBED_KEYS["valley"]["x0"] == (0.3, 1.5)
+        mlp = _TESTBED_KEYS["mlp"]
+        assert (mlp["input_dim"], list(mlp["hidden"]), mlp["batch_size"], mlp["noise"],
+                mlp["eval_size"]) == (16, [64, 64], 32, 0.05, 256)
+
+    def test_factories_apply_the_defaults(self):
+        for kind, x0 in (("rosenbrock", [-3.0, 5.0]), ("valley", [0.3, 1.5])):
+            testbed, dataset, theta0 = TESTBEDS[kind](0)
+            assert dataset is None and theta0.tolist() == x0 and testbed.dim == 2
+        net, data, theta0 = TESTBEDS["mlp"](5)
+        assert net.layer_dims == (16, 64, 64, 1) and theta0.shape == (net.dim,)
+        assert (data.input_dim, data.batch_size, data.seed, data.noise, data.eval_size) == (
+            16, 32, 5, 0.05, 256
+        )
+
+    @pytest.mark.parametrize(
+        "base,key,value",
+        [
+            ("toy", "testbed.x0", "abc"),
+            ("toy", "testbed.x0", "a, b"),
+            ("toy", "testbed.x0", "none"),
+            ("toy", "testbed.x0", "true, 1"),
+            ("mlp", "testbed.noise", "abc"),
+            ("mlp", "testbed.noise", "none"),
+            ("mlp", "testbed.noise", "true"),
+            ("mlp", "testbed.noise", "0.1, 0.2"),
+            ("mlp", "testbed.batch_size", "1, 2"),
+            ("mlp", "testbed.eval_size", "1, 2"),
+            ("mlp", "testbed.input_dim", "1, 2"),
+            ("mlp", "testbed.hidden", "true"),
+            ("mlp", "testbed.hidden", "16.0"),
+        ],
+    )
+    def test_bad_value_is_config_error_naming_its_key(self, base, key, value):
+        text = {"toy": TOY_TEXT, "mlp": MLP_TEXT}[base]
+        with pytest.raises(ConfigError, match=key):
+            parse_config(with_setting(text, key, value))
+
+    def test_ints_accepted_for_float_keys(self):
+        cfg = parse_config(with_setting(TOY_TEXT, "testbed.x0", "-3, 5"))
+        assert cfg.testbed_params == {"x0": [-3, 5]}
+        cfg = parse_config(with_setting(MLP_TEXT, "testbed.noise", "0"))
+        assert cfg.testbed_params["noise"] == 0
+
+    def test_x0_length_is_checked_when_the_experiment_is_built(self):
+        cfg = parse_config(with_setting(TOY_TEXT, "testbed.x0", "1, 2, 3"))
+        with pytest.raises(ConfigError, match="initial point"):
+            Experiment(cfg)
+
+
+class TestExperimentFuzz:
+    @given(st.sampled_from([TOY_TEXT, MLP_TEXT]), st.sampled_from(KNOWN_KEYS), SETTING_VALUES)
+    @example(TOY_TEXT, "testbed.x0", "abc")
+    @example(MLP_TEXT, "testbed.noise", "abc")
+    @example(MLP_TEXT, "testbed.noise", "none")
+    @example(MLP_TEXT, "testbed.batch_size", "1, 2")
+    @example(MLP_TEXT, "lr.warmup", "inf")
+    @settings(max_examples=300, deadline=None)
+    def test_one_hostile_key_builds_or_raises_config_error(self, base, key, value):
+        try:
+            cfg = parse_config(with_setting(base, key, value))
+            assert isinstance(Experiment(cfg), Experiment)
+        except ConfigError:
+            pass
+
+
+DECAY_TEXT = TOY_TEXT.replace(
+    "lr.kind = constant\nlr.value = 0.001\n",
+    "lr.kind = lr_warmup_constant_linear_decay\nlr.eta_max = 0.01\nlr.eta_min = 0.0\n"
+    "lr.warmup = 10\nlr.decay_start = 100\nlr.decay_end = 200\n",
+)
+
+
+class TestWholeNumberHorizons:
+    @pytest.mark.parametrize(
+        "base,key,value",
+        [
+            ("mlp", "lr.warmup", "1.5"),
+            ("mlp", "lr.warmup", "inf"),
+            ("mlp", "lr.total", "1999.5"),
+            ("decay", "lr.decay_start", "100.5"),
+            ("decay", "lr.decay_end", "200.5"),
+            ("toy", "optimizer.t_alpha", "2.7"),
+            ("toy", "optimizer.t_beta3", "2.7"),
+            ("mlp", "switch.t_alpha", "2.7"),
+            ("mlp", "switch.t_beta3", "2.7"),
+        ],
+    )
+    def test_fractional_horizon_is_config_error(self, base, key, value):
+        text = {"toy": TOY_TEXT, "mlp": MLP_TEXT, "decay": DECAY_TEXT}[base]
+        cfg = parse_config(with_setting(text, key, value))
+        with pytest.raises(ConfigError, match=f"{key.split('.')[1]} must be a whole number"):
+            Experiment(cfg)
+
+    def test_integral_floats_accepted(self):
+        exp = Experiment(parse_config(with_setting(MLP_TEXT, "lr.warmup", "100.0")))
+        assert exp.lr_schedule.warmup == 100 and type(exp.lr_schedule.warmup) is int
+        exp = Experiment(parse_config(with_setting(TOY_TEXT, "optimizer.t_alpha", "100.0")))
+        assert exp.opt.t_alpha == 100 and type(exp.opt.t_alpha) is int
+        assert Experiment(parse_config(DECAY_TEXT)).lr_schedule.decay_end == 200
+
+
+class TestRunOut:
+    @pytest.mark.parametrize("value", ["987", "1.5", "true", "a.csv, b.csv"])
+    def test_non_string_is_config_error(self, value):
+        with pytest.raises(ConfigError, match="run.out"):
+            parse_config(with_setting(TOY_TEXT, "run.out", value))
+
+    def test_path_accepted(self):
+        assert parse_config(with_setting(TOY_TEXT, "run.out", "out/run.csv")).out == "out/run.csv"
