@@ -65,24 +65,15 @@ def save_state(opt, extra_slots: dict | None = None) -> bytes:
     hyper = {"variant": opt.variant}
     hyper.update(opt.hyper())
 
-    out = bytearray()
-    out += MAGIC
-    out += struct.pack("<I", VERSION)
-    out += struct.pack("<I", len(slots))
+    # one join of the headers and the slot arrays' own buffers: the blob is the only copy
+    parts = [MAGIC, struct.pack("<II", VERSION, len(slots))]
     for name, vec in slots.items():
         name_bytes = name.encode("utf-8")
-        vec = np.ascontiguousarray(vec, dtype=np.float64)
-        out += struct.pack("<I", len(name_bytes))
-        out += name_bytes
-        out += struct.pack("<Q", vec.size)
-        out += vec.astype("<f8", copy=False).tobytes()
-    hyper_bytes = "".join(
-        f"{k}={_format_scalar(v)}\n" for k, v in hyper.items()
-    ).encode("utf-8")
-    out += struct.pack("<I", len(hyper_bytes))
-    out += hyper_bytes
-    out += struct.pack("<Q", opt.t)
-    return bytes(out)
+        vec = np.ascontiguousarray(vec, dtype="<f8")
+        parts += (struct.pack("<I", len(name_bytes)), name_bytes, struct.pack("<Q", vec.size), vec)
+    hyper_bytes = "".join(f"{k}={_format_scalar(v)}\n" for k, v in hyper.items()).encode("utf-8")
+    parts += (struct.pack("<I", len(hyper_bytes)), hyper_bytes, struct.pack("<Q", opt.t))
+    return b"".join(parts)
 
 
 class _Reader:
@@ -90,14 +81,18 @@ class _Reader:
         self.data = data
         self.pos = 0
 
-    def take(self, n: int) -> bytes:
+    def skip(self, n: int) -> int:
+        """Step over ``n`` bytes; return the offset they start at."""
         if self.pos + n > len(self.data):
             raise CheckpointTruncatedError(
                 f"needed {n} bytes at offset {self.pos}, only {len(self.data) - self.pos} left"
             )
-        chunk = self.data[self.pos : self.pos + n]
         self.pos += n
-        return chunk
+        return self.pos - n
+
+    def take(self, n: int) -> bytes:
+        start = self.skip(n)
+        return self.data[start : start + n]
 
     def u32(self) -> int:
         return struct.unpack("<I", self.take(4))[0]
@@ -125,8 +120,8 @@ def load_state(data: bytes) -> CheckpointData:
         if name in slots:
             raise CheckpointFormatError(f"duplicate slot name {name!r}")
         count = r.u64()
-        raw = r.take(8 * count)
-        slots[name] = np.frombuffer(raw, dtype="<f8").astype(np.float64)
+        offset = r.skip(8 * count)  # read in place, then one copy into a native array
+        slots[name] = np.frombuffer(data, "<f8", count, offset).astype(np.float64)
     hyper_len = r.u32()
     try:
         hyper_text = r.take(hyper_len).decode("utf-8")

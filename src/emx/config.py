@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import inspect
 import re
+import sys
 from dataclasses import dataclass, field, fields
 
 from .optimizers import OPTIMIZERS, SWITCHES
@@ -143,7 +144,10 @@ def parse_config(text: str) -> ExperimentConfig:
         bucket = sections.setdefault(section, {})
         if name in bucket:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        bucket[name] = _parse_value(value)
+        try:
+            bucket[name] = _parse_value(value)
+        except ValueError as exc:  # an int with more digits than Python converts
+            raise ConfigError(f"line {lineno}: {key}: {exc}") from None
     return config_from_sections(sections)
 
 
@@ -170,6 +174,15 @@ def config_from_sections(sections: dict) -> ExperimentConfig:
     optimizer, optimizer_sec = _kind_and_params(sections, "optimizer", _OPTIMIZER_KEYS, "optimizer")
     lr_kind, lr_sec = _kind_and_params(sections, "lr", _LR_KEYS, "lr kind")
     run_sec = dict(sections.get("run", {}))
+
+    # an int beyond float64: a float key would overflow and a size cannot be allocated
+    for section, params in sections.items():
+        for key, value in params.items():
+            values = value if isinstance(value, list) else [value]
+            if (section, key) != ("run", "seed") and any(
+                type(v) is int and abs(v) > sys.float_info.max for v in values
+            ):
+                raise ConfigError(f"{section}.{key} is out of range (larger than a float64)")
 
     for key, value in testbed_sec.items():  # typed like the default; a tuple one takes a list
         default = _TESTBED_KEYS[testbed][key]
@@ -264,9 +277,11 @@ def config_from_sections(sections: dict) -> ExperimentConfig:
 
 def _check_horizons(cfg: ExperimentConfig) -> None:
     horizons = []
-    for key in ("t_alpha", "t_beta3"):
-        if key in cfg.optimizer_params:
-            horizons.append((f"optimizer.{key}", cfg.optimizer_params[key]))
+    switch_params = cfg.switch.params if cfg.switch is not None else {}
+    for section, params in (("optimizer", cfg.optimizer_params), ("switch", switch_params)):
+        for key in ("t_alpha", "t_beta3"):
+            if key in params:
+                horizons.append((f"{section}.{key}", params[key]))
     for key in ("total", "decay_end"):
         if key in cfg.lr.params:
             horizons.append((f"lr.{key}", cfg.lr.params[key]))

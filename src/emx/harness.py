@@ -174,7 +174,7 @@ class Experiment:
                     batch = self.dataset.batch(t)
             try:
                 loss, grad = self.testbed.loss_and_grad(self.theta, batch)
-                if not math.isfinite(loss) or not np.all(np.isfinite(grad)):
+                if not math.isfinite(loss) or not np.isfinite(grad).all():
                     raise DivergenceError("non-finite loss or gradient", step=t)
                 if cfg.clip is not None:
                     grad = global_norm_clip(grad, cfg.clip)

@@ -37,24 +37,35 @@ def l2_norm(a: np.ndarray) -> float:
     return float(np.sqrt(np.dot(a, a)))
 
 
+def _norm_parts(g: np.ndarray) -> tuple[float, float]:
+    """``(n, peak)`` with ``|g| = n * peak``: ``peak`` is 1.0 unless the dot
+    product overflows, then ``max|g|`` and ``n`` is the norm of ``g / peak``."""
+    norm = l2_norm(g)
+    if norm != np.inf:
+        return norm, 1.0
+    peak = float(np.max(np.abs(g)))
+    return l2_norm(g / peak), peak
+
+
 def global_norm_clip(g: np.ndarray, max_norm: float) -> np.ndarray:
     """Rescale ``g`` so its global L2 norm is at most ``max_norm``.
 
     Vectors already within the bound are returned unchanged, which makes the
-    operation idempotent bit-for-bit. Non-finite inputs signal divergence.
+    operation idempotent bit-for-bit. Non-finite inputs signal divergence. A
+    finite ``g`` whose squared norm overflows is measured as ``g / max|g|``.
     """
     if max_norm <= 0:
         raise ValueError(f"max_norm must be positive, got {max_norm}")
-    if not np.all(np.isfinite(g)):
+    if not np.isfinite(g).all():
         raise DivergenceError("non-finite gradient in global_norm_clip")
-    norm = l2_norm(g)
-    if norm <= max_norm:
+    norm, peak = _norm_parts(g)
+    if norm * peak <= max_norm:
         return g
-    scale = max_norm / norm
+    scale = max_norm / norm / peak
     clipped = g * scale
     # Rounding can leave the recomputed norm a hair above the bound; walk the
     # scale down by ulps so a second clip is exactly the identity.
-    while l2_norm(clipped) > max_norm:
+    while np.multiply(*_norm_parts(clipped)) > max_norm:
         scale = np.nextafter(scale, 0.0)
         clipped = g * scale
     return clipped

@@ -10,6 +10,12 @@ optimizer) and :class:`Ad3EMAMix` (``m2`` and ``m3``) are thin subclasses.
 Baselines with their own update rules: :class:`Lion` (sign updates),
 :class:`AdMetaS` (nested EMAs) and :class:`AggMo` (K plain momentum buffers).
 
+``step`` returns a fresh array for the new ``theta`` and never writes into
+``theta`` or ``grad``; the state slots are updated in place, through ``out=``
+ufuncs over a scratch row each instance owns, so a step allocates one
+dim-sized array. Every operation keeps the operands and the order of the
+plain expression it replaces, so the results are the same to the bit.
+
 Step functions take the learning rate (and the warmed-up ``alpha``/slow
 decays) from the caller. :meth:`Optimizer.schedule_args` gives those values
 from schedules built once, on a clock derived from the step counter in the
@@ -32,10 +38,16 @@ from .schedules import ConstantSchedule, HalfLifeLinearWarmup, LinearWarmup, ste
 
 def _check_finite(step_index: int, *arrays: np.ndarray) -> None:
     for arr in arrays:
-        if arr is not None and not np.all(np.isfinite(arr)):
+        if arr is not None and not np.isfinite(arr).all():
             raise DivergenceError(
                 f"non-finite value after update step {step_index}", step=step_index
             )
+
+
+def _ema(buf: np.ndarray, decay: float, grad: np.ndarray, tmp: np.ndarray) -> None:
+    """``buf <- decay*buf + (1-decay)*grad`` in place, ``tmp`` as scratch."""
+    np.multiply(decay, buf, out=buf)
+    buf += np.multiply(1.0 - decay, grad, out=tmp)
 
 
 class Optimizer:
@@ -44,6 +56,7 @@ class Optimizer:
     ``hyper()`` is the constructor's :meth:`keywords` plus ``hyper_state``;
     ``slot_names`` are the checkpointed buffers in order (``None`` ones are
     skipped) and ``momentum`` the buffers :func:`preseed_momentum` sets.
+    ``_scratch`` is a dim-sized row the step works in; it is not state.
     """
 
     variant = ""
@@ -72,6 +85,15 @@ class Optimizer:
         """
         t -= self.sched_offset
         return [sched.at(t) for sched in self._schedules]
+
+    def _begin(self, theta, grad) -> np.ndarray:
+        """Check both lengths against ``dim``, count the step and return the
+        array the new ``theta`` is written to, the step's one allocation."""
+        check_same_length(theta, grad)
+        if len(grad) != self.dim:
+            raise ValueError(f"length mismatch: {len(grad)} vs dim {self.dim}")
+        self.t += 1
+        return np.empty(self.dim)
 
 
 class AdamFamily(Optimizer):
@@ -123,6 +145,7 @@ class AdamFamily(Optimizer):
         self.m2 = zeros(self.dim) if slow else None
         self.m3 = zeros(self.dim) if len(slow) == 2 else None
         self.nu = zeros(self.dim)
+        self._scratch = np.empty(self.dim)
         if slow:
             self.hyper_state = ("sched_offset",)
             self._schedules = [LinearWarmup(final=self.alpha, horizon=self.t_alpha)]
@@ -134,42 +157,55 @@ class AdamFamily(Optimizer):
                 )
 
     def _moments(self, theta, grad, beta3_t, beta4_t):
-        """Advance the step counter and every EMA; return ``(m1_hat, nu_hat)``."""
-        check_same_length(theta, grad)
-        self.t += 1
-        t = self.t
-        if self.m1 is None:
-            m1_hat = grad
-        else:
-            self.m1 = self.beta1 * self.m1 + (1.0 - self.beta1) * grad
-            m1_hat = self.m1 / (1.0 - self.beta1**t)
+        """Advance the step counter and every EMA; return ``(new, m1_hat)``.
+
+        ``new`` is the array for the new ``theta``; ``m1_hat`` is ``grad``
+        itself on the lean path, else the scratch row.
+        """
+        new = self._begin(theta, grad)
+        tmp = self._scratch
         if self.m2 is not None:
-            b = self.beta3 if beta3_t is None else beta3_t
-            self.m2 = b * self.m2 + (1.0 - b) * grad
+            _ema(self.m2, self.beta3 if beta3_t is None else beta3_t, grad, tmp)
         if self.m3 is not None:
-            b = self.beta4 if beta4_t is None else beta4_t
-            self.m3 = b * self.m3 + (1.0 - b) * grad
-        self.nu = self.beta2 * self.nu + (1.0 - self.beta2) * (grad * grad)
-        return m1_hat, self.nu / (1.0 - self.beta2**t)
+            _ema(self.m3, self.beta4 if beta4_t is None else beta4_t, grad, tmp)
+        np.multiply(self.beta2, self.nu, out=self.nu)
+        self.nu += np.multiply(1.0 - self.beta2, np.multiply(grad, grad, out=tmp), out=tmp)
+        if self.m1 is None:
+            return new, grad
+        _ema(self.m1, self.beta1, grad, tmp)
+        return new, np.divide(self.m1, 1.0 - self.beta1**self.t, out=tmp)
 
-    def _slow(self) -> np.ndarray:
+    def _slow(self, coef: float, out: np.ndarray) -> np.ndarray:
+        """``coef * (m2 [+ m3])``, written to ``out``."""
         # m2 + m3 directly: sum() would start from 0 and turn -0.0 into +0.0
-        return self.m2 if self.m3 is None else self.m2 + self.m3
+        slow = self.m2 if self.m3 is None else np.add(self.m2, self.m3, out=out)
+        return np.multiply(coef, slow, out=out)
 
-    def _update(self, theta, lr, num, nu_hat) -> np.ndarray:
-        new_theta = theta - lr * (num / (np.sqrt(nu_hat) + self.eps) + self.weight_decay * theta)
-        _check_finite(self.t, new_theta, self.m1, self.m2, self.m3, self.nu)
-        return new_theta
+    def _update(self, theta, lr, num, new) -> np.ndarray:
+        """Write ``theta - lr*(num/(sqrt(nu_hat) + eps) + wd*theta)`` to ``new``.
+
+        ``wd*theta`` is added even when ``wd == 0``: ``x + 0.0*theta`` turns
+        ``-0.0`` into ``+0.0``, as the plain expression does.
+        """
+        denom = np.divide(self.nu, 1.0 - self.beta2**self.t, out=new)
+        np.sqrt(denom, out=denom)
+        denom += self.eps
+        upd = np.divide(num, denom, out=self._scratch)
+        upd += np.multiply(self.weight_decay, theta, out=new)
+        np.subtract(theta, np.multiply(lr, upd, out=upd), out=new)
+        _check_finite(self.t, new, self.m1, self.m2, self.m3, self.nu)
+        return new
 
     @np.errstate(over="ignore", invalid="ignore")
     def step(self, theta, grad, lr, alpha_t=None, beta3_t=None, beta4_t=None) -> np.ndarray:
         """One update; ``alpha_t`` and the slow decays default to the final values."""
         if alpha_t is None:
             alpha_t = self.alpha
-        m1_hat, nu_hat = self._moments(theta, grad, beta3_t, beta4_t)
+        new, num = self._moments(theta, grad, beta3_t, beta4_t)
         # alpha == 0 must reduce to AdamW exactly, so skip the slow term entirely
-        num = m1_hat if alpha_t == 0.0 else m1_hat + alpha_t * self._slow()
-        return self._update(theta, lr, num, nu_hat)
+        if alpha_t != 0.0:
+            num = np.add(num, self._slow(alpha_t, new), out=self._scratch)
+        return self._update(theta, lr, num, new)
 
     @np.errstate(over="ignore", invalid="ignore")
     def step_convex(self, theta, grad, eta_hat, alpha_hat, beta3_t=None, beta4_t=None):
@@ -182,9 +218,10 @@ class AdamFamily(Optimizer):
         """
         if not 0.0 <= alpha_hat <= 1.0:
             raise ValueError(f"alpha_hat must be in [0, 1], got {alpha_hat}")
-        m1_hat, nu_hat = self._moments(theta, grad, beta3_t, beta4_t)
-        num = (1.0 - alpha_hat) * m1_hat + alpha_hat * self._slow()
-        return self._update(theta, eta_hat, num, nu_hat)
+        new, m1_hat = self._moments(theta, grad, beta3_t, beta4_t)
+        num = np.multiply(1.0 - alpha_hat, m1_hat, out=self._scratch)
+        num += self._slow(alpha_hat, new)
+        return self._update(theta, eta_hat, num, new)
 
 
 class AdamW(AdamFamily):
@@ -266,16 +303,19 @@ class Lion(Optimizer):
         self.weight_decay = float(weight_decay)
         self.t = 0
         self.m = zeros(self.dim)
+        self._scratch = np.empty(self.dim)
 
     @np.errstate(over="ignore", invalid="ignore")
     def step(self, theta: np.ndarray, grad: np.ndarray, lr: float) -> np.ndarray:
-        check_same_length(theta, grad)
-        self.t += 1
-        direction = np.sign(self.alpha * self.m + (1.0 - self.alpha) * grad)
-        new_theta = theta - lr * (direction + self.weight_decay * theta)
-        self.m = self.beta * self.m + (1.0 - self.beta) * grad
-        _check_finite(self.t, new_theta, self.m)
-        return new_theta
+        new = self._begin(theta, grad)
+        tmp = np.multiply(self.alpha, self.m, out=self._scratch)
+        tmp += np.multiply(1.0 - self.alpha, grad, out=new)
+        direction = np.sign(tmp, out=new)  # not in place: that is ~5x slower on numpy 2.4
+        direction += np.multiply(self.weight_decay, theta, out=tmp)
+        np.subtract(theta, np.multiply(lr, direction, out=direction), out=new)
+        _ema(self.m, self.beta, grad, tmp)
+        _check_finite(self.t, new, self.m)
+        return new
 
 
 class AdMetaS(Optimizer):
@@ -301,6 +341,7 @@ class AdMetaS(Optimizer):
         self.t = 0
         self.m1 = zeros(self.dim)
         self.m2 = zeros(self.dim)
+        self._scratch = np.empty(self.dim)
 
     @property
     def mu(self) -> float:
@@ -312,14 +353,16 @@ class AdMetaS(Optimizer):
 
     @np.errstate(over="ignore", invalid="ignore")
     def step(self, theta: np.ndarray, grad: np.ndarray, lr: float) -> np.ndarray:
-        check_same_length(theta, grad)
-        self.t += 1
-        self.m1 = self.beta1 * self.m1 + grad
-        h = self.kappa * grad + self.mu * self.m1
-        self.m2 = self.beta2 * self.m2 + (1.0 - self.beta2) * h
-        new_theta = theta - lr * self.m2
-        _check_finite(self.t, new_theta, self.m1, self.m2)
-        return new_theta
+        new = self._begin(theta, grad)
+        np.multiply(self.beta1, self.m1, out=self.m1)
+        self.m1 += grad
+        h = np.multiply(self.kappa, grad, out=self._scratch)
+        h += np.multiply(self.mu, self.m1, out=new)
+        np.multiply(self.beta2, self.m2, out=self.m2)
+        self.m2 += np.multiply(1.0 - self.beta2, h, out=h)
+        np.subtract(theta, np.multiply(lr, self.m2, out=h), out=new)
+        _check_finite(self.t, new, self.m1, self.m2)
+        return new
 
 
 class AggMo(Optimizer):
@@ -347,15 +390,16 @@ class AggMo(Optimizer):
 
     @np.errstate(over="ignore", invalid="ignore")
     def step(self, theta: np.ndarray, grad: np.ndarray, lr: float) -> np.ndarray:
-        check_same_length(theta, grad)
-        self.t += 1
-        total = zeros(self.dim)
-        for i, b in enumerate(self.betas):
-            self.m[i] = b * self.m[i] + grad
-            total += self.m[i]
-        new_theta = theta - (lr / len(self.betas)) * total
-        _check_finite(self.t, new_theta, *self.m)
-        return new_theta
+        total = self._begin(theta, grad)
+        total.fill(0.0)  # from +0.0, as a fresh sum: the first add turns -0.0 into +0.0
+        for b, m in zip(self.betas, self.m):
+            np.multiply(b, m, out=m)
+            m += grad
+            total += m
+        np.multiply(lr / len(self.betas), total, out=total)
+        new = np.subtract(theta, total, out=total)
+        _check_finite(self.t, new, *self.m)
+        return new
 
     def state_slots(self):
         return {f"m{i}": m for i, m in enumerate(self.m)}
@@ -373,18 +417,18 @@ def switch_optimizer(opt: AdamFamily, cls: type, **params) -> AdamFamily:
     """Convert an Adam-family state mid-run into a ``cls`` state.
 
     ``beta1``, ``beta2``, ``weight_decay``, ``eps``, the fast EMA and the
-    second moment carry over bit-for-bit; ``params`` set the rest. New slow
-    EMAs start at zero, so the first update after a switch to AdEMAMix is
-    still an AdamW update. The global step keeps counting; only the warmup
-    clock restarts at the switch.
+    second moment are copied bit-for-bit into the new state's own buffers;
+    ``params`` set the rest. New slow EMAs start at zero, so the first update
+    after a switch to AdEMAMix is still an AdamW update. The global step keeps
+    counting; only the warmup clock restarts at the switch.
     """
     new = cls(
         opt.dim, beta1=opt.beta1, beta2=opt.beta2, weight_decay=opt.weight_decay, eps=opt.eps,
         **params,
     )
     if new.m1 is not None and opt.m1 is not None:
-        new.m1 = opt.m1.copy()
-    new.nu = opt.nu.copy()
+        new.m1[...] = opt.m1
+    new.nu[...] = opt.nu
     new.t = new.sched_offset = opt.t
     return new
 
@@ -403,7 +447,8 @@ def preseed_momentum(opt, m_init) -> None:
     """Set every first-moment buffer to ``m_init`` (fresh states only).
 
     Gives the first iterate an initial "speed" while the second-moment
-    estimate stays at zero. The step counter must still be 0.
+    estimate stays at zero. The step counter must still be 0. The values are
+    copied into the state's own buffers.
     """
     m_init = np.asarray(m_init, dtype=np.float64)
     if m_init.shape != (opt.dim,):
@@ -413,5 +458,5 @@ def preseed_momentum(opt, m_init) -> None:
     if not opt.momentum:
         raise TypeError(f"cannot preseed momentum for {type(opt).__name__}")
     for name in opt.momentum:
-        if getattr(opt, name) is not None:
-            setattr(opt, name, m_init.copy())
+        if (buf := getattr(opt, name)) is not None:
+            buf[...] = m_init

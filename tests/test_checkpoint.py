@@ -2,9 +2,12 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from emx.checkpoint import (
     MAGIC,
+    CheckpointError,
     CheckpointFormatError,
     CheckpointTruncatedError,
     CheckpointVersionError,
@@ -212,3 +215,90 @@ class TestRestoreErrors:
         del ck.slots["m1"]
         with pytest.raises(CheckpointFormatError, match="m1"):
             restore_optimizer(ck)
+
+
+def _assemble(slots: dict, hyper: dict, step: int) -> bytes:
+    """Checkpoint bytes from parts, for content ``save_state`` would never write."""
+    out = bytearray(MAGIC + struct.pack("<II", 1, len(slots)))
+    for name, vec in slots.items():
+        nb = name.encode("utf-8")
+        out += struct.pack("<I", len(nb)) + nb + struct.pack("<Q", len(vec)) + vec.tobytes()
+    text = "".join(f"{k}={v}\n" for k, v in hyper.items()).encode("utf-8")
+    return bytes(out + struct.pack("<I", len(text)) + text + struct.pack("<Q", step))
+
+
+def _valid_checkpoints():
+    factories = {
+        **{kind: lambda cls=cls: cls(3) for kind, cls in OPTIMIZERS.items()},
+        "ademamix_lean": lambda: AdEMAMix(3, beta1=0.0),
+        "ademamix_warmup": lambda: AdEMAMix(3, t_alpha=10, t_beta3=10),
+    }
+    blobs = {}
+    for kind, factory in factories.items():
+        opt = factory()
+        blobs[kind] = save_state(opt, extra_slots={"theta": _warm(opt)})
+    return blobs
+
+
+VALID = _valid_checkpoints()
+HOSTILE_TEXT = st.one_of(
+    st.sampled_from([
+        "", "nan", "inf", "-inf", "-1", "0", "1", "0.5", "1.5", "1e400", "9" * 5000, "abc",
+        "0.5,x", ",", "0.9,0.9", "0.5," * 300, "none", " 1", "1_0", "-0", "18446744073709551616",
+    ]),
+    st.text(max_size=12),
+)
+
+
+def _load_and_restore(blob: bytes) -> None:
+    """A state, or a CheckpointError subclass; any other exception fails the test."""
+    try:
+        restore_optimizer(load_state(blob))
+    except CheckpointError:
+        pass
+
+
+class TestLoadFuzz:
+    """Any bytes into ``load_state`` then ``restore_optimizer``: a state or a CheckpointError."""
+
+    @given(st.binary(max_size=300))
+    @settings(max_examples=300, deadline=None)
+    def test_arbitrary_bytes(self, blob):
+        _load_and_restore(blob)
+
+    @given(st.binary(max_size=300))
+    @settings(max_examples=300, deadline=None)
+    def test_arbitrary_bytes_after_a_valid_header(self, tail):
+        _load_and_restore(MAGIC + struct.pack("<I", 1) + tail)
+
+    @given(st.sampled_from(sorted(VALID)), st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_mutated_valid_blob(self, kind, data):
+        blob = bytearray(VALID[kind])
+        for _ in range(data.draw(st.integers(1, 4), label="edits")):
+            at = data.draw(st.integers(0, len(blob)), label="at")
+            edit = data.draw(st.sampled_from(["flip", "set", "cut", "insert", "delete"]))
+            if edit == "cut":
+                del blob[at:]
+            elif edit == "insert":
+                blob[at:at] = data.draw(st.binary(min_size=1, max_size=8), label="bytes")
+            elif at < len(blob):
+                if edit == "delete":
+                    del blob[at]
+                else:
+                    byte = data.draw(st.integers(0, 255), label="byte")
+                    blob[at] = blob[at] ^ (byte or 1) if edit == "flip" else byte
+        _load_and_restore(bytes(blob))
+
+    @given(st.sampled_from(sorted(VALID)), st.data())
+    @example("aggmo", None)
+    @settings(max_examples=400, deadline=None)
+    def test_hostile_content_in_a_well_formed_blob(self, kind, data):
+        ck = load_state(VALID[kind])
+        if data is not None:
+            for key in data.draw(st.lists(st.sampled_from(sorted(ck.hyper)), max_size=3)):
+                ck.hyper[key] = data.draw(HOSTILE_TEXT, label=key)
+            for name in data.draw(st.lists(st.sampled_from(sorted(ck.slots)), max_size=2)):
+                ck.slots[name] = np.zeros(data.draw(st.integers(0, 5), label=name))
+            ck.step = data.draw(st.integers(0, 2**64 - 1), label="step")
+        _load_and_restore(_assemble(ck.slots, ck.hyper, ck.step))

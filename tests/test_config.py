@@ -579,3 +579,54 @@ class TestRunOut:
 
     def test_path_accepted(self):
         assert parse_config(with_setting(TOY_TEXT, "run.out", "out/run.csv")).out == "out/run.csv"
+
+
+class TestSwitchHorizons:
+    @pytest.mark.parametrize("key", ["switch.t_alpha", "switch.t_beta3"])
+    def test_longer_than_the_run_is_refused(self, key):
+        with pytest.raises(ConfigError, match=f"{key} = 90000 exceeds run.steps = 2000"):
+            parse_config(with_setting(MLP_TEXT, key, "90000"))
+
+    @pytest.mark.parametrize("key", ["switch.t_alpha", "switch.t_beta3"])
+    def test_constant_after_allows_it(self, key):
+        text = with_setting(with_setting(MLP_TEXT, key, "90000"), "run.constant_after", "true")
+        assert parse_config(text).switch.params[key.split(".")[1]] == 90000
+
+    def test_within_the_run_is_accepted(self):
+        cfg = parse_config(with_setting(MLP_TEXT, "switch.t_alpha", "2000"))
+        assert cfg.switch.params["t_alpha"] == 2000
+
+
+HUGE = "9" * 400
+HUGE_KEYS = [
+    key
+    for key in KNOWN_KEYS
+    if not key.endswith((".kind", ".to", ".constant_after", ".out")) and key != "run.seed"
+]
+
+
+class TestHugeIntegers:
+    """An int beyond float64 range is a ConfigError naming its key, never an OverflowError."""
+
+    @pytest.mark.parametrize("key", HUGE_KEYS)
+    @pytest.mark.parametrize("base", [TOY_TEXT, MLP_TEXT], ids=["toy", "mlp"])
+    def test_is_config_error_naming_the_key(self, base, key):
+        with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
+            Experiment(parse_config(with_setting(base, key, HUGE)))
+
+    @pytest.mark.parametrize("key", ["testbed.x0", "optimizer.preseed", "testbed.hidden"])
+    def test_in_a_list(self, key):
+        base = MLP_TEXT if key == "testbed.hidden" else TOY_TEXT
+        with pytest.raises(ConfigError, match=key):
+            parse_config(with_setting(base, key, f"1, {HUGE}"))
+
+    def test_too_many_digits_to_parse(self):
+        with pytest.raises(ConfigError, match="lr.value"):
+            parse_config(with_setting(TOY_TEXT, "lr.value", "9" * 5000))
+
+    def test_a_huge_seed_is_still_a_seed(self):
+        assert parse_config(with_setting(TOY_TEXT, "run.seed", HUGE)).seed == int(HUGE)
+
+    def test_largest_float_range_int_accepted(self):
+        cfg = parse_config(with_setting(TOY_TEXT, "lr.value", str(int(1.7e308))))
+        assert cfg.lr.params["value"] == int(1.7e308)

@@ -93,6 +93,14 @@ FORWARD_SWITCH = (
     "switch.t_alpha = 20\nswitch.t_beta3 = 20\n"
 )
 BACKWARD_SWITCH = "switch.to = adamw\nswitch.at = 30\n"
+# the MLP runs of the other kinds; the CSV and the final checkpoint are pinned
+MLP_KINDS = {
+    "lion": "",
+    "admeta_s": "",
+    "aggmo": "",
+    "ad3emamix": "optimizer.beta3 = 0.999\noptimizer.beta4 = 0.9999\noptimizer.alpha = 4.0\n"
+    "optimizer.t_alpha = 40\noptimizer.t_beta3 = 40\n",
+}
 
 
 def _split(cfg, at, out, name):
@@ -204,6 +212,10 @@ def _artifacts() -> dict:
     out["mlp.switch_backward"] = format_record_csv(run_experiment(backward))
     _split(backward, 35, out, "mlp.switch_backward.split35")
     _split(parse_config(_mlp_text("ademamix")), 25, out, "mlp.ademamix.split25")
+    for kind, extra in MLP_KINDS.items():
+        run = Experiment(parse_config(_mlp_text(kind, extra)))
+        out[f"mlp.{kind}"] = format_record_csv(run.run())
+        out[f"mlp.{kind}.state"] = run.checkpoint()
 
     forget = run_forgetting_protocol(parse_config(_mlp_text("ademamix", "forget.t_b = 20\n", 80)))
     out["forget.control"] = format_record_csv(forget.control)
@@ -225,8 +237,16 @@ GOLDEN = {
     'forget.injected': '2ecc41a4b7d197a0bc813b83ab3671899ffc83624d0200e29a2c6f8e82fc2f38',
     'forget.injected_heldout': 'c9538a2c63b4c08238c998060aceb945f1d6b8e1bde3b16f4ec933cc4c363de7',
     'forget.normalized': 'e4f23d40882694b433451cc3a27ad243f27c3dbaef6eea824c89cbfd4f192f74',
+    'mlp.ad3emamix': '52613ceace79f50885e4668fae962d69f7c05eb88aacc2e7cac0cc499015ba05',
+    'mlp.ad3emamix.state': '26fa02b1260d9d32bc134dbe95eaae710fe592255bb2acb9874b4eafcc0ce46e',
     'mlp.ademamix.split25.checkpoint': 'ffe3475c94e245e6eef9b1267b9761a62a59d3fda8ba4e093d31af2476efffdf',
     'mlp.ademamix.split25.resumed': '6561819be1088bf9bdf792d64dacb1bb05738ac59c7ead2aeb628e7a061899af',
+    'mlp.admeta_s': '8d805b2b536d467fc535d79fabb20dc76a99498f99423e3d50a091152cf0a7b3',
+    'mlp.admeta_s.state': '3e17eeac47a9b0beb0bdd995ef4d38ac65a5a3bc89432ac4f3b848714f232bc8',
+    'mlp.aggmo': 'aaa59237317100de094d6c28a1324d4dae3651d7d68a42ccd3343929d30143ab',
+    'mlp.aggmo.state': '8fad79379f683f34afa9be2ef0ec34e9f3cdbebdd0ccf062e1e523f0141685e0',
+    'mlp.lion': 'ab0dd719d99c33c9a773e2347ff2f5aa5b4c99b33c48d921270366a5035f3ee9',
+    'mlp.lion.state': 'f59af6d76438f03865e60691d952722af00e80294b7c5014a93889055a6a9cb1',
     'mlp.switch_backward': '99c56418c4db0290830e525068ee825ebf3f4e8e658057d81dd8513b27de331b',
     'mlp.switch_backward.split35.checkpoint': '18bfccff9ba6814358f4116afe04c0bbf45d5c573eaba920176f9f19988ca245',
     'mlp.switch_backward.split35.resumed': '99c56418c4db0290830e525068ee825ebf3f4e8e658057d81dd8513b27de331b',

@@ -49,6 +49,46 @@ class TestGlobalNormClip:
         assert l2_norm(once) <= max_norm + 1e-12
 
 
+class TestClipOverflow:
+    """A finite gradient whose squared norm overflows is clipped, not zeroed."""
+
+    @pytest.mark.parametrize(
+        "g,max_norm",
+        [
+            ([1e200, -2e200], 1.0),
+            ([1.7e308, 1.7e308], 1.0),
+            ([1.7e308, -1.7e308, 1.0], 1e308),
+            ([1e160, 1e160], 1e155),
+            ([1e300, 0.0, -1e300], 1e200),
+        ],
+    )
+    def test_direction_kept_and_norm_bounded(self, g, max_norm):
+        g = np.array(g)
+        with np.errstate(over="ignore"):
+            out = global_norm_clip(g, max_norm)
+            assert global_norm_clip(out, max_norm) is out  # a second clip is the identity
+        peak = np.max(np.abs(g))
+        np.testing.assert_allclose(out / max_norm, g / peak / l2_norm(g / peak), rtol=1e-14)
+        assert l2_norm(out / max_norm) <= 1.0 + 1e-15
+
+    def test_hand_value(self):
+        with np.errstate(over="ignore"):
+            out = global_norm_clip(np.array([1e200, -2e200]), 1.0)
+        np.testing.assert_allclose(out, [1 / np.sqrt(5), -2 / np.sqrt(5)], rtol=1e-15)
+
+    @given(
+        arrays(np.float64, 4, elements=st.floats(min_value=-1e308, max_value=1e308)),
+        st.floats(min_value=1e-6, max_value=1e300),
+    )
+    @settings(max_examples=200)
+    def test_idempotent_at_any_magnitude(self, g, max_norm):
+        with np.errstate(over="ignore"):
+            once = global_norm_clip(g, max_norm)
+            assert global_norm_clip(once, max_norm).tobytes() == once.tobytes()
+        i = np.argmax(np.abs(g))  # the largest entry is never clipped to zero
+        assert np.sign(once[i]) == np.sign(g[i])
+
+
 class TestL2Norm:
     def test_three_four_five(self):
         assert l2_norm(np.array([3.0, 4.0])) == 5.0

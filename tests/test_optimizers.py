@@ -1,7 +1,16 @@
+import itertools
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from emx.numerics import DivergenceError, make_rng
+from emx.checkpoint import MAGIC, VERSION, load_state, save_state
+from emx.config import _format_scalar
+from emx.numerics import DivergenceError, check_same_length, make_rng
 from emx.optimizers import (
     OPTIMIZERS,
     Ad3EMAMix,
@@ -436,3 +445,328 @@ class TestKernelAndRegistry:
         assert alpha_t == 2.0 and 0.9 < beta3_t < 0.999
         assert len(Ad3EMAMix(2).schedule_args(1)) == 3
         assert mix.schedule_args(10) == mix.schedule_args(10)
+
+
+# --- the kernels before they updated their state in place ---------------------
+# Each rebinds the slot attributes to fresh arrays, exactly as the optimizers
+# did; the in-place kernels must match them to the bit.
+
+
+def check_finite_before_in_place(step_index, *arrays):
+    for arr in arrays:
+        if arr is not None and not np.all(np.isfinite(arr)):
+            raise DivergenceError(
+                f"non-finite value after update step {step_index}", step=step_index
+            )
+
+
+def moments_before_in_place(opt, theta, grad, beta3_t, beta4_t):
+    check_same_length(theta, grad)
+    opt.t += 1
+    t = opt.t
+    if opt.m1 is None:
+        m1_hat = grad
+    else:
+        opt.m1 = opt.beta1 * opt.m1 + (1.0 - opt.beta1) * grad
+        m1_hat = opt.m1 / (1.0 - opt.beta1**t)
+    if opt.m2 is not None:
+        b = opt.beta3 if beta3_t is None else beta3_t
+        opt.m2 = b * opt.m2 + (1.0 - b) * grad
+    if opt.m3 is not None:
+        b = opt.beta4 if beta4_t is None else beta4_t
+        opt.m3 = b * opt.m3 + (1.0 - b) * grad
+    opt.nu = opt.beta2 * opt.nu + (1.0 - opt.beta2) * (grad * grad)
+    return m1_hat, opt.nu / (1.0 - opt.beta2**t)
+
+
+def slow_before_in_place(opt):
+    return opt.m2 if opt.m3 is None else opt.m2 + opt.m3
+
+
+def update_before_in_place(opt, theta, lr, num, nu_hat):
+    new_theta = theta - lr * (num / (np.sqrt(nu_hat) + opt.eps) + opt.weight_decay * theta)
+    check_finite_before_in_place(opt.t, new_theta, opt.m1, opt.m2, opt.m3, opt.nu)
+    return new_theta
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def adam_family_step_before_in_place(
+    opt, theta, grad, lr, alpha_t=None, beta3_t=None, beta4_t=None
+):
+    if alpha_t is None:
+        alpha_t = opt.alpha
+    m1_hat, nu_hat = moments_before_in_place(opt, theta, grad, beta3_t, beta4_t)
+    num = m1_hat if alpha_t == 0.0 else m1_hat + alpha_t * slow_before_in_place(opt)
+    return update_before_in_place(opt, theta, lr, num, nu_hat)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def step_convex_before_in_place(opt, theta, grad, eta_hat, alpha_hat, beta3_t=None, beta4_t=None):
+    m1_hat, nu_hat = moments_before_in_place(opt, theta, grad, beta3_t, beta4_t)
+    num = (1.0 - alpha_hat) * m1_hat + alpha_hat * slow_before_in_place(opt)
+    return update_before_in_place(opt, theta, eta_hat, num, nu_hat)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def lion_step_before_in_place(opt, theta, grad, lr):
+    check_same_length(theta, grad)
+    opt.t += 1
+    direction = np.sign(opt.alpha * opt.m + (1.0 - opt.alpha) * grad)
+    new_theta = theta - lr * (direction + opt.weight_decay * theta)
+    opt.m = opt.beta * opt.m + (1.0 - opt.beta) * grad
+    check_finite_before_in_place(opt.t, new_theta, opt.m)
+    return new_theta
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def admeta_s_step_before_in_place(opt, theta, grad, lr):
+    check_same_length(theta, grad)
+    opt.t += 1
+    opt.m1 = opt.beta1 * opt.m1 + grad
+    h = opt.kappa * grad + opt.mu * opt.m1
+    opt.m2 = opt.beta2 * opt.m2 + (1.0 - opt.beta2) * h
+    new_theta = theta - lr * opt.m2
+    check_finite_before_in_place(opt.t, new_theta, opt.m1, opt.m2)
+    return new_theta
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def aggmo_step_before_in_place(opt, theta, grad, lr):
+    check_same_length(theta, grad)
+    opt.t += 1
+    total = np.zeros(opt.dim)
+    for i, b in enumerate(opt.betas):
+        opt.m[i] = b * opt.m[i] + grad
+        total += opt.m[i]
+    new_theta = theta - (lr / len(opt.betas)) * total
+    check_finite_before_in_place(opt.t, new_theta, *opt.m)
+    return new_theta
+
+
+def save_state_before_one_copy(opt, extra_slots=None):
+    slots = dict(opt.state_slots())
+    if extra_slots:
+        for name, vec in extra_slots.items():
+            if name in slots:
+                raise ValueError(f"slot name collision: {name!r}")
+            slots[name] = vec
+    hyper = {"variant": opt.variant}
+    hyper.update(opt.hyper())
+    out = bytearray()
+    out += MAGIC
+    out += struct.pack("<I", VERSION)
+    out += struct.pack("<I", len(slots))
+    for name, vec in slots.items():
+        name_bytes = name.encode("utf-8")
+        vec = np.ascontiguousarray(vec, dtype=np.float64)
+        out += struct.pack("<I", len(name_bytes))
+        out += name_bytes
+        out += struct.pack("<Q", vec.size)
+        out += vec.astype("<f8", copy=False).tobytes()
+    hyper_bytes = "".join(f"{k}={_format_scalar(v)}\n" for k, v in hyper.items()).encode("utf-8")
+    out += struct.pack("<I", len(hyper_bytes))
+    out += hyper_bytes
+    out += struct.pack("<Q", opt.t)
+    return bytes(out)
+
+
+# step kind -> (factory, in-place step, reference step); step(opt, theta, grad, lr, *args)
+STEP_KINDS = {
+    "adamw": (lambda d: AdamW(d, weight_decay=0.01), "step", adam_family_step_before_in_place),
+    "ademamix": (
+        lambda d: AdEMAMix(d, beta3=0.999, alpha=5.0, t_alpha=10, t_beta3=10),
+        "step",
+        adam_family_step_before_in_place,
+    ),
+    "ademamix_lean": (
+        lambda d: AdEMAMix(d, beta1=0.0, beta3=0.99, alpha=3.0),
+        "step",
+        adam_family_step_before_in_place,
+    ),
+    "ademamix_convex": (
+        lambda d: AdEMAMix(d, beta3=0.999, alpha=5.0), "step_convex", step_convex_before_in_place
+    ),
+    "ademamix_lean_convex": (
+        lambda d: AdEMAMix(d, beta1=0.0, beta3=0.999, alpha=5.0),
+        "step_convex",
+        step_convex_before_in_place,
+    ),
+    "lion": (lambda d: Lion(d, weight_decay=0.1), "step", lion_step_before_in_place),
+    "admeta_s": (lambda d: AdMetaS(d), "step", admeta_s_step_before_in_place),
+    "aggmo": (lambda d: AggMo(d), "step", aggmo_step_before_in_place),
+    "ad3emamix": (
+        lambda d: Ad3EMAMix(d, beta3=0.99, beta4=0.999, weight_decay=0.02),
+        "step",
+        adam_family_step_before_in_place,
+    ),
+}
+
+
+def _step_args(kind, opt, alpha_t):
+    """The warmed-up values a step takes after ``lr``: ``alpha_t`` may be 0."""
+    if kind.endswith("convex"):
+        alpha = opt.alpha if alpha_t is None else alpha_t
+        return [alpha / (alpha + 1.0)]
+    args = opt.schedule_args(opt.t + 1)
+    if args and alpha_t is not None:
+        args[0] = alpha_t
+    return args
+
+
+HOSTILE = st.sampled_from([0.0, -0.0, 1e160, -1e160, np.inf, -np.inf, np.nan, 1e-300])
+ENTRIES = st.one_of(st.floats(-10.0, 10.0), HOSTILE)
+
+
+def _slot_bytes(opt):
+    return {name: buf.tobytes() for name, buf in opt.state_slots().items()}
+
+
+def _run(step, opt, theta, grad, lr, args):
+    try:
+        return step(opt, theta, grad, lr, *args), None
+    except DivergenceError as exc:
+        return None, exc.step
+
+
+class TestInPlaceKernels:
+    """The in-place kernels against the kernels they replaced, to the bit."""
+
+    @given(
+        st.sampled_from(sorted(STEP_KINDS)),
+        st.integers(1, 64),
+        st.data(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference_bytes(self, kind, dim, data):
+        factory, method, reference = STEP_KINDS[kind]
+        opt, ref = factory(dim), factory(dim)
+        if data.draw(st.booleans(), label="start from a drawn state"):
+            for name, buf in opt.state_slots().items():  # as a restore or a preseed leaves it
+                buf[...] = data.draw(arrays(np.float64, dim, elements=ENTRIES), label=name)
+                ref.state_slots()[name][...] = buf
+        theta = data.draw(arrays(np.float64, dim, elements=ENTRIES), label="theta")
+        ref_theta = theta.copy()
+        alpha_t = data.draw(st.sampled_from([None, 0.0, 2.5]), label="alpha_t")
+        for _ in range(data.draw(st.integers(1, 4), label="steps")):
+            grad = data.draw(arrays(np.float64, dim, elements=ENTRIES), label="grad")
+            lr = data.draw(st.sampled_from([1e-3, 0.5, 1e150]), label="lr")
+            args = _step_args(kind, opt, alpha_t)
+            theta_in, grad_in = theta.tobytes(), grad.tobytes()
+            new, diverged = _run(getattr(type(opt), method), opt, theta, grad, lr, args)
+            ref_new, ref_diverged = _run(reference, ref, ref_theta, grad.copy(), lr, args)
+            assert theta.tobytes() == theta_in and grad.tobytes() == grad_in
+            assert diverged == ref_diverged and opt.t == ref.t
+            assert _slot_bytes(opt) == _slot_bytes(ref)
+            if diverged is not None:
+                break
+            assert new.tobytes() == ref_new.tobytes()
+            theta, ref_theta = new, ref_new
+
+    @pytest.mark.parametrize("kind", sorted(STEP_KINDS))
+    def test_signed_zeros_match_reference(self, kind):
+        # every combination of a slot value, a theta and a gradient sign of zero
+        slot, theta, grad = np.array(list(itertools.product([-0.0, 0.0, -1.0, 1.0], repeat=3))).T
+        factory, method, reference = STEP_KINDS[kind]
+        opt, ref = factory(len(theta)), factory(len(theta))
+        for name, buf in opt.state_slots().items():  # nu >= 0, but it may be -0.0
+            value = np.where(slot < 0, 1.0, slot) if name == "nu" else slot
+            buf[...] = ref.state_slots()[name][...] = value
+        for _ in range(2):
+            args = _step_args(kind, opt, None)
+            new = getattr(opt, method)(theta, grad, 1e-3, *args)
+            ref_new = reference(ref, theta, grad, 1e-3, *args)
+            assert new.tobytes() == ref_new.tobytes()
+            assert _slot_bytes(opt) == _slot_bytes(ref)
+            theta, grad = new, -grad
+
+    @pytest.mark.parametrize("kind", sorted(STEP_KINDS))
+    def test_result_is_a_fresh_array(self, kind):
+        factory, method, _ = STEP_KINDS[kind]
+        opt = factory(8)
+        rng = make_rng(21)
+        theta = rng.standard_normal(8)
+        previous = []
+        for _ in range(3):
+            grad = rng.standard_normal(8)
+            theta_in, grad_in = theta.tobytes(), grad.tobytes()
+            new = getattr(opt, method)(theta, grad, 1e-2, *_step_args(kind, opt, None))
+            assert theta.tobytes() == theta_in and grad.tobytes() == grad_in
+            for other in (theta, grad, *opt.state_slots().values(), *previous):
+                assert not np.shares_memory(new, other)
+            previous.append(new)
+            theta = new
+
+    @pytest.mark.parametrize("kind", sorted(STEP_KINDS))
+    def test_slots_are_updated_in_place(self, kind):
+        factory, method, _ = STEP_KINDS[kind]
+        opt = factory(4)
+        before = opt.state_slots()
+        getattr(opt, method)(np.ones(4), np.ones(4), 1e-2, *_step_args(kind, opt, None))
+        assert all(opt.state_slots()[name] is buf for name, buf in before.items())
+        assert "_scratch" not in opt.hyper() and "_scratch" not in opt.state_slots()
+
+    def test_length_mismatch_leaves_state_untouched(self):
+        opt = AdEMAMix(3)
+        with pytest.raises(ValueError, match="length mismatch"):
+            opt.step(np.zeros(2), np.ones(2), 0.1)
+        assert opt.t == 0 and all(not buf.any() for buf in opt.state_slots().values())
+
+
+class TestSaveStateBytes:
+    @pytest.mark.parametrize("kind", sorted(STEP_KINDS))
+    def test_bytes_equal_the_old_serializer(self, kind):
+        factory, method, _ = STEP_KINDS[kind]
+        opt = factory(7)
+        rng = make_rng(22)
+        theta = rng.standard_normal(7)
+        step = getattr(opt, method)
+        for _ in range(3):
+            theta = step(theta, rng.standard_normal(7), 1e-2, *_step_args(kind, opt, None))
+        extras = {
+            "theta": theta,
+            "strided": np.arange(14.0)[::2],
+            "ints": np.arange(3),
+            "listed": [1.5, -0.0],
+            "big_endian": np.arange(2.0).astype(">f8"),
+        }
+        assert save_state(opt, extra_slots=extras) == save_state_before_one_copy(opt, extras)
+        assert save_state(opt) == save_state_before_one_copy(opt)
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        result = fn()
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
+class TestAllocation:
+    """After the first step, a step allocates one dim-sized array: the new theta."""
+
+    DIM = 100_000
+
+    @pytest.mark.parametrize("kind", sorted(STEP_KINDS))
+    def test_step_peak_is_one_vector(self, kind):
+        factory, method, _ = STEP_KINDS[kind]
+        opt = factory(self.DIM)
+        rng = make_rng(23)
+        theta, grad = rng.standard_normal(self.DIM), rng.standard_normal(self.DIM)
+        step = getattr(opt, method)
+        theta = step(theta, grad, 1e-3, *_step_args(kind, opt, None))
+        args = _step_args(kind, opt, None)
+        peak, _ = _traced_peak(lambda: step(theta, grad, 1e-3, *args))
+        assert peak <= 1.25 * 8 * self.DIM
+
+    @pytest.mark.parametrize("kind", ["ademamix", "aggmo"])
+    def test_checkpoint_peak_is_one_blob(self, kind):
+        factory, method, _ = STEP_KINDS[kind]
+        opt = factory(self.DIM)
+        theta = getattr(opt, method)(np.zeros(self.DIM), np.ones(self.DIM), 1e-3)
+        peak, blob = _traced_peak(lambda: save_state(opt, extra_slots={"theta": theta}))
+        assert peak <= 1.05 * len(blob)
+        peak, ck = _traced_peak(lambda: load_state(blob))
+        assert peak <= 1.05 * len(blob)
+        assert all(vec.flags.writeable and vec.flags.owndata for vec in ck.slots.values())
