@@ -332,3 +332,63 @@ class TestBoundaryExitCodes:
         cfg.write_text(MLP_CFG.replace("testbed.batch_size = 8", "testbed.batch_size = 0"))
         assert main(["run", str(cfg), "--out", str(tmp_path / "x.csv")]) == 3
         assert "config error: testbed.batch_size" in capsys.readouterr().err
+
+
+def _subparser(parser, name):
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            return action.choices[name]
+    raise KeyError(name)
+
+
+class TestAnalyzeEmaInterface:
+    """The ``analyze-ema`` flags, their types and defaults, and its output bytes."""
+
+    def test_flags_types_and_defaults(self):
+        from emx.cli import build_parser
+
+        p_ema = _subparser(build_parser(), "analyze-ema")
+        flags = {
+            " ".join(a.option_strings): (a.dest, a.type, a.default, a.nargs == 0)
+            for a in p_ema._actions
+        }
+        assert flags == {
+            "-h --help": ("help", None, argparse.SUPPRESS, True),
+            "--kind": ("kind", None, None, False),
+            "--horizon": ("horizon", int, 10000, False),
+            "--beta": ("beta", float, 0.9, False),
+            "--beta1": ("beta1", float, 0.9, False),
+            "--beta3": ("beta3", float, 0.9999, False),
+            "--alpha": ("alpha", float, 5.0, False),
+            "--beta-inner": ("beta_inner", float, 0.9, False),
+            "--beta-outer": ("beta_outer", float, 0.9, False),
+            "--window": ("window", int, None, False),
+            "--normalized": ("normalized", None, False, True),
+            "--out": ("out", None, None, False),
+        }
+        kind = next(a for a in p_ema._actions if a.dest == "kind")
+        assert kind.required
+        assert list(kind.choices) == ["single", "mixture", "nested", "dema"]
+
+    @pytest.mark.parametrize("argv,digest", [
+        (["single"], "7d6b644a40a45d3cf2a73efa8bd41e1fce4b964ed25a0286daa2b5aa7e9ebf98"),
+        (["mixture"], "5c3681ceeefc7c283c669622348014c6ee72e018a42d19f126b677d90ad4d096"),
+        (["nested"], "eb475db6cca78c58b2dbaa936a7b7901825742e515c5a00f56e8f22e2e400b5f"),
+        (["dema"], "aa10ca3239e65cb07bc5241f5dc8722c3ca78f38e0dbde1ae4948f30b22f47aa"),
+        (["single", "--horizon", "50"],
+         "3faeae5876c010c478dbe355a454930b85b8899fb183d873835508ae633b4e61"),
+        (["mixture", "--horizon", "50"],
+         "344fc9212c13238210f232687871a63db7e8638b3529ca9ab9772eca6331c9bd"),
+        (["nested", "--horizon", "50"],
+         "491b050b4a52d014b5132f437c2e865578087bad44142729c2e3e51a16ab1632"),
+        (["dema", "--horizon", "50"],
+         "55b876a12271841f0ed857efc8c05a6f053897c2f6c34034a0bab49037912bae"),
+        (["mixture", "--normalized"],
+         "a8362527e08f6ddd156356826d467ae9e6cc1d40025217e29bba12faafcef185"),
+    ], ids=lambda v: "-".join(v) if isinstance(v, list) else None)
+    def test_csv_bytes(self, argv, digest, capsys):
+        import hashlib
+
+        assert main(["analyze-ema", "--kind", *argv]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
