@@ -43,8 +43,7 @@ from .optimizers import (
     AdMetaS,
     Lion,
     preseed_momentum,
-    switch_to_adamw,
-    switch_to_ademamix,
+    switch_optimizer,
 )
 from .schedules import (
     ConstantSchedule,

@@ -3,18 +3,22 @@
 Subcommands: ``run``, ``sweep``, ``toy``, ``analyze-ema``, ``forget``,
 ``checkpoint``. Outputs are CSV (or JSONL behind ``--jsonl``); no plotting.
 The ``EMX_SEED`` environment variable overrides the config seed. Exit codes:
-0 completed, 2 diverged, 3 invalid config or checkpoint, or a file that
-cannot be read or written (such as an ``--out`` path in a missing directory).
+0 completed, 2 diverged, 3 invalid config or checkpoint, a command-line usage
+error, or a file that cannot be read or written (such as an ``--out`` path in
+a missing directory). ``analyze-ema`` takes its kinds and flags from
+:data:`emx.ema_weights.PROFILES`.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import os
 import sys
+from typing import get_args, get_type_hints
 
 from . import harness
-from .ema_weights import dema_weights, ema_weights, mixture_weights, nested_ema_weights
+from .ema_weights import PROFILES
 from .checkpoint import CheckpointError, load_state
 from .config import (
     _TESTBED_KEYS,
@@ -118,20 +122,11 @@ def _cmd_toy(args) -> int:
 
 
 def _cmd_analyze_ema(args) -> int:
-    horizon = args.horizon
-    if args.kind == "single":
-        weights = ema_weights(args.beta, horizon)
-    elif args.kind == "mixture":
-        weights = mixture_weights(
-            args.beta1, args.beta3, args.alpha, horizon, normalized=args.normalized
-        )
-    elif args.kind == "nested":
-        weights = nested_ema_weights(args.beta_inner, args.beta_outer, horizon)
-    elif args.kind == "dema":
-        window = args.window if args.window is not None else horizon
-        weights = dema_weights(args.beta, window, horizon)
-    else:
-        raise ConfigError(f"unknown profile kind {args.kind!r}")
+    profile = PROFILES[args.kind]
+    try:
+        weights = profile(**{n: getattr(args, n) for n in inspect.signature(profile).parameters})
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     _emit(harness.format_series_csv(enumerate(weights), ("age", "weight")), args.out)
     return EXIT_OK
 
@@ -160,6 +155,9 @@ def _cmd_forget(args) -> int:
 def _cmd_checkpoint(args) -> int:
     if args.action == "save":
         cfg = _apply_env_seed(load_config(args.config))
+        if not 0 <= args.at_step <= cfg.steps:
+            raise ConfigError(f"--at-step must be in [0, run.steps = {cfg.steps}], "
+                              f"got {args.at_step}")
         exp = harness.Experiment(cfg)
         record = exp.run(until=args.at_step)
         if record.diverged:
@@ -180,8 +178,32 @@ def _cmd_checkpoint(args) -> int:
     return EXIT_OK
 
 
+def _add_profile_flags(parser: argparse.ArgumentParser) -> None:
+    """One flag per parameter of the ``PROFILES`` functions: its default is the
+    keyword default, its type the annotation (``X | None`` reads as ``X``, and
+    a ``bool`` is a switch)."""
+    params = {}  # name -> (default, annotation, the kinds that take it)
+    for kind, profile in PROFILES.items():
+        hints = get_type_hints(profile)
+        for name, param in inspect.signature(profile).parameters.items():
+            params.setdefault(name, (param.default, hints[name], []))[2].append(kind)
+    for name, (default, hint, kinds) in params.items():
+        hint = next(t for t in get_args(hint) or [hint] if t is not type(None))
+        how = {"action": "store_true"} if hint is bool else {"type": hint}
+        parser.add_argument("--" + name.replace("_", "-"), dest=name, default=default,
+                            help=f"for {', '.join(kinds)} (default: {default})", **how)
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as ``config error: ...`` with exit 3: argparse's
+    own exit 2 is the documented "diverged" code."""
+
+    def error(self, message):
+        self.exit(EXIT_CONFIG, f"config error: {self.prog}: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="emx", description=__doc__)
+    parser = _Parser(prog="emx", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run one experiment from a config file")
@@ -227,17 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_toy.set_defaults(fn=_cmd_toy)
 
     p_ema = sub.add_parser("analyze-ema", help="emit a gradient-age weight profile as CSV")
-    p_ema.add_argument("--kind", required=True, choices=["single", "mixture", "nested", "dema"])
-    p_ema.add_argument("--horizon", type=int, default=10000)
-    p_ema.add_argument("--beta", type=float, default=0.9)
-    p_ema.add_argument("--beta1", type=float, default=0.9)
-    p_ema.add_argument("--beta3", type=float, default=0.9999)
-    p_ema.add_argument("--alpha", type=float, default=5.0)
-    p_ema.add_argument("--beta-inner", dest="beta_inner", type=float, default=0.9)
-    p_ema.add_argument("--beta-outer", dest="beta_outer", type=float, default=0.9)
-    p_ema.add_argument("--window", type=int, help="DEMA window (default: horizon)")
-    p_ema.add_argument("--normalized", action="store_true",
-                       help="normalize the mixture profile to unit mass")
+    p_ema.add_argument("--kind", required=True, choices=list(PROFILES))
+    _add_profile_flags(p_ema)
     p_ema.add_argument("--out")
     p_ema.set_defaults(fn=_cmd_analyze_ema)
 

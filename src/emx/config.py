@@ -250,8 +250,9 @@ def config_from_sections(sections: dict) -> ExperimentConfig:
         t_b = sections["forget"].get("t_b")
         if not isinstance(t_b, int) or t_b < 1:
             raise ConfigError(f"forget.t_b must be a positive integer, got {t_b!r}")
-        if t_b >= steps:
-            raise ConfigError(f"forget.t_b = {t_b} must be smaller than run.steps = {steps}")
+        if t_b + 50 > steps:
+            raise ConfigError(f"forget.t_b + 50 = {t_b + 50} exceeds run.steps = {steps}: "
+                              "the normalized curve ends 50 steps after t_b")
         if testbed != "mlp":
             raise ConfigError("the forgetting protocol requires testbed.kind = mlp")
         forget = ForgetSpec(t_b=t_b)

@@ -10,38 +10,48 @@ to gradients thousands of steps old. The two-EMA mixture profile shows how
 adding ``alpha`` times a slow EMA fixes that, while the nested-EMA and DEMA
 profiles show why stacking EMAs does not (nesting *suppresses* the most
 recent gradients; DEMA compensates by going negative on the tail).
+
+:data:`PROFILES` maps each profile kind to its function. A function's keyword
+defaults and annotations are its parameters' defaults and types, from which
+``emx analyze-ema`` derives its flags; each function checks its own
+parameters and raises :class:`ValueError` naming the bad one.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+# the largest horizon: nested and dema convolve two (horizon + 1)-arrays, a
+# cost quadratic in the horizon (about 2 s for nested at this limit)
+MAX_HORIZON = 100_000
 
-def _check_beta(beta: float, name: str = "beta") -> None:
-    if not 0.0 <= beta < 1.0:
-        raise ValueError(f"{name} must be in [0, 1), got {beta}")
+
+def _check(horizon: int, **decays: float) -> None:
+    if not 0 <= horizon <= MAX_HORIZON:
+        raise ValueError(f"horizon must be in [0, {MAX_HORIZON}], got {horizon}")
+    for name, beta in decays.items():
+        if not 0.0 <= beta < 1.0:
+            raise ValueError(f"{name} must be in [0, 1), got {beta}")
 
 
-def ema_weights(beta: float, horizon: int) -> np.ndarray:
+def ema_weights(beta: float = 0.9, horizon: int = 10000) -> np.ndarray:
     """Closed-form single-EMA profile: ``beta**i * (1 - beta)`` for ages 0..horizon."""
-    _check_beta(beta)
-    if horizon < 0:
-        raise ValueError(f"horizon must be >= 0, got {horizon}")
+    _check(horizon, beta=beta)
     ages = np.arange(horizon + 1, dtype=np.float64)
     return np.power(beta, ages) * (1.0 - beta)
 
 
-def mixture_weights(
-    beta1: float, beta3: float, alpha: float, horizon: int, normalized: bool = False
-) -> np.ndarray:
+def mixture_weights(beta1: float = 0.9, beta3: float = 0.9999, alpha: float = 5.0,
+                    horizon: int = 10000, normalized: bool = False) -> np.ndarray:
     """Profile of the fast+slow mixture ``m1 + alpha*m2``.
 
     Unnormalized by default, matching the raw update numerator. With
     ``normalized=True`` the profile is divided by its exact total mass
     ``(1 - beta1**(T+1)) + alpha*(1 - beta3**(T+1))``.
     """
-    if alpha < 0:
-        raise ValueError(f"alpha must be >= 0, got {alpha}")
+    _check(horizon, beta1=beta1, beta3=beta3)
+    if not 0.0 <= alpha < np.inf:
+        raise ValueError(f"alpha must be a finite number >= 0, got {alpha}")
     weights = ema_weights(beta1, horizon) + alpha * ema_weights(beta3, horizon)
     if normalized:
         total = (1.0 - beta1 ** (horizon + 1)) + alpha * (1.0 - beta3 ** (horizon + 1))
@@ -49,32 +59,41 @@ def mixture_weights(
     return weights
 
 
-def nested_ema_weights(beta_inner: float, beta_outer: float, horizon: int) -> np.ndarray:
+def nested_ema_weights(beta_inner: float = 0.9, beta_outer: float = 0.9,
+                       horizon: int = 10000) -> np.ndarray:
     """Profile of an EMA applied to the outputs of another EMA.
 
     The discrete convolution of the two single-EMA profiles; for equal decays
     this is ``(1-beta)**2 * (i+1) * beta**i``, which peaks *after* the most
     recent gradient.
     """
+    _check(horizon, beta_inner=beta_inner, beta_outer=beta_outer)
     inner = ema_weights(beta_inner, horizon)
     outer = ema_weights(beta_outer, horizon)
     return np.convolve(outer, inner)[: horizon + 1]
 
 
-def dema_weights(beta: float, window: int, horizon: int) -> np.ndarray:
+def dema_weights(beta: float = 0.9, window: int | None = None, horizon: int = 10000) -> np.ndarray:
     """Profile of the double-EMA indicator ``2*EMA - EMA(EMA)`` over a window.
 
     Both the plain EMA and the nested one see only the last ``window + 1``
-    inputs (hard truncation of the recurrence input). The result boosts the
-    most recent weight to ``2*(1-beta) - (1-beta)**2`` and can go negative on
-    the tail.
+    inputs (hard truncation of the recurrence input); ``None`` is no
+    truncation, a window of the whole horizon. The result boosts the most
+    recent weight to ``2*(1-beta) - (1-beta)**2`` and can go negative on the
+    tail.
     """
-    if window < 1:
-        raise ValueError(f"window must be >= 1, got {window}")
     single = ema_weights(beta, horizon)
+    if window is None:
+        window = horizon
+    elif window < 1:
+        raise ValueError(f"window must be >= 1, got {window}")
     single[window + 1 :] = 0.0
     windowed = single[: window + 1]
     nested = np.convolve(windowed, windowed)[: horizon + 1]
     if len(nested) < horizon + 1:
         nested = np.concatenate([nested, np.zeros(horizon + 1 - len(nested))])
     return 2.0 * single - nested
+
+
+PROFILES = {"single": ema_weights, "mixture": mixture_weights,
+            "nested": nested_ema_weights, "dema": dema_weights}

@@ -261,7 +261,7 @@ def run_forgetting_protocol(cfg: ExperimentConfig) -> ForgettingResult:
 
     normalized = []
     series = dict(injected_exp.heldout_series)
-    if not injected.diverged and t_b + 50 <= cfg.steps:
+    if not injected.diverged:  # the config has t_b + 50 <= run.steps
         anchor0 = series[t_b - 1]
         anchor50 = series[t_b + 50]
         scale = anchor0 - anchor50

@@ -39,8 +39,13 @@ def l2_norm(a: np.ndarray) -> float:
 
 def _norm_parts(g: np.ndarray) -> tuple[float, float]:
     """``(n, peak)`` with ``|g| = n * peak``: ``peak`` is 1.0 unless the dot
-    product overflows, then ``max|g|`` and ``n`` is the norm of ``g / peak``."""
-    norm = l2_norm(g)
+    product overflows, then ``max|g|`` and ``n`` is the norm of ``g / peak``.
+
+    ``np.vdot`` gives the bits of :func:`l2_norm`'s ``np.dot`` on a 1-D
+    float64 vector but does not check the floating-point flags, so a square
+    sum that overflows is a quiet ``inf`` rather than a ``RuntimeWarning``.
+    """
+    norm = float(np.sqrt(np.vdot(g, g)))
     if norm != np.inf:
         return norm, 1.0
     peak = float(np.max(np.abs(g)))

@@ -433,16 +433,6 @@ def switch_optimizer(opt: AdamFamily, cls: type, **params) -> AdamFamily:
     return new
 
 
-def switch_to_ademamix(adamw: AdamW, **params) -> AdEMAMix:
-    """Add a slow EMA mid-run; ``params`` are AdEMAMix's slow-EMA keywords."""
-    return switch_optimizer(adamw, AdEMAMix, **params)
-
-
-def switch_to_adamw(adema: AdEMAMix) -> AdamW:
-    """Drop the slow EMA mid-run, turning the state back into AdamW."""
-    return switch_optimizer(adema, AdamW)
-
-
 def preseed_momentum(opt, m_init) -> None:
     """Set every first-moment buffer to ``m_init`` (fresh states only).
 

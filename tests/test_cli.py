@@ -1,5 +1,7 @@
 import argparse
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -392,3 +394,74 @@ class TestAnalyzeEmaInterface:
         assert main(["analyze-ema", "--kind", *argv]) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+class TestInputErrorsExitThree:
+    @pytest.mark.parametrize("argv,name", [
+        (["--kind", "single", "--beta", "1.5"], "beta"),
+        (["--kind", "mixture", "--beta3", "1.5"], "beta3"),
+        (["--kind", "nested", "--beta-inner", "1.5"], "beta_inner"),
+        (["--kind", "mixture", "--alpha", "nan"], "alpha"),
+        (["--kind", "mixture", "--alpha", "inf"], "alpha"),
+        (["--kind", "single", "--horizon", "-3"], "horizon"),
+        (["--kind", "nested", "--horizon", "100000000000"], "horizon"),
+        (["--kind", "dema", "--window", "0"], "window"),
+    ])
+    def test_bad_profile_parameter(self, argv, name, capsys):
+        assert main(["analyze-ema", *argv]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {name} must be") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv,flag", [
+        (["toy", "rosenbrock", "--steps", "abc"], "--steps"),
+        (["toy", "rosenbrock", "--beta4", "0.99"], "--beta4"),
+        (["analyze-ema", "--kind", "triple"], "--kind"),
+        (["analyze-ema"], "--kind"),
+        (["checkpoint", "save", "x.cfg", "--out", "x.emx"], "--at-step"),
+        (["nosuch"], "nosuch"),
+    ])
+    def test_usage_error(self, argv, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 3  # argparse's own 2 is the "diverged" code
+        err = capsys.readouterr().err
+        assert err.startswith("config error: emx") and flag in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [["--help"], ["toy", "--help"], ["checkpoint", "save", "-h"]])
+    def test_help_exits_zero(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: emx")
+
+    @pytest.mark.parametrize("argv", [
+        ["toy", "rosenbrock", "--steps", "abc"],
+        ["analyze-ema", "--kind", "nested", "--horizon", "100000000000"],
+    ])
+    def test_process_exit_status(self, argv):
+        proc = subprocess.run([sys.executable, "-m", "emx.cli", *argv],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("config error: ") and "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("at_step,ok", [("-5", False), ("500", False), ("21", False),
+                                            ("0", True), ("20", True)])
+    def test_checkpoint_at_step_within_run(self, at_step, ok, tmp_path, capsys):
+        cfg = tmp_path / "short.cfg"
+        cfg.write_text(TOY_CFG.replace("run.steps = 50", "run.steps = 20"))
+        ck = tmp_path / "state.emx"
+        code = main(["checkpoint", "save", str(cfg), "--at-step", at_step, "--out", str(ck)])
+        if ok:
+            assert code == 0 and ck.exists()
+        else:
+            assert code == 3 and not ck.exists()
+            assert capsys.readouterr().err.startswith("config error: --at-step")
+
+    def test_forget_needs_fifty_steps_after_t_b(self, tmp_path, capsys):
+        cfg = tmp_path / "short.cfg"
+        cfg.write_text(MLP_CFG.replace("run.steps = 180", "run.steps = 20")
+                       .replace("forget.t_b = 60\n", ""))
+        outdir = tmp_path / "forget"
+        assert main(["forget", str(cfg), "--t-b", "15", "--out-dir", str(outdir)]) == 3
+        assert capsys.readouterr().err.startswith("config error: forget.t_b")
+        assert not outdir.exists()

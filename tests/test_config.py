@@ -134,6 +134,13 @@ class TestValidation:
         with pytest.raises(ConfigError, match="t_b"):
             parse_config(MLP_TEXT.replace("forget.t_b = 500", "forget.t_b = 2000"))
 
+    def test_injection_step_leaves_fifty_steps(self):
+        steps = parse_config(MLP_TEXT).steps
+        ok = parse_config(MLP_TEXT.replace("forget.t_b = 500", f"forget.t_b = {steps - 50}"))
+        assert ok.forget.t_b == steps - 50
+        with pytest.raises(ConfigError, match=r"forget\.t_b \+ 50"):
+            parse_config(MLP_TEXT.replace("forget.t_b = 500", f"forget.t_b = {steps - 49}"))
+
     def test_forgetting_needs_dataset_testbed(self):
         with pytest.raises(ConfigError, match="mlp"):
             parse_config(TOY_TEXT + "forget.t_b = 100\n")
@@ -428,8 +435,8 @@ def valid_sections(draw):
         sections["switch"] = {
             "to": target.variant, "at": draw(st.integers(0, steps)), **params(switch_keys),
         }
-    if testbed == "mlp" and steps >= 2 and draw(st.booleans()):
-        sections["forget"] = {"t_b": draw(st.integers(1, steps - 1))}
+    if testbed == "mlp" and steps >= 51 and draw(st.booleans()):
+        sections["forget"] = {"t_b": draw(st.integers(1, steps - 50))}
     return sections
 
 

@@ -1,9 +1,19 @@
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from emx.ema_weights import dema_weights, ema_weights, mixture_weights, nested_ema_weights
+from emx.ema_weights import (
+    MAX_HORIZON,
+    PROFILES,
+    dema_weights,
+    ema_weights,
+    mixture_weights,
+    nested_ema_weights,
+)
+from emx.optimizers import AdamW, AdEMAMix
 
 
 def unroll_single(beta, horizon):
@@ -160,3 +170,74 @@ class TestDemaWeights:
     def test_validation(self):
         with pytest.raises(ValueError):
             dema_weights(0.9, 0, 10)
+
+
+class TestProfiles:
+    def test_a_shared_parameter_has_one_default(self):
+        defaults = {}
+        for profile in PROFILES.values():
+            for name, param in inspect.signature(profile).parameters.items():
+                assert param.default is not inspect.Parameter.empty, (profile, name)
+                defaults.setdefault(name, set()).add(param.default)
+        assert defaults["horizon"] == {10000} and defaults["beta"] == {0.9}
+        assert all(len(values) == 1 for values in defaults.values()), defaults
+
+    def test_dema_window_defaults_to_the_horizon(self):
+        np.testing.assert_array_equal(dema_weights(0.8, horizon=40), dema_weights(0.8, 40, 40))
+
+    @pytest.mark.parametrize("profile,kwargs,name", [
+        (ema_weights, {"beta": 1.5}, "beta"),
+        (mixture_weights, {"beta1": -0.1}, "beta1"),
+        (mixture_weights, {"beta3": 1.5}, "beta3"),
+        (mixture_weights, {"alpha": -1.0}, "alpha"),
+        (mixture_weights, {"alpha": float("nan")}, "alpha"),
+        (mixture_weights, {"alpha": float("inf")}, "alpha"),
+        (nested_ema_weights, {"beta_inner": 1.5}, "beta_inner"),
+        (nested_ema_weights, {"beta_outer": float("nan")}, "beta_outer"),
+        (dema_weights, {"beta": 1.0}, "beta"),
+        (dema_weights, {"window": 0}, "window"),
+    ])
+    def test_each_bad_parameter_is_named(self, profile, kwargs, name):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            profile(**kwargs, horizon=10)
+
+    @pytest.mark.parametrize("profile", list(PROFILES.values()))
+    def test_horizon_bounds(self, profile):
+        assert len(profile(horizon=0)) == 1
+        for horizon in (-1, MAX_HORIZON + 1, 10**11):
+            with pytest.raises(ValueError, match=f"^horizon must be in \\[0, {MAX_HORIZON}\\]"):
+                profile(horizon=horizon)
+
+
+class TestImpulseProbe:
+    """The real optimizers, fed one-hot gradients at ``lr = 0``, hold the
+    profiles in their buffers: coordinate ``k`` saw its only gradient
+    ``T - 1 - k`` steps before the last one."""
+
+    T = 300
+
+    def _drive(self, opt):
+        theta = np.zeros(self.T)
+        for k in range(self.T):
+            grad = np.zeros(self.T)
+            grad[k] = 1.0
+            theta = opt.step(theta, grad, 0.0)
+        assert not theta.any()
+        return opt
+
+    @pytest.mark.parametrize("beta1,beta3,alpha", [(0.9, 0.9999, 5.0), (0.5, 0.99, 2.0)])
+    def test_ademamix_numerator_is_the_mixture_profile(self, beta1, beta3, alpha):
+        opt = self._drive(AdEMAMix(self.T, beta1=beta1, beta3=beta3, alpha=alpha))
+        np.testing.assert_allclose(
+            (opt.m1 + alpha * opt.m2)[::-1],
+            mixture_weights(beta1, beta3, alpha, self.T - 1),
+            rtol=0,
+            atol=1e-15,
+        )
+
+    @pytest.mark.parametrize("beta1", [0.9, 0.5])
+    def test_adamw_momentum_is_the_single_profile(self, beta1):
+        opt = self._drive(AdamW(self.T, beta1=beta1))
+        np.testing.assert_allclose(
+            opt.m[::-1], ema_weights(beta1, self.T - 1), rtol=0, atol=1e-15
+        )

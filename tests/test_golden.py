@@ -33,8 +33,7 @@ from emx.optimizers import (
     AdMetaS,
     Lion,
     preseed_momentum,
-    switch_to_adamw,
-    switch_to_ademamix,
+    switch_optimizer,
 )
 
 TOY_STEPS = 60
@@ -179,11 +178,11 @@ def _direct_states(out):
     theta = rng.standard_normal(dim)
     for _ in range(4):
         theta = opt.step(theta, rng.standard_normal(dim), 1e-2)
-    opt = switch_to_ademamix(opt, beta3=0.99, alpha=3.0, t_alpha=5, t_beta3=5)
+    opt = switch_optimizer(opt, AdEMAMix, beta3=0.99, alpha=3.0, t_alpha=5, t_beta3=5)
     for _ in range(4):
         theta = opt.step(theta, rng.standard_normal(dim), 1e-2)
     out["state.switch_forward"] = save_state(opt, extra_slots={"theta": theta})
-    opt = switch_to_adamw(opt)
+    opt = switch_optimizer(opt, AdamW)
     for _ in range(4):
         theta = opt.step(theta, rng.standard_normal(dim), 1e-2)
     out["state.switch_backward"] = save_state(opt, extra_slots={"theta": theta})

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -70,6 +72,15 @@ class TestClipOverflow:
         peak = np.max(np.abs(g))
         np.testing.assert_allclose(out / max_norm, g / peak / l2_norm(g / peak), rtol=1e-14)
         assert l2_norm(out / max_norm) <= 1.0 + 1e-15
+
+    @pytest.mark.parametrize(
+        "g,max_norm", [([1e200, -2e200], 1.0), ([1.7e308, -1.7e308, 1.0], 1e308)]
+    )
+    def test_no_overflow_warning(self, g, max_norm):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = global_norm_clip(np.array(g), max_norm)
+            assert global_norm_clip(out, max_norm) is out
 
     def test_hand_value(self):
         with np.errstate(over="ignore"):

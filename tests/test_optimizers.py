@@ -20,8 +20,7 @@ from emx.optimizers import (
     AdMetaS,
     Lion,
     preseed_momentum,
-    switch_to_adamw,
-    switch_to_ademamix,
+    switch_optimizer,
 )
 from emx.testbeds import rosenbrock
 
@@ -302,7 +301,7 @@ class TestSwitching:
 
     def test_buffers_carry_over_bitwise(self):
         opt, theta = self._train_adamw(50)
-        mix = switch_to_ademamix(opt, beta3=0.9999, alpha=2.0)
+        mix = switch_optimizer(opt, AdEMAMix, beta3=0.9999, alpha=2.0)
         assert mix.m1.tobytes() == opt.m.tobytes()
         assert mix.nu.tobytes() == opt.nu.tobytes()
         assert np.all(mix.m2 == 0.0)
@@ -314,7 +313,7 @@ class TestSwitching:
         opt_a, theta = self._train_adamw(50)
         opt_b, _ = self._train_adamw(50)
         beta3, alpha = 0.9999, 2.0
-        mix = switch_to_ademamix(opt_a, beta3=beta3, alpha=alpha)
+        mix = switch_optimizer(opt_a, AdEMAMix, beta3=beta3, alpha=alpha)
         _, g = rosenbrock(theta)
         out_mix = mix.step(theta, g, 1e-3)
         out_adamw = opt_b.step(theta, g, 1e-3)
@@ -324,7 +323,7 @@ class TestSwitching:
 
     def test_switch_with_zero_alpha_stays_adamw(self):
         opt_a, theta_a = self._train_adamw(30)
-        mix = switch_to_ademamix(opt_a, beta3=0.9999, alpha=0.0)
+        mix = switch_optimizer(opt_a, AdEMAMix, beta3=0.9999, alpha=0.0)
         opt_b, theta_b = self._train_adamw(30)
         for _ in range(30):
             _, g = rosenbrock(theta_a)
@@ -339,7 +338,7 @@ class TestSwitching:
         for _ in range(40):
             _, g = rosenbrock(theta_a)
             theta_a = mix.step(theta_a, g, 1e-3)
-        back = switch_to_adamw(mix)
+        back = switch_optimizer(mix, AdamW)
         for _ in range(40):
             _, g = rosenbrock(theta_a)
             theta_a = back.step(theta_a, g, 1e-3)
@@ -359,7 +358,7 @@ class TestSwitching:
         pre_norm = float(np.linalg.norm(mix.step(theta, g, 1e-3) - theta))
         mix.m1, mix.m2, mix.nu, mix.t = pre_state
         assert 9.0 * np.linalg.norm(mix.m2) > np.linalg.norm(mix.m1 / (1 - 0.9**mix.t))
-        back = switch_to_adamw(mix)
+        back = switch_optimizer(mix, AdamW)
         post_norm = float(np.linalg.norm(back.step(pre_theta, g, 1e-3) - pre_theta))
         assert post_norm < pre_norm
 
