@@ -21,9 +21,11 @@ from __future__ import annotations
 
 import numpy as np
 
-# the largest horizon: nested and dema convolve two (horizon + 1)-arrays, a
-# cost quadratic in the horizon (about 2 s for nested at this limit)
-MAX_HORIZON = 100_000
+# the largest horizon, sized to memory: a profile holds a few float64 arrays
+# of horizon + 1 entries (8 MB each here) and analyze-ema its CSV as one
+# string. nested and dema convolve two such arrays, a time quadratic in the
+# horizon: several minutes at this limit.
+MAX_HORIZON = 1_000_000
 
 
 def _check(horizon: int, **decays: float) -> None:

@@ -33,19 +33,19 @@ def check_same_length(a: np.ndarray, b: np.ndarray) -> None:
 
 
 def l2_norm(a: np.ndarray) -> float:
-    """Euclidean norm; 0.0 for the empty vector."""
-    return float(np.sqrt(np.dot(a, a)))
+    """Euclidean norm; 0.0 for the empty vector.
+
+    ``np.vdot`` gives ``np.dot``'s bits on a float64 vector but does not check
+    the floating-point flags: a square sum that overflows is a quiet ``inf``,
+    not a ``RuntimeWarning``.
+    """
+    return float(np.sqrt(np.vdot(a, a)))
 
 
 def _norm_parts(g: np.ndarray) -> tuple[float, float]:
     """``(n, peak)`` with ``|g| = n * peak``: ``peak`` is 1.0 unless the dot
-    product overflows, then ``max|g|`` and ``n`` is the norm of ``g / peak``.
-
-    ``np.vdot`` gives the bits of :func:`l2_norm`'s ``np.dot`` on a 1-D
-    float64 vector but does not check the floating-point flags, so a square
-    sum that overflows is a quiet ``inf`` rather than a ``RuntimeWarning``.
-    """
-    norm = float(np.sqrt(np.vdot(g, g)))
+    product overflows, then ``max|g|`` and ``n`` is the norm of ``g / peak``."""
+    norm = l2_norm(g)
     if norm != np.inf:
         return norm, 1.0
     peak = float(np.max(np.abs(g)))

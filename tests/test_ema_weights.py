@@ -208,6 +208,14 @@ class TestProfiles:
             with pytest.raises(ValueError, match=f"^horizon must be in \\[0, {MAX_HORIZON}\\]"):
                 profile(horizon=horizon)
 
+    def test_slow_mixture_fits_under_the_limit(self):
+        # beta3 = 0.99999 has a half-life near 69k steps; the limit must leave
+        # room for nearly all of the slow EMA's mass
+        w = mixture_weights(beta1=0.9, beta3=0.99999, alpha=1.0, horizon=MAX_HORIZON,
+                            normalized=True)
+        assert len(w) == MAX_HORIZON + 1
+        assert w.sum() == pytest.approx(1.0) and 0.99999 ** MAX_HORIZON < 1e-4
+
 
 class TestImpulseProbe:
     """The real optimizers, fed one-hot gradients at ``lr = 0``, hold the
