@@ -769,3 +769,54 @@ class TestAllocation:
         peak, ck = _traced_peak(lambda: load_state(blob))
         assert peak <= 1.05 * len(blob)
         assert all(vec.flags.writeable and vec.flags.owndata for vec in ck.slots.values())
+
+
+# every kind's hyperparameters as declared: keywords, a default instance's
+# hyper() (value and type) and, per key, constructor keywords that put it out of range
+DECLARED = {
+    "adamw": {"beta1": 0.9, "beta2": 0.999, "weight_decay": 0.0, "eps": 1e-8},
+    "ademamix": {
+        "beta1": 0.9, "beta2": 0.999, "beta3": 0.9999, "alpha": 5.0, "weight_decay": 0.0,
+        "eps": 1e-8, "t_alpha": 0, "t_beta3": 0, "beta_start": 0.9, "sched_offset": 0,
+    },
+    "lion": {"alpha": 0.9, "beta": 0.99, "weight_decay": 0.0},
+    "admeta_s": {"beta1": 0.9, "beta2": 0.3},
+    "aggmo": {"betas": "0.0,0.9,0.99"},
+    "ad3emamix": {
+        "beta1": 0.9, "beta2": 0.999, "beta3": 0.9999, "beta4": 0.9999, "alpha": 4.0,
+        "weight_decay": 0.0, "eps": 1e-8, "t_alpha": 0, "t_beta3": 0, "beta_start": 0.9,
+        "sched_offset": 0,
+    },
+}
+OUT_OF_RANGE = {
+    "beta1": {"beta1": 1.0},
+    "beta2": {"beta2": 1.0},
+    "beta3": {"beta3": 1.0},
+    "beta4": {"beta4": 1.0},
+    "beta": {"beta": 1.0},
+    "alpha": {"alpha": -1.0},
+    "weight_decay": {"weight_decay": "abc"},
+    "eps": {"eps": "abc"},
+    "t_alpha": {"t_alpha": 2.5},
+    "t_beta3": {"t_beta3": 2.5},
+    "beta_start": {"beta_start": 1.0, "t_beta3": 10},
+    "betas": {"betas": (0.5, 1.0)},
+}
+
+
+class TestDeclaredHyperparameters:
+    @pytest.mark.parametrize("kind", list(DECLARED))
+    def test_keywords_and_default_hyper(self, kind):
+        cls = OPTIMIZERS[kind]
+        declared = DECLARED[kind]
+        assert cls.keywords() == [k for k in declared if k != "sched_offset"]
+        hyper = cls(3).hyper()
+        assert hyper == declared
+        assert {k: type(v) for k, v in hyper.items()} == {k: type(v) for k, v in declared.items()}
+
+    @pytest.mark.parametrize(
+        "kind,key", [(kind, key) for kind, cls in OPTIMIZERS.items() for key in cls.keywords()]
+    )
+    def test_out_of_range_value_raises(self, kind, key):
+        with pytest.raises(ValueError):
+            OPTIMIZERS[kind](3, **OUT_OF_RANGE[key])
