@@ -5,8 +5,9 @@ Subcommands: ``run``, ``sweep``, ``toy``, ``analyze-ema``, ``forget``,
 The ``EMX_SEED`` environment variable overrides the config seed. Exit codes:
 0 completed, 2 diverged, 3 invalid config or checkpoint, a command-line usage
 error, or a file that cannot be read or written (such as an ``--out`` path in
-a missing directory). ``analyze-ema`` takes its kinds and flags from
-:data:`emx.ema_weights.PROFILES`.
+a missing directory). ``toy``'s optimizer flags are the ``optimizer.*``
+config keys of :data:`emx.optimizers.OPTIMIZERS`; ``analyze-ema`` takes its
+kinds and flags from :data:`emx.ema_weights.PROFILES`.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from . import harness
 from .ema_weights import PROFILES
 from .checkpoint import CheckpointError, load_state
 from .config import (
+    _OPTIMIZER_KEYS,
     _TESTBED_KEYS,
     ConfigError,
     ExperimentConfig,
@@ -100,8 +102,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _toy_config(args) -> ExperimentConfig:
-    names = {"preseed", *(name for cls in OPTIMIZERS.values() for name in cls.keywords())}
-    opt_params = {n: v for n in names if (v := getattr(args, n, None)) is not None}  # flags set
+    opt_params = {key.partition(".")[2]: v for key, v in vars(args).items()  # the flags set
+                  if key.startswith("optimizer.") and v is not None}
     testbed_params = {} if args.x0 is None else {"x0": args.x0}
     sections = {
         "testbed": {"kind": args.landscape, **testbed_params},
@@ -228,19 +230,11 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=list(OPTIMIZERS))
     p_toy.add_argument("--steps", type=int, default=1000)
     p_toy.add_argument("--lr", type=float, default=1e-3)
-    p_toy.add_argument("--beta1", type=float)
-    p_toy.add_argument("--beta2", type=float)
-    p_toy.add_argument("--beta3", type=float)
-    p_toy.add_argument("--beta", type=float, help="Lion momentum decay")
-    p_toy.add_argument("--alpha", type=float)
-    p_toy.add_argument("--weight-decay", dest="weight_decay", type=float)
-    p_toy.add_argument("--eps", type=float)
-    p_toy.add_argument("--t-alpha", dest="t_alpha", type=int)
-    p_toy.add_argument("--t-beta3", dest="t_beta3", type=int)
-    p_toy.add_argument("--beta-start", dest="beta_start", type=float)
+    for key in dict.fromkeys(key for keys in _OPTIMIZER_KEYS.values() for key in keys):
+        kinds = [kind for kind, keys in _OPTIMIZER_KEYS.items() if key in keys]
+        p_toy.add_argument("--" + key.replace("_", "-"), dest=f"optimizer.{key}", metavar="VALUE",
+                           type=_parse_value, help=f"optimizer.{key}, for {', '.join(kinds)}")
     p_toy.add_argument("--x0", type=_parse_value, help="start point, e.g. --x0=-3,5")
-    p_toy.add_argument("--preseed", type=_parse_value,
-                       help="momentum preseed vector, e.g. --preseed=-3,0")
     p_toy.add_argument("--clip", type=float)
     p_toy.add_argument("--seed", type=int, default=0)
     p_toy.add_argument("--cadence", type=int, default=1)

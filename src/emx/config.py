@@ -42,9 +42,10 @@ _TESTBED_KEYS = {
     kind: {name: p.default for name, p in list(inspect.signature(build).parameters.items())[1:]}
     for kind, build in TESTBEDS.items()
 }
-# a kind's keys: its constructor keywords, and preseed if it has momentum
+# a kind's keys, in order: its hyperparameter keywords, and preseed if it has
+# momentum (a keys view: ordered, and compared and subtracted like a set)
 _OPTIMIZER_KEYS = {
-    kind: {*cls.keywords(), *(["preseed"] if cls.momentum else [])}
+    kind: dict.fromkeys([*cls.keywords(), *(["preseed"] if cls.momentum else [])]).keys()
     for kind, cls in OPTIMIZERS.items()
 }
 _LR_KEYS = {kind: {f.name for f in fields(cls)} for kind, cls in LR_SCHEDULES.items()}

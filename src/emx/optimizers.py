@@ -10,6 +10,10 @@ optimizer) and :class:`Ad3EMAMix` (``m2`` and ``m3``) are thin subclasses.
 Baselines with their own update rules: :class:`Lion` (sign updates),
 :class:`AdMetaS` (nested EMAs) and :class:`AggMo` (K plain momentum buffers).
 
+Each class declares its hyperparameters once, in ``defaults`` (keyword ->
+default, in ``hyper()`` order); the base constructor types each value like
+its default and the subclass checks its ranges and makes its buffers.
+
 ``step`` returns a fresh array for the new ``theta`` and never writes into
 ``theta`` or ``grad``; the state slots are updated in place, through ``out=``
 ufuncs over a scratch row each instance owns, so a step allocates one
@@ -28,12 +32,10 @@ lists the mid-run switches a config may ask for.
 
 from __future__ import annotations
 
-import inspect
-
 import numpy as np
 
 from .numerics import DivergenceError, check_same_length, zeros
-from .schedules import ConstantSchedule, HalfLifeLinearWarmup, LinearWarmup, step_count
+from .schedules import HalfLifeLinearWarmup, LinearWarmup, finite_number, step_count
 
 
 def _check_finite(step_index: int, *arrays: np.ndarray) -> None:
@@ -50,27 +52,54 @@ def _ema(buf: np.ndarray, decay: float, grad: np.ndarray, tmp: np.ndarray) -> No
     buf += np.multiply(1.0 - decay, grad, out=tmp)
 
 
+def _typed(name: str, value, default):
+    """``value`` typed like ``default``: a step count for an int, a tuple of
+    finite numbers (or the comma text ``hyper()`` writes) for a tuple, else a
+    finite number; ``None`` stays where it is the default."""
+    if type(default) is int:
+        return step_count(name, value)
+    if type(default) is tuple:
+        items = [float(v) for v in value.split(",")] if isinstance(value, str) else value
+        if not isinstance(items, (list, tuple)):
+            raise ValueError(f"{name} must be a list of numbers, got {value!r}")
+        return tuple(finite_number(name, v) for v in items)
+    return None if value is None is default else finite_number(name, value)
+
+
 class Optimizer:
     """What every registered kind shares.
 
-    ``hyper()`` is the constructor's :meth:`keywords` plus ``hyper_state``;
-    ``slot_names`` are the checkpointed buffers in order (``None`` ones are
-    skipped) and ``momentum`` the buffers :func:`preseed_momentum` sets.
-    ``_scratch`` is a dim-sized row the step works in; it is not state.
+    ``defaults`` maps each hyperparameter keyword to its default, in
+    ``hyper()`` order; ``hyper()`` adds ``hyper_state``. ``slot_names`` are
+    the checkpointed buffers in order (``None`` ones are skipped) and
+    ``momentum`` the buffers :func:`preseed_momentum` sets. ``_scratch``, in
+    the kinds whose step uses one, is a dim-sized row the step works in; it
+    is not state.
     """
 
     variant = ""
+    defaults: dict = {}
     slot_names: tuple = ()
     momentum: tuple = ()
     hyper_state: tuple = ()
     sched_offset = 0
     _schedules: tuple = ()
 
+    def __init__(self, dim, **kwargs):
+        """Set ``dim``, the step counter and every ``defaults`` key; an unknown
+        keyword is a ``TypeError``, a value of the wrong type a ``ValueError``."""
+        unknown = kwargs.keys() - self.defaults.keys()
+        if unknown:
+            raise TypeError(f"{type(self).__name__}() got unexpected keywords {sorted(unknown)}")
+        self.dim = int(dim)
+        self.t = 0
+        for name, default in self.defaults.items():
+            setattr(self, name, _typed(name, kwargs.get(name, default), default))
+
     @classmethod
     def keywords(cls) -> list:
-        """The constructor's hyperparameter keywords, in ``hyper()`` order."""
-        names = getattr(cls, "defaults", None) or inspect.signature(cls).parameters
-        return [name for name in names if name not in ("dim", "with_m1_buffer")]
+        """The hyperparameter keywords, in ``hyper()`` order."""
+        return list(cls.defaults)
 
     def hyper(self) -> dict:
         return {name: getattr(self, name) for name in (*self.keywords(), *self.hyper_state)}
@@ -104,57 +133,38 @@ class AdamFamily(Optimizer):
     nu  <- b2*nu + (1-b2)*g^2        nu_hat = nu / (1 - b2^t)
     theta <- theta - lr*((m1_hat + alpha*(m2 [+ m3])) / (sqrt(nu_hat) + eps) + wd*theta)
 
-    A subclass fixes ``defaults``, its keywords in ``hyper()`` order; a
-    ``beta3`` (and ``beta4``) among them adds a slow EMA. ``alpha`` and the
-    slow decays warm up over ``t_alpha``/``t_beta3`` steps, the decays from
-    ``beta_start`` (default ``beta1``). With ``beta1 == 0`` the fast EMA is
-    the raw gradient, so ``with_m1_buffer=None`` keeps no ``m1`` buffer.
+    A subclass fixes ``defaults``; a ``beta3`` (and ``beta4``) among them
+    adds a slow EMA. ``alpha`` and the slow decays warm up over
+    ``t_alpha``/``t_beta3`` steps, the decays from ``beta_start`` (default
+    ``beta1``).
     """
 
-    defaults: dict = {}
     momentum = ("m1", "m2", "m3")
     alpha = 0.0
 
     def __init__(self, dim, **kwargs):
-        unknown = kwargs.keys() - self.defaults.keys()
-        if unknown:
-            raise TypeError(f"{type(self).__name__}() got unexpected keywords {sorted(unknown)}")
-        kw = {**self.defaults, **kwargs}
-        slow_names = [name for name in ("beta3", "beta4") if name in kw]
-        for name in ("beta1", "beta2", *slow_names):
-            if not 0.0 <= kw[name] < 1.0:
-                raise ValueError(f"{name} must be in [0, 1), got {kw[name]}")
-        if kw.get("alpha", 0.0) < 0:
-            raise ValueError(f"alpha must be >= 0, got {kw['alpha']}")
-        with_m1_buffer = kw.pop("with_m1_buffer", True)
-        if "beta_start" in kw and kw["beta_start"] is None:
-            kw["beta_start"] = kw["beta1"]
-        for name, value in kw.items():
-            int_key = type(self.defaults[name]) is int
-            setattr(self, name, step_count(name, value) if int_key else float(value))
-        slow = [getattr(self, name) for name in slow_names]
-        if slow and self.t_beta3 > 0 and not 0.0 < self.beta_start <= min(slow):
-            raise ValueError(f"beta_start must be in (0, {min(slow)}], got {self.beta_start}")
-        if with_m1_buffer is None:
-            with_m1_buffer = self.beta1 != 0.0
-        if self.beta1 != 0.0 and not with_m1_buffer:
-            raise ValueError("the fast-EMA buffer can only be dropped when beta1 == 0")
-        self.dim = int(dim)
-        self.t = 0
-        self.m1 = zeros(self.dim) if with_m1_buffer else None
+        super().__init__(dim, **kwargs)
+        for name in ("beta1", "beta2", "beta3", "beta4"):
+            if name in self.defaults and not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)}")
+        if self.alpha < 0:
+            raise ValueError(f"alpha must be >= 0, got {self.alpha}")
+        slow = [getattr(self, name) for name in ("beta3", "beta4") if name in self.defaults]
+        self.m1 = zeros(self.dim)
         self.m2 = zeros(self.dim) if slow else None
         self.m3 = zeros(self.dim) if len(slow) == 2 else None
         self.nu = zeros(self.dim)
         self._scratch = np.empty(self.dim)
         if slow:
+            if self.beta_start is None:
+                self.beta_start = self.beta1
+            if self.t_beta3 > 0 and not 0.0 < self.beta_start <= min(slow):
+                raise ValueError(f"beta_start must be in (0, {min(slow)}], got {self.beta_start}")
             self.hyper_state = ("sched_offset",)
-            self._schedules = [LinearWarmup(final=self.alpha, horizon=self.t_alpha)]
-            for b in slow:
-                self._schedules.append(
-                    HalfLifeLinearWarmup(final=b, start=self.beta_start, horizon=self.t_beta3)
-                    if self.t_beta3 > 0
-                    else ConstantSchedule(b)
-                )
+            self._schedules = [LinearWarmup(final=self.alpha, horizon=self.t_alpha)] + [
+                HalfLifeLinearWarmup(final=b, start=self.beta_start, horizon=self.t_beta3)
+                for b in slow
+            ]
 
     def _moments(self, theta, grad, beta3_t, beta4_t):
         """Advance the step counter and every EMA; return ``(new, m1_hat)``.
@@ -240,8 +250,9 @@ class AdamW(AdamFamily):
 class AdEMAMix(AdamFamily):
     """Two-EMA mixture optimizer: the kernel with one slow EMA ``m2``.
 
-    Pass ``with_m1_buffer=True`` to keep the fast-EMA buffer even when
-    ``beta1 == 0``.
+    With ``beta1 == 0`` the fast EMA is the raw gradient, so by default
+    (``with_m1_buffer=None``) no ``m1`` buffer is kept; pass ``True`` to keep
+    it anyway.
     """
 
     variant = "ademamix"
@@ -256,8 +267,14 @@ class AdEMAMix(AdamFamily):
         "t_alpha": 0,
         "t_beta3": 0,
         "beta_start": None,
-        "with_m1_buffer": None,
     }
+
+    def __init__(self, dim, *, with_m1_buffer=None, **kwargs):
+        super().__init__(dim, **kwargs)
+        if not (self.beta1 != 0.0 if with_m1_buffer is None else with_m1_buffer):
+            if self.beta1 != 0.0:
+                raise ValueError("the fast-EMA buffer can only be dropped when beta1 == 0")
+            self.m1 = None
 
 
 class Ad3EMAMix(AdamFamily):
@@ -291,17 +308,14 @@ class Lion(Optimizer):
     variant = "lion"
     slot_names = ("m",)
     momentum = ("m",)
+    defaults = {"alpha": 0.9, "beta": 0.99, "weight_decay": 0.0}
 
-    def __init__(self, dim, *, alpha=0.9, beta=0.99, weight_decay=0.0):
-        if not 0.0 <= alpha <= 1.0:
-            raise ValueError(f"alpha must be in [0, 1], got {alpha}")
-        if not 0.0 <= beta < 1.0:
-            raise ValueError(f"beta must be in [0, 1), got {beta}")
-        self.dim = int(dim)
-        self.alpha = float(alpha)
-        self.beta = float(beta)
-        self.weight_decay = float(weight_decay)
-        self.t = 0
+    def __init__(self, dim, **kwargs):
+        super().__init__(dim, **kwargs)
+        if not 0.0 <= self.alpha <= 1.0:
+            raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
+        if not 0.0 <= self.beta < 1.0:
+            raise ValueError(f"beta must be in [0, 1), got {self.beta}")
         self.m = zeros(self.dim)
         self._scratch = np.empty(self.dim)
 
@@ -329,16 +343,14 @@ class AdMetaS(Optimizer):
 
     variant = "admeta_s"
     slot_names = ("m1", "m2")
+    defaults = {"beta1": 0.9, "beta2": 0.3}
 
-    def __init__(self, dim, *, beta1=0.9, beta2=0.3):
-        if not 0.0 < beta1 < 1.0:
-            raise ValueError(f"beta1 must be in (0, 1), got {beta1}")
-        if not 0.0 <= beta2 < 1.0:
-            raise ValueError(f"beta2 must be in [0, 1), got {beta2}")
-        self.dim = int(dim)
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.t = 0
+    def __init__(self, dim, **kwargs):
+        super().__init__(dim, **kwargs)
+        if not 0.0 < self.beta1 < 1.0:
+            raise ValueError(f"beta1 must be in (0, 1), got {self.beta1}")
+        if not 0.0 <= self.beta2 < 1.0:
+            raise ValueError(f"beta2 must be in [0, 1), got {self.beta2}")
         self.m1 = zeros(self.dim)
         self.m2 = zeros(self.dim)
         self._scratch = np.empty(self.dim)
@@ -373,20 +385,16 @@ class AggMo(Optimizer):
     """
 
     variant = "aggmo"
+    defaults = {"betas": (0.0, 0.9, 0.99)}
 
-    def __init__(self, dim, *, betas=(0.0, 0.9, 0.99)):
-        if isinstance(betas, str):
-            betas = betas.split(",")
-        betas = tuple(float(b) for b in betas)
-        if len(betas) < 1:
+    def __init__(self, dim, **kwargs):
+        super().__init__(dim, **kwargs)
+        if len(self.betas) < 1:
             raise ValueError("need at least one momentum coefficient")
-        for b in betas:
+        for b in self.betas:
             if not 0.0 <= b < 1.0:
                 raise ValueError(f"momentum coefficients must be in [0, 1), got {b}")
-        self.dim = int(dim)
-        self.betas = betas
-        self.t = 0
-        self.m = [zeros(self.dim) for _ in betas]
+        self.m = [zeros(self.dim) for _ in self.betas]
 
     @np.errstate(over="ignore", invalid="ignore")
     def step(self, theta: np.ndarray, grad: np.ndarray, lr: float) -> np.ndarray:

@@ -20,6 +20,7 @@ by interpolating in half-life space and mapping back through the inverse
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -39,10 +40,20 @@ def t_half_inverse(t: float) -> float:
 
 
 def step_count(name: str, value) -> int:
-    """A horizon as an int; a fractional or non-finite float is a ``ValueError``."""
-    if isinstance(value, float) and not value.is_integer():
+    """A horizon as an int: a whole number, from Python or numpy. A bool, text
+    or a fractional or non-finite number is a ``ValueError`` naming ``name``."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not real or not float(value).is_integer():
         raise ValueError(f"{name} must be a whole number of steps, got {value!r}")
     return int(value)
+
+
+def finite_number(name: str, value) -> float:
+    """``value`` as a float: a finite real number, from Python or numpy. A
+    bool, text, a list or nan/inf is a ``ValueError`` naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -80,6 +91,7 @@ class HalfLifeLinearWarmup:
 
     Interpolates t_half(start) -> t_half(final) linearly over ``horizon``
     steps and maps back to a decay value; clamped at ``final`` afterwards.
+    With ``horizon == 0`` it is constant at ``final``, which may then be 0.
     """
 
     kind: ClassVar[str] = "beta3_thalf"
@@ -88,12 +100,12 @@ class HalfLifeLinearWarmup:
     horizon: int
 
     def __post_init__(self):
-        if not 0.0 < self.final < 1.0:
-            raise ValueError(f"final decay must be in (0, 1), got {self.final}")
-        if not 0.0 < self.start < 1.0:
-            raise ValueError(f"start decay must be in (0, 1), got {self.start}")
         if self.horizon < 0:
             raise ValueError(f"horizon must be >= 0, got {self.horizon}")
+        if self.horizon > 0 and not 0.0 < self.final < 1.0:
+            raise ValueError(f"final decay must be in (0, 1), got {self.final}")
+        if self.horizon > 0 and not 0.0 < self.start < 1.0:
+            raise ValueError(f"start decay must be in (0, 1), got {self.start}")
 
     def at(self, t: int) -> float:
         if self.horizon == 0 or t >= self.horizon:

@@ -273,7 +273,7 @@ def test_cli_flags_unchanged():
             "-h --help", "--optimizer", "--steps", "--lr", "--beta1", "--beta2", "--beta3",
             "--beta", "--alpha", "--weight-decay", "--eps", "--t-alpha", "--t-beta3",
             "--beta-start", "--x0", "--preseed", "--clip", "--seed", "--cadence", "--out",
-            "--jsonl",
+            "--jsonl", "--beta4", "--betas",
         )
     )
     assert sorted(k for k in flags if k.startswith("run ")) == [
@@ -414,7 +414,7 @@ class TestInputErrorsExitThree:
 
     @pytest.mark.parametrize("argv,flag", [
         (["toy", "rosenbrock", "--steps", "abc"], "--steps"),
-        (["toy", "rosenbrock", "--beta4", "0.99"], "--beta4"),
+        (["toy", "rosenbrock", "--beta5", "0.99"], "--beta5"),
         (["analyze-ema", "--kind", "triple"], "--kind"),
         (["analyze-ema"], "--kind"),
         (["checkpoint", "save", "x.cfg", "--out", "x.emx"], "--at-step"),
