@@ -125,8 +125,12 @@ def _cmd_toy(args) -> int:
 
 def _cmd_analyze_ema(args) -> int:
     profile = PROFILES[args.kind]
+    params = inspect.signature(profile).parameters
+    for name in args.given:
+        if name not in params:
+            raise ConfigError(f"--{name.replace('_', '-')} is not a parameter of --kind {args.kind}")
     try:
-        weights = profile(**{n: getattr(args, n) for n in inspect.signature(profile).parameters})
+        weights = profile(**{n: getattr(args, n) for n in params})
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     _emit(harness.format_series_csv(enumerate(weights), ("age", "weight")), args.out)
@@ -180,10 +184,19 @@ def _cmd_checkpoint(args) -> int:
     return EXIT_OK
 
 
+class _Given(argparse.Action):
+    """Stores a flag's value (a switch's with ``nargs=0``) and notes the flag in ``given``."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, True if self.nargs == 0 else values)
+        namespace.given = (*namespace.given, self.dest)
+
+
 def _add_profile_flags(parser: argparse.ArgumentParser) -> None:
     """One flag per parameter of the ``PROFILES`` functions: its default is the
     keyword default, its type the annotation (``X | None`` reads as ``X``, and
-    a ``bool`` is a switch)."""
+    a ``bool`` is a switch). The flags given are noted in ``args.given``."""
+    parser.set_defaults(given=())
     params = {}  # name -> (default, annotation, the kinds that take it)
     for kind, profile in PROFILES.items():
         hints = get_type_hints(profile)
@@ -191,8 +204,8 @@ def _add_profile_flags(parser: argparse.ArgumentParser) -> None:
             params.setdefault(name, (param.default, hints[name], []))[2].append(kind)
     for name, (default, hint, kinds) in params.items():
         hint = next(t for t in get_args(hint) or [hint] if t is not type(None))
-        how = {"action": "store_true"} if hint is bool else {"type": hint}
-        parser.add_argument("--" + name.replace("_", "-"), dest=name, default=default,
+        how = {"nargs": 0} if hint is bool else {"type": hint}
+        parser.add_argument("--" + name.replace("_", "-"), dest=name, default=default, action=_Given,
                             help=f"for {', '.join(kinds)} (default: {default})", **how)
 
 

@@ -22,6 +22,7 @@ explicitly.
 from __future__ import annotations
 
 import inspect
+import math
 import re
 import sys
 from dataclasses import dataclass, field, fields
@@ -190,8 +191,9 @@ def config_from_sections(sections: dict) -> ExperimentConfig:
         sized = isinstance(default, tuple)
         size = type(default[0] if sized else default) is int  # a width or count: int >= 1
         for v in value if sized and isinstance(value, list) else [value]:
-            if type(v) is not int and (size or not isinstance(v, float)) or size and v < 1:
-                what = "positive integers" if size else "numbers"
+            bad = type(v) is not int and (size or not isinstance(v, float) or not math.isfinite(v))
+            if bad or size and v < 1:
+                what = "positive integers" if size else "finite numbers"
                 raise ConfigError(f"testbed.{key} must be {what}, got {value!r}")
 
     for section, allowed in (("run", _RUN_KEYS), ("forget", _FORGET_KEYS)):

@@ -19,6 +19,8 @@ parameters and raises :class:`ValueError` naming the bad one.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 # the largest horizon, sized to memory: a profile holds a few float64 arrays
@@ -28,9 +30,14 @@ import numpy as np
 MAX_HORIZON = 1_000_000
 
 
+def _is_int(value) -> bool:
+    """A Python or numpy integer, not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def _check(horizon: int, **decays: float) -> None:
-    if not 0 <= horizon <= MAX_HORIZON:
-        raise ValueError(f"horizon must be in [0, {MAX_HORIZON}], got {horizon}")
+    if not _is_int(horizon) or not 0 <= horizon <= MAX_HORIZON:
+        raise ValueError(f"horizon must be in [0, {MAX_HORIZON}] (an integer), got {horizon}")
     for name, beta in decays.items():
         if not 0.0 <= beta < 1.0:
             raise ValueError(f"{name} must be in [0, 1), got {beta}")
@@ -87,8 +94,8 @@ def dema_weights(beta: float = 0.9, window: int | None = None, horizon: int = 10
     single = ema_weights(beta, horizon)
     if window is None:
         window = horizon
-    elif window < 1:
-        raise ValueError(f"window must be >= 1, got {window}")
+    elif not _is_int(window) or window < 1:
+        raise ValueError(f"window must be an integer >= 1, got {window}")
     single[window + 1 :] = 0.0
     windowed = single[: window + 1]
     nested = np.convolve(windowed, windowed)[: horizon + 1]

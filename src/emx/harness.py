@@ -26,7 +26,7 @@ from .config import (
 )
 from .numerics import DivergenceError, global_norm_clip, l2_norm
 from .optimizers import OPTIMIZERS, preseed_momentum, switch_optimizer
-from .schedules import LR_SCHEDULES, step_count
+from .schedules import LR_SCHEDULES, finite_number, step_count
 from .testbeds import TESTBEDS
 
 
@@ -71,8 +71,8 @@ def _build_lr_schedule(cfg: ExperimentConfig):
     p = {"eta_min": 0.0, "warmup": 0, "total": cfg.steps, **cfg.lr.params}
     types = get_type_hints(cls)
     try:
-        return cls(**{f.name: step_count(f"lr.{f.name}", p[f.name]) if types[f.name] is int
-                      else float(p[f.name]) for f in fields(cls)})
+        return cls(**{f.name: (step_count if types[f.name] is int else finite_number)(
+            f"lr.{f.name}", p[f.name]) for f in fields(cls)})
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad lr schedule parameters: {exc}") from exc
 
@@ -89,7 +89,7 @@ def _build_optimizer(kind: str, params: dict, dim: int, switch=None):
         if switch is not None:
             return switch_optimizer(opt, OPTIMIZERS[switch.to], **switch.params)
         if preseed is not None:
-            preseed_momentum(opt, np.asarray(preseed, dtype=np.float64))
+            preseed_momentum(opt, preseed)
     except (TypeError, ValueError) as exc:
         what = "switch" if switch else "optimizer"
         raise ConfigError(f"bad {what} parameters for {kind!r}: {exc}") from exc

@@ -59,7 +59,10 @@ def _typed(name: str, value, default):
     if type(default) is int:
         return step_count(name, value)
     if type(default) is tuple:
-        items = [float(v) for v in value.split(",")] if isinstance(value, str) else value
+        try:
+            items = [float(v) for v in value.split(",")] if isinstance(value, str) else value
+        except ValueError:  # text that is not comma-separated numbers
+            items = None
         if not isinstance(items, (list, tuple)):
             raise ValueError(f"{name} must be a list of numbers, got {value!r}")
         return tuple(finite_number(name, v) for v in items)
@@ -445,16 +448,18 @@ def preseed_momentum(opt, m_init) -> None:
     """Set every first-moment buffer to ``m_init`` (fresh states only).
 
     Gives the first iterate an initial "speed" while the second-moment
-    estimate stays at zero. The step counter must still be 0. The values are
-    copied into the state's own buffers.
+    estimate stays at zero. The step counter must still be 0. The values,
+    finite numbers, are copied into the state's own buffers.
     """
-    m_init = np.asarray(m_init, dtype=np.float64)
-    if m_init.shape != (opt.dim,):
-        raise ValueError(f"preseed length {m_init.shape} does not match dim {opt.dim}")
+    values = np.asarray(m_init)
+    if values.dtype.kind not in "iuf" or not np.isfinite(values).all():
+        raise ValueError(f"preseed must be finite numbers, got {m_init!r}")
+    if values.shape != (opt.dim,):
+        raise ValueError(f"preseed length {values.shape} does not match dim {opt.dim}")
     if opt.t != 0:
         raise ValueError("momentum can only be preseeded before the first step")
     if not opt.momentum:
         raise TypeError(f"cannot preseed momentum for {type(opt).__name__}")
     for name in opt.momentum:
         if (buf := getattr(opt, name)) is not None:
-            buf[...] = m_init
+            buf[...] = values

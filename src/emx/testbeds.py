@@ -64,9 +64,6 @@ class AnalyticTestbed:
     def loss(self, theta, batch=None) -> float:
         return self._fn(theta)[0]
 
-    def grad(self, theta, batch=None) -> np.ndarray:
-        return self._fn(theta)[1]
-
     def loss_and_grad(self, theta, batch=None):
         return self._fn(theta)
 
@@ -116,22 +113,23 @@ class TinyMlp:
         for d_in, d_out, w_slice, b_slice in self._shapes:
             yield theta[w_slice].reshape(d_in, d_out), theta[b_slice]
 
+    def _layers_and_activations(self, theta, inputs) -> tuple[list, list]:
+        """Each layer's ``(w, b)`` and every layer's output, ``inputs`` first."""
+        layers = list(self._unpack(theta))
+        activations = [inputs]
+        for i, (w, b) in enumerate(layers):
+            z = activations[-1] @ w + b
+            activations.append(z if i == len(layers) - 1 else np.tanh(z))
+        return layers, activations
+
     @np.errstate(over="ignore", invalid="ignore")
     def forward(self, theta: np.ndarray, inputs: np.ndarray) -> np.ndarray:
-        a = inputs
-        layers = list(self._unpack(theta))
-        for i, (w, b) in enumerate(layers):
-            z = a @ w + b
-            a = z if i == len(layers) - 1 else np.tanh(z)
-        return a
+        return self._layers_and_activations(theta, inputs)[1][-1]
 
     def loss(self, theta, batch) -> float:
         inputs, targets = batch
         pred = self.forward(theta, inputs)
         return float(np.mean((pred - targets) ** 2))
-
-    def grad(self, theta, batch) -> np.ndarray:
-        return self.loss_and_grad(theta, batch)[1]
 
     @np.errstate(over="ignore", invalid="ignore")
     def loss_and_grad(self, theta, batch):
@@ -141,13 +139,7 @@ class TinyMlp:
                 f"input width {inputs.shape[1]} does not match first layer "
                 f"{self.layer_dims[0]}"
             )
-        layers = list(self._unpack(theta))
-        activations = [inputs]
-        a = inputs
-        for i, (w, b) in enumerate(layers):
-            z = a @ w + b
-            a = z if i == len(layers) - 1 else np.tanh(z)
-            activations.append(a)
+        layers, activations = self._layers_and_activations(theta, inputs)
         pred = activations[-1]
         diff = pred - targets
         loss = float(np.mean(diff**2))
@@ -243,7 +235,7 @@ def gradient_check(testbed, theta, batch=None, rel_step=1e-5) -> float:
 
     Returns ||g_analytic - g_fd|| / max(1, ||g_analytic||, ||g_fd||).
     """
-    analytic = testbed.grad(theta, batch)
+    analytic = testbed.loss_and_grad(theta, batch)[1]
     fd = finite_difference_grad(lambda x: testbed.loss(x, batch), theta, rel_step)
     num = float(np.linalg.norm(analytic - fd))
     den = max(1.0, float(np.linalg.norm(analytic)), float(np.linalg.norm(fd)))

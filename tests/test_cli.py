@@ -437,6 +437,8 @@ class TestInputErrorsExitThree:
     @pytest.mark.parametrize("argv", [
         ["toy", "rosenbrock", "--steps", "abc"],
         ["analyze-ema", "--kind", "nested", "--horizon", "100000000000"],
+        ["toy", "rosenbrock", "--steps", "5", "--beta1", "abc"],
+        ["analyze-ema", "--kind", "single", "--alpha", "7"],
     ])
     def test_process_exit_status(self, argv):
         proc = subprocess.run([sys.executable, "-m", "emx.cli", *argv],
@@ -465,3 +467,118 @@ class TestInputErrorsExitThree:
         assert main(["forget", str(cfg), "--t-b", "15", "--out-dir", str(outdir)]) == 3
         assert capsys.readouterr().err.startswith("config error: forget.t_b")
         assert not outdir.exists()
+
+
+# a valid value other than the default for every optimizer.* key
+TOY_VALUES = {
+    "beta1": "0.8", "beta2": "0.99", "weight_decay": "0.01", "eps": "1e-06",
+    "preseed": "-1.0,0.5", "beta3": "0.995", "alpha": "0.5", "t_alpha": "3", "t_beta3": "4",
+    "beta_start": "0.85", "beta": "0.95", "betas": "0.5,0.9", "beta4": "0.99",
+}
+
+
+class TestToyFlagsAreConfigKeys:
+    def test_flags_are_exactly_the_config_keys(self):
+        from emx.cli import build_parser
+        from emx.config import _OPTIMIZER_KEYS
+
+        p_toy = _subparser(build_parser(), "toy")
+        dests = {a.dest for a in p_toy._actions if a.dest.startswith("optimizer.")}
+        assert dests == {f"optimizer.{k}" for keys in _OPTIMIZER_KEYS.values() for k in keys}
+        assert set(TOY_VALUES) == {d.partition(".")[2] for d in dests}
+        for action in p_toy._actions:
+            if action.dest in dests:
+                assert action.default is None and action.help.startswith(action.dest)
+
+    @pytest.mark.parametrize("kind", ["adamw", "ademamix", "lion", "admeta_s", "aggmo",
+                                      "ad3emamix"])
+    def test_toy_equals_run_on_the_same_config(self, kind, tmp_path):
+        from emx.config import _OPTIMIZER_KEYS
+        from emx.optimizers import OPTIMIZERS
+
+        keys = list(_OPTIMIZER_KEYS[kind])
+        defaults = OPTIMIZERS[kind].defaults
+        assert all(TOY_VALUES[k] != str(defaults.get(k)) for k in keys)
+        flags = [f"--{k.replace('_', '-')}={TOY_VALUES[k]}" for k in keys]
+        common = ["--optimizer", kind, "--steps", "12", "--lr", "0.0001", "--seed", "3"]
+        toy, plain, run = (tmp_path / f"{n}.csv" for n in ("toy", "plain", "run"))
+        assert main(["toy", "rosenbrock", *common, *flags, "--out", str(toy)]) == 0
+        assert main(["toy", "rosenbrock", *common, "--out", str(plain)]) == 0
+        cfg = tmp_path / "same.cfg"
+        cfg.write_text(
+            f"testbed.kind = rosenbrock\noptimizer.kind = {kind}\n"
+            + "".join(f"optimizer.{k} = {TOY_VALUES[k]}\n" for k in keys)
+            + "lr.kind = constant\nlr.value = 0.0001\nrun.steps = 12\nrun.seed = 3\n"
+        )
+        assert main(["run", str(cfg), "--out", str(run)]) == 0
+        assert toy.read_bytes() == run.read_bytes()
+        assert toy.read_bytes() != plain.read_bytes()  # the flags took effect
+        assert len(toy.read_text().splitlines()) == 13
+
+
+NONFINITE_BASE = {
+    "toy": TOY_CFG,
+    "mlp": MLP_CFG.replace("forget.t_b = 60\n", "")
+                  .replace("lr.kind = constant\nlr.value = 0.01",
+                           "lr.kind = lr_warmup_cosine\nlr.eta_max = 0.01"),
+}
+
+
+class TestNonFiniteIsConfigError:
+    """A nan, inf, bool or text value is refused before any step, naming its
+    key, not reported as a divergence."""
+
+    @pytest.mark.parametrize("base,key,value", [
+        ("mlp", "testbed.noise", "inf"),
+        ("mlp", "testbed.noise", "nan"),
+        ("toy", "testbed.x0", "inf, 1"),
+        ("toy", "optimizer.alpha", "nan"),
+        ("toy", "optimizer.eps", "nan"),
+        ("toy", "optimizer.weight_decay", "inf"),
+        ("toy", "optimizer.preseed", "nan, 0"),
+        ("toy", "lr.value", "nan"),
+        ("mlp", "lr.eta_max", "inf"),
+        ("toy", "optimizer.beta_start", "nan"),
+        ("toy", "optimizer.eps", "true"),
+        ("toy", "optimizer.beta1", "abc"),
+    ])
+    def test_run_exits_three(self, base, key, value, tmp_path, capsys):
+        lines = [ln for ln in NONFINITE_BASE[base].splitlines() if not ln.startswith(f"{key} =")]
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("\n".join([*lines, f"{key} = {value}"]) + "\n")
+        assert main(["run", str(cfg), "--out", str(tmp_path / "x.csv")]) == 3
+        err = capsys.readouterr().err
+        name = key if key.startswith(("testbed.", "lr.")) else key.partition(".")[2]
+        assert err.startswith("config error: ") and f"{name} must be" in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_toy_text_for_a_number_exits_three(self, capsys):
+        assert main(["toy", "rosenbrock", "--steps", "5", "--beta1", "abc"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "beta1 must be a finite number" in err
+
+
+class TestAnalyzeEmaRefusesOtherKindsFlags:
+    @pytest.mark.parametrize("kind,flag", [
+        ("single", ["--alpha", "7"]),
+        ("single", ["--beta3", "0.5"]),
+        ("single", ["--normalized"]),
+        ("mixture", ["--beta", "0.5"]),
+        ("mixture", ["--window", "3"]),
+        ("nested", ["--beta1", "0.5"]),
+        ("dema", ["--beta-inner", "0.5"]),
+        ("single", ["--alpha", "5.0"]),  # at its default value
+    ])
+    def test_flag_of_another_kind_exits_three(self, kind, flag, capsys):
+        assert main(["analyze-ema", "--kind", kind, "--horizon", "3", *flag]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"config error: {flag[0]} is not a parameter of --kind {kind}\n"
+
+    def test_own_flags_given_explicitly_are_accepted(self, capsys):
+        assert main(["analyze-ema", "--kind", "mixture", "--horizon", "3", "--beta1", "0.9",
+                     "--beta3", "0.9999", "--alpha", "5", "--normalized"]) == 0
+        explicit = capsys.readouterr().out
+        assert main(["analyze-ema", "--kind", "mixture", "--horizon", "3", "--normalized"]) == 0
+        assert capsys.readouterr().out == explicit

@@ -249,3 +249,30 @@ class TestImpulseProbe:
         np.testing.assert_allclose(
             opt.m[::-1], ema_weights(beta1, self.T - 1), rtol=0, atol=1e-15
         )
+
+
+class TestIntegerHorizons:
+    @pytest.mark.parametrize("profile", list(PROFILES.values()))
+    @pytest.mark.parametrize("horizon", [2.5, 3.0, True, False, "3", None])
+    def test_non_integer_horizon_is_refused(self, profile, horizon):
+        with pytest.raises(ValueError, match="^horizon must be"):
+            profile(horizon=horizon)
+
+    @pytest.mark.parametrize("window", [2.5, 3.0, True, "3"])
+    def test_non_integer_window_is_refused(self, window):
+        with pytest.raises(ValueError, match="^window must be"):
+            dema_weights(0.9, window, 10)
+
+    def test_fractional_and_bool_horizons_direct_calls(self):
+        for call in (lambda: ema_weights(0.9, 2.5), lambda: ema_weights(0.9, True),
+                     lambda: nested_ema_weights(0.9, 0.9, 2.5)):
+            with pytest.raises(ValueError, match="horizon"):
+                call()
+
+    @pytest.mark.parametrize("profile", list(PROFILES.values()))
+    def test_numpy_integers_accepted(self, profile):
+        np.testing.assert_array_equal(profile(horizon=np.int64(7)), profile(horizon=7))
+        np.testing.assert_array_equal(profile(horizon=np.int32(7)), profile(horizon=7))
+
+    def test_numpy_integer_window_accepted(self):
+        np.testing.assert_array_equal(dema_weights(0.9, np.int64(3), 10), dema_weights(0.9, 3, 10))

@@ -393,6 +393,18 @@ class TestPreseed:
         with pytest.raises(ValueError):
             preseed_momentum(opt, np.zeros(2))
 
+    @pytest.mark.parametrize("values", [[np.nan, 0.0], [0.0, np.inf], ["a", "b"], [True, False]])
+    def test_preseed_refuses_non_finite_values(self, values):
+        opt = AdamW(2)
+        with pytest.raises(ValueError, match="^preseed must be finite numbers"):
+            preseed_momentum(opt, values)
+        assert not opt.m.any()
+
+    def test_preseed_takes_integers(self):
+        opt = AdamW(2)
+        preseed_momentum(opt, [3, -1])
+        assert opt.m.tolist() == [3.0, -1.0]
+
 
 class TestKernelAndRegistry:
     def test_registry_maps_kind_to_class(self):
@@ -420,6 +432,10 @@ class TestKernelAndRegistry:
             lambda: AdEMAMix(2, beta4=0.9),
             lambda: AdEMAMix(2, slow=(0.9,)),
             lambda: Ad3EMAMix(2, with_m1_buffer=True),
+            lambda: Lion(2, beta1=0.9),
+            lambda: AdMetaS(2, beta=0.9),
+            lambda: AggMo(2, with_m1_buffer=True),
+            lambda: Lion(2, 0.9),
         ],
     )
     def test_unknown_keywords_rejected(self, factory):
@@ -820,3 +836,80 @@ class TestDeclaredHyperparameters:
     def test_out_of_range_value_raises(self, kind, key):
         with pytest.raises(ValueError):
             OPTIMIZERS[kind](3, **OUT_OF_RANGE[key])
+
+
+FLOAT_KEYS = [
+    (kind, key) for kind, cls in OPTIMIZERS.items() for key, default in cls.defaults.items()
+    if type(default) is not int and type(default) is not tuple
+]
+INT_KEYS = [
+    (kind, key) for kind, cls in OPTIMIZERS.items() for key, default in cls.defaults.items()
+    if type(default) is int
+]
+
+
+class TestTypedConstructor:
+    """The base constructor types each keyword like its default."""
+
+    def test_every_kind_declares_defaults(self):
+        for cls in OPTIMIZERS.values():
+            assert cls.defaults and cls.keywords() == list(cls.defaults)
+
+    @pytest.mark.parametrize("kind,key", FLOAT_KEYS)
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -np.inf, True, "abc", [0.5],
+                                       np.float64("nan"), np.True_])
+    def test_float_key_refuses_non_numbers(self, kind, key, value):
+        with pytest.raises(ValueError, match=f"^{key} must be a finite number"):
+            OPTIMIZERS[kind](2, **{key: value})
+
+    @pytest.mark.parametrize("kind,key", FLOAT_KEYS)
+    def test_float_key_takes_python_and_numpy_numbers(self, kind, key):
+        cls = OPTIMIZERS[kind]
+        ok = {"beta1": 0.5, "beta2": 0.5, "beta3": 0.95, "beta4": 0.95, "beta": 0.5,
+              "alpha": 0.5, "weight_decay": 0.5, "eps": 0.5, "beta_start": 0.5}[key]
+        for value in (ok, np.float64(ok), np.float32(ok)):
+            opt = cls(2, **{key: value})
+            assert type(getattr(opt, key)) is float and getattr(opt, key) == float(value)
+
+    def test_an_int_for_a_float_key_is_a_float(self):
+        assert type(AdamW(2, weight_decay=1).weight_decay) is float
+        assert type(Lion(2, alpha=np.int64(1)).alpha) is float
+
+    @pytest.mark.parametrize("kind,key", INT_KEYS)
+    @pytest.mark.parametrize("value", [True, 2.5, "abc", float("inf"), float("nan"), [3]])
+    def test_int_key_refuses_non_step_counts(self, kind, key, value):
+        with pytest.raises(ValueError, match=f"^{key} must be a whole number of steps"):
+            OPTIMIZERS[kind](2, **{key: value})
+
+    @pytest.mark.parametrize("kind,key", INT_KEYS)
+    def test_int_key_takes_whole_numbers(self, kind, key):
+        for value in (3, 3.0, np.int64(3), np.float64(3.0)):
+            opt = OPTIMIZERS[kind](2, **{key: value})
+            assert type(getattr(opt, key)) is int and getattr(opt, key) == 3
+
+    @pytest.mark.parametrize("value", [[0.5, 0.9], (0.5, 0.9), "0.5,0.9", [np.float64(0.5), 0.9]])
+    def test_tuple_key_takes_a_list_a_tuple_or_its_text(self, value):
+        opt = AggMo(2, betas=value)
+        assert opt.betas == (0.5, 0.9) and all(type(b) is float for b in opt.betas)
+        assert AggMo(2, betas=opt.hyper()["betas"]).betas == opt.betas
+
+    @pytest.mark.parametrize("value", [0.5, True, [0.5, float("nan")], [0.5, True], "0.5,inf",
+                                       "abc", "0.5;0.9", ""])
+    def test_tuple_key_refuses_the_rest(self, value):
+        with pytest.raises(ValueError, match="^betas must be"):
+            AggMo(2, betas=value)
+
+    def test_scratch_only_where_the_step_uses_it(self):
+        assert not hasattr(AggMo(2), "_scratch")
+        for cls in (AdamW, AdEMAMix, Ad3EMAMix, Lion, AdMetaS):
+            assert cls(2)._scratch.shape == (2,)
+
+    @pytest.mark.parametrize("cls", [AdEMAMix, Ad3EMAMix])
+    def test_zero_decays_build_without_a_warmup(self, cls):
+        opt = cls(2, beta1=0.0, beta3=0.0)
+        assert opt.beta_start == 0.0
+        assert opt.schedule_args(1)[1] == 0.0
+
+    def test_negative_slow_warmup_is_refused(self):
+        with pytest.raises(ValueError, match="horizon must be >= 0"):
+            AdEMAMix(2, t_beta3=-1)

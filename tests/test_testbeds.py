@@ -131,6 +131,13 @@ class TestTinyMlp:
         x = rng.standard_normal((3, 4))
         assert np.array_equal(mlp.forward(theta, x), mlp.forward(theta, x))
 
+    def test_loss_and_grad_shares_the_forward_pass(self):
+        mlp = TinyMlp((4, 8, 8, 2))
+        rng = make_rng(10)
+        theta = mlp.init_params(rng)
+        batch = (rng.standard_normal((5, 4)), rng.standard_normal((5, 2)))
+        assert mlp.loss_and_grad(theta, batch)[0] == mlp.loss(theta, batch)
+
 
 def _batch_digest(batch):
     x, y = batch
