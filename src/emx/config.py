@@ -292,6 +292,8 @@ def _check_horizons(cfg: ExperimentConfig) -> None:
     for name, value in horizons:
         if not isinstance(value, (int, float)):
             raise ConfigError(f"{name} must be a number, got {value!r}")
+        if value < 0:
+            raise ConfigError(f"{name} must be >= 0, got {value!r}")
         if value > cfg.steps and not cfg.constant_after:
             raise ConfigError(
                 f"{name} = {value} exceeds run.steps = {cfg.steps}; "

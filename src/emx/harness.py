@@ -1,7 +1,8 @@
 """Config-driven experiment runner with deterministic, structured output.
 
 One step of the loop: sample batch -> gradient -> clip -> schedule values ->
-optimizer update -> record. Everything downstream of the config and seed is
+optimizer update -> record, for one point or for several stepped together as
+the rows of one state (see :class:`Experiment`). Everything downstream of the config and seed is
 deterministic, including every byte of the emitted CSV/JSONL, so repeated
 runs and checkpoint-resumed runs compare bit-for-bit.
 """
@@ -24,7 +25,7 @@ from .config import (
     format_sections,
     parse_config,
 )
-from .numerics import DivergenceError, global_norm_clip, l2_norm
+from .numerics import global_norm_clip, l2_norm, row_norms
 from .optimizers import OPTIMIZERS, preseed_momentum, switch_optimizer
 from .schedules import LR_SCHEDULES, finite_number, step_count
 from .testbeds import TESTBEDS
@@ -96,8 +97,38 @@ def _build_optimizer(kind: str, params: dict, dim: int, switch=None):
     return opt
 
 
+def _without_lr(cfg: ExperimentConfig) -> str:
+    """The config text of every section but ``lr``: what the rows of one
+    :class:`Experiment` share."""
+    sections = config_sections(cfg)
+    del sections["lr"]
+    return format_sections(sections)
+
+
+@dataclass
+class _Row:
+    """One point of an :class:`Experiment`: its lr schedule, record and
+    held-out series."""
+
+    lr: object
+    record: RunRecord = field(default_factory=RunRecord)
+    heldout: list = field(default_factory=list)
+
+
 class Experiment:
-    """A single configured run, steppable and checkpointable.
+    """A configured run of one or more points, steppable and checkpointable.
+
+    ``rows`` are configs equal to ``cfg`` except for their ``lr.*`` values
+    (default: ``cfg`` alone). Each is one row of ``theta`` and of every
+    optimizer slot, and all rows advance together: one testbed call (an MLP
+    evaluates row by row) and one optimizer step per step, with the learning
+    rate a ``(K, 1)`` column of each row's own schedule. Every operation on
+    a row is elementwise and every reduction is taken per row, so each
+    row's record has the bytes of the point run alone. A row whose loss,
+    gradient or new state is non-finite is recorded as diverged at that
+    step and dropped from the state; the others go on. ``records`` holds
+    one :class:`RunRecord` per row; ``record``, ``heldout_series`` and
+    ``lr_schedule`` are the first row's.
 
     ``inject_heldout_at`` replaces the scheduled training batch at that step
     with the dataset's held-out batch (stream length unchanged, so control
@@ -111,7 +142,12 @@ class Experiment:
         resume_from: CheckpointData | None = None,
         inject_heldout_at: int | None = None,
         track_heldout: bool = False,
+        rows: list | None = None,
     ):
+        if rows is None:
+            rows = [cfg]
+        elif any(_without_lr(point) != _without_lr(cfg) for point in rows):
+            raise ConfigError("the rows of an experiment may differ only in lr.* values")
         self.cfg = cfg
         self.inject_heldout_at = inject_heldout_at
         self.track_heldout = track_heldout
@@ -122,7 +158,12 @@ class Experiment:
                 f"initial point has length {theta0.shape}, testbed needs {self.testbed.dim}"
             )
 
-        self.lr_schedule = _build_lr_schedule(cfg)
+        self._rows = [_Row(_build_lr_schedule(point)) for point in rows]
+        self._live = list(self._rows)
+        self.records = [row.record for row in self._rows]
+        self.record = self.records[0]
+        self.heldout_series: list[tuple[int, float]] = self._rows[0].heldout
+        self.lr_schedule = self._rows[0].lr
 
         if resume_from is not None:
             self.opt = restore_optimizer(resume_from)
@@ -138,93 +179,114 @@ class Experiment:
                     f"checkpoint holds a {self.opt.variant!r} state at step {t}, "
                     f"the config expects {' or '.join(sorted(expected))}"
                 )
-            self.theta = theta.copy()
+            theta0 = theta
         else:
             self.opt = _build_optimizer(cfg.optimizer, cfg.optimizer_params, self.testbed.dim)
-            self.theta = theta0.copy()
         if cfg.switch is not None:  # fail now rather than at step switch.at
             _build_optimizer(cfg.optimizer, cfg.optimizer_params, 0, cfg.switch)
+        # every row starts from the same point and state
+        self.theta = np.tile(theta0, (len(rows), 1))
+        self.opt.select_rows([0] * len(rows))
 
-        self.record = RunRecord()
-        self.heldout_series: list[tuple[int, float]] = []
         self._heldout_batch = self.dataset.heldout_batch() if self.dataset else None
         if self.track_heldout and self.opt.t == 0:
-            self.heldout_series.append((0, self._heldout_loss()))
+            for row, loss in zip(self._live, self._losses(self._heldout_batch)):
+                row.heldout.append((0, loss))
 
-    def _heldout_loss(self) -> float:
-        return self.testbed.loss(self.theta, self._heldout_batch)
+    def _losses(self, batch) -> list:
+        return [self.testbed.loss(theta, batch) for theta in self.theta]
+
+    def _loss_and_grad(self, t: int):
+        """Every live row's loss (an array) and gradient (rows) at step ``t``."""
+        if self.dataset is None:  # an analytic testbed evaluates every row in one pass
+            losses, grad = self.testbed.loss_and_grad(self.theta)
+            return np.array(losses), grad
+        if t == self.inject_heldout_at:
+            batch = self._heldout_batch
+        else:
+            batch = self.dataset.batch(t)
+        pairs = [self.testbed.loss_and_grad(theta, batch) for theta in self.theta]
+        return np.array([loss for loss, _ in pairs]), np.stack([grad for _, grad in pairs])
+
+    def _drop(self, ok: np.ndarray, t: int, *arrays) -> list:
+        """Record each live row not ``ok`` as diverged at step ``t`` and take it
+        out of the state; return ``arrays`` without those rows."""
+        for row, good in zip(self._live, ok.tolist()):
+            if not good:
+                rec = row.record
+                rec.status, rec.diverged_step, rec.final_step = "diverged", t, t - 1
+                rec.final_loss = math.inf
+        self._live = [row for row, good in zip(self._live, ok.tolist()) if good]
+        self.theta = self.theta[ok]
+        self.opt.select_rows(ok)
+        return [a[ok] for a in arrays]
 
     def _maybe_switch(self):
         sw = self.cfg.switch
         if sw is not None and self.opt.t == sw.at and self.opt.variant != sw.to:
             self.opt = switch_optimizer(self.opt, OPTIMIZERS[sw.to], **sw.params)
 
-    def run(self, until: int | None = None) -> RunRecord:
-        """Advance to step ``until`` (default: the configured total)."""
+    def _step(self) -> None:
+        """One step of every live row."""
         cfg = self.cfg
-        stop = cfg.steps if until is None else min(until, cfg.steps)
-        while self.opt.t < stop:
-            self._maybe_switch()
-            t = self.opt.t + 1
-            batch = None
-            if self.dataset is not None:
-                if self.inject_heldout_at is not None and t == self.inject_heldout_at:
-                    batch = self._heldout_batch
-                else:
-                    batch = self.dataset.batch(t)
-            try:
-                loss, grad = self.testbed.loss_and_grad(self.theta, batch)
-                if not math.isfinite(loss) or not np.isfinite(grad).all():
-                    raise DivergenceError("non-finite loss or gradient", step=t)
-                if cfg.clip is not None:
-                    grad = global_norm_clip(grad, cfg.clip)
-                eta = self.lr_schedule.at(t)
-                args = self.opt.schedule_args(t)
-                new_theta = self.opt.step(self.theta, grad, eta, *args)
-            except DivergenceError:
-                self.record.status = "diverged"
-                self.record.diverged_step = t
-                self.record.final_step = t - 1
-                self.record.final_loss = math.inf
-                return self.record
-
-            update_norm = l2_norm(new_theta - self.theta)
-            self.theta = new_theta
-
-            heldout = None
-            if self.track_heldout:
-                heldout = self._heldout_loss()
-                self.heldout_series.append((t, heldout))
-            if t % cfg.cadence == 0:
-                dist = None
-                if self.testbed.optimum is not None:
-                    dist = l2_norm(self.theta - self.testbed.optimum)
-                self.record.rows.append(
-                    RunRow(
-                        step=t,
-                        loss=loss,
-                        distance_to_optimum=dist,
-                        eta=eta,
-                        alpha=args[0] if args else None,
-                        beta3=args[1] if args else None,
-                        update_norm=update_norm,
-                        heldout_loss=heldout,
-                    )
-                )
         self._maybe_switch()
-        self.record.final_step = self.opt.t
-        self.record.final_loss = self._final_loss()
-        if self.testbed.optimum is not None:
-            self.record.final_distance = l2_norm(self.theta - self.testbed.optimum)
+        t = self.opt.t + 1
+        losses, grad = self._loss_and_grad(t)
+        ok = np.isfinite(losses) & np.isfinite(grad).all(axis=1)
+        if not ok.all():
+            losses, grad = self._drop(ok, t, losses, grad)
+            if not self._live:
+                return
+        if cfg.clip is not None:
+            for i, row in enumerate(grad):
+                grad[i] = global_norm_clip(row, cfg.clip)
+        lr = np.array([row.lr.at(t) for row in self._live])[:, np.newaxis]
+        args = self.opt.schedule_args(t)
+        new = self.opt.step(self.theta, grad, lr, *args)
+        ok = self.opt.finite_rows(new)
+        if not ok.all():
+            losses, lr, new = self._drop(ok, t, losses, lr, new)
+
+        old, self.theta = self.theta, new
+        heldout = [None] * len(new)
+        if self.track_heldout:
+            heldout = self._losses(self._heldout_batch)
+            for row, loss in zip(self._live, heldout):
+                row.heldout.append((t, loss))
+        if t % cfg.cadence == 0:
+            update_norms = row_norms(new - old)
+            optimum = self.testbed.optimum
+            dists = [None] * len(new) if optimum is None else row_norms(new - optimum)
+            alpha, beta3 = args[:2] if args else (None, None)
+            for row, loss, dist, eta, update_norm, held in zip(
+                self._live, losses.tolist(), dists, lr[:, 0].tolist(), update_norms, heldout
+            ):
+                row.record.rows.append(
+                    RunRow(t, loss, dist, eta, alpha, beta3, update_norm, held)
+                )
+
+    def run(self, until: int | None = None) -> RunRecord:
+        """Advance every live row to step ``until`` (default: the configured
+        total); return the first row's record."""
+        stop = self.cfg.steps if until is None else min(until, self.cfg.steps)
+        while self._live and self.opt.t < stop:
+            self._step()
+        if self._live:
+            self._maybe_switch()
+            eval_batch = self.dataset.eval_batch() if self.dataset is not None else None
+            optimum = self.testbed.optimum
+            for row, loss, theta in zip(self._live, self._losses(eval_batch), self.theta):
+                row.record.final_step = self.opt.t
+                row.record.final_loss = loss
+                if optimum is not None:
+                    row.record.final_distance = l2_norm(theta - optimum)
         return self.record
 
-    def _final_loss(self) -> float:
-        if self.dataset is not None:
-            return self.testbed.loss(self.theta, self.dataset.eval_batch())
-        return self.testbed.loss(self.theta)
-
     def checkpoint(self) -> bytes:
-        """Serialize the optimizer state plus the current parameters."""
+        """Serialize the optimizer state plus the current parameters of a
+        one-row experiment."""
+        if len(self.theta) != 1:
+            raise ValueError(f"a checkpoint holds one row, the experiment has {len(self.theta)}")
         return save_state(self.opt, extra_slots={"theta": self.theta})
 
 
@@ -325,6 +387,10 @@ def apply_override(cfg: ExperimentConfig, dotted_key: str, value) -> ExperimentC
 def run_sweep(cfg: ExperimentConfig, grid: dict) -> SweepResult:
     """Run the cartesian product of ``grid`` (dotted key -> list of values).
 
+    Points whose configs are equal except for ``lr.*`` values run as the
+    rows of one :class:`Experiment` when their testbed is analytic; an MLP
+    point runs alone, as its rows would share no more than the optimizer
+    step. Either way every record has the bytes of the point run alone.
     Divergence in one grid point is recorded as a flag and never aborts or
     perturbs sibling runs; every run uses the base config seed so duplicate
     grid points produce identical records.
@@ -335,24 +401,35 @@ def run_sweep(cfg: ExperimentConfig, grid: dict) -> SweepResult:
         if not values:
             raise ConfigError(f"sweep grid for {key!r} is empty")
 
-    entries = []
-    records = []
+    points = []
+    groups: dict = {}
     for index, combo in enumerate(itertools.product(*grid.values())):
         overrides = dict(zip(grid, combo))
         point = cfg
         for key, value in overrides.items():
             point = apply_override(point, key, value)
-        record = run_experiment(point)
-        entries.append(
-            SweepEntry(
-                index=index,
-                overrides=overrides,
-                final_loss=record.final_loss if not record.diverged else math.inf,
-                best_loss=record.best_loss(),
-                diverged=record.diverged,
-            )
+        points.append((overrides, point))
+        shared = _without_lr(point) if point.testbed != "mlp" else index
+        groups.setdefault(shared, []).append(index)
+
+    records = [None] * len(points)
+    for members in groups.values():
+        rows = [points[i][1] for i in members]
+        exp = Experiment(rows[0], rows=rows)
+        exp.run()
+        for i, record in zip(members, exp.records):
+            records[i] = record
+
+    entries = [
+        SweepEntry(
+            index=index,
+            overrides=overrides,
+            final_loss=record.final_loss if not record.diverged else math.inf,
+            best_loss=record.best_loss(),
+            diverged=record.diverged,
         )
-        records.append(record)
+        for index, ((overrides, _), record) in enumerate(zip(points, records))
+    ]
     return SweepResult(entries=entries, records=records)
 
 

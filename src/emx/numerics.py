@@ -1,10 +1,13 @@
 """Flat float64 vector arithmetic, deterministic RNG, and gradient clipping.
 
-Parameter vectors, gradients, and optimizer state slots are all plain 1-D
-``numpy`` arrays of float64. Binary operations require operands of equal
-length; there is no broadcasting. All randomness flows through Philox, a
-counter-based 64-bit generator whose stream is reproducible bit-for-bit
-from the seed.
+Parameter vectors, gradients, and optimizer state slots are plain float64
+``numpy`` arrays: a 1-D vector for one point, or a ``(K, dim)`` array with
+one row per point when several points are stepped together. Every operation
+on rows is elementwise, so a row gets the bits it would get alone; the one
+broadcast is a per-row value (a learning rate) as a ``(K, 1)`` column, which
+rounds like the same scalar. Reductions are taken per row with
+:func:`row_norms`. All randomness flows through Philox, a counter-based
+64-bit generator whose stream is reproducible bit-for-bit from the seed.
 """
 
 from __future__ import annotations
@@ -40,6 +43,15 @@ def l2_norm(a: np.ndarray) -> float:
     not a ``RuntimeWarning``.
     """
     return float(np.sqrt(np.vdot(a, a)))
+
+
+def row_norms(rows: np.ndarray) -> list:
+    """:func:`l2_norm` of each row, as Python floats.
+
+    One row at a time: a batched reduction (``einsum``, ``(d*d).sum(1)``)
+    does not round like ``np.vdot`` on a row.
+    """
+    return [l2_norm(row) for row in rows]
 
 
 def _norm_parts(g: np.ndarray) -> tuple[float, float]:

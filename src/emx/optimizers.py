@@ -1,4 +1,4 @@
-"""Optimizers over flat float64 parameter vectors.
+"""Optimizers over float64 parameter vectors, one point or rows of points.
 
 One Adam-family kernel, :class:`AdamFamily`, holds the fast EMA ``m1``, the
 second moment ``nu`` and zero, one or two slow EMAs sharing one ``alpha``:
@@ -16,9 +16,18 @@ its default and the subclass checks its ranges and makes its buffers.
 
 ``step`` returns a fresh array for the new ``theta`` and never writes into
 ``theta`` or ``grad``; the state slots are updated in place, through ``out=``
-ufuncs over a scratch row each instance owns, so a step allocates one
-dim-sized array. Every operation keeps the operands and the order of the
-plain expression it replaces, so the results are the same to the bit.
+ufuncs over a scratch buffer each instance owns, so a step allocates one
+array the shape of ``theta``. Every operation keeps the operands and the
+order of the plain expression it replaces, so the results are the same to
+the bit.
+
+A state is 1-D, ``(dim,)``, as built, or ``(K, dim)`` after
+:meth:`Optimizer.select_rows`: one row per point, all stepped by one call
+with the learning rate a ``(K, 1)`` column (the other step arguments are
+shared). Every operation is elementwise, so each row gets the bits it would
+get stepped alone. A non-finite 1-D state raises :class:`DivergenceError`;
+a rows step returns and leaves its non-finite rows, which
+:meth:`Optimizer.finite_rows` finds, for the caller to drop.
 
 Step functions take the learning rate (and the warmed-up ``alpha``/slow
 decays) from the caller. :meth:`Optimizer.schedule_args` gives those values
@@ -34,16 +43,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .numerics import DivergenceError, check_same_length, zeros
+from .numerics import DivergenceError, zeros
 from .schedules import HalfLifeLinearWarmup, LinearWarmup, finite_number, step_count
-
-
-def _check_finite(step_index: int, *arrays: np.ndarray) -> None:
-    for arr in arrays:
-        if arr is not None and not np.isfinite(arr).all():
-            raise DivergenceError(
-                f"non-finite value after update step {step_index}", step=step_index
-            )
 
 
 def _ema(buf: np.ndarray, decay: float, grad: np.ndarray, tmp: np.ndarray) -> None:
@@ -76,8 +77,9 @@ class Optimizer:
     ``hyper()`` order; ``hyper()`` adds ``hyper_state``. ``slot_names`` are
     the checkpointed buffers in order (``None`` ones are skipped) and
     ``momentum`` the buffers :func:`preseed_momentum` sets. ``_scratch``, in
-    the kinds whose step uses one, is a dim-sized row the step works in; it
-    is not state.
+    the kinds whose step uses one, is a buffer the shape of the state the
+    step works in; it is not state. ``shape`` is the state's shape, ``(dim,)``
+    or ``(K, dim)``.
     """
 
     variant = ""
@@ -95,6 +97,7 @@ class Optimizer:
         if unknown:
             raise TypeError(f"{type(self).__name__}() got unexpected keywords {sorted(unknown)}")
         self.dim = int(dim)
+        self.shape = (self.dim,)
         self.t = 0
         for name, default in self.defaults.items():
             setattr(self, name, _typed(name, kwargs.get(name, default), default))
@@ -118,14 +121,37 @@ class Optimizer:
         t -= self.sched_offset
         return [sched.at(t) for sched in self._schedules]
 
+    def select_rows(self, index) -> None:
+        """Index the rows of every buffer: ``[0] * k`` makes ``k`` copies of a
+        1-D state, a boolean mask keeps the rows of a rows state it marks."""
+        for name in (*self.slot_names, "_scratch"):
+            if (buf := getattr(self, name, None)) is not None:
+                setattr(self, name, np.atleast_2d(buf)[index])
+        self.shape = next(iter(self.state_slots().values())).shape
+
+    def finite_rows(self, new) -> np.ndarray:
+        """Per row (a scalar for a 1-D state): are ``new`` and every slot finite?"""
+        ok = np.isfinite(new).all(axis=-1)
+        for buf in self.state_slots().values():
+            ok &= np.isfinite(buf).all(axis=-1)
+        return ok
+
     def _begin(self, theta, grad) -> np.ndarray:
-        """Check both lengths against ``dim``, count the step and return the
+        """Check both shapes against the state's, count the step and return the
         array the new ``theta`` is written to, the step's one allocation."""
-        check_same_length(theta, grad)
-        if len(grad) != self.dim:
-            raise ValueError(f"length mismatch: {len(grad)} vs dim {self.dim}")
+        if not np.shape(theta) == np.shape(grad) == self.shape:
+            raise ValueError(
+                f"length mismatch: theta {np.shape(theta)}, grad {np.shape(grad)}, "
+                f"state {self.shape}"
+            )
         self.t += 1
-        return np.empty(self.dim)
+        return np.empty(self.shape)
+
+    def _checked(self, new) -> np.ndarray:
+        """``new``; a non-finite 1-D state raises, rows are left to the caller."""
+        if new.ndim == 1 and not self.finite_rows(new):
+            raise DivergenceError(f"non-finite value after update step {self.t}", step=self.t)
+        return new
 
 
 class AdamFamily(Optimizer):
@@ -206,8 +232,7 @@ class AdamFamily(Optimizer):
         upd = np.divide(num, denom, out=self._scratch)
         upd += np.multiply(self.weight_decay, theta, out=new)
         np.subtract(theta, np.multiply(lr, upd, out=upd), out=new)
-        _check_finite(self.t, new, self.m1, self.m2, self.m3, self.nu)
-        return new
+        return self._checked(new)
 
     @np.errstate(over="ignore", invalid="ignore")
     def step(self, theta, grad, lr, alpha_t=None, beta3_t=None, beta4_t=None) -> np.ndarray:
@@ -331,8 +356,7 @@ class Lion(Optimizer):
         direction += np.multiply(self.weight_decay, theta, out=tmp)
         np.subtract(theta, np.multiply(lr, direction, out=direction), out=new)
         _ema(self.m, self.beta, grad, tmp)
-        _check_finite(self.t, new, self.m)
-        return new
+        return self._checked(new)
 
 
 class AdMetaS(Optimizer):
@@ -376,8 +400,7 @@ class AdMetaS(Optimizer):
         np.multiply(self.beta2, self.m2, out=self.m2)
         self.m2 += np.multiply(1.0 - self.beta2, h, out=h)
         np.subtract(theta, np.multiply(lr, self.m2, out=h), out=new)
-        _check_finite(self.t, new, self.m1, self.m2)
-        return new
+        return self._checked(new)
 
 
 class AggMo(Optimizer):
@@ -408,12 +431,14 @@ class AggMo(Optimizer):
             m += grad
             total += m
         np.multiply(lr / len(self.betas), total, out=total)
-        new = np.subtract(theta, total, out=total)
-        _check_finite(self.t, new, *self.m)
-        return new
+        return self._checked(np.subtract(theta, total, out=total))
 
     def state_slots(self):
         return {f"m{i}": m for i, m in enumerate(self.m)}
+
+    def select_rows(self, index) -> None:
+        self.m = [np.atleast_2d(m)[index] for m in self.m]
+        super().select_rows(index)
 
     def hyper(self):
         return {"betas": ",".join(repr(b) for b in self.betas)}
@@ -437,6 +462,8 @@ def switch_optimizer(opt: AdamFamily, cls: type, **params) -> AdamFamily:
         opt.dim, beta1=opt.beta1, beta2=opt.beta2, weight_decay=opt.weight_decay, eps=opt.eps,
         **params,
     )
+    if len(opt.shape) == 2:  # a rows state: every row switches
+        new.select_rows([0] * opt.shape[0])
     if new.m1 is not None and opt.m1 is not None:
         new.m1[...] = opt.m1
     new.nu[...] = opt.nu

@@ -4,13 +4,16 @@ Two 2-D landscapes (a banana valley and a sharp asymmetric valley), a tiny
 tanh MLP with hand-written backprop for regression on synthetic data, and a
 finite-difference gradient checker. Everything is deterministic given
 (theta, batch), and every analytic gradient is validated against central
-differences in the test suite.
+differences in the test suite. The two landscapes also take a ``(K, 2)``
+array, one point per row, and evaluate every row in one call.
 
 :data:`TESTBEDS` maps each ``testbed.kind`` to a factory ``(seed, **params) ->
 (testbed, dataset or None, theta0)``; its keywords are the ``testbed.*`` keys.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -24,44 +27,77 @@ _KEY_INIT = 3
 _KEY_EVAL = 4
 
 
+def _per_point(fn, theta):
+    """``fn(*point)`` in Python floats for one point (a float) or for rows (a list).
+
+    Python floats, because their ``**`` rounds like ``np.float64 ** 2`` (C
+    ``pow``) while an array's ``** 2`` does not on every value. Where
+    Python's ``**`` overflows, the value is inf, as numpy's would be.
+    """
+    values = []
+    for point in np.atleast_2d(theta).tolist():
+        try:
+            values.append(fn(*point))
+        except OverflowError:
+            values.append(math.inf)
+    return values if np.ndim(theta) == 2 else values[0]
+
+
+def _rosenbrock_loss(x1, x2):
+    gap = x2 - x1 * x1
+    return (1.0 - x1) ** 2 + 100.0 * gap * gap
+
+
 @np.errstate(over="ignore", invalid="ignore")
-def rosenbrock(theta) -> tuple[float, np.ndarray]:
+def rosenbrock(theta) -> tuple:
     """Banana-valley function f(x1, x2) = (1-x1)^2 + 100*(x2-x1^2)^2.
 
-    Global minimum at (1, 1). Returns (value, analytic gradient). Overflow on
-    absurd iterates propagates as inf (divergence detection reads this)
-    instead of raising.
+    Global minimum at (1, 1). Returns (value, analytic gradient) of one point,
+    or of each row of a ``(K, 2)`` array: then the values are a list and the
+    gradients rows. Overflow on absurd iterates propagates as inf
+    (divergence detection reads this) instead of raising.
     """
-    x1, x2 = np.float64(theta[0]), np.float64(theta[1])
+    theta = np.asarray(theta, dtype=np.float64)
+    x1, x2 = theta[..., 0], theta[..., 1]
     gap = x2 - x1 * x1
-    loss = (1.0 - x1) ** 2 + 100.0 * gap * gap
-    grad = np.array([-2.0 * (1.0 - x1) - 400.0 * x1 * gap, 200.0 * gap])
-    return float(loss), grad
+    grad = np.empty(theta.shape)
+    grad[..., 0] = -2.0 * (1.0 - x1) - 400.0 * x1 * gap
+    grad[..., 1] = 200.0 * gap
+    return _per_point(_rosenbrock_loss, theta), grad
+
+
+def _valley_loss(x, y):
+    poly = 1.3 * x * x + 2.0 * x + 1.0
+    return 8.0 * (x - 1.0) ** 2 * poly + 0.5 * (y - 4.0) ** 2
+
+
+def _valley_dx(x, y):
+    poly = 1.3 * x * x + 2.0 * x + 1.0
+    return 8.0 * (2.0 * (x - 1.0) * poly + (x - 1.0) ** 2 * (2.6 * x + 2.0))
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def sharp_valley(theta) -> tuple[float, np.ndarray]:
-    """f(x, y) = 8*(x-1)^2*(1.3x^2+2x+1) + 0.5*(y-4)^2.
+def sharp_valley(theta) -> tuple:
+    """f(x, y) = 8*(x-1)^2*(1.3x^2+2x+1) + 0.5*(y-4)^2, of one point or of rows.
 
     Sharp curvature along x, flat along y; minimum at (1, 4).
     """
-    x, y = np.float64(theta[0]), np.float64(theta[1])
-    poly = 1.3 * x * x + 2.0 * x + 1.0
-    loss = 8.0 * (x - 1.0) ** 2 * poly + 0.5 * (y - 4.0) ** 2
-    dx = 8.0 * (2.0 * (x - 1.0) * poly + (x - 1.0) ** 2 * (2.6 * x + 2.0))
-    dy = y - 4.0
-    return float(loss), np.array([dx, dy])
+    theta = np.asarray(theta, dtype=np.float64)
+    grad = np.empty(theta.shape)
+    grad[..., 0] = _per_point(_valley_dx, theta)
+    grad[..., 1] = theta[..., 1] - 4.0
+    return _per_point(_valley_loss, theta), grad
 
 
 class AnalyticTestbed:
-    """2-D objective wrapping a (value, gradient) function."""
+    """2-D objective wrapping a (value, gradient) function of one point or of rows."""
 
     def __init__(self, fn, optimum):
         self._fn = fn
         self.dim = 2
         self.optimum = np.asarray(optimum, dtype=np.float64)
 
-    def loss(self, theta, batch=None) -> float:
+    def loss(self, theta, batch=None):
         return self._fn(theta)[0]
 
     def loss_and_grad(self, theta, batch=None):

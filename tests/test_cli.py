@@ -412,6 +412,13 @@ class TestInputErrorsExitThree:
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {name} must be") and err.count("\n") == 1
 
+    def test_negative_warmup_horizon_names_its_key(self, tmp_path, capsys):
+        path = tmp_path / "neg.cfg"
+        path.write_text(TOY_CFG + "optimizer.t_alpha = -3\n")
+        assert main(["run", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err == "config error: optimizer.t_alpha must be >= 0, got -3\n"
+
     @pytest.mark.parametrize("argv,flag", [
         (["toy", "rosenbrock", "--steps", "abc"], "--steps"),
         (["toy", "rosenbrock", "--beta5", "0.99"], "--beta5"),

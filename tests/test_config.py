@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -602,6 +604,22 @@ class TestSwitchHorizons:
     def test_within_the_run_is_accepted(self):
         cfg = parse_config(with_setting(MLP_TEXT, "switch.t_alpha", "2000"))
         assert cfg.switch.params["t_alpha"] == 2000
+
+
+class TestNegativeHorizons:
+    @pytest.mark.parametrize(
+        "base,key",
+        [
+            (TOY_TEXT, "optimizer.t_alpha"),
+            (TOY_TEXT, "optimizer.t_beta3"),
+            (MLP_TEXT, "switch.t_alpha"),
+            (MLP_TEXT, "switch.t_beta3"),
+            (MLP_TEXT, "lr.total"),
+        ],
+    )
+    def test_is_refused_naming_the_key(self, base, key):
+        with pytest.raises(ConfigError, match=rf"^{re.escape(key)} must be >= 0, got -3$"):
+            parse_config(with_setting(base, key, "-3"))
 
 
 HUGE = "9" * 400

@@ -279,6 +279,29 @@ class TestSweep:
         assert len(sweep.entries) == 3
 
 
+class TestRows:
+    def test_rows_may_differ_only_in_lr(self):
+        cfg = toy_config(steps=10)
+        with pytest.raises(ConfigError, match="differ only in lr"):
+            Experiment(cfg, rows=[cfg, toy_config(steps=10, seed=1)])
+
+    def test_checkpoint_needs_one_row(self):
+        cfg = toy_config(steps=10)
+        exp = Experiment(cfg, rows=[cfg, toy_config(steps=10, lr=1e-2)])
+        exp.run()
+        with pytest.raises(ValueError, match="one row"):
+            exp.checkpoint()
+
+    def test_mlp_rows_are_their_runs(self):
+        rows = [mlp_config(steps=20, lr=lr, extra="run.clip = 0.5") for lr in (1e-3, 1e-2, 1e9)]
+        exp = Experiment(rows[0], rows=rows)
+        exp.run()
+        assert [r.diverged for r in exp.records] == [False, False, True]
+        for cfg, record in zip(rows, exp.records):
+            assert record == run_experiment(cfg)
+            assert format_record_csv(record) == format_record_csv(run_experiment(cfg))
+
+
 class TestEmission:
     def test_empty_record_is_header_only(self):
         record = run_experiment(toy_config(steps=0))

@@ -727,6 +727,84 @@ class TestInPlaceKernels:
         assert opt.t == 0 and all(not buf.any() for buf in opt.state_slots().values())
 
 
+class TestRows:
+    """A ``(K, dim)`` state against each row stepped alone as a 1-D state."""
+
+    @given(
+        st.sampled_from(sorted(STEP_KINDS)),
+        st.integers(1, 4),
+        st.integers(1, 8),
+        st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_each_row_has_the_bits_of_its_1d_run(self, kind, k, dim, data):
+        factory, method, _ = STEP_KINDS[kind]
+        rows = factory(dim)
+        rows.select_rows([0] * k)
+        theta = data.draw(arrays(np.float64, (k, dim), elements=ENTRIES), label="theta")
+        alone = [(factory(dim), row.copy()) for row in theta]
+        alpha_t = data.draw(st.sampled_from([None, 0.0, 2.5]), label="alpha_t")
+        for _ in range(data.draw(st.integers(1, 4), label="steps")):
+            grad = data.draw(arrays(np.float64, (len(theta), dim), elements=ENTRIES), label="grad")
+            lrs = data.draw(
+                st.lists(st.sampled_from([1e-3, 0.5, 1e150]), min_size=len(theta),
+                         max_size=len(theta)),
+                label="lrs",
+            )
+            args = _step_args(kind, rows, alpha_t)
+            new = getattr(rows, method)(theta, grad, np.array(lrs)[:, np.newaxis], *args)
+            ok = rows.finite_rows(new)
+            assert ok.shape == (len(theta),)
+            for i, (opt, one) in enumerate(alone):
+                one_new, diverged = _run(getattr(type(opt), method), opt, one, grad[i], lrs[i], args)
+                assert (diverged is None) == ok[i]
+                if diverged is None:
+                    assert one_new.tobytes() == new[i].tobytes()
+                    assert {n: b[i].tobytes() for n, b in rows.state_slots().items()} == (
+                        _slot_bytes(opt)
+                    )
+                    alone[i] = (opt, one_new)
+            rows.select_rows(ok)
+            theta = new[ok]
+            alone = [pair for pair, good in zip(alone, ok) if good]
+            assert rows.shape == theta.shape and rows.t == opt.t
+            if not alone:
+                break
+
+    @pytest.mark.parametrize("kind", sorted(STEP_KINDS))
+    def test_one_row_saves_the_bytes_of_a_1d_state(self, kind):
+        factory, method, _ = STEP_KINDS[kind]
+        flat, rows = factory(5), factory(5)
+        rows.select_rows([0])
+        theta = make_rng(3).standard_normal(5)
+        flat_theta, rows_theta = theta, theta[np.newaxis]
+        for _ in range(3):
+            args = _step_args(kind, flat, None)
+            flat_theta = getattr(flat, method)(flat_theta, np.sin(flat_theta), 1e-2, *args)
+            rows_theta = getattr(rows, method)(rows_theta, np.sin(rows_theta), 1e-2, *args)
+        assert save_state(rows, extra_slots={"theta": rows_theta}) == save_state(
+            flat, extra_slots={"theta": flat_theta}
+        )
+
+    @pytest.mark.parametrize("theta_shape", [(3, 4), (2, 3), (4,)])
+    def test_shape_mismatch_leaves_state_untouched(self, theta_shape):
+        opt = AdEMAMix(4)
+        opt.select_rows([0, 0])
+        with pytest.raises(ValueError, match="length mismatch"):
+            opt.step(np.zeros(theta_shape), np.ones(theta_shape), 0.1)
+        assert opt.t == 0 and all(not buf.any() for buf in opt.state_slots().values())
+
+    def test_switch_keeps_every_row(self):
+        opt = AdamW(3, weight_decay=0.01)
+        opt.select_rows([0, 0])
+        theta = np.array([[1.0, -2.0, 0.5], [0.25, 3.0, -1.0]])
+        theta = opt.step(theta, np.cos(theta), np.array([[1e-2], [1e-3]]))
+        new = switch_optimizer(opt, AdEMAMix, beta3=0.99, alpha=2.0)
+        assert new.shape == (2, 3) and new.m2.shape == (2, 3) and new.t == opt.t
+        assert new.m1.tobytes() == opt.m1.tobytes() and new.nu.tobytes() == opt.nu.tobytes()
+        new.step(theta, np.cos(theta), np.array([[1e-2], [1e-3]]))
+
+
 class TestSaveStateBytes:
     @pytest.mark.parametrize("kind", sorted(STEP_KINDS))
     def test_bytes_equal_the_old_serializer(self, kind):

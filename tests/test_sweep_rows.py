@@ -12,7 +12,6 @@ optimizer keys, a switch, preseeded momentum and an MLP grid.
 import hashlib
 
 import pytest
-
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -24,6 +23,7 @@ from emx.harness import (
     run_experiment,
     run_sweep,
 )
+from emx.optimizers import AdamFamily
 
 STEPS = 300
 LRS = [0.0003, 0.001, 0.003, 0.01, 0.03]
@@ -327,3 +327,20 @@ def test_every_record_is_the_point_run_alone(
         alone = run_experiment(alone)
         assert format_record_csv(record) == format_record_csv(alone)
         assert record == alone
+
+
+def test_a_grid_takes_one_step_call_per_step(monkeypatch):
+    calls = []
+    step = AdamFamily.step
+
+    def counted(self, *args):
+        calls.append(self.shape)
+        return step(self, *args)
+
+    monkeypatch.setattr(AdamFamily, "step", counted)
+    result = run_sweep(_constant("rosenbrock", "adamw", steps=300), {"lr.value": LRS})
+    assert len(calls) == 300 and set(calls) == {(5, 2)}
+    assert [r.final_step for r in result.records] == [300] * 5
+    calls.clear()
+    run_experiment(_constant("rosenbrock", "adamw", steps=300))
+    assert len(calls) == 300 and set(calls) == {(1, 2)}
