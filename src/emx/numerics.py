@@ -12,6 +12,8 @@ rounds like the same scalar. Reductions are taken per row with
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -42,7 +44,7 @@ def l2_norm(a: np.ndarray) -> float:
     the floating-point flags: a square sum that overflows is a quiet ``inf``,
     not a ``RuntimeWarning``.
     """
-    return float(np.sqrt(np.vdot(a, a)))
+    return math.sqrt(np.vdot(a, a))
 
 
 def row_norms(rows: np.ndarray) -> list:

@@ -27,28 +27,35 @@ _KEY_INIT = 3
 _KEY_EVAL = 4
 
 
-def _per_point(fn, theta):
-    """``fn(*point)`` in Python floats for one point (a float) or for rows (a list).
-
-    Python floats, because their ``**`` rounds like ``np.float64 ** 2`` (C
-    ``pow``) while an array's ``** 2`` does not on every value. Where
-    Python's ``**`` overflows, the value is inf, as numpy's would be.
-    """
-    values = []
-    for point in np.atleast_2d(theta).tolist():
-        try:
-            values.append(fn(*point))
-        except OverflowError:
-            values.append(math.inf)
-    return values if np.ndim(theta) == 2 else values[0]
+def _square(v: float) -> float:
+    """``v ** 2`` by C ``pow``, which rounds like ``np.float64 ** 2`` (an
+    array's ``** 2`` does not on every value); inf where Python's ``**``
+    raises on overflow, as numpy's would give."""
+    try:
+        return v**2
+    except OverflowError:
+        return math.inf
 
 
-def _rosenbrock_loss(x1, x2):
+def _landscape(point_fn, theta) -> tuple:
+    """``(value, gradient)`` of one point, or of each row of a ``(K, 2)``
+    array (then the values are a list), from ``point_fn(x, y) -> (value, dx,
+    dy)``. Each point is evaluated in Python floats, whose ``+ - *`` round
+    like numpy's, so a row gets the bits it would get alone."""
+    points = np.atleast_2d(np.asarray(theta, dtype=np.float64)).tolist()
+    values = [point_fn(*point) for point in points]
+    grad = np.array([v[1:] for v in values])
+    if np.ndim(theta) == 1:
+        return values[0][0], grad[0]
+    return [v[0] for v in values], grad
+
+
+def _rosenbrock_point(x1, x2):
     gap = x2 - x1 * x1
-    return (1.0 - x1) ** 2 + 100.0 * gap * gap
+    loss = _square(1.0 - x1) + 100.0 * gap * gap
+    return loss, -2.0 * (1.0 - x1) - 400.0 * x1 * gap, 200.0 * gap
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def rosenbrock(theta) -> tuple:
     """Banana-valley function f(x1, x2) = (1-x1)^2 + 100*(x2-x1^2)^2.
 
@@ -57,36 +64,22 @@ def rosenbrock(theta) -> tuple:
     gradients rows. Overflow on absurd iterates propagates as inf
     (divergence detection reads this) instead of raising.
     """
-    theta = np.asarray(theta, dtype=np.float64)
-    x1, x2 = theta[..., 0], theta[..., 1]
-    gap = x2 - x1 * x1
-    grad = np.empty(theta.shape)
-    grad[..., 0] = -2.0 * (1.0 - x1) - 400.0 * x1 * gap
-    grad[..., 1] = 200.0 * gap
-    return _per_point(_rosenbrock_loss, theta), grad
+    return _landscape(_rosenbrock_point, theta)
 
 
-def _valley_loss(x, y):
+def _valley_point(x, y):
     poly = 1.3 * x * x + 2.0 * x + 1.0
-    return 8.0 * (x - 1.0) ** 2 * poly + 0.5 * (y - 4.0) ** 2
+    square = _square(x - 1.0)
+    loss = 8.0 * square * poly + 0.5 * _square(y - 4.0)
+    return loss, 8.0 * (2.0 * (x - 1.0) * poly + square * (2.6 * x + 2.0)), y - 4.0
 
 
-def _valley_dx(x, y):
-    poly = 1.3 * x * x + 2.0 * x + 1.0
-    return 8.0 * (2.0 * (x - 1.0) * poly + (x - 1.0) ** 2 * (2.6 * x + 2.0))
-
-
-@np.errstate(over="ignore", invalid="ignore")
 def sharp_valley(theta) -> tuple:
     """f(x, y) = 8*(x-1)^2*(1.3x^2+2x+1) + 0.5*(y-4)^2, of one point or of rows.
 
     Sharp curvature along x, flat along y; minimum at (1, 4).
     """
-    theta = np.asarray(theta, dtype=np.float64)
-    grad = np.empty(theta.shape)
-    grad[..., 0] = _per_point(_valley_dx, theta)
-    grad[..., 1] = theta[..., 1] - 4.0
-    return _per_point(_valley_loss, theta), grad
+    return _landscape(_valley_point, theta)
 
 
 class AnalyticTestbed:
