@@ -25,7 +25,7 @@ from .config import (
     format_sections,
     parse_config,
 )
-from .numerics import global_norm_clip, l2_norm, row_norms
+from .numerics import finite_rows, global_norm_clip, l2_norm, row_norms
 from .optimizers import OPTIMIZERS, preseed_momentum, switch_optimizer
 from .schedules import LR_SCHEDULES, finite_number, step_count
 from .testbeds import TESTBEDS
@@ -205,8 +205,10 @@ class Experiment:
             batch = self._heldout_batch
         else:
             batch = self.dataset.batch(t)
-        pairs = [self.testbed.loss_and_grad(theta, batch) for theta in self.theta]
-        return np.array([loss for loss, _ in pairs]), np.stack([grad for _, grad in pairs])
+        losses, grad = np.empty(len(self.theta)), np.empty(self.theta.shape)
+        for i, theta in enumerate(self.theta):
+            losses[i], grad[i] = self.testbed.loss_and_grad(theta, batch)
+        return losses, grad
 
     def _drop(self, ok: np.ndarray, t: int, *arrays) -> list:
         """Record each live row not ``ok`` as diverged at step ``t`` and take it
@@ -232,19 +234,20 @@ class Experiment:
         self._maybe_switch()
         t = self.opt.t + 1
         losses, grad = self._loss_and_grad(t)
-        ok = np.isfinite(losses) & np.isfinite(grad).all(axis=1)
-        if not ok.all():
+        ok = finite_rows(losses[:, np.newaxis], grad)
+        if ok is not None:
             losses, grad = self._drop(ok, t, losses, grad)
             if not self._live:
                 return
         if cfg.clip is not None:
-            for i, row in enumerate(grad):
-                grad[i] = global_norm_clip(row, cfg.clip)
+            for row in grad:
+                if (clipped := global_norm_clip(row, cfg.clip)) is not row:
+                    row[...] = clipped
         lr = np.array([row.lr.at(t) for row in self._live])[:, np.newaxis]
         args = self.opt.schedule_args(t)
         new = self.opt.step(self.theta, grad, lr, *args)
-        ok = self.opt.finite_rows(new)
-        if not ok.all():
+        ok = finite_rows(new, *self.opt.state_slots().values())
+        if ok is not None:
             losses, lr, new = self._drop(ok, t, losses, lr, new)
 
         old, self.theta = self.theta, new

@@ -56,6 +56,18 @@ def row_norms(rows: np.ndarray) -> list:
     return [l2_norm(row) for row in rows]
 
 
+def finite_rows(*arrays: np.ndarray) -> np.ndarray | None:
+    """``None`` if every value of ``arrays`` is finite; else, per row (the
+    last axis reduced; a scalar for 1-D arrays), whether every array is
+    finite there."""
+    if all(np.isfinite(a).all() for a in arrays):  # the common case, one pass each
+        return None
+    ok = np.isfinite(arrays[0]).all(axis=-1)
+    for a in arrays[1:]:
+        ok &= np.isfinite(a).all(axis=-1)
+    return ok
+
+
 def _norm_parts(g: np.ndarray) -> tuple[float, float]:
     """``(n, peak)`` with ``|g| = n * peak``: ``peak`` is 1.0 unless the dot
     product overflows, then ``max|g|`` and ``n`` is the norm of ``g / peak``."""

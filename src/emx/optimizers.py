@@ -26,8 +26,8 @@ A state is 1-D, ``(dim,)``, as built, or ``(K, dim)`` after
 with the learning rate a ``(K, 1)`` column (the other step arguments are
 shared). Every operation is elementwise, so each row gets the bits it would
 get stepped alone. A non-finite 1-D state raises :class:`DivergenceError`;
-a rows step returns and leaves its non-finite rows, which
-:meth:`Optimizer.finite_rows` finds, for the caller to drop.
+a rows step returns and leaves its non-finite rows for the caller to find
+(:func:`emx.numerics.finite_rows` of the result and the slots) and drop.
 
 Step functions take the learning rate (and the warmed-up ``alpha``/slow
 decays) from the caller. :meth:`Optimizer.schedule_args` gives those values
@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .numerics import DivergenceError, zeros
+from .numerics import DivergenceError, finite_rows, zeros
 from .schedules import HalfLifeLinearWarmup, LinearWarmup, finite_number, step_count
 
 
@@ -129,13 +129,6 @@ class Optimizer:
                 setattr(self, name, np.atleast_2d(buf)[index])
         self.shape = next(iter(self.state_slots().values())).shape
 
-    def finite_rows(self, new) -> np.ndarray:
-        """Per row (a scalar for a 1-D state): are ``new`` and every slot finite?"""
-        ok = np.isfinite(new).all(axis=-1)
-        for buf in self.state_slots().values():
-            ok &= np.isfinite(buf).all(axis=-1)
-        return ok
-
     def _begin(self, theta, grad) -> np.ndarray:
         """Check both shapes against the state's, count the step and return the
         array the new ``theta`` is written to, the step's one allocation."""
@@ -149,7 +142,7 @@ class Optimizer:
 
     def _checked(self, new) -> np.ndarray:
         """``new``; a non-finite 1-D state raises, rows are left to the caller."""
-        if new.ndim == 1 and not self.finite_rows(new):
+        if new.ndim == 1 and finite_rows(new, *self.state_slots().values()) is not None:
             raise DivergenceError(f"non-finite value after update step {self.t}", step=self.t)
         return new
 

@@ -10,7 +10,7 @@ from hypothesis.extra.numpy import arrays
 
 from emx.checkpoint import MAGIC, VERSION, load_state, save_state
 from emx.config import _format_scalar
-from emx.numerics import DivergenceError, check_same_length, make_rng
+from emx.numerics import DivergenceError, check_same_length, finite_rows, make_rng
 from emx.optimizers import (
     OPTIMIZERS,
     Ad3EMAMix,
@@ -753,7 +753,8 @@ class TestRows:
             )
             args = _step_args(kind, rows, alpha_t)
             new = getattr(rows, method)(theta, grad, np.array(lrs)[:, np.newaxis], *args)
-            ok = rows.finite_rows(new)
+            ok = finite_rows(new, *rows.state_slots().values())
+            ok = np.ones(len(theta), dtype=bool) if ok is None else ok
             assert ok.shape == (len(theta),)
             for i, (opt, one) in enumerate(alone):
                 one_new, diverged = _run(getattr(type(opt), method), opt, one, grad[i], lrs[i], args)
