@@ -146,6 +146,8 @@ class Experiment:
     ):
         if rows is None:
             rows = [cfg]
+        elif not rows:
+            raise ConfigError("an experiment needs at least one row")
         elif any(_without_lr(point) != _without_lr(cfg) for point in rows):
             raise ConfigError("the rows of an experiment may differ only in lr.* values")
         self.cfg = cfg
@@ -213,12 +215,13 @@ class Experiment:
     def _drop(self, ok: np.ndarray, t: int, *arrays) -> list:
         """Record each live row not ``ok`` as diverged at step ``t`` and take it
         out of the state; return ``arrays`` without those rows."""
-        for row, good in zip(self._live, ok.tolist()):
+        keep = ok.tolist()
+        for row, good in zip(self._live, keep):
             if not good:
                 rec = row.record
                 rec.status, rec.diverged_step, rec.final_step = "diverged", t, t - 1
                 rec.final_loss = math.inf
-        self._live = [row for row, good in zip(self._live, ok.tolist()) if good]
+        self._live = [row for row, good in zip(self._live, keep) if good]
         self.theta = self.theta[ok]
         self.opt.select_rows(ok)
         return [a[ok] for a in arrays]

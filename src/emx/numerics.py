@@ -1,4 +1,4 @@
-"""Flat float64 vector arithmetic, deterministic RNG, and gradient clipping.
+"""Float64 vector and row arithmetic, deterministic RNG, and gradient clipping.
 
 Parameter vectors, gradients, and optimizer state slots are plain float64
 ``numpy`` arrays: a 1-D vector for one point, or a ``(K, dim)`` array with

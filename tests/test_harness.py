@@ -284,6 +284,8 @@ class TestRows:
         cfg = toy_config(steps=10)
         with pytest.raises(ConfigError, match="differ only in lr"):
             Experiment(cfg, rows=[cfg, toy_config(steps=10, seed=1)])
+        with pytest.raises(ConfigError, match="at least one row"):
+            Experiment(cfg, rows=[])
 
     def test_checkpoint_needs_one_row(self):
         cfg = toy_config(steps=10)
