@@ -25,7 +25,7 @@ from .config import (
     format_sections,
     parse_config,
 )
-from .numerics import finite_rows, global_norm_clip, l2_norm, row_norms
+from .numerics import finite_rows, global_norm_clip, row_norms
 from .optimizers import OPTIMIZERS, preseed_momentum, switch_optimizer
 from .schedules import LR_SCHEDULES, finite_number, step_count
 from .testbeds import TESTBEDS
@@ -120,8 +120,8 @@ class Experiment:
 
     ``rows`` are configs equal to ``cfg`` except for their ``lr.*`` values
     (default: ``cfg`` alone). Each is one row of ``theta`` and of every
-    optimizer slot, and all rows advance together: one testbed call (an MLP
-    evaluates row by row) and one optimizer step per step, with the learning
+    optimizer slot, and all rows advance together: one batch, one testbed
+    call and one optimizer step per step, on any testbed, with the learning
     rate a ``(K, 1)`` column of each row's own schedule. Every operation on
     a row is elementwise and every reduction is taken per row, so each
     row's record has the bytes of the point run alone. A row whose loss,
@@ -192,25 +192,22 @@ class Experiment:
 
         self._heldout_batch = self.dataset.heldout_batch() if self.dataset else None
         if self.track_heldout and self.opt.t == 0:
-            for row, loss in zip(self._live, self._losses(self._heldout_batch)):
+            for row, loss in zip(self._live, self.testbed.loss(self.theta, self._heldout_batch)):
                 row.heldout.append((0, loss))
-
-    def _losses(self, batch) -> list:
-        return [self.testbed.loss(theta, batch) for theta in self.theta]
 
     def _loss_and_grad(self, t: int):
         """Every live row's loss (an array) and gradient (rows) at step ``t``."""
-        if self.dataset is None:  # an analytic testbed evaluates every row in one pass
-            losses, grad = self.testbed.loss_and_grad(self.theta)
-            return np.array(losses), grad
         if t == self.inject_heldout_at:
             batch = self._heldout_batch
         else:
-            batch = self.dataset.batch(t)
-        losses, grad = np.empty(len(self.theta)), np.empty(self.theta.shape)
-        for i, theta in enumerate(self.theta):
-            losses[i], grad[i] = self.testbed.loss_and_grad(theta, batch)
-        return losses, grad
+            batch = self.dataset.batch(t) if self.dataset else None
+        losses, grad = self.testbed.loss_and_grad(self.theta, batch)
+        return np.array(losses), grad
+
+    def _distances(self) -> list:
+        """Each live row's distance to the optimum; ``None`` without one."""
+        optimum = self.testbed.optimum
+        return [None] * len(self.theta) if optimum is None else row_norms(self.theta - optimum)
 
     def _drop(self, ok: np.ndarray, t: int, *arrays) -> list:
         """Record each live row not ``ok`` as diverged at step ``t`` and take it
@@ -256,16 +253,14 @@ class Experiment:
         old, self.theta = self.theta, new
         heldout = [None] * len(new)
         if self.track_heldout:
-            heldout = self._losses(self._heldout_batch)
+            heldout = self.testbed.loss(self.theta, self._heldout_batch)
             for row, loss in zip(self._live, heldout):
                 row.heldout.append((t, loss))
         if t % cfg.cadence == 0:
-            update_norms = row_norms(new - old)
-            optimum = self.testbed.optimum
-            dists = [None] * len(new) if optimum is None else row_norms(new - optimum)
             alpha, beta3 = args[:2] if args else (None, None)
             for row, loss, dist, eta, update_norm, held in zip(
-                self._live, losses.tolist(), dists, lr[:, 0].tolist(), update_norms, heldout
+                self._live, losses.tolist(), self._distances(), lr[:, 0].tolist(),
+                row_norms(new - old), heldout,
             ):
                 row.record.rows.append(
                     RunRow(t, loss, dist, eta, alpha, beta3, update_norm, held)
@@ -280,12 +275,11 @@ class Experiment:
         if self._live:
             self._maybe_switch()
             eval_batch = self.dataset.eval_batch() if self.dataset is not None else None
-            optimum = self.testbed.optimum
-            for row, loss, theta in zip(self._live, self._losses(eval_batch), self.theta):
+            losses = self.testbed.loss(self.theta, eval_batch)
+            for row, loss, dist in zip(self._live, losses, self._distances()):
                 row.record.final_step = self.opt.t
                 row.record.final_loss = loss
-                if optimum is not None:
-                    row.record.final_distance = l2_norm(theta - optimum)
+                row.record.final_distance = dist
         return self.record
 
     def checkpoint(self) -> bytes:
@@ -394,9 +388,9 @@ def run_sweep(cfg: ExperimentConfig, grid: dict) -> SweepResult:
     """Run the cartesian product of ``grid`` (dotted key -> list of values).
 
     Points whose configs are equal except for ``lr.*`` values run as the
-    rows of one :class:`Experiment` when their testbed is analytic; an MLP
-    point runs alone, as its rows would share no more than the optimizer
-    step. Either way every record has the bytes of the point run alone.
+    rows of one :class:`Experiment`, on every testbed: they share each
+    step's batch, testbed call and optimizer step, and every record has the
+    bytes of the point run alone.
     Divergence in one grid point is recorded as a flag and never aborts or
     perturbs sibling runs; every run uses the base config seed so duplicate
     grid points produce identical records.
@@ -415,8 +409,7 @@ def run_sweep(cfg: ExperimentConfig, grid: dict) -> SweepResult:
         for key, value in overrides.items():
             point = apply_override(point, key, value)
         points.append((overrides, point))
-        shared = _without_lr(point) if point.testbed != "mlp" else index
-        groups.setdefault(shared, []).append(index)
+        groups.setdefault(_without_lr(point), []).append(index)
 
     records = [None] * len(points)
     for members in groups.values():
@@ -430,7 +423,7 @@ def run_sweep(cfg: ExperimentConfig, grid: dict) -> SweepResult:
         SweepEntry(
             index=index,
             overrides=overrides,
-            final_loss=record.final_loss if not record.diverged else math.inf,
+            final_loss=record.final_loss,
             best_loss=record.best_loss(),
             diverged=record.diverged,
         )
@@ -439,19 +432,16 @@ def run_sweep(cfg: ExperimentConfig, grid: dict) -> SweepResult:
     return SweepResult(entries=entries, records=records)
 
 
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+def _csv(header, rows) -> str:
+    """CSV text: a header line, then one line per row; a cell is ``""`` for
+    ``None``, else ``str`` of the value (for a float, its ``repr``)."""
+    lines = [",".join(header)]
+    lines += [",".join(["" if v is None else str(v) for v in row]) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def format_record_csv(record: RunRecord) -> str:
-    lines = [",".join(RECORD_COLUMNS)]
-    for row in record.rows:
-        lines.append(",".join(_cell(v) for v in row))
-    return "\n".join(lines) + "\n"
+    return _csv(RECORD_COLUMNS, record.rows)
 
 
 def format_record_jsonl(record: RunRecord) -> str:
@@ -459,26 +449,17 @@ def format_record_jsonl(record: RunRecord) -> str:
 
 
 def format_sweep_csv(result: SweepResult) -> str:
-    if not result.entries:
-        return "index,final_loss,best_loss,diverged\n"
-    keys = list(result.entries[0].overrides.keys())
-    header = ["index", *keys, "final_loss", "best_loss", "diverged"]
-    lines = [",".join(header)]
-    for entry in result.summary():
-        cells = [str(entry.index)]
-        cells += [_cell(entry.overrides[k]) for k in keys]
-        cells.append(_cell(entry.final_loss))
-        cells.append(_cell(entry.best_loss))
-        cells.append("true" if entry.diverged else "false")
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    keys = list(result.entries[0].overrides) if result.entries else []
+    rows = (
+        (e.index, *[e.overrides[k] for k in keys], e.final_loss, e.best_loss,
+         "true" if e.diverged else "false")
+        for e in result.summary()
+    )
+    return _csv(["index", *keys, "final_loss", "best_loss", "diverged"], rows)
 
 
 def format_series_csv(series, columns=("step", "value")) -> str:
-    lines = [",".join(columns)]
-    for step, value in series:
-        lines.append(f"{step},{_cell(float(value))}")
-    return "\n".join(lines) + "\n"
+    return _csv(columns, ((step, float(value)) for step, value in series))
 
 
 def write_text(path: str, text: str) -> None:

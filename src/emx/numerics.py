@@ -28,10 +28,6 @@ class DivergenceError(ArithmeticError):
         self.step = step
 
 
-def zeros(n: int) -> np.ndarray:
-    return np.zeros(n, dtype=np.float64)
-
-
 def check_same_length(a: np.ndarray, b: np.ndarray) -> None:
     if len(a) != len(b):
         raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")

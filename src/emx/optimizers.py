@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .numerics import DivergenceError, finite_rows, zeros
+from .numerics import DivergenceError, finite_rows
 from .schedules import HalfLifeLinearWarmup, LinearWarmup, finite_number, step_count
 
 
@@ -172,10 +172,10 @@ class AdamFamily(Optimizer):
         if self.alpha < 0:
             raise ValueError(f"alpha must be >= 0, got {self.alpha}")
         slow = [getattr(self, name) for name in ("beta3", "beta4") if name in self.defaults]
-        self.m1 = zeros(self.dim)
-        self.m2 = zeros(self.dim) if slow else None
-        self.m3 = zeros(self.dim) if len(slow) == 2 else None
-        self.nu = zeros(self.dim)
+        self.m1 = np.zeros(self.dim)
+        self.m2 = np.zeros(self.dim) if slow else None
+        self.m3 = np.zeros(self.dim) if len(slow) == 2 else None
+        self.nu = np.zeros(self.dim)
         self._scratch = np.empty(self.dim)
         if slow:
             if self.beta_start is None:
@@ -337,7 +337,7 @@ class Lion(Optimizer):
             raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
         if not 0.0 <= self.beta < 1.0:
             raise ValueError(f"beta must be in [0, 1), got {self.beta}")
-        self.m = zeros(self.dim)
+        self.m = np.zeros(self.dim)
         self._scratch = np.empty(self.dim)
 
     @np.errstate(over="ignore", invalid="ignore")
@@ -371,8 +371,8 @@ class AdMetaS(Optimizer):
             raise ValueError(f"beta1 must be in (0, 1), got {self.beta1}")
         if not 0.0 <= self.beta2 < 1.0:
             raise ValueError(f"beta2 must be in [0, 1), got {self.beta2}")
-        self.m1 = zeros(self.dim)
-        self.m2 = zeros(self.dim)
+        self.m1 = np.zeros(self.dim)
+        self.m2 = np.zeros(self.dim)
         self._scratch = np.empty(self.dim)
 
     @property
@@ -413,7 +413,7 @@ class AggMo(Optimizer):
         for b in self.betas:
             if not 0.0 <= b < 1.0:
                 raise ValueError(f"momentum coefficients must be in [0, 1), got {b}")
-        self.m = [zeros(self.dim) for _ in self.betas]
+        self.m = [np.zeros(self.dim) for _ in self.betas]
 
     @np.errstate(over="ignore", invalid="ignore")
     def step(self, theta: np.ndarray, grad: np.ndarray, lr: float) -> np.ndarray:

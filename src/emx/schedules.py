@@ -69,7 +69,6 @@ class ConstantSchedule:
 class LinearWarmup:
     """Linear ramp from 0 to ``final`` over ``horizon`` steps, then constant."""
 
-    kind: ClassVar[str] = "linear_warmup_alpha"
     final: float
     horizon: int
 
@@ -94,7 +93,6 @@ class HalfLifeLinearWarmup:
     With ``horizon == 0`` it is constant at ``final``, which may then be 0.
     """
 
-    kind: ClassVar[str] = "beta3_thalf"
     final: float
     start: float
     horizon: int

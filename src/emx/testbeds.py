@@ -4,8 +4,9 @@ Two 2-D landscapes (a banana valley and a sharp asymmetric valley), a tiny
 tanh MLP with hand-written backprop for regression on synthetic data, and a
 finite-difference gradient checker. Everything is deterministic given
 (theta, batch), and every analytic gradient is validated against central
-differences in the test suite. The two landscapes also take a ``(K, 2)``
-array, one point per row, and evaluate every row in one call.
+differences in the test suite. Every testbed's ``loss`` and ``loss_and_grad``
+also take a ``(K, dim)`` array, one point per row, and evaluate every row in
+one call, each with the bits it would get alone.
 
 :data:`TESTBEDS` maps each ``testbed.kind`` to a factory ``(seed, **params) ->
 (testbed, dataset or None, theta0)``; its keywords are the ``testbed.*`` keys.
@@ -155,13 +156,30 @@ class TinyMlp:
     def forward(self, theta: np.ndarray, inputs: np.ndarray) -> np.ndarray:
         return self._layers_and_activations(theta, inputs)[1][-1]
 
-    def loss(self, theta, batch) -> float:
-        inputs, targets = batch
-        pred = self.forward(theta, inputs)
-        return float(np.mean((pred - targets) ** 2))
+    def loss(self, theta, batch):
+        """The loss of one point, or the list of each row's loss."""
+        if np.ndim(theta) == 2:
+            return [self._loss(row, batch) for row in theta]
+        return self._loss(theta, batch)
 
     @np.errstate(over="ignore", invalid="ignore")
+    def _loss(self, theta, batch) -> float:
+        inputs, targets = batch
+        pred = self._layers_and_activations(theta, inputs)[1][-1]
+        return float(np.mean((pred - targets) ** 2))
+
     def loss_and_grad(self, theta, batch):
+        """``(loss, gradient)`` of one point, or of each row of a ``(K, dim)``
+        array (then the losses are a list and the gradients rows). Each row is
+        its own forward and backward pass, never one stacked matmul, so it
+        gets the bits it would get alone."""
+        if np.ndim(theta) == 1:
+            return self._loss_and_grad(theta, batch)
+        pairs = [self._loss_and_grad(row, batch) for row in theta]
+        return [loss for loss, _ in pairs], np.array([grad for _, grad in pairs])
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def _loss_and_grad(self, theta, batch):
         inputs, targets = batch
         if inputs.shape[1] != self.layer_dims[0]:
             raise ValueError(

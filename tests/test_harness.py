@@ -340,6 +340,12 @@ class TestEmission:
         assert lines[0] == "index,lr.value,final_loss,best_loss,diverged"
         assert len(lines) == 3
 
+    def test_numpy_grid_value_is_written_as_its_digits(self):
+        numpy_grid = run_sweep(toy_config(steps=10), {"lr.value": [np.float64(0.001), 0.002]})
+        python_grid = run_sweep(toy_config(steps=10), {"lr.value": [0.001, 0.002]})
+        text = format_sweep_csv(numpy_grid)
+        assert "np." not in text and text == format_sweep_csv(python_grid)
+
 
 def kind_config(kind, optimizer_lines="", steps=100, extra=""):
     return parse_config(

@@ -24,6 +24,7 @@ from emx.harness import (
     run_sweep,
 )
 from emx.optimizers import AdamFamily
+from emx.testbeds import TinyMlp
 
 STEPS = 300
 LRS = [0.0003, 0.001, 0.003, 0.01, 0.03]
@@ -344,3 +345,7 @@ def test_a_grid_takes_one_step_call_per_step(monkeypatch):
     calls.clear()
     run_experiment(_constant("rosenbrock", "adamw", steps=300))
     assert len(calls) == 300 and set(calls) == {(1, 2)}
+    calls.clear()
+    result = run_sweep(MLP, {"lr.eta_max": [0.001, 0.003, 0.01]})
+    assert len(calls) == MLP.steps and set(calls) == {(3, TinyMlp((8, 16, 1)).dim)}
+    assert [r.final_step for r in result.records] == [MLP.steps] * 3

@@ -5,6 +5,7 @@ import pytest
 
 from emx.numerics import make_rng
 from emx.testbeds import (
+    TESTBEDS,
     SyntheticDataset,
     TinyMlp,
     finite_difference_grad,
@@ -137,6 +138,21 @@ class TestTinyMlp:
         theta = mlp.init_params(rng)
         batch = (rng.standard_normal((5, 4)), rng.standard_normal((5, 2)))
         assert mlp.loss_and_grad(theta, batch)[0] == mlp.loss(theta, batch)
+
+
+@pytest.mark.parametrize("kind", sorted(TESTBEDS))
+def test_rows_have_the_bits_of_each_row_alone(kind):
+    testbed, dataset, theta0 = TESTBEDS[kind](4)
+    batch = dataset.batch(1) if dataset else None
+    rows = np.stack([theta0, theta0 * 0.5 - 0.25, np.full(theta0.shape, 1e200), -theta0])
+    losses, grad = testbed.loss_and_grad(rows, batch)
+    alone = [testbed.loss_and_grad(row, batch) for row in rows]
+    assert np.array(losses).tobytes() == np.array([loss for loss, _ in alone]).tobytes()
+    assert grad.shape == rows.shape
+    assert grad.tobytes() == np.array([g for _, g in alone]).tobytes()
+    assert not np.isfinite(grad[2]).all()
+    row_losses = np.array(testbed.loss(rows, batch))
+    assert row_losses.tobytes() == np.array([testbed.loss(r, batch) for r in rows]).tobytes()
 
 
 def _batch_digest(batch):
