@@ -26,6 +26,7 @@ import numpy as np
 
 from . import optimizers
 from .config import _format_scalar
+from .schedules import integer
 
 MAGIC = b"EMXCKPT1"
 VERSION = 1
@@ -147,7 +148,8 @@ def restore_optimizer(ck: CheckpointData):
     One path serves every registered kind: a fresh instance's ``hyper()``
     names the keys and their types, the constructor takes its ``keywords()``
     and the rest is set afterwards, then each ``state_slots()`` buffer is
-    filled. Bad content raises :class:`CheckpointFormatError`. Extra slots
+    filled. ``hyper_state`` (``sched_offset``) is a step in ``[0, step]``.
+    Bad content raises :class:`CheckpointFormatError`. Extra slots
     (e.g. ``theta``) are left in ``ck.slots`` untouched.
     """
     variant = ck.hyper.get("variant")
@@ -164,10 +166,10 @@ def restore_optimizer(ck: CheckpointData):
     dim = len(ck.slots.get(next(iter(proto.state_slots())), ()))
     try:
         opt = cls(dim, **{key: hyper.pop(key) for key in cls.keywords()})
+        for key, value in hyper.items():
+            setattr(opt, key, integer(key, value, 0, ck.step))
     except ValueError as exc:
         raise CheckpointFormatError(f"invalid {variant} hyperparameters: {exc}") from exc
-    for key, value in hyper.items():
-        setattr(opt, key, value)
     for name in opt.slot_names:  # an optional buffer (lean AdEMAMix's m1) the state kept
         if getattr(opt, name) is None and name in ck.slots:
             setattr(opt, name, np.zeros(dim))

@@ -22,13 +22,12 @@ explicitly.
 from __future__ import annotations
 
 import inspect
-import math
 import re
 import sys
 from dataclasses import dataclass, field, fields
 
 from .optimizers import OPTIMIZERS, SWITCHES
-from .schedules import LR_SCHEDULES
+from .schedules import LR_SCHEDULES, finite_number, integer
 from .testbeds import TESTBEDS
 
 
@@ -167,6 +166,15 @@ def _kind_and_params(sections: dict, section: str, keys_by_kind: dict, what: str
 
 
 def config_from_sections(sections: dict) -> ExperimentConfig:
+    """Check a section view and build its config; raises :class:`ConfigError`
+    on any problem, including a value the shared readers refuse."""
+    try:
+        return _read_sections(sections)
+    except ValueError as exc:  # from a reader in emx.schedules, naming its key
+        raise ConfigError(str(exc)) from None
+
+
+def _read_sections(sections: dict) -> ExperimentConfig:
     known_sections = {"testbed", "optimizer", "lr", "run", "switch", "forget"}
     for section in sections:
         if section not in known_sections:
@@ -191,10 +199,10 @@ def config_from_sections(sections: dict) -> ExperimentConfig:
         sized = isinstance(default, tuple)
         size = type(default[0] if sized else default) is int  # a width or count: int >= 1
         for v in value if sized and isinstance(value, list) else [value]:
-            bad = type(v) is not int and (size or not isinstance(v, float) or not math.isfinite(v))
-            if bad or size and v < 1:
-                what = "positive integers" if size else "finite numbers"
-                raise ConfigError(f"testbed.{key} must be {what}, got {value!r}")
+            if size:
+                integer(f"testbed.{key}", v, 1)
+            else:
+                finite_number(f"testbed.{key}", v)
 
     for section, allowed in (("run", _RUN_KEYS), ("forget", _FORGET_KEYS)):
         for key in sections.get(section, {}):
@@ -202,23 +210,14 @@ def config_from_sections(sections: dict) -> ExperimentConfig:
                 raise ConfigError(f"unknown key {section}.{key}")
     if "steps" not in run_sec:
         raise ConfigError("run.steps is required")
-    steps = run_sec["steps"]
-    if not isinstance(steps, int) or steps < 0:
-        raise ConfigError(f"run.steps must be a non-negative integer, got {steps!r}")
-
-    seed = run_sec.get("seed", 0)
-    if not isinstance(seed, int) or seed < 0:
-        raise ConfigError(f"run.seed must be a non-negative integer, got {seed!r}")
-
-    cadence = run_sec.get("cadence", 10 if testbed == "mlp" else 1)
-    if not isinstance(cadence, int) or cadence < 1:
-        raise ConfigError(f"run.cadence must be a positive integer, got {cadence!r}")
-
+    steps = integer("run.steps", run_sec["steps"])
+    seed = integer("run.seed", run_sec.get("seed", 0))
+    cadence = integer("run.cadence", run_sec.get("cadence", 10 if testbed == "mlp" else 1), 1)
     clip = run_sec.get("clip")
     if clip is not None:
-        if not isinstance(clip, (int, float)) or not clip > 0:
+        clip = finite_number("run.clip", clip)
+        if clip <= 0:
             raise ConfigError(f"run.clip must be a positive number, got {clip!r}")
-        clip = float(clip)
 
     constant_after = run_sec.get("constant_after", False)
     if not isinstance(constant_after, bool):
@@ -239,9 +238,7 @@ def config_from_sections(sections: dict) -> ExperimentConfig:
         if target is None or to != target.variant:
             allowed = ", ".join(f"{a.variant} -> {b.variant}" for a, b in SWITCHES.items())
             raise ConfigError(f"switch.to = {to!r} from {optimizer} is not one of: {allowed}")
-        at = switch_sec.pop("at", None)
-        if not isinstance(at, int) or not 0 <= at <= steps:
-            raise ConfigError(f"switch.at must be an integer in [0, steps], got {at!r}")
+        at = integer("switch.at", switch_sec.pop("at", None), 0, steps)
         # the new state's own keys; beta1, beta2, weight_decay and eps carry over
         for key in switch_sec:
             if key not in _OPTIMIZER_KEYS[to] - _OPTIMIZER_KEYS[optimizer]:
@@ -250,9 +247,7 @@ def config_from_sections(sections: dict) -> ExperimentConfig:
 
     forget = None
     if "forget" in sections:
-        t_b = sections["forget"].get("t_b")
-        if not isinstance(t_b, int) or t_b < 1:
-            raise ConfigError(f"forget.t_b must be a positive integer, got {t_b!r}")
+        t_b = integer("forget.t_b", sections["forget"].get("t_b"), 1)
         if t_b + 50 > steps:
             raise ConfigError(f"forget.t_b + 50 = {t_b + 50} exceeds run.steps = {steps}: "
                               "the normalized curve ends 50 steps after t_b")
@@ -290,9 +285,7 @@ def _check_horizons(cfg: ExperimentConfig) -> None:
         if key in cfg.lr.params:
             horizons.append((f"lr.{key}", cfg.lr.params[key]))
     for name, value in horizons:
-        if not isinstance(value, (int, float)):
-            raise ConfigError(f"{name} must be a number, got {value!r}")
-        if value < 0:
+        if finite_number(name, value) < 0:
             raise ConfigError(f"{name} must be >= 0, got {value!r}")
         if value > cfg.steps and not cfg.constant_after:
             raise ConfigError(

@@ -19,9 +19,9 @@ parameters and raises :class:`ValueError` naming the bad one.
 
 from __future__ import annotations
 
-import numbers
-
 import numpy as np
+
+from .schedules import decay, integer
 
 # the largest horizon, sized to memory: a profile holds a few float64 arrays
 # of horizon + 1 entries (8 MB each here) and analyze-ema its CSV as one
@@ -30,17 +30,10 @@ import numpy as np
 MAX_HORIZON = 1_000_000
 
 
-def _is_int(value) -> bool:
-    """A Python or numpy integer, not a bool."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
 def _check(horizon: int, **decays: float) -> None:
-    if not _is_int(horizon) or not 0 <= horizon <= MAX_HORIZON:
-        raise ValueError(f"horizon must be in [0, {MAX_HORIZON}] (an integer), got {horizon}")
+    integer("horizon", horizon, 0, MAX_HORIZON)
     for name, beta in decays.items():
-        if not 0.0 <= beta < 1.0:
-            raise ValueError(f"{name} must be in [0, 1), got {beta}")
+        decay(name, beta)
 
 
 def ema_weights(beta: float = 0.9, horizon: int = 10000) -> np.ndarray:
@@ -92,10 +85,7 @@ def dema_weights(beta: float = 0.9, window: int | None = None, horizon: int = 10
     tail.
     """
     single = ema_weights(beta, horizon)
-    if window is None:
-        window = horizon
-    elif not _is_int(window) or window < 1:
-        raise ValueError(f"window must be an integer >= 1, got {window}")
+    window = horizon if window is None else integer("window", window, 1)
     single[window + 1 :] = 0.0
     windowed = single[: window + 1]
     nested = np.convolve(windowed, windowed)[: horizon + 1]

@@ -169,6 +169,10 @@ class Experiment:
 
         if resume_from is not None:
             self.opt = restore_optimizer(resume_from)
+            if self.opt.t > cfg.steps:
+                raise ConfigError(
+                    f"checkpoint is at step {self.opt.t}, past run.steps = {cfg.steps}"
+                )
             theta = resume_from.slots.get("theta")
             if theta is None or not len(theta) == self.opt.dim == self.testbed.dim:
                 raise ConfigError(f"checkpoint has no theta and state of length {self.testbed.dim}")

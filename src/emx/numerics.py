@@ -28,11 +28,6 @@ class DivergenceError(ArithmeticError):
         self.step = step
 
 
-def check_same_length(a: np.ndarray, b: np.ndarray) -> None:
-    if len(a) != len(b):
-        raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
-
-
 def l2_norm(a: np.ndarray) -> float:
     """Euclidean norm; 0.0 for the empty vector.
 

@@ -44,13 +44,13 @@ from __future__ import annotations
 import numpy as np
 
 from .numerics import DivergenceError, finite_rows
-from .schedules import HalfLifeLinearWarmup, LinearWarmup, finite_number, step_count
+from .schedules import HalfLifeLinearWarmup, LinearWarmup, decay, finite_number, step_count
 
 
-def _ema(buf: np.ndarray, decay: float, grad: np.ndarray, tmp: np.ndarray) -> None:
-    """``buf <- decay*buf + (1-decay)*grad`` in place, ``tmp`` as scratch."""
-    np.multiply(decay, buf, out=buf)
-    buf += np.multiply(1.0 - decay, grad, out=tmp)
+def _ema(buf: np.ndarray, beta: float, grad: np.ndarray, tmp: np.ndarray) -> None:
+    """``buf <- beta*buf + (1-beta)*grad`` in place, ``tmp`` as scratch (it may be ``grad``)."""
+    np.multiply(beta, buf, out=buf)
+    buf += np.multiply(1.0 - beta, grad, out=tmp)
 
 
 def _typed(name: str, value, default):
@@ -167,8 +167,8 @@ class AdamFamily(Optimizer):
     def __init__(self, dim, **kwargs):
         super().__init__(dim, **kwargs)
         for name in ("beta1", "beta2", "beta3", "beta4"):
-            if name in self.defaults and not 0.0 <= getattr(self, name) < 1.0:
-                raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)}")
+            if name in self.defaults:
+                decay(name, getattr(self, name))
         if self.alpha < 0:
             raise ValueError(f"alpha must be >= 0, got {self.alpha}")
         slow = [getattr(self, name) for name in ("beta3", "beta4") if name in self.defaults]
@@ -200,8 +200,7 @@ class AdamFamily(Optimizer):
             _ema(self.m2, self.beta3 if beta3_t is None else beta3_t, grad, tmp)
         if self.m3 is not None:
             _ema(self.m3, self.beta4 if beta4_t is None else beta4_t, grad, tmp)
-        np.multiply(self.beta2, self.nu, out=self.nu)
-        self.nu += np.multiply(1.0 - self.beta2, np.multiply(grad, grad, out=tmp), out=tmp)
+        _ema(self.nu, self.beta2, np.multiply(grad, grad, out=tmp), tmp)
         if self.m1 is None:
             return new, grad
         _ema(self.m1, self.beta1, grad, tmp)
@@ -335,8 +334,7 @@ class Lion(Optimizer):
         super().__init__(dim, **kwargs)
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
-        if not 0.0 <= self.beta < 1.0:
-            raise ValueError(f"beta must be in [0, 1), got {self.beta}")
+        decay("beta", self.beta)
         self.m = np.zeros(self.dim)
         self._scratch = np.empty(self.dim)
 
@@ -369,8 +367,7 @@ class AdMetaS(Optimizer):
         super().__init__(dim, **kwargs)
         if not 0.0 < self.beta1 < 1.0:
             raise ValueError(f"beta1 must be in (0, 1), got {self.beta1}")
-        if not 0.0 <= self.beta2 < 1.0:
-            raise ValueError(f"beta2 must be in [0, 1), got {self.beta2}")
+        decay("beta2", self.beta2)
         self.m1 = np.zeros(self.dim)
         self.m2 = np.zeros(self.dim)
         self._scratch = np.empty(self.dim)
@@ -390,8 +387,7 @@ class AdMetaS(Optimizer):
         self.m1 += grad
         h = np.multiply(self.kappa, grad, out=self._scratch)
         h += np.multiply(self.mu, self.m1, out=new)
-        np.multiply(self.beta2, self.m2, out=self.m2)
-        self.m2 += np.multiply(1.0 - self.beta2, h, out=h)
+        _ema(self.m2, self.beta2, h, h)
         np.subtract(theta, np.multiply(lr, self.m2, out=h), out=new)
         return self._checked(new)
 
@@ -411,8 +407,7 @@ class AggMo(Optimizer):
         if len(self.betas) < 1:
             raise ValueError("need at least one momentum coefficient")
         for b in self.betas:
-            if not 0.0 <= b < 1.0:
-                raise ValueError(f"momentum coefficients must be in [0, 1), got {b}")
+            decay("betas", b)
         self.m = [np.zeros(self.dim) for _ in self.betas]
 
     @np.errstate(over="ignore", invalid="ignore")
@@ -471,11 +466,12 @@ def preseed_momentum(opt, m_init) -> None:
     estimate stays at zero. The step counter must still be 0. The values,
     finite numbers, are copied into the state's own buffers.
     """
-    values = np.asarray(m_init)
-    if values.dtype.kind not in "iuf" or not np.isfinite(values).all():
-        raise ValueError(f"preseed must be finite numbers, got {m_init!r}")
-    if values.shape != (opt.dim,):
-        raise ValueError(f"preseed length {values.shape} does not match dim {opt.dim}")
+    try:
+        values = [finite_number("preseed", v) for v in m_init]
+    except (TypeError, ValueError):  # not iterable, or an item that is not a finite number
+        raise ValueError(f"preseed must be finite numbers, got {m_init!r}") from None
+    if len(values) != opt.dim:
+        raise ValueError(f"preseed length {len(values)} does not match dim {opt.dim}")
     if opt.t != 0:
         raise ValueError("momentum can only be preseeded before the first step")
     if not opt.momentum:

@@ -56,6 +56,26 @@ def finite_number(name: str, value) -> float:
     return float(value)
 
 
+def integer(name: str, value, low: int = 0, high: int | None = None) -> int:
+    """``value`` as an int in ``[low, high]`` (no upper bound for ``None``): a
+    Python or numpy integer. A bool, a float, text or a number out of range
+    is a ``ValueError`` naming ``name``."""
+    whole = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    if not whole or value < low or high is not None and value > high:
+        bound = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise ValueError(f"{name} must be {bound} (an integer), got {value!r}")
+    return int(value)
+
+
+def decay(name: str, value) -> float:
+    """``value`` as an EMA decay, a float in [0, 1): a :func:`finite_number`
+    in range, else a ``ValueError`` naming ``name``."""
+    value = finite_number(name, value)
+    if not 0.0 <= value < 1.0:
+        raise ValueError(f"{name} must be in [0, 1), got {value}")
+    return value
+
+
 @dataclass(frozen=True)
 class ConstantSchedule:
     kind: ClassVar[str] = "constant"

@@ -210,6 +210,18 @@ class TestRestoreErrors:
         with pytest.raises(CheckpointFormatError, match="beta2"):
             restore_optimizer(ck)
 
+    @pytest.mark.parametrize("offset", ["999", "11", "-1"])
+    def test_sched_offset_outside_the_steps_taken(self, offset):
+        opt = AdEMAMix(2, t_alpha=30, t_beta3=30)
+        _warm(opt, steps=10)
+        ck = load_state(save_state(opt))
+        ck.hyper["sched_offset"] = offset
+        with pytest.raises(CheckpointFormatError, match=r"sched_offset must be in \[0, 10\]"):
+            restore_optimizer(ck)
+        for ok in ("0", "10"):
+            ck.hyper["sched_offset"] = ok
+            assert restore_optimizer(ck).sched_offset == int(ok)
+
     def test_fast_buffer_required_when_beta1_nonzero(self):
         ck = self._checkpoint("ademamix")
         del ck.slots["m1"]

@@ -239,6 +239,17 @@ class TestCheckpointCommand:
         assert main(["run", mlp_cfg_file, "--resume", str(ck)]) == 3
         assert "config error" in capsys.readouterr().err
 
+    def test_resume_past_run_steps_exits_3(self, toy_cfg_file, tmp_path, capsys):
+        ck = tmp_path / "state.emx"
+        assert main(["checkpoint", "save", toy_cfg_file, "--at-step", "25", "--out", str(ck)]) == 0
+        short = tmp_path / "short.cfg"
+        short.write_text(TOY_CFG.replace("run.steps = 50", "run.steps = 10"))
+        out = tmp_path / "tail.csv"
+        assert main(["run", str(short), "--resume", str(ck), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "config error: checkpoint is at step 25, past run.steps = 10" in err
+        assert not out.exists()
+
     def test_resume_of_other_kind_exits_3(self, toy_cfg_file, tmp_path, capsys):
         lion = tmp_path / "lion.cfg"
         lion.write_text(TOY_CFG.replace("ademamix", "lion").replace("optimizer.beta3 = 0.999\n", "")

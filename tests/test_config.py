@@ -1,5 +1,6 @@
 import re
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -305,6 +306,48 @@ class TestTypedErrors:
         for key in ("testbed.batch_size", "testbed.input_dim", "testbed.eval_size", "testbed.hidden"):
             text = with_setting(text, key, "1")
         assert parse_config(text).testbed_params["hidden"] == 1
+
+
+class TestBoolsAndInfinities:
+    """A bool is no number and ``inf`` no clip: each is a config error naming its key."""
+
+    @pytest.mark.parametrize(
+        "base,key,value",
+        [
+            *[
+                (base, key, value)
+                for base, key in [
+                    ("toy", "run.steps"),
+                    ("toy", "run.seed"),
+                    ("toy", "run.cadence"),
+                    ("mlp", "switch.at"),
+                    ("mlp", "forget.t_b"),
+                    ("mlp", "testbed.batch_size"),
+                ]
+                for value in ("true", "false")
+            ],
+            ("toy", "run.clip", "true"),
+            ("toy", "run.clip", "inf"),
+            ("toy", "optimizer.preseed", "true, 1"),
+        ],
+    )
+    def test_is_config_error_naming_the_key(self, base, key, value):
+        text = with_setting({"toy": TOY_TEXT, "mlp": MLP_TEXT}[base], key, value)
+        if key == "optimizer.preseed":  # a list to the parser; the optimizer reads its values
+            cfg = parse_config(text)
+            with pytest.raises(ConfigError, match="preseed must be finite numbers"):
+                Experiment(cfg)
+        else:
+            with pytest.raises(ConfigError, match=re.escape(key)):
+                parse_config(text)
+
+    def test_numpy_integers_are_integers(self):
+        sections = config_sections(parse_config(MLP_TEXT))
+        for section, key in [("run", "steps"), ("run", "seed"), ("switch", "at")]:
+            sections[section][key] = np.int64(sections[section][key])
+        cfg = config_from_sections(sections)
+        assert (cfg.steps, cfg.seed, cfg.switch.at) == (2000, 3, 1000)
+        assert type(cfg.steps) is int and type(cfg.switch.at) is int
 
 
 SETTING_VALUES = st.one_of(

@@ -10,7 +10,7 @@ from hypothesis.extra.numpy import arrays
 
 from emx.checkpoint import MAGIC, VERSION, load_state, save_state
 from emx.config import _format_scalar
-from emx.numerics import DivergenceError, check_same_length, finite_rows, make_rng
+from emx.numerics import DivergenceError, finite_rows, make_rng
 from emx.optimizers import (
     OPTIMIZERS,
     Ad3EMAMix,
@@ -465,6 +465,11 @@ class TestKernelAndRegistry:
 # --- the kernels before they updated their state in place ---------------------
 # Each rebinds the slot attributes to fresh arrays, exactly as the optimizers
 # did; the in-place kernels must match them to the bit.
+
+
+def check_same_length(a, b):
+    if len(a) != len(b):
+        raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
 
 
 def check_finite_before_in_place(step_index, *arrays):

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +11,8 @@ from emx.schedules import (
     LinearWarmup,
     WarmupConstantLinearDecay,
     WarmupCosineDecay,
+    decay,
+    integer,
     t_half,
     t_half_inverse,
 )
@@ -17,6 +20,35 @@ from emx.schedules import (
 # below 0.5 the most recent gradient alone already carries half the mass and
 # the half-life goes negative, outside the inverse's domain
 betas = st.floats(min_value=0.5, max_value=0.999999)
+
+
+class TestReaders:
+    @pytest.mark.parametrize("value", [0, 7, np.int64(7), np.int32(0), 10**30])
+    def test_integer_takes_python_and_numpy_ints(self, value):
+        assert integer("k", value) == value and type(integer("k", value)) is int
+
+    @pytest.mark.parametrize("value", [True, False, np.True_, 3.0, "3", None, [3], -1])
+    def test_integer_refuses_the_rest(self, value):
+        with pytest.raises(ValueError, match=r"^k must be >= 0 \(an integer\), got "):
+            integer("k", value)
+
+    def test_integer_bounds(self):
+        assert integer("k", 1, 1) == 1 and integer("k", 5, 0, 5) == 5
+        for value, low, high in [(0, 1, None), (6, 0, 5), (-1, 0, 5)]:
+            with pytest.raises(ValueError, match="^k must be "):
+                integer("k", value, low, high)
+        with pytest.raises(ValueError, match=r"^k must be in \[0, 5\] \(an integer\), got 6$"):
+            integer("k", 6, 0, 5)
+
+    @pytest.mark.parametrize("value", [0, 0.0, 0.5, np.float64(0.999), np.float32(0.5)])
+    def test_decay_takes_zero_up_to_one(self, value):
+        assert decay("b", value) == float(value) and type(decay("b", value)) is float
+
+    @pytest.mark.parametrize("value", [1.0, 1, -0.1, 1.5, float("nan"), float("inf"), True, False,
+                                       "0.5", None])
+    def test_decay_refuses_the_rest(self, value):
+        with pytest.raises(ValueError, match="^b must be "):
+            decay("b", value)
 
 
 class TestTHalf:
