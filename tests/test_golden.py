@@ -111,6 +111,15 @@ def _split(cfg, at, out, name):
     out[f"{name}.resumed"] = format_record_csv(RunRecord(rows=head.rows + tail.rows))
 
 
+def _forget(text, out, name):
+    forget = run_forgetting_protocol(parse_config(text))
+    out[f"{name}.control"] = format_record_csv(forget.control)
+    out[f"{name}.injected"] = format_record_csv(forget.injected)
+    out[f"{name}.control_heldout"] = format_series_csv(forget.control_heldout)
+    out[f"{name}.injected_heldout"] = format_series_csv(forget.injected_heldout)
+    out[f"{name}.normalized"] = format_series_csv(forget.normalized)
+
+
 def _direct_states(out):
     """``save_state`` bytes of every kind after a few direct steps."""
     dim = 6
@@ -216,12 +225,14 @@ def _artifacts() -> dict:
         out[f"mlp.{kind}"] = format_record_csv(run.run())
         out[f"mlp.{kind}.state"] = run.checkpoint()
 
-    forget = run_forgetting_protocol(parse_config(_mlp_text("ademamix", "forget.t_b = 20\n", 80)))
-    out["forget.control"] = format_record_csv(forget.control)
-    out["forget.injected"] = format_record_csv(forget.injected)
-    out["forget.control_heldout"] = format_series_csv(forget.control_heldout)
-    out["forget.injected_heldout"] = format_series_csv(forget.injected_heldout)
-    out["forget.normalized"] = format_series_csv(forget.normalized)
+    _forget(_mlp_text("ademamix", "forget.t_b = 20\n", 80), out, "forget")
+    # injection at the first step, so the shared prefix is empty
+    _forget(_mlp_text("ademamix", "forget.t_b = 1\n"), out, "forget.t_b1")
+    # the switch takes effect in the injection step
+    _forget(_mlp_text("adamw", FORWARD_SWITCH + "forget.t_b = 31\n", 90), out, "forget.switch_before")
+    # both runs diverge at step 32, before the injection at 40
+    diverging = _mlp_text("ademamix", "forget.t_b = 40\n", 90)
+    _forget(diverging.replace("lr.eta_max = 0.003", "lr.eta_max = 1000000.0"), out, "forget.diverged")
 
     _direct_states(out)
     return {
@@ -233,9 +244,24 @@ def _artifacts() -> dict:
 GOLDEN = {
     'forget.control': '5aa1f34a167e1f423e43ea9d720cccdc7c4b8d0e04b19b4815beeb679b561315',
     'forget.control_heldout': '6914634c68901dd18506c308e8e3ae40a97112f2abce2670794c99693c15d53d',
+    'forget.diverged.control': '0aef5c76935ea29b0cf6ffa8973268d544e57c16309f186250f471074d1294b1',
+    'forget.diverged.control_heldout': '0912537a7246b7217204d69b4501d318a907e8b461e004a6410ee35c3f58c87e',
+    'forget.diverged.injected': '0aef5c76935ea29b0cf6ffa8973268d544e57c16309f186250f471074d1294b1',
+    'forget.diverged.injected_heldout': '0912537a7246b7217204d69b4501d318a907e8b461e004a6410ee35c3f58c87e',
+    'forget.diverged.normalized': 'ee4571a7c6ac6fcffdc182b8ac561f67bbf421d707e305511caac61bc06d4ebc',
     'forget.injected': '2ecc41a4b7d197a0bc813b83ab3671899ffc83624d0200e29a2c6f8e82fc2f38',
     'forget.injected_heldout': 'c9538a2c63b4c08238c998060aceb945f1d6b8e1bde3b16f4ec933cc4c363de7',
     'forget.normalized': 'e4f23d40882694b433451cc3a27ad243f27c3dbaef6eea824c89cbfd4f192f74',
+    'forget.switch_before.control': '84ebce8cf896775bc4f376edf2faf1e00ae7b029cee072c95c227365767b6b1c',
+    'forget.switch_before.control_heldout': 'b3be7147d01a682b5a8504dccfd1c9f5d9a7e59515ecfa73df8b8fec1ed5a9b8',
+    'forget.switch_before.injected': '15d68d0c137d989924026d7b5184dc30e6fbc0f5d982a2d40b2954201826959b',
+    'forget.switch_before.injected_heldout': '581de9ae8b33c4e08f53ac75b6ea418cb098455b67e665c26c84935e7b1790f6',
+    'forget.switch_before.normalized': 'b53b6a106872a9bfdcede4f94149d0234407e18376d6b86f7da2e578e2e791f5',
+    'forget.t_b1.control': '6e0bbc5b106b8ffe6dd86cba20b00948d49d425f52ccf0f76792e66e499652b4',
+    'forget.t_b1.control_heldout': '0ff172fe578a9d50f234cb5ddd689b6ca24d7e048d3d41fe5a99ffc496146694',
+    'forget.t_b1.injected': '0632a0000ee41c634b402186cdcb3548717af5dd15569c9818c204a2b0a5c6c9',
+    'forget.t_b1.injected_heldout': 'f5763b588df8edb259e9a45ccbb701f13b49167699898970041d361550105da8',
+    'forget.t_b1.normalized': '557c2def59f7f83f034bfdd1e561f713239770f2066c1d02c45faaf8d45b41ce',
     'mlp.ad3emamix': '52613ceace79f50885e4668fae962d69f7c05eb88aacc2e7cac0cc499015ba05',
     'mlp.ad3emamix.state': '26fa02b1260d9d32bc134dbe95eaae710fe592255bb2acb9874b4eafcc0ce46e',
     'mlp.ademamix.split25.checkpoint': 'ffe3475c94e245e6eef9b1267b9761a62a59d3fda8ba4e093d31af2476efffdf',
