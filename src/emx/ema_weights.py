@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .schedules import decay, integer
+from .schedules import decay, finite_number, integer
 
 # the largest horizon, sized to memory: a profile holds a few float64 arrays
 # of horizon + 1 entries (8 MB each here) and analyze-ema its CSV as one
@@ -52,7 +52,7 @@ def mixture_weights(beta1: float = 0.9, beta3: float = 0.9999, alpha: float = 5.
     ``(1 - beta1**(T+1)) + alpha*(1 - beta3**(T+1))``.
     """
     _check(horizon, beta1=beta1, beta3=beta3)
-    if not 0.0 <= alpha < np.inf:
+    if finite_number("alpha", alpha) < 0.0:
         raise ValueError(f"alpha must be a finite number >= 0, got {alpha}")
     weights = ema_weights(beta1, horizon) + alpha * ema_weights(beta3, horizon)
     if normalized:

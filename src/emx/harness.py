@@ -9,6 +9,7 @@ runs and checkpoint-resumed runs compare bit-for-bit.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import json
 import math
@@ -50,7 +51,6 @@ RECORD_COLUMNS = RunRow._fields
 @dataclass
 class RunRecord:
     rows: list = field(default_factory=list)
-    status: str = "completed"  # "completed" | "diverged"
     diverged_step: int | None = None
     final_step: int = 0
     final_loss: float = math.inf
@@ -58,7 +58,11 @@ class RunRecord:
 
     @property
     def diverged(self) -> bool:
-        return self.status == "diverged"
+        return self.diverged_step is not None
+
+    @property
+    def status(self) -> str:
+        return "diverged" if self.diverged else "completed"
 
     def best_loss(self) -> float:
         losses = [row.loss for row in self.rows if math.isfinite(row.loss)]
@@ -130,17 +134,15 @@ class Experiment:
     one :class:`RunRecord` per row; ``record``, ``heldout_series`` and
     ``lr_schedule`` are the first row's.
 
-    ``inject_heldout_at`` replaces the scheduled training batch at that step
-    with the dataset's held-out batch (stream length unchanged, so control
-    and injected runs stay step-aligned). ``track_heldout=True`` additionally
-    evaluates the held-out loss after every step into ``heldout_series``.
+    ``track_heldout=True`` evaluates the held-out loss after every step into
+    ``heldout_series``. An experiment holds no state outside itself, so a
+    ``copy.deepcopy`` of it is an independent run from the same step.
     """
 
     def __init__(
         self,
         cfg: ExperimentConfig,
         resume_from: CheckpointData | None = None,
-        inject_heldout_at: int | None = None,
         track_heldout: bool = False,
         rows: list | None = None,
     ):
@@ -151,7 +153,6 @@ class Experiment:
         elif any(_without_lr(point) != _without_lr(cfg) for point in rows):
             raise ConfigError("the rows of an experiment may differ only in lr.* values")
         self.cfg = cfg
-        self.inject_heldout_at = inject_heldout_at
         self.track_heldout = track_heldout
 
         self.testbed, self.dataset, theta0 = TESTBEDS[cfg.testbed](cfg.seed, **cfg.testbed_params)
@@ -199,15 +200,6 @@ class Experiment:
             for row, loss in zip(self._live, self.testbed.loss(self.theta, self._heldout_batch)):
                 row.heldout.append((0, loss))
 
-    def _loss_and_grad(self, t: int):
-        """Every live row's loss (an array) and gradient (rows) at step ``t``."""
-        if t == self.inject_heldout_at:
-            batch = self._heldout_batch
-        else:
-            batch = self.dataset.batch(t) if self.dataset else None
-        losses, grad = self.testbed.loss_and_grad(self.theta, batch)
-        return np.array(losses), grad
-
     def _distances(self) -> list:
         """Each live row's distance to the optimum; ``None`` without one."""
         optimum = self.testbed.optimum
@@ -220,8 +212,7 @@ class Experiment:
         for row, good in zip(self._live, keep):
             if not good:
                 rec = row.record
-                rec.status, rec.diverged_step, rec.final_step = "diverged", t, t - 1
-                rec.final_loss = math.inf
+                rec.diverged_step, rec.final_step, rec.final_loss = t, t - 1, math.inf
         self._live = [row for row, good in zip(self._live, keep) if good]
         self.theta = self.theta[ok]
         self.opt.select_rows(ok)
@@ -232,12 +223,16 @@ class Experiment:
         if sw is not None and self.opt.t == sw.at and self.opt.variant != sw.to:
             self.opt = switch_optimizer(self.opt, OPTIMIZERS[sw.to], **sw.params)
 
-    def _step(self) -> None:
-        """One step of every live row."""
+    def _step(self, batch=None) -> None:
+        """One step of every live row, on ``batch`` (default: the training
+        batch of the step)."""
         cfg = self.cfg
         self._maybe_switch()
         t = self.opt.t + 1
-        losses, grad = self._loss_and_grad(t)
+        if batch is None and self.dataset:
+            batch = self.dataset.batch(t)
+        losses, grad = self.testbed.loss_and_grad(self.theta, batch)
+        losses = np.array(losses)
         ok = finite_rows(losses[:, np.newaxis], grad)
         if ok is not None:
             losses, grad = self._drop(ok, t, losses, grad)
@@ -270,12 +265,15 @@ class Experiment:
                     RunRow(t, loss, dist, eta, alpha, beta3, update_norm, held)
                 )
 
+    def _advance(self, stop: int) -> None:
+        """Step every live row to step ``stop``, with no final evaluation."""
+        while self._live and self.opt.t < stop:
+            self._step()
+
     def run(self, until: int | None = None) -> RunRecord:
         """Advance every live row to step ``until`` (default: the configured
         total); return the first row's record."""
-        stop = self.cfg.steps if until is None else min(until, self.cfg.steps)
-        while self._live and self.opt.t < stop:
-            self._step()
+        self._advance(self.cfg.steps if until is None else min(until, self.cfg.steps))
         if self._live:
             self._maybe_switch()
             eval_batch = self.dataset.eval_batch() if self.dataset is not None else None
@@ -311,25 +309,28 @@ def run_forgetting_protocol(cfg: ExperimentConfig) -> ForgettingResult:
     """Paired runs measuring how fast a once-seen batch is forgotten.
 
     The control run never sees the held-out batch; the injected run trains on
-    it exactly once, at ``forget.t_b``, in place of the scheduled batch. Both
-    track the held-out loss after every step. The normalized curve rescales
-    the injected run's series so the value just before injection is 0 and the
-    value 50 steps after is -1.
+    it exactly once, at ``forget.t_b``, in place of the scheduled batch. The
+    two are one run up to step ``t_b - 1``: it runs once, and the injected
+    run is a copy of it from there. Both track the held-out loss after every
+    step. The normalized curve rescales the injected run's series so the
+    value just before injection is 0 and the value 50 steps after is -1.
     """
     if cfg.forget is None:
         raise ConfigError("config has no forget.t_b directive")
     t_b = cfg.forget.t_b
 
     control_exp = Experiment(cfg, track_heldout=True)
+    control_exp._advance(t_b - 1)
+    injected_exp = copy.deepcopy(control_exp)
+    if injected_exp._live:
+        injected_exp._step(injected_exp._heldout_batch)
     control = control_exp.run()
-    injected_exp = Experiment(cfg, track_heldout=True, inject_heldout_at=t_b)
     injected = injected_exp.run()
 
     normalized = []
     series = dict(injected_exp.heldout_series)
     if not injected.diverged:  # the config has t_b + 50 <= run.steps
-        anchor0 = series[t_b - 1]
-        anchor50 = series[t_b + 50]
+        anchor0, anchor50 = series[t_b - 1], series[t_b + 50]
         scale = anchor0 - anchor50
         if scale != 0.0:
             normalized = [
@@ -415,10 +416,11 @@ def run_sweep(cfg: ExperimentConfig, grid: dict) -> SweepResult:
         points.append((overrides, point))
         groups.setdefault(_without_lr(point), []).append(index)
 
+    # build every group before stepping any, so a bad point fails at once
+    runs = [(members, Experiment(points[members[0]][1], rows=[points[i][1] for i in members]))
+            for members in groups.values()]
     records = [None] * len(points)
-    for members in groups.values():
-        rows = [points[i][1] for i in members]
-        exp = Experiment(rows[0], rows=rows)
+    for members, exp in runs:
         exp.run()
         for i, record in zip(members, exp.records):
             records[i] = record

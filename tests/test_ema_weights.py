@@ -192,6 +192,8 @@ class TestProfiles:
         (mixture_weights, {"alpha": -1.0}, "alpha"),
         (mixture_weights, {"alpha": float("nan")}, "alpha"),
         (mixture_weights, {"alpha": float("inf")}, "alpha"),
+        (mixture_weights, {"alpha": True}, "alpha"),
+        (mixture_weights, {"alpha": "5"}, "alpha"),
         (nested_ema_weights, {"beta_inner": 1.5}, "beta_inner"),
         (nested_ema_weights, {"beta_outer": float("nan")}, "beta_outer"),
         (dema_weights, {"beta": 1.0}, "beta"),

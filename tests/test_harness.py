@@ -1,3 +1,4 @@
+import copy
 import math
 import re
 
@@ -9,6 +10,7 @@ from emx.config import ConfigError, parse_config
 from emx.harness import (
     RECORD_COLUMNS,
     Experiment,
+    RunRecord,
     RunRow,
     _build_lr_schedule,
     apply_override,
@@ -85,6 +87,14 @@ class TestRunExperiment:
         assert record.status == "diverged"
         assert record.diverged_step is not None
         assert all(row.step < record.diverged_step for row in record.rows)
+
+    def test_status_follows_the_divergence_step(self):
+        assert RunRecord().status == "completed" and not RunRecord().diverged
+        assert RunRecord(diverged_step=3).status == "diverged" and RunRecord(diverged_step=3).diverged
+        with pytest.raises(TypeError):
+            RunRecord(status="diverged")
+        with pytest.raises(AttributeError):
+            RunRecord().status = "diverged"
 
     def test_gradient_clipping_caps_update(self):
         rec_clipped = run_experiment(toy_config(steps=5, extra="run.clip = 0.5"))
@@ -227,6 +237,41 @@ class TestForgetting:
         with pytest.raises(ConfigError):
             run_forgetting_protocol(mlp_config(steps=200))
 
+    def test_shared_prefix_runs_once(self, monkeypatch):
+        calls = {"init": 0, "step": 0}
+        init, step = Experiment.__init__, Experiment._step
+
+        def counting_init(self, *args, **kwargs):
+            calls["init"] += 1
+            init(self, *args, **kwargs)
+
+        def counting_step(self, *args, **kwargs):
+            calls["step"] += 1
+            step(self, *args, **kwargs)
+
+        monkeypatch.setattr(Experiment, "__init__", counting_init)
+        monkeypatch.setattr(Experiment, "_step", counting_step)
+        steps, t_b = 80, 20
+        run_forgetting_protocol(mlp_config(steps=steps, extra=f"forget.t_b = {t_b}"))
+        # the shared steps 1 .. t_b - 1 once, then steps t_b .. steps in each run
+        assert calls == {"init": 1, "step": (t_b - 1) + 2 * (steps - t_b + 1)}
+
+    def test_a_copy_runs_apart_from_its_original(self):
+        cfg = mlp_config(optimizer="ademamix", steps=40, extra="run.clip = 0.5")
+        alone = Experiment(cfg, track_heldout=True)
+        alone.run()
+        exp = Experiment(cfg, track_heldout=True)
+        exp.run(until=15)
+        fork = copy.deepcopy(exp)
+        fork._step(fork._heldout_batch)
+        fork.run()
+        assert fork.heldout_series[:16] == exp.heldout_series
+        assert fork.heldout_series[16:] != alone.heldout_series[16:]
+        exp.run()
+        assert exp.records == alone.records
+        assert exp.heldout_series == alone.heldout_series
+        assert exp.checkpoint() == alone.checkpoint()
+
 
 class TestSweep:
     def test_grid_of_one_matches_run_experiment(self):
@@ -273,6 +318,14 @@ class TestSweep:
     def test_bad_override_key(self):
         with pytest.raises(ConfigError):
             run_sweep(toy_config(steps=10), {"nope.key": [1]})
+
+    def test_bad_point_fails_before_any_group_runs(self, monkeypatch):
+        runs = []
+        monkeypatch.setattr(Experiment, "run", lambda self, until=None: runs.append(self))
+        cfg = toy_config(optimizer="ademamix", steps=20000)
+        with pytest.raises(ConfigError, match="beta1"):
+            run_sweep(cfg, {"optimizer.beta1": [0.9, 1.5]})
+        assert runs == []
 
     def test_seed_can_be_swept(self):
         sweep = run_sweep(toy_config(steps=30), {"run.seed": [1, 2, 3]})
