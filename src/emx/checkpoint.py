@@ -50,7 +50,7 @@ class CheckpointFormatError(CheckpointError):
 
 @dataclass
 class CheckpointData:
-    slots: dict  # name -> 1-D float64 array
+    slots: dict  # name -> 1-D float64 array, a read-only view of the checkpoint bytes
     hyper: dict  # name -> string value
     step: int
 
@@ -103,7 +103,13 @@ class _Reader:
 
 
 def load_state(data: bytes) -> CheckpointData:
-    """Parse checkpoint bytes; raises a distinct error per failure mode."""
+    """Parse checkpoint bytes; raises a distinct error per failure mode.
+
+    No slot is copied: each entry of ``slots`` is a read-only float64 view
+    into ``data`` and keeps it alive (on a big-endian host, a read-only native
+    copy). :func:`restore_optimizer` makes the one copy into buffers the new
+    state owns; copy a slot before writing to it.
+    """
     r = _Reader(data)
     if r.take(len(MAGIC)) != MAGIC:
         raise CheckpointVersionError("bad magic header")
@@ -121,8 +127,10 @@ def load_state(data: bytes) -> CheckpointData:
         if name in slots:
             raise CheckpointFormatError(f"duplicate slot name {name!r}")
         count = r.u64()
-        offset = r.skip(8 * count)  # read in place, then one copy into a native array
-        slots[name] = np.frombuffer(data, "<f8", count, offset).astype(np.float64)
+        offset = r.skip(8 * count)  # a view in place; a copy only on a big-endian host
+        vec = np.frombuffer(data, "<f8", count, offset).astype(np.float64, copy=False)
+        vec.flags.writeable = False  # also when ``data`` is a writable buffer
+        slots[name] = vec
     hyper_len = r.u32()
     try:
         hyper_text = r.take(hyper_len).decode("utf-8")
@@ -148,7 +156,9 @@ def restore_optimizer(ck: CheckpointData):
     One path serves every registered kind: a fresh instance's ``hyper()``
     names the keys and their types, the constructor takes its ``keywords()``
     and the rest is set afterwards, then each ``state_slots()`` buffer is
-    filled. ``hyper_state`` (``sched_offset``) is a step in ``[0, step]``.
+    filled: the one copy of each slot out of the checkpoint bytes, so the
+    state owns its buffers. ``hyper_state`` (``sched_offset``) is a step in
+    ``[0, step]``.
     Bad content raises :class:`CheckpointFormatError`. Extra slots
     (e.g. ``theta``) are left in ``ck.slots`` untouched.
     """

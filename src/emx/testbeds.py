@@ -200,7 +200,8 @@ class TinyMlp:
             _, _, w_slice, b_slice = self._shapes[i]
             grad[w_slice] = (activations[i].T @ d_z).ravel()
             grad[b_slice] = d_z.sum(axis=0)
-            d_a = d_z @ w.T
+            if i:  # the input layer's d_a would be the gradient of the inputs
+                d_a = d_z @ w.T
         return loss, grad
 
 

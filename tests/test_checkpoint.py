@@ -149,6 +149,40 @@ class TestLoadErrors:
             restore_optimizer(load_state(bytes(out)))
 
 
+class TestZeroCopyLoad:
+    """Loaded slots are read-only views of the bytes; each restore owns its copy."""
+
+    KINDS = {
+        **{kind: lambda cls=cls: cls(5) for kind, cls in OPTIMIZERS.items()},
+        "ademamix_lean_m1": lambda: AdEMAMix(5, beta1=0.0, with_m1_buffer=True),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_restored_states_are_independent(self, kind):
+        opt = self.KINDS[kind]()
+        blob = save_state(opt, extra_slots={"theta": _warm(opt)})
+        ck = load_state(blob)
+        loaded = {name: vec.tobytes() for name, vec in ck.slots.items()}
+        first, second = restore_optimizer(ck), restore_optimizer(ck)
+        assert len(first.state_slots()) == len(ck.slots) - 1  # all but theta, m1 too
+        others = [np.frombuffer(blob, np.uint8), *ck.slots.values()]
+        for a, b in [(first, second), (second, first)]:
+            for buf in a.state_slots().values():
+                assert buf.flags.owndata and buf.flags.writeable
+                assert not any(np.shares_memory(buf, o) for o in others)
+                assert not any(np.shares_memory(buf, o) for o in b.state_slots().values())
+
+        second_bytes = save_state(second)
+        theta = ck.slots["theta"]  # a step reads theta and returns a new array
+        for _ in range(3):
+            theta = first.step(theta, np.ones(5), 1e-2)
+        assert save_state(second) == second_bytes
+        assert {name: vec.tobytes() for name, vec in ck.slots.items()} == loaded
+        for vec in [*ck.slots.values(), *load_state(bytearray(blob)).slots.values()]:
+            with pytest.raises(ValueError, match="read-only"):
+                vec[0] = 1.0
+
+
 class TestResume:
     def test_resumed_trajectory_is_bitwise_identical(self):
         def gradient(theta, t):

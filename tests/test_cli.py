@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+import emx
 from emx.cli import main
 
 TOY_CFG = """
@@ -459,8 +460,11 @@ class TestInputErrorsExitThree:
         ["analyze-ema", "--kind", "single", "--alpha", "7"],
     ])
     def test_process_exit_status(self, argv):
-        proc = subprocess.run([sys.executable, "-m", "emx.cli", *argv],
-                              capture_output=True, text=True, timeout=60)
+        # the child imports the emx this process imported, with or without PYTHONPATH set
+        src = os.path.dirname(os.path.dirname(emx.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-m", "emx.cli", *argv], capture_output=True,
+                              text=True, timeout=60, env={**os.environ, "PYTHONPATH": path})
         assert proc.returncode == 3
         assert proc.stderr.startswith("config error: ") and "Traceback" not in proc.stderr
 

@@ -867,8 +867,10 @@ class TestAllocation:
         peak, blob = _traced_peak(lambda: save_state(opt, extra_slots={"theta": theta}))
         assert peak <= 1.05 * len(blob)
         peak, ck = _traced_peak(lambda: load_state(blob))
-        assert peak <= 1.05 * len(blob)
-        assert all(vec.flags.writeable and vec.flags.owndata for vec in ck.slots.values())
+        assert peak <= 0.01 * len(blob)
+        blob_bytes = np.frombuffer(blob, np.uint8)
+        for vec in ck.slots.values():  # read-only views: restore_optimizer makes the copy
+            assert not vec.flags.writeable and np.shares_memory(vec, blob_bytes)
 
 
 # every kind's hyperparameters as declared: keywords, a default instance's
