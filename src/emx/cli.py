@@ -46,9 +46,7 @@ def _apply_env_seed(cfg: ExperimentConfig) -> ExperimentConfig:
         seed = int(env)
     except ValueError as exc:
         raise ConfigError(f"EMX_SEED must be an integer, got {env!r}") from exc
-    sections = config_sections(cfg)  # validated like a seed from the config file
-    sections["run"]["seed"] = seed
-    return config_from_sections(sections)
+    return harness.apply_override(cfg, "run.seed", seed)  # checked like a config's seed
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -102,17 +100,16 @@ def _cmd_sweep(args) -> int:
 
 
 def _toy_config(args) -> ExperimentConfig:
-    opt_params = {key.partition(".")[2]: v for key, v in vars(args).items()  # the flags set
-                  if key.startswith("optimizer.") and v is not None}
-    testbed_params = {} if args.x0 is None else {"x0": args.x0}
     sections = {
-        "testbed": {"kind": args.landscape, **testbed_params},
-        "optimizer": {"kind": args.optimizer, **opt_params},
+        "testbed": {"kind": args.landscape},
+        "optimizer": {"kind": args.optimizer},
         "lr": {"kind": "constant", "value": args.lr},
-        "run": {"steps": args.steps, "seed": args.seed, "cadence": args.cadence},
+        "run": {"steps": args.steps},
     }
-    if args.clip is not None:
-        sections["run"]["clip"] = args.clip
+    for key, value in vars(args).items():  # the config-key flags given
+        section, dot, name = key.partition(".")
+        if dot and value is not None:
+            sections[section][name] = value
     return config_from_sections(sections)
 
 
@@ -247,10 +244,10 @@ def build_parser() -> argparse.ArgumentParser:
         kinds = [kind for kind, keys in _OPTIMIZER_KEYS.items() if key in keys]
         p_toy.add_argument("--" + key.replace("_", "-"), dest=f"optimizer.{key}", metavar="VALUE",
                            type=_parse_value, help=f"optimizer.{key}, for {', '.join(kinds)}")
-    p_toy.add_argument("--x0", type=_parse_value, help="start point, e.g. --x0=-3,5")
-    p_toy.add_argument("--clip", type=float)
-    p_toy.add_argument("--seed", type=int, default=0)
-    p_toy.add_argument("--cadence", type=int, default=1)
+    p_toy.add_argument("--x0", dest="testbed.x0", metavar="X0", type=_parse_value,
+                       help="start point, e.g. --x0=-3,5")
+    for key, kind in (("clip", float), ("seed", int), ("cadence", int)):  # unset: config defaults
+        p_toy.add_argument("--" + key, dest=f"run.{key}", metavar=key.upper(), type=kind)
     p_toy.add_argument("--out")
     p_toy.add_argument("--jsonl", action="store_true")
     p_toy.set_defaults(fn=_cmd_toy)

@@ -36,6 +36,8 @@ class ConfigError(Exception):
 
 
 LR_KINDS = tuple(LR_SCHEDULES)
+# the normalized forgetting curve runs from t_b - 1 to this many steps after t_b
+FORGET_SPAN = 50
 
 # a kind's keys, each with its default: the factory's keywords after seed
 _TESTBED_KEYS = {
@@ -230,7 +232,7 @@ def _read_sections(sections: dict) -> ExperimentConfig:
     if testbed == "mlp" and "weight_decay" in _OPTIMIZER_KEYS[optimizer]:
         optimizer_sec.setdefault("weight_decay", 0.1)
 
-    switch = None
+    switch, switch_sec = None, {}
     if "switch" in sections:
         switch_sec = dict(sections["switch"])
         to = switch_sec.pop("to", None)
@@ -239,7 +241,7 @@ def _read_sections(sections: dict) -> ExperimentConfig:
             allowed = ", ".join(f"{a.variant} -> {b.variant}" for a, b in SWITCHES.items())
             raise ConfigError(f"switch.to = {to!r} from {optimizer} is not one of: {allowed}")
         at = integer("switch.at", switch_sec.pop("at", None), 0, steps)
-        # the new state's own keys; beta1, beta2, weight_decay and eps carry over
+        # the new state's own keys; the keys both kinds declare carry over
         for key in switch_sec:
             if key not in _OPTIMIZER_KEYS[to] - _OPTIMIZER_KEYS[optimizer]:
                 raise ConfigError(f"unknown key switch.{key} for switch.to = {to}")
@@ -248,14 +250,29 @@ def _read_sections(sections: dict) -> ExperimentConfig:
     forget = None
     if "forget" in sections:
         t_b = integer("forget.t_b", sections["forget"].get("t_b"), 1)
-        if t_b + 50 > steps:
-            raise ConfigError(f"forget.t_b + 50 = {t_b + 50} exceeds run.steps = {steps}: "
-                              "the normalized curve ends 50 steps after t_b")
+        if t_b + FORGET_SPAN > steps:
+            raise ConfigError(f"forget.t_b + {FORGET_SPAN} = {t_b + FORGET_SPAN} exceeds "
+                              f"run.steps = {steps}: the normalized curve ends "
+                              f"{FORGET_SPAN} steps after t_b")
         if testbed != "mlp":
             raise ConfigError("the forgetting protocol requires testbed.kind = mlp")
         forget = ForgetSpec(t_b=t_b)
 
-    cfg = ExperimentConfig(
+    # the horizons: warmups in optimizer and switch, schedule ends in lr
+    for section, params in (("optimizer", optimizer_sec), ("switch", switch_sec), ("lr", lr_sec)):
+        for key in ("t_alpha", "t_beta3", "total", "decay_end"):
+            if key not in params:
+                continue
+            name, value = f"{section}.{key}", params[key]
+            if finite_number(name, value) < 0:
+                raise ConfigError(f"{name} must be >= 0, got {value!r}")
+            if value > steps and not constant_after:
+                raise ConfigError(
+                    f"{name} = {value} exceeds run.steps = {steps}; "
+                    "set run.constant_after = true to allow schedules that outlive the run"
+                )
+
+    return ExperimentConfig(
         testbed=testbed,
         testbed_params=testbed_sec,
         optimizer=optimizer,
@@ -270,28 +287,6 @@ def _read_sections(sections: dict) -> ExperimentConfig:
         forget=forget,
         out=out,
     )
-    _check_horizons(cfg)
-    return cfg
-
-
-def _check_horizons(cfg: ExperimentConfig) -> None:
-    horizons = []
-    switch_params = cfg.switch.params if cfg.switch is not None else {}
-    for section, params in (("optimizer", cfg.optimizer_params), ("switch", switch_params)):
-        for key in ("t_alpha", "t_beta3"):
-            if key in params:
-                horizons.append((f"{section}.{key}", params[key]))
-    for key in ("total", "decay_end"):
-        if key in cfg.lr.params:
-            horizons.append((f"lr.{key}", cfg.lr.params[key]))
-    for name, value in horizons:
-        if finite_number(name, value) < 0:
-            raise ConfigError(f"{name} must be >= 0, got {value!r}")
-        if value > cfg.steps and not cfg.constant_after:
-            raise ConfigError(
-                f"{name} = {value} exceeds run.steps = {cfg.steps}; "
-                "set run.constant_after = true to allow schedules that outlive the run"
-            )
 
 
 def config_sections(cfg: ExperimentConfig) -> dict:

@@ -20,6 +20,7 @@ import numpy as np
 
 from .checkpoint import CheckpointData, restore_optimizer, save_state
 from .config import (
+    FORGET_SPAN,
     ConfigError,
     ExperimentConfig,
     config_sections,
@@ -168,34 +169,42 @@ class Experiment:
         self.heldout_series: list[tuple[int, float]] = self._rows[0].heldout
         self.lr_schedule = self._rows[0].lr
 
-        if resume_from is not None:
-            self.opt = restore_optimizer(resume_from)
-            if self.opt.t > cfg.steps:
+        restored = None if resume_from is None else restore_optimizer(resume_from)
+        self.opt = _build_optimizer(cfg.optimizer, cfg.optimizer_params, self.testbed.dim)
+        target = None
+        if cfg.switch is not None:  # fail now rather than at step switch.at
+            target = _build_optimizer(cfg.optimizer, cfg.optimizer_params, 0, cfg.switch)
+        if restored is not None:
+            if restored.t > cfg.steps:
                 raise ConfigError(
-                    f"checkpoint is at step {self.opt.t}, past run.steps = {cfg.steps}"
+                    f"checkpoint is at step {restored.t}, past run.steps = {cfg.steps}"
                 )
             theta = resume_from.slots.get("theta")
-            if theta is None or not len(theta) == self.opt.dim == self.testbed.dim:
+            if theta is None or not len(theta) == restored.dim == self.testbed.dim:
                 raise ConfigError(f"checkpoint has no theta and state of length {self.testbed.dim}")
-            sw, t = cfg.switch, self.opt.t  # the kind before switch.at, the target after
-            expected = {cfg.optimizer} if sw is None or t <= sw.at else set()
+            sw, t = cfg.switch, restored.t  # the config's state before switch.at, the target after
+            expected = [self.opt] if sw is None or t <= sw.at else []
             if sw is not None and t >= sw.at:
-                expected.add(sw.to)
-            if self.opt.variant not in expected:
+                expected.append(target)
+            match = next((opt for opt in expected if opt.variant == restored.variant), None)
+            if match is None:
                 raise ConfigError(
-                    f"checkpoint holds a {self.opt.variant!r} state at step {t}, "
-                    f"the config expects {' or '.join(sorted(expected))}"
+                    f"checkpoint holds a {restored.variant!r} state at step {t}, "
+                    f"the config expects {' or '.join(sorted(opt.variant for opt in expected))}"
                 )
-            theta0 = theta
-        else:
-            self.opt = _build_optimizer(cfg.optimizer, cfg.optimizer_params, self.testbed.dim)
-        if cfg.switch is not None:  # fail now rather than at step switch.at
-            _build_optimizer(cfg.optimizer, cfg.optimizer_params, 0, cfg.switch)
+            for key in match.defaults:
+                if (held := getattr(restored, key)) != (want := getattr(match, key)):
+                    raise ConfigError(
+                        f"checkpoint holds a {restored.variant!r} state with {key} = {held!r} "
+                        f"at step {t}, the config expects {key} = {want!r}"
+                    )
+            self.opt, theta0 = restored, theta
         # every row starts from the same point and state
         self.theta = np.tile(theta0, (len(rows), 1))
         self.opt.select_rows([0] * len(rows))
 
-        self._heldout_batch = self.dataset.heldout_batch() if self.dataset else None
+        self._heldout_batch = (self.dataset.heldout_batch()  # read by track_heldout alone
+                               if track_heldout and self.dataset else None)
         if self.track_heldout and self.opt.t == 0:
             for row, loss in zip(self._live, self.testbed.loss(self.theta, self._heldout_batch)):
                 row.heldout.append((0, loss))
@@ -302,7 +311,7 @@ class ForgettingResult:
     injected: RunRecord
     control_heldout: list  # (step, held-out loss) for every step incl. step 0
     injected_heldout: list
-    normalized: list  # (step, value); 0 right before injection, -1 fifty steps after
+    normalized: list  # (step, value); 0 right before injection, -1 FORGET_SPAN steps after
 
 
 def run_forgetting_protocol(cfg: ExperimentConfig) -> ForgettingResult:
@@ -313,7 +322,8 @@ def run_forgetting_protocol(cfg: ExperimentConfig) -> ForgettingResult:
     two are one run up to step ``t_b - 1``: it runs once, and the injected
     run is a copy of it from there. Both track the held-out loss after every
     step. The normalized curve rescales the injected run's series so the
-    value just before injection is 0 and the value 50 steps after is -1.
+    value just before injection is 0 and the value
+    :data:`emx.config.FORGET_SPAN` steps after is -1.
     """
     if cfg.forget is None:
         raise ConfigError("config has no forget.t_b directive")
@@ -329,9 +339,9 @@ def run_forgetting_protocol(cfg: ExperimentConfig) -> ForgettingResult:
 
     normalized = []
     series = dict(injected_exp.heldout_series)
-    if not injected.diverged:  # the config has t_b + 50 <= run.steps
-        anchor0, anchor50 = series[t_b - 1], series[t_b + 50]
-        scale = anchor0 - anchor50
+    if not injected.diverged:  # the config has t_b + FORGET_SPAN <= run.steps
+        anchor0, anchor_end = series[t_b - 1], series[t_b + FORGET_SPAN]
+        scale = anchor0 - anchor_end
         if scale != 0.0:
             normalized = [
                 (s, (value - anchor0) / scale)

@@ -95,7 +95,7 @@ def global_norm_clip(g: np.ndarray, max_norm: float) -> np.ndarray:
 
 def make_rng(seed: int) -> np.random.Generator:
     """Counter-based generator; the same seed gives the same stream anywhere."""
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    return spawn_rng(seed)
 
 
 def spawn_rng(seed: int, *key: int) -> np.random.Generator:

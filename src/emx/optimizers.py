@@ -440,16 +440,13 @@ SWITCHES = {AdamW: AdEMAMix, AdEMAMix: AdamW}
 def switch_optimizer(opt: AdamFamily, cls: type, **params) -> AdamFamily:
     """Convert an Adam-family state mid-run into a ``cls`` state.
 
-    ``beta1``, ``beta2``, ``weight_decay``, ``eps``, the fast EMA and the
-    second moment are copied bit-for-bit into the new state's own buffers;
+    The hyperparameters both kinds declare, the fast EMA and the second
+    moment are copied bit-for-bit into the new state's own buffers;
     ``params`` set the rest. New slow EMAs start at zero, so the first update
     after a switch to AdEMAMix is still an AdamW update. The global step keeps
     counting; only the warmup clock restarts at the switch.
     """
-    new = cls(
-        opt.dim, beta1=opt.beta1, beta2=opt.beta2, weight_decay=opt.weight_decay, eps=opt.eps,
-        **params,
-    )
+    new = cls(opt.dim, **{k: getattr(opt, k) for k in cls.defaults if k in opt.defaults}, **params)
     if len(opt.shape) == 2:  # a rows state: every row switches
         new.select_rows([0] * opt.shape[0])
     if new.m1 is not None and opt.m1 is not None:

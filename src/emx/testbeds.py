@@ -242,10 +242,6 @@ class SyntheticDataset:
         """A larger fixed batch for low-variance loss evaluation."""
         return self._make_batch(spawn_rng(self.seed, _KEY_EVAL, 0), self.eval_size)
 
-    def init_rng(self) -> np.random.Generator:
-        """Generator reserved for model parameter initialization."""
-        return spawn_rng(self.seed, _KEY_INIT)
-
 
 def _rosenbrock(seed, x0=(-3.0, 5.0)):
     return rosenbrock_testbed(), None, np.asarray(x0, dtype=np.float64)
@@ -258,7 +254,7 @@ def _valley(seed, x0=(0.3, 1.5)):
 def _mlp(seed, input_dim=16, hidden=(64, 64), batch_size=32, noise=0.05, eval_size=256):
     net = TinyMlp([input_dim, *([hidden] if isinstance(hidden, int) else hidden), 1])
     data = SyntheticDataset(input_dim, batch_size, seed, noise, eval_size)
-    return net, data, net.init_params(data.init_rng())
+    return net, data, net.init_params(spawn_rng(seed, _KEY_INIT))
 
 
 TESTBEDS = {"rosenbrock": _rosenbrock, "valley": _valley, "mlp": _mlp}

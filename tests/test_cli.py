@@ -6,7 +6,8 @@ import sys
 import pytest
 
 import emx
-from emx.cli import main
+from emx.cli import _toy_config, build_parser, main
+from emx.config import parse_config
 
 TOY_CFG = """
 testbed.kind = rosenbrock
@@ -126,6 +127,31 @@ class TestToyCommand:
         assert code == 0
         assert len(out.read_text().splitlines()) == 11
 
+    BASE = "testbed.kind = rosenbrock\noptimizer.kind = adamw\nlr.kind = constant\n" \
+           "lr.value = 0.01\nrun.steps = 30\n"
+
+    @pytest.mark.parametrize("flags,lines", [
+        ([], ""),
+        (["--x0=0.5,1.5"], "testbed.x0 = 0.5, 1.5\n"),
+        (["--clip", "0.5"], "run.clip = 0.5\n"),
+        (["--seed", "7"], "run.seed = 7\n"),
+        (["--cadence", "4"], "run.cadence = 4\n"),
+    ], ids=["none", "x0", "clip", "seed", "cadence"])
+    def test_config_key_flags_match_run(self, tmp_path, flags, lines):
+        cfg = tmp_path / "toy.cfg"
+        cfg.write_text(self.BASE + lines)
+        toy, run = tmp_path / "toy.csv", tmp_path / "run.csv"
+        assert main(["toy", "rosenbrock", "--steps", "30", "--lr", "0.01", *flags,
+                     "--out", str(toy)]) == 0
+        assert main(["run", str(cfg), "--out", str(run)]) == 0
+        assert toy.read_bytes() == run.read_bytes()
+
+    def test_unset_run_flags_take_the_config_defaults(self):
+        cfg = _toy_config(build_parser().parse_args(["toy", "valley"]))
+        assert (cfg.seed, cfg.cadence, cfg.clip, cfg.testbed_params) == (0, 1, None, {})
+        assert cfg == parse_config(self.BASE.replace("rosenbrock", "valley")
+                                   .replace("0.01", "0.001").replace("30", "1000"))
+
 
 class TestSweepCommand:
     def test_sweep_summary(self, toy_cfg_file, tmp_path):
@@ -140,6 +166,13 @@ class TestSweepCommand:
 
     def test_bad_grid_is_config_error(self, toy_cfg_file):
         assert main(["sweep", toy_cfg_file, "--grid", "oops"]) == 3
+
+    def test_diverged_point_exits_2(self, toy_cfg_file, tmp_path):
+        out = tmp_path / "sweep.csv"
+        code = main(["sweep", toy_cfg_file, "--grid", "lr.value=0.001,1e6",
+                     "--grid", "optimizer.weight_decay=1.0", "--out", str(out)])
+        assert code == 2
+        assert out.read_text().splitlines()[-1].endswith(",true")
 
 
 class TestAnalyzeEmaCommand:
@@ -186,6 +219,14 @@ class TestForgetCommand:
         normalized = (outdir / "normalized.csv").read_text().splitlines()
         assert int(normalized[1].split(",")[0]) == 79
 
+    def test_diverged_run_exits_2(self, tmp_path):
+        cfg = tmp_path / "div.cfg"
+        cfg.write_text(MLP_CFG.replace("lr.value = 0.01", "lr.value = 1e6")
+                       + "optimizer.weight_decay = 1.0\n")
+        outdir = tmp_path / "forget"
+        assert main(["forget", str(cfg), "--out-dir", str(outdir)]) == 2
+        assert (outdir / "control.csv").exists()
+
 
 class TestCheckpointCommand:
     def test_save_then_inspect(self, toy_cfg_file, tmp_path, capsys):
@@ -198,6 +239,15 @@ class TestCheckpointCommand:
         assert "variant: ademamix" in out
         assert "step: 20" in out
         assert "slot theta: len 2" in out
+
+    def test_save_after_divergence_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        cfg = tmp_path / "div.cfg"
+        cfg.write_text(TOY_CFG.replace("lr.value = 0.001", "lr.value = 1e6")
+                       + "optimizer.weight_decay = 1.0\n")
+        ck = tmp_path / "state.emx"
+        assert main(["checkpoint", "save", str(cfg), "--at-step", "50", "--out", str(ck)]) == 2
+        assert capsys.readouterr().err.startswith("diverged at step ")
+        assert not ck.exists()
 
     def test_resume_matches_uninterrupted(self, toy_cfg_file, tmp_path):
         full = tmp_path / "full.csv"
@@ -249,6 +299,17 @@ class TestCheckpointCommand:
         assert main(["run", str(short), "--resume", str(ck), "--out", str(out)]) == 3
         err = capsys.readouterr().err
         assert "config error: checkpoint is at step 25, past run.steps = 10" in err
+        assert not out.exists()
+
+    def test_resume_under_other_hyperparameters_exits_3(self, toy_cfg_file, tmp_path, capsys):
+        ck = tmp_path / "state.emx"
+        assert main(["checkpoint", "save", toy_cfg_file, "--at-step", "10", "--out", str(ck)]) == 0
+        other = tmp_path / "other.cfg"
+        other.write_text(TOY_CFG.replace("optimizer.alpha = 5.0", "optimizer.alpha = 9.0"))
+        out = tmp_path / "tail.csv"
+        assert main(["run", str(other), "--resume", str(ck), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("config error: checkpoint holds a 'ademamix' state with alpha = 5.0")
         assert not out.exists()
 
     def test_resume_of_other_kind_exits_3(self, toy_cfg_file, tmp_path, capsys):

@@ -274,6 +274,8 @@ class TestTypedErrors:
             ("toy", "run.seed", "1.5", "run.seed"),
             ("toy", "run.seed", "-1", "run.seed"),
             ("toy", "optimizer.kind", "adamw, lion", "optimizer.kind"),
+            ("toy", "run.bogus", "1", "unknown key run.bogus"),
+            ("mlp", "forget.bogus", "1", "unknown key forget.bogus"),
         ],
     )
     def test_bad_value_is_config_error(self, base, key, value, match):
@@ -498,6 +500,8 @@ class TestSectionView:
         assert keys == [line.split(" = ")[0] for line in format_config(cfg).splitlines()]
 
     @given(valid_sections())
+    @example({"testbed": {"kind": "valley"}, "optimizer": {"kind": "ademamix", "beta_start": None},
+              "lr": {"kind": "constant", "value": 0.1}, "run": {"steps": 3}})
     @settings(max_examples=300, deadline=None)
     def test_sections_round_trip(self, sections):
         cfg = config_from_sections(sections)

@@ -22,6 +22,7 @@ from emx.harness import (
     run_sweep,
 )
 from emx.schedules import ConstantSchedule, WarmupConstantLinearDecay, WarmupCosineDecay
+from emx.testbeds import SyntheticDataset
 
 
 def toy_config(optimizer="adamw", steps=200, lr=1e-3, seed=0, extra=""):
@@ -272,6 +273,23 @@ class TestForgetting:
         assert exp.heldout_series == alone.heldout_series
         assert exp.checkpoint() == alone.checkpoint()
 
+    def test_heldout_tracked_on_a_testbed_without_a_dataset(self):
+        exp = Experiment(toy_config(steps=5), track_heldout=True)
+        record = exp.run()
+        assert [step for step, _ in exp.heldout_series] == list(range(6))
+        assert [row.heldout_loss for row in record.rows] == [loss for _, loss in
+                                                              exp.heldout_series[1:]]
+
+    def test_heldout_batch_built_only_when_tracked(self, monkeypatch):
+        calls = []
+        original = SyntheticDataset.heldout_batch
+        monkeypatch.setattr(SyntheticDataset, "heldout_batch",
+                            lambda self: calls.append(1) or original(self))
+        Experiment(mlp_config(steps=5)).run()
+        assert calls == []
+        Experiment(mlp_config(steps=5), track_heldout=True).run()
+        assert calls == [1]
+
 
 class TestSweep:
     def test_grid_of_one_matches_run_experiment(self):
@@ -318,6 +336,12 @@ class TestSweep:
     def test_bad_override_key(self):
         with pytest.raises(ConfigError):
             run_sweep(toy_config(steps=10), {"nope.key": [1]})
+
+    @pytest.mark.parametrize("grid,match", [({}, "sweep grid is empty"),
+                                            ({"lr.value": []}, "grid for 'lr.value' is empty")])
+    def test_empty_grid_is_config_error(self, grid, match):
+        with pytest.raises(ConfigError, match=match):
+            run_sweep(toy_config(steps=10), grid)
 
     def test_bad_point_fails_before_any_group_runs(self, monkeypatch):
         runs = []
@@ -465,6 +489,34 @@ class TestResumeGuards:
         cfg = kind_config(kind, lines, extra=switch)
         with pytest.raises(ConfigError, match="expects"):
             Experiment(cfg, resume_from=load_state(part.checkpoint()))
+
+
+    def test_differing_optimizer_hyperparameter_is_config_error(self):
+        part = Experiment(kind_config("ademamix", "optimizer.alpha = 5.0", steps=20))
+        part.run(until=10)
+        ck = load_state(part.checkpoint())
+        other = kind_config("ademamix", "optimizer.alpha = 9.0", steps=20)
+        with pytest.raises(ConfigError, match=re.escape(
+                "checkpoint holds a 'ademamix' state with alpha = 5.0 at step 10, "
+                "the config expects alpha = 9.0")):
+            Experiment(other, resume_from=ck)
+        # the first key that differs, in the kind's keyword order, is named
+        other = kind_config("ademamix", "optimizer.alpha = 9.0\noptimizer.beta1 = 0.5", steps=20)
+        with pytest.raises(ConfigError, match=re.escape("beta1 = 0.9 at step 10, "
+                                                        "the config expects beta1 = 0.5")):
+            Experiment(other, resume_from=ck)
+
+    def test_differing_switch_hyperparameter_is_config_error_after_the_switch(self):
+        cfg = kind_config("adamw", extra=FORWARD)
+        other = kind_config("adamw", extra=FORWARD.replace("alpha = 3.0", "alpha = 4.0"))
+        early, late = Experiment(cfg), Experiment(cfg)
+        early.run(until=30)
+        late.run(until=70)
+        # before switch.at the state holds no switch.* value
+        Experiment(other, resume_from=load_state(early.checkpoint())).run()
+        with pytest.raises(ConfigError, match=re.escape(
+                "'ademamix' state with alpha = 3.0 at step 70, the config expects alpha = 4.0")):
+            Experiment(other, resume_from=load_state(late.checkpoint()))
 
 
 class TestBuildTimeValidation:

@@ -400,6 +400,10 @@ class TestPreseed:
             preseed_momentum(opt, values)
         assert not opt.m.any()
 
+    def test_preseed_needs_a_momentum_buffer(self):
+        with pytest.raises(TypeError, match="cannot preseed momentum for AdMetaS"):
+            preseed_momentum(AdMetaS(2), [1.0, 0.0])
+
     def test_preseed_takes_integers(self):
         opt = AdamW(2)
         preseed_momentum(opt, [3, -1])
@@ -984,6 +988,10 @@ class TestTypedConstructor:
     def test_tuple_key_refuses_the_rest(self, value):
         with pytest.raises(ValueError, match="^betas must be"):
             AggMo(2, betas=value)
+
+    def test_tuple_key_needs_one_value(self):
+        with pytest.raises(ValueError, match="need at least one momentum coefficient"):
+            AggMo(2, betas=())
 
     def test_scratch_only_where_the_step_uses_it(self):
         assert not hasattr(AggMo(2), "_scratch")

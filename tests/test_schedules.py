@@ -90,6 +90,12 @@ class TestLinearWarmup:
     def test_zero_horizon_is_constant(self):
         assert LinearWarmup(final=8.0, horizon=0).at(1) == 8.0
 
+    @pytest.mark.parametrize("final,horizon,match", [(-1.0, 10, "final value must be >= 0"),
+                                                     (1.0, -1, "horizon must be >= 0")])
+    def test_validation(self, final, horizon, match):
+        with pytest.raises(ValueError, match=match):
+            LinearWarmup(final=final, horizon=horizon)
+
     @given(st.floats(min_value=0.0, max_value=100.0), st.integers(min_value=0, max_value=10000))
     @settings(max_examples=50)
     def test_nondecreasing(self, final, horizon):
@@ -198,6 +204,11 @@ class TestWarmupConstantLinearDecay:
             eta_max=1.0, eta_min=0.0, warmup=10, decay_start=50, decay_end=60
         )
         assert sched.at(5) == 0.5
+
+    def test_validation(self):
+        with pytest.raises(ValueError, match="warmup <= decay_start <= decay_end"):
+            WarmupConstantLinearDecay(eta_max=1.0, eta_min=0.0, warmup=0, decay_start=60,
+                                      decay_end=50)
 
 
 class TestConstantSchedule:

@@ -119,6 +119,10 @@ class TestTinyMlp:
         assert loss1 == pytest.approx(loss2, rel=1e-14)
         np.testing.assert_allclose(grad1, grad2, rtol=1e-12)
 
+    def test_needs_input_and_output_widths(self):
+        with pytest.raises(ValueError, match="need at least input and output dims"):
+            TinyMlp((4,))
+
     def test_input_width_mismatch(self):
         mlp = TinyMlp((4, 8, 1))
         theta = np.zeros(mlp.n_params)
