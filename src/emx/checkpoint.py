@@ -56,7 +56,13 @@ class CheckpointData:
 
 
 def save_state(opt, extra_slots: dict | None = None) -> bytes:
-    """Serialize an optimizer (plus optional extra named vectors)."""
+    """Serialize an optimizer (plus optional extra named vectors).
+
+    A rows state must have one row, saved as the 1-D state it steps like;
+    more rows are a ``ValueError``.
+    """
+    if len(opt.shape) == 2 and opt.shape[0] != 1:
+        raise ValueError(f"a checkpoint holds one row, the state has {opt.shape[0]} rows")
     slots = dict(opt.state_slots())
     if extra_slots:
         for name, vec in extra_slots.items():

@@ -295,9 +295,7 @@ class Experiment:
 
     def checkpoint(self) -> bytes:
         """Serialize the optimizer state plus the current parameters of a
-        one-row experiment."""
-        if len(self.theta) != 1:
-            raise ValueError(f"a checkpoint holds one row, the experiment has {len(self.theta)}")
+        one-row experiment; more rows are a ``ValueError``."""
         return save_state(self.opt, extra_slots={"theta": self.theta})
 
 

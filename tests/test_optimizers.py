@@ -1,6 +1,9 @@
 import itertools
 import struct
+import sys
+import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -8,12 +11,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from emx import optimizers
 from emx.checkpoint import MAGIC, VERSION, load_state, save_state
 from emx.config import _format_scalar
 from emx.numerics import DivergenceError, finite_rows, make_rng
 from emx.optimizers import (
+    BLOCK,
     OPTIMIZERS,
+    SPLIT_FLOOR,
     Ad3EMAMix,
+    AdamFamily,
     AdamW,
     AdEMAMix,
     AggMo,
@@ -796,6 +803,18 @@ class TestRows:
             flat, extra_slots={"theta": flat_theta}
         )
 
+    @pytest.mark.parametrize("kind", sorted(STEP_KINDS))
+    def test_more_rows_do_not_save(self, kind):
+        # the rows would be written end to end and restore as one state of dim k * 3
+        factory, _, _ = STEP_KINDS[kind]
+        opt = factory(3)
+        opt.select_rows([0, 0])
+        with pytest.raises(ValueError, match="the state has 2 rows"):
+            save_state(opt, extra_slots={"theta": np.zeros((2, 3))})
+        opt.select_rows(np.zeros(2, dtype=bool))
+        with pytest.raises(ValueError, match="the state has 0 rows"):
+            save_state(opt)
+
     @pytest.mark.parametrize("theta_shape", [(3, 4), (2, 3), (4,)])
     def test_shape_mismatch_leaves_state_untouched(self, theta_shape):
         opt = AdEMAMix(4)
@@ -836,6 +855,151 @@ class TestSaveStateBytes:
         assert save_state(opt) == save_state_before_one_copy(opt)
 
 
+@pytest.fixture
+def three_ranges(monkeypatch):
+    """Three column ranges whatever the machine, with the interpreter switching
+    threads as often as it can; yields the threads the steps start."""
+    started = []
+
+    class Recorded(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(optimizers.os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    monkeypatch.setattr(optimizers.threading, "Thread", Recorded)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield started
+    finally:
+        sys.setswitchinterval(interval)
+
+
+class TestColumnSplit:
+    """A state of ``SPLIT_FLOOR`` elements or more steps in column ranges on
+    threads, each range in pieces, and must give the whole-array bytes."""
+
+    # odd and not a multiple of 3 or BLOCK: every 1-D range holds two pieces, one short
+    DIM = 2**18 + 5
+    LRS = [1e-3, 1e-2, 0.5]
+
+    def _grads(self, shape, steps):
+        rng = make_rng(31)
+        grads = [rng.standard_normal(shape) for _ in range(steps)]
+        # hostile values in the last step and columns only: the last range's last piece
+        grads[-1][..., -4:] = [np.inf, np.nan, -0.0, 1e160]
+        return grads
+
+    @pytest.mark.parametrize("kind", sorted(STEP_KINDS))
+    def test_1d_matches_reference_bytes(self, kind, three_ranges):
+        assert self.DIM >= SPLIT_FLOOR and self.DIM % BLOCK and self.DIM > 3 * BLOCK
+        factory, method, reference = STEP_KINDS[kind]
+        opt, ref = factory(self.DIM), factory(self.DIM)
+        theta = ref_theta = make_rng(30).standard_normal(self.DIM)
+        grads = self._grads(self.DIM, 4)
+        for grad in grads:
+            args = _step_args(kind, opt, None)
+            new, diverged = _run(getattr(type(opt), method), opt, theta, grad, 1e-2, args)
+            ref_new, ref_diverged = _run(reference, ref, ref_theta, grad, 1e-2, args)
+            assert diverged == ref_diverged and opt.t == ref.t
+            assert _slot_bytes(opt) == _slot_bytes(ref)
+            if diverged is None:
+                assert new.tobytes() == ref_new.tobytes()
+                theta, ref_theta = new, ref_new
+        assert diverged == len(grads)
+        assert len(three_ranges) == 2 * len(grads)
+
+    @pytest.mark.parametrize("kind", sorted(STEP_KINDS))
+    def test_rows_match_reference_bytes(self, kind, three_ranges):
+        factory, method, reference = STEP_KINDS[kind]
+        rows = factory(self.DIM)
+        rows.select_rows([0] * 3)
+        theta = make_rng(30).standard_normal((3, self.DIM))
+        alone = [(factory(self.DIM), row.copy()) for row in theta]
+        grads = self._grads((3, self.DIM), 3)
+        grads[-1][[0, 2], -4:] = 1.0  # only the middle row turns non-finite
+        for grad in grads:
+            args = _step_args(kind, rows, None)
+            new = getattr(rows, method)(theta, grad, np.array(self.LRS)[:, np.newaxis], *args)
+            finite = []
+            for i, (ref, ref_theta) in enumerate(alone):
+                ref_new, diverged = _run(reference, ref, ref_theta, grad[i], self.LRS[i], args)
+                assert {n: b[i].tobytes() for n, b in rows.state_slots().items()} == (
+                    _slot_bytes(ref)
+                )
+                if diverged is None:
+                    assert new[i].tobytes() == ref_new.tobytes()
+                    alone[i] = (ref, ref_new)
+                finite.append(diverged is None)
+            ok = finite_rows(new, *rows.state_slots().values())
+            assert finite == ([True] * 3 if ok is None else ok.tolist())
+            theta = new
+        assert finite == [True, False, True]
+
+    def test_overflow_in_a_worker_is_quiet(self, three_ranges):
+        # numpy's errstate is per thread: each range must enter its own
+        opt = AdEMAMix(self.DIM)
+        opt.select_rows([0, 0])
+        grad = np.ones((2, self.DIM))
+        grad[:, -1] = 1e200  # grad * grad overflows in the last range alone
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            opt.step(np.zeros((2, self.DIM)), grad, np.full((2, 1), 1e-3))
+        assert [w.message for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        assert np.isinf(opt.nu[:, -1]).all() and np.isfinite(opt.nu[:, :-1]).all()
+
+    def test_wrong_lr_column_raises_once_every_range_is_joined(self, three_ranges):
+        opt = AdamW(self.DIM)
+        opt.select_rows([0] * 3)
+        outcome = []
+
+        def call():
+            try:
+                outcome.append(opt.step(np.zeros((3, self.DIM)), np.ones((3, self.DIM)),
+                                        np.ones((4, 1))))
+            except ValueError as exc:
+                outcome.append(exc)
+
+        caller = threading.Thread(target=call)
+        caller.start()
+        caller.join(timeout=60)
+        assert not caller.is_alive()
+        assert len(outcome) == 1 and isinstance(outcome[0], ValueError)
+        assert len(three_ranges) == 3 and not any(t.is_alive() for t in three_ranges)
+
+    def test_error_in_a_worker_alone_is_raised(self, three_ranges, monkeypatch):
+        kernel = AdamFamily._mixture
+
+        def failing(state, *args):
+            if threading.current_thread() is not threading.main_thread():
+                raise ZeroDivisionError("in a worker")
+            kernel(state, *args)
+
+        monkeypatch.setattr(AdamFamily, "_mixture", failing)
+        opt = AdEMAMix(self.DIM)
+        with pytest.raises(ZeroDivisionError, match="in a worker"):
+            opt.step(np.zeros(self.DIM), np.ones(self.DIM), 1e-3)
+        assert len(three_ranges) == 2 and not any(t.is_alive() for t in three_ranges)
+
+    @pytest.mark.parametrize("kind", sorted(STEP_KINDS))
+    def test_no_thread_outlives_the_step(self, kind, three_ranges):
+        factory, method, _ = STEP_KINDS[kind]
+        opt = factory(self.DIM)
+        theta = getattr(opt, method)(np.zeros(self.DIM), np.ones(self.DIM), 1e-3,
+                                     *_step_args(kind, opt, None))
+        assert len(three_ranges) == 2 and not any(t.is_alive() for t in three_ranges)
+        assert np.isfinite(theta).all()
+
+    def test_below_the_floor_runs_inline(self, three_ranges):
+        opt = AdEMAMix(SPLIT_FLOOR - 1)
+        opt.step(np.zeros(SPLIT_FLOOR - 1), np.ones(SPLIT_FLOOR - 1), 1e-3)
+        opt = AdEMAMix(SPLIT_FLOOR // 4)
+        opt.select_rows([0] * 3)  # 3/4 of the floor in elements
+        opt.step(np.zeros(opt.shape), np.ones(opt.shape), np.full((3, 1), 1e-3))
+        assert three_ranges == []
+
+
 def _traced_peak(fn):
     tracemalloc.start()
     try:
@@ -851,17 +1015,19 @@ class TestAllocation:
 
     DIM = 100_000
 
+    @pytest.mark.parametrize("dim", [SPLIT_FLOOR // 2, DIM, 2**18 + 3])
     @pytest.mark.parametrize("kind", sorted(STEP_KINDS))
-    def test_step_peak_is_one_vector(self, kind):
+    def test_step_peak_is_one_vector(self, kind, dim):
+        # tracemalloc traces every thread: a split step's spans are views
         factory, method, _ = STEP_KINDS[kind]
-        opt = factory(self.DIM)
+        opt = factory(dim)
         rng = make_rng(23)
-        theta, grad = rng.standard_normal(self.DIM), rng.standard_normal(self.DIM)
+        theta, grad = rng.standard_normal(dim), rng.standard_normal(dim)
         step = getattr(opt, method)
         theta = step(theta, grad, 1e-3, *_step_args(kind, opt, None))
         args = _step_args(kind, opt, None)
         peak, _ = _traced_peak(lambda: step(theta, grad, 1e-3, *args))
-        assert peak <= 1.25 * 8 * self.DIM
+        assert peak <= 1.25 * 8 * dim
 
     @pytest.mark.parametrize("kind", ["ademamix", "aggmo"])
     def test_checkpoint_peak_is_one_blob(self, kind):
