@@ -6,8 +6,10 @@ one row per point when several points are stepped together. Every operation
 on rows is elementwise, so a row gets the bits it would get alone; the one
 broadcast is a per-row value (a learning rate) as a ``(K, 1)`` column, which
 rounds like the same scalar. Reductions are taken per row with
-:func:`row_norms`. All randomness flows through Philox, a counter-based
-64-bit generator whose stream is reproducible bit-for-bit from the seed.
+:func:`row_norms`, and a step's rows are checked with :func:`finite_rows`;
+each costs one BLAS ``ddot`` per array, not a numpy call per row. All
+randomness flows through Philox, a counter-based 64-bit generator whose
+stream is reproducible bit-for-bit from the seed.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from .schedules import finite_number
 
 
 class DivergenceError(ArithmeticError):
@@ -41,30 +45,46 @@ def l2_norm(a: np.ndarray) -> float:
 def row_norms(rows: np.ndarray) -> list:
     """:func:`l2_norm` of each row, as Python floats.
 
-    One row at a time: a batched reduction (``einsum``, ``(d*d).sum(1)``)
-    does not round like ``np.vdot`` on a row.
+    One ``np.vecdot`` over the rows: its float64 loop calls, for each row,
+    the BLAS ``ddot`` that ``np.vdot`` calls, so each row gets the bits of
+    :func:`l2_norm`. A reduction that is not a ``ddot`` (``einsum``,
+    ``(d*d).sum(1)``) rounds differently. ``vecdot`` checks the
+    floating-point flags where ``vdot`` does not, so an overflowed square
+    sum is kept a quiet ``inf`` here.
     """
-    return [l2_norm(row) for row in rows]
+    with np.errstate(over="ignore", invalid="ignore"):
+        squares = np.vecdot(rows, rows)
+    return [math.sqrt(s) for s in squares.tolist()]
 
 
 def finite_rows(*arrays: np.ndarray) -> np.ndarray | None:
     """``None`` if every value of ``arrays`` is finite; else, per row (the
     last axis reduced; a scalar for 1-D arrays), whether every array is
-    finite there."""
-    if all(np.isfinite(a).all() for a in arrays):  # the common case, one pass each
+    finite there.
+
+    The common case is one BLAS ``ddot`` per array: ``a · a`` is finite only
+    if every value of ``a`` is, for inf and nan propagate and squares cannot
+    cancel. A non-finite dot, which may also be the overflowed square sum
+    of finite values, falls through to per-value masks.
+    """
+    if all(math.isfinite(np.vdot(a, a)) for a in arrays):
         return None
     ok = np.isfinite(arrays[0]).all(axis=-1)
     for a in arrays[1:]:
         ok &= np.isfinite(a).all(axis=-1)
-    return ok
+    return None if ok.all() else ok
 
 
 def _norm_parts(g: np.ndarray) -> tuple[float, float]:
     """``(n, peak)`` with ``|g| = n * peak``: ``peak`` is 1.0 unless the dot
-    product overflows, then ``max|g|`` and ``n`` is the norm of ``g / peak``."""
+    product overflows, then ``max|g|`` and ``n`` is the norm of ``g / peak``.
+    A non-finite ``g`` is a :class:`DivergenceError`; the square sum is its
+    check, and ``np.isfinite`` runs only to tell it from an overflow."""
     norm = l2_norm(g)
-    if norm != np.inf:
+    if math.isfinite(norm):
         return norm, 1.0
+    if not np.isfinite(g).all():
+        raise DivergenceError("non-finite gradient in global_norm_clip")
     peak = float(np.max(np.abs(g)))
     return l2_norm(g / peak), peak
 
@@ -75,11 +95,11 @@ def global_norm_clip(g: np.ndarray, max_norm: float) -> np.ndarray:
     Vectors already within the bound are returned unchanged, which makes the
     operation idempotent bit-for-bit. Non-finite inputs signal divergence. A
     finite ``g`` whose squared norm overflows is measured as ``g / max|g|``.
+    ``max_norm`` must be a finite number above 0, else a ``ValueError``.
     """
+    max_norm = finite_number("max_norm", max_norm)
     if max_norm <= 0:
         raise ValueError(f"max_norm must be positive, got {max_norm}")
-    if not np.isfinite(g).all():
-        raise DivergenceError("non-finite gradient in global_norm_clip")
     norm, peak = _norm_parts(g)
     if norm * peak <= max_norm:
         return g

@@ -171,7 +171,9 @@ class Optimizer:
         the slots; return ``new``, the step's one allocation.
 
         A non-finite 1-D state raises :class:`DivergenceError` once every
-        column is updated; rows are left to the caller.
+        column is updated; rows are left to the caller. Inline, the check is
+        :func:`finite_rows`, one ``ddot`` per array; the ranges use
+        :meth:`_finite`.
         """
         if not np.shape(theta) == np.shape(grad) == self.shape:
             raise ValueError(
@@ -183,7 +185,7 @@ class Optimizer:
         if new.size < SPLIT_FLOOR:
             with np.errstate(over="ignore", invalid="ignore"):
                 kernel(self, new, theta, grad, *args)
-            finite = self._finite(new)
+            finite = new.ndim == 2 or finite_rows(new, *self.state_slots().values()) is None
         else:
             finite = self._ranges(kernel, new, theta, grad, args)
         if not finite:
@@ -235,8 +237,10 @@ class Optimizer:
 
     def _finite(self, new) -> bool:
         """Whether ``new`` and every slot are finite; a rows state is left to
-        the caller, so it always is."""
-        return new.ndim == 2 or finite_rows(new, *self.state_slots().values()) is None
+        the caller, so it always is. No BLAS call: this runs in the step's
+        ranges, and OpenBLAS threads a long ``ddot`` on the CPUs they use."""
+        arrays = (new, *self.state_slots().values())
+        return new.ndim == 2 or all(np.isfinite(a).all() for a in arrays)
 
 
 class AdamFamily(Optimizer):

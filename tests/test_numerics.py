@@ -8,11 +8,18 @@ from hypothesis.extra.numpy import arrays
 
 from emx.numerics import (
     DivergenceError,
+    finite_rows,
     global_norm_clip,
     l2_norm,
     make_rng,
+    row_norms,
     spawn_rng,
 )
+
+# values whose squares overflow, underflow, propagate or keep a sign of zero
+HOSTILE = st.sampled_from([np.inf, -np.inf, np.nan, -0.0, 1e160, 1e200, 1e-300])
+ENTRIES = st.one_of(st.floats(-10.0, 10.0), HOSTILE)
+
 
 class TestGlobalNormClip:
     def test_below_threshold_unchanged(self):
@@ -30,14 +37,16 @@ class TestGlobalNormClip:
         np.testing.assert_array_equal(out, [0.0, 0.0])
 
     def test_nonfinite_is_divergence(self):
-        with pytest.raises(DivergenceError):
-            global_norm_clip(np.array([1.0, np.inf]), 1.0)
-        with pytest.raises(DivergenceError):
-            global_norm_clip(np.array([np.nan]), 1.0)
+        for g in ([1.0, np.inf], [np.nan], [np.inf, -np.inf], [1e200, np.nan]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # raised before any inf / inf
+                with pytest.raises(DivergenceError):
+                    global_norm_clip(np.array(g), 1.0)
 
     def test_bad_max_norm(self):
-        with pytest.raises(ValueError):
-            global_norm_clip(np.ones(2), 0.0)
+        for max_norm in (0.0, -1.0, -0.0, np.nan, np.inf, -np.inf, True, False, "1", None, [1.0]):
+            with pytest.raises(ValueError, match="max_norm"):
+                global_norm_clip(np.ones(2), max_norm)
 
     @given(
         arrays(np.float64, 8, elements=st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)),
@@ -109,6 +118,70 @@ class TestL2Norm:
 
     def test_ones(self):
         assert l2_norm(np.ones(4)) == 2.0
+
+
+class TestRowNorms:
+    """One ``vecdot`` over the rows gives each row the bits of ``l2_norm``."""
+
+    @given(
+        st.integers(1, 8),
+        st.integers(0, 64),
+        st.booleans(),
+        st.data(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_bits_of_l2_norm_on_each_row(self, k, dim, strided, data):
+        shape = (k, 2 * dim) if strided else (k, dim)
+        a = data.draw(arrays(np.float64, shape, elements=ENTRIES), label="rows")
+        rows = a[:, ::2] if strided else a
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an overflow stays a quiet inf
+            norms = row_norms(rows)
+            assert np.array(norms).tobytes() == np.array([l2_norm(r) for r in rows]).tobytes()
+        assert all(type(n) is float for n in norms)
+
+    @pytest.mark.parametrize("strided", [False, True])
+    def test_rows_wider_than_a_threaded_ddot(self, strided):
+        # OpenBLAS threads a ddot above 10000 elements
+        a = make_rng(8).standard_normal((3, 2 * 10007 if strided else 10007)) * 1e150
+        a[1, 4] = 1e200
+        a[2, -2] = np.nan
+        rows = a[:, ::2] if strided else a
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            norms = row_norms(rows)
+        assert np.array(norms).tobytes() == np.array([l2_norm(r) for r in rows]).tobytes()
+        assert norms[1] == np.inf and np.isnan(norms[2])
+
+
+def _shapes(k):
+    """The shapes of one call's arrays: all 1-D, or ``(k, 1)`` and ``(k, dim)`` rows."""
+    rows = st.one_of(st.just((k, 1)), st.integers(0, 16).map(lambda dim: (k, dim)))
+    return st.one_of(st.lists(st.integers(0, 16).map(lambda dim: (dim,)), min_size=1, max_size=4),
+                     st.lists(rows, min_size=1, max_size=4))
+
+
+class TestFiniteRows:
+    """The ``ddot`` fast path against per-value masks."""
+
+    @given(st.integers(1, 6).flatmap(_shapes), st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_the_exact_reference(self, shapes, data):
+        arrays_ = [data.draw(arrays(np.float64, shape, elements=ENTRIES)) for shape in shapes]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ok = finite_rows(*arrays_)
+        if all(np.isfinite(a).all() for a in arrays_):
+            assert ok is None
+        else:
+            want = np.logical_and.reduce([np.isfinite(a).all(axis=-1) for a in arrays_])
+            assert ok is not None and np.array_equal(ok, want) and np.shape(ok) == np.shape(want)
+
+    def test_overflowed_square_sums_are_finite_rows(self):
+        assert finite_rows(np.array([1e160, -1e200])) is None
+        assert finite_rows(np.full((3, 4), 1e160), np.array([[1e200], [-1e300], [0.0]])) is None
+        ok = finite_rows(np.full((3, 4), 1e160), np.array([[1e200], [np.nan], [0.0]]))
+        assert ok.tolist() == [True, False, True]
 
 
 class TestRng:

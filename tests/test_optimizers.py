@@ -991,6 +991,26 @@ class TestColumnSplit:
         assert len(three_ranges) == 2 and not any(t.is_alive() for t in three_ranges)
         assert np.isfinite(theta).all()
 
+    @pytest.mark.parametrize("kind", sorted(STEP_KINDS))
+    def test_ranges_make_no_blas_call(self, kind, three_ranges, monkeypatch):
+        # OpenBLAS threads a long ddot, and its workers would contend with the ranges
+        calls = []
+        for name in ("vdot", "vecdot", "dot"):
+            def counted(*args, _blas=getattr(np, name), **kwargs):
+                calls.append(args)
+                return _blas(*args, **kwargs)
+
+            monkeypatch.setattr(np, name, counted)
+        factory, method, _ = STEP_KINDS[kind]
+        opt = factory(self.DIM)
+        theta = np.zeros(self.DIM)
+        for big in (1.0, 1e160):  # then a value whose square overflows, in the last range
+            grad = np.ones(self.DIM)
+            grad[-1] = big
+            theta, _ = _run(getattr(type(opt), method), opt, theta, grad, 1e-3,
+                            _step_args(kind, opt, None))
+        assert calls == [] and len(three_ranges) == 4
+
     def test_below_the_floor_runs_inline(self, three_ranges):
         opt = AdEMAMix(SPLIT_FLOOR - 1)
         opt.step(np.zeros(SPLIT_FLOOR - 1), np.ones(SPLIT_FLOOR - 1), 1e-3)
