@@ -241,9 +241,8 @@ class Experiment:
         if batch is None and self.dataset:
             batch = self.dataset.batch(t)
         losses, grad = self.testbed.loss_and_grad(self.theta, batch)
-        finite = all(map(math.isfinite, losses))  # the losses are Python floats
         losses = np.array(losses)
-        ok = finite_rows(grad) if finite else finite_rows(losses[:, np.newaxis], grad)
+        ok = finite_rows(losses[:, np.newaxis], grad)
         if ok is not None:
             losses, grad = self._drop(ok, t, losses, grad)
             if not self._live:

@@ -55,7 +55,7 @@ import threading
 
 import numpy as np
 
-from .numerics import DivergenceError, finite_rows
+from .numerics import DivergenceError
 from .schedules import HalfLifeLinearWarmup, LinearWarmup, decay, finite_number, step_count
 
 # A state of fewer elements steps inline on ``self``: one thread, one piece,
@@ -171,9 +171,7 @@ class Optimizer:
         the slots; return ``new``, the step's one allocation.
 
         A non-finite 1-D state raises :class:`DivergenceError` once every
-        column is updated; rows are left to the caller. Inline, the check is
-        :func:`finite_rows`, one ``ddot`` per array; the ranges use
-        :meth:`_finite`.
+        column is updated; rows are left to the caller.
         """
         if not np.shape(theta) == np.shape(grad) == self.shape:
             raise ValueError(
@@ -185,7 +183,7 @@ class Optimizer:
         if new.size < SPLIT_FLOOR:
             with np.errstate(over="ignore", invalid="ignore"):
                 kernel(self, new, theta, grad, *args)
-            finite = new.ndim == 2 or finite_rows(new, *self.state_slots().values()) is None
+            finite = self._finite(new)
         else:
             finite = self._ranges(kernel, new, theta, grad, args)
         if not finite:
