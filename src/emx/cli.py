@@ -28,8 +28,8 @@ from .config import (
     ExperimentConfig,
     _parse_value,
     config_from_sections,
-    config_sections,
     load_config,
+    with_values,
 )
 from .optimizers import OPTIMIZERS, AdamW
 
@@ -46,7 +46,7 @@ def _apply_env_seed(cfg: ExperimentConfig) -> ExperimentConfig:
         seed = int(env)
     except ValueError as exc:
         raise ConfigError(f"EMX_SEED must be an integer, got {env!r}") from exc
-    return harness.apply_override(cfg, "run.seed", seed)  # checked like a config's seed
+    return with_values(cfg, {"run.seed": seed})  # checked like a config's seed
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -85,8 +85,11 @@ def _parse_grid(specs) -> dict:
         if "=" not in item:
             raise ConfigError(f"--grid expects key=v1,v2,..., got {item!r}")
         key, _, values = item.partition("=")
+        key = key.strip()
+        if key in grid:
+            raise ConfigError(f"duplicate --grid key {key!r}")
         parsed = _parse_value(values.strip())  # same value grammar as config files
-        grid[key.strip()] = parsed if isinstance(parsed, list) else [parsed]
+        grid[key] = parsed if isinstance(parsed, list) else [parsed]
     return grid
 
 
@@ -137,7 +140,7 @@ def _cmd_analyze_ema(args) -> int:
 def _cmd_forget(args) -> int:
     cfg = _apply_env_seed(load_config(args.config))
     if args.t_b is not None:
-        cfg = config_from_sections({**config_sections(cfg), "forget": {"t_b": args.t_b}})
+        cfg = with_values(cfg, {"forget.t_b": args.t_b})
     result = harness.run_forgetting_protocol(cfg)
     os.makedirs(args.out_dir, exist_ok=True)
     heldout = ("step", "heldout_loss")

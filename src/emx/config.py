@@ -14,6 +14,12 @@ Sections: ``testbed``, ``optimizer``, ``lr``, ``run``, and the optional
 ``switch`` and ``forget`` directives. Floats are written back as shortest
 round-trip decimals, so ``parse_config(format_config(cfg)) == cfg`` exactly.
 
+:data:`KEY_ROLES` is the one table of the sections and of how each key may
+vary: a row key may differ between the rows of one experiment, a shared key is
+one value for all of them, and a fixed key is never swept. The parser, the
+sweep check and the sweep's grouping all read it. :func:`with_values` is the
+one way to set keys of a parsed config.
+
 Defaults follow the experiment conventions: 2-D toys record every step while
 MLP runs record every 10th, and MLP configs get weight decay 0.1 unless set
 explicitly.
@@ -51,8 +57,19 @@ _OPTIMIZER_KEYS = {
     for kind, cls in OPTIMIZERS.items()
 }
 _LR_KEYS = {kind: {f.name for f in fields(cls)} for kind, cls in LR_SCHEDULES.items()}
-_RUN_KEYS = {"steps", "seed", "cadence", "clip", "constant_after", "out"}
-_FORGET_KEYS = {"t_b"}
+
+ROW, SHARED, FIXED = "row", "shared", "fixed"
+# section -> the role of its keys, which its kind declares; or -> {key: role}
+# for a section whose keys are listed here
+KEY_ROLES = {
+    "testbed": SHARED,
+    "optimizer": SHARED,
+    "lr": ROW,
+    "run": {"steps": SHARED, "seed": SHARED, "cadence": SHARED, "clip": SHARED,
+            "constant_after": FIXED, "out": FIXED},
+    "switch": SHARED,
+    "forget": {"t_b": FIXED},
+}
 
 _INT_RE = re.compile(r"^[+-]?\d+$")
 
@@ -177,10 +194,13 @@ def config_from_sections(sections: dict) -> ExperimentConfig:
 
 
 def _read_sections(sections: dict) -> ExperimentConfig:
-    known_sections = {"testbed", "optimizer", "lr", "run", "switch", "forget"}
-    for section in sections:
-        if section not in known_sections:
+    for section, params in sections.items():
+        roles = KEY_ROLES.get(section)
+        if roles is None:
             raise ConfigError(f"unknown section {section!r}")
+        for key in params:
+            if isinstance(roles, dict) and key not in roles:
+                raise ConfigError(f"unknown key {section}.{key}")
 
     testbed, testbed_sec = _kind_and_params(sections, "testbed", _TESTBED_KEYS, "testbed")
     optimizer, optimizer_sec = _kind_and_params(sections, "optimizer", _OPTIMIZER_KEYS, "optimizer")
@@ -206,10 +226,6 @@ def _read_sections(sections: dict) -> ExperimentConfig:
             else:
                 finite_number(f"testbed.{key}", v)
 
-    for section, allowed in (("run", _RUN_KEYS), ("forget", _FORGET_KEYS)):
-        for key in sections.get(section, {}):
-            if key not in allowed:
-                raise ConfigError(f"unknown key {section}.{key}")
     if "steps" not in run_sec:
         raise ConfigError("run.steps is required")
     steps = integer("run.steps", run_sec["steps"])
@@ -292,20 +308,16 @@ def _read_sections(sections: dict) -> ExperimentConfig:
 def config_sections(cfg: ExperimentConfig) -> dict:
     """The ``section -> {name: value}`` view of ``cfg``; inverse of :func:`config_from_sections`.
 
-    Keys are in :func:`format_config` order: ``kind``/``to``/``at``, then the rest sorted.
+    Keys are in :func:`format_config` order: ``kind``/``to``/``at``, then the rest sorted
+    (the ``run`` keys in :data:`KEY_ROLES` order).
     """
-    run = {"steps": cfg.steps, "seed": cfg.seed, "cadence": cfg.cadence}
-    if cfg.clip is not None:
-        run["clip"] = cfg.clip
-    if cfg.constant_after:
-        run["constant_after"] = True
-    if cfg.out is not None:
-        run["out"] = cfg.out
+    # the run keys are field names; one at its default of None or false is left out
+    run = {key: getattr(cfg, key) for key in KEY_ROLES["run"]}
     sections = {
         "testbed": {"kind": cfg.testbed, **dict(sorted(cfg.testbed_params.items()))},
         "optimizer": {"kind": cfg.optimizer, **dict(sorted(cfg.optimizer_params.items()))},
         "lr": {"kind": cfg.lr.kind, **dict(sorted(cfg.lr.params.items()))},
-        "run": run,
+        "run": {key: v for key, v in run.items() if v is not None and v is not False},
     }
     if cfg.switch is not None:
         sw = cfg.switch
@@ -322,6 +334,46 @@ def format_sections(sections: dict) -> str:
         for section, keys in sections.items()
         for name, value in keys.items()
     )
+
+
+def check_sweepable(cfg: ExperimentConfig, dotted_key: str) -> None:
+    """Refuse a key that a sweep of ``cfg`` may not set: one that
+    :data:`KEY_ROLES` does not know or marks fixed, or a ``switch.*`` key of a
+    config with no switch."""
+    section, _, name = dotted_key.partition(".")
+    if not name:
+        raise ConfigError(f"override key {dotted_key!r} is missing its section prefix")
+    if section == "switch" and cfg.switch is None:
+        raise ConfigError("config has no switch directive to override")
+    roles = KEY_ROLES.get(section, FIXED)
+    if not isinstance(roles, dict):
+        roles = {name: roles}
+    if all(role == FIXED for role in roles.values()):  # no key of it may be swept
+        raise ConfigError(f"unknown override section {section!r}")
+    if roles.get(name, FIXED) == FIXED:
+        raise ConfigError(f"cannot sweep {dotted_key}")
+
+
+def shared_text(cfg: ExperimentConfig) -> str:
+    """The config text of every section whose keys are not row keys: what the
+    rows of one experiment share."""
+    sections = config_sections(cfg)
+    return format_sections({s: keys for s, keys in sections.items() if KEY_ROLES[s] != ROW})
+
+
+def with_values(cfg: ExperimentConfig, values: dict) -> ExperimentConfig:
+    """A copy of ``cfg`` with each ``dotted_key -> value`` of ``values`` set
+    (a section ``cfg`` lacks is added).
+
+    The copy is rendered to config text and parsed once, so it is checked as a
+    whole and each value is normalized like a parsed one (a tuple becomes a
+    list, an ``np.int64`` an ``int``).
+    """
+    sections = config_sections(cfg)
+    for dotted_key, value in values.items():
+        section, _, name = dotted_key.partition(".")
+        sections.setdefault(section, {})[name] = value
+    return parse_config(format_sections(sections))
 
 
 def format_config(cfg: ExperimentConfig) -> str:

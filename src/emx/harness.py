@@ -23,9 +23,9 @@ from .config import (
     FORGET_SPAN,
     ConfigError,
     ExperimentConfig,
-    config_sections,
-    format_sections,
-    parse_config,
+    check_sweepable,
+    shared_text,
+    with_values,
 )
 from .numerics import finite_rows, global_norm_clip, row_norms
 from .optimizers import OPTIMIZERS, preseed_momentum, switch_optimizer
@@ -102,14 +102,6 @@ def _build_optimizer(kind: str, params: dict, dim: int, switch=None):
     return opt
 
 
-def _without_lr(cfg: ExperimentConfig) -> str:
-    """The config text of every section but ``lr``: what the rows of one
-    :class:`Experiment` share."""
-    sections = config_sections(cfg)
-    del sections["lr"]
-    return format_sections(sections)
-
-
 @dataclass
 class _Row:
     """One point of an :class:`Experiment`: its lr schedule, record and
@@ -132,8 +124,8 @@ class Experiment:
     row's record has the bytes of the point run alone. A row whose loss,
     gradient or new state is non-finite is recorded as diverged at that
     step and dropped from the state; the others go on. ``records`` holds
-    one :class:`RunRecord` per row; ``record``, ``heldout_series`` and
-    ``lr_schedule`` are the first row's.
+    one :class:`RunRecord` per row; ``record`` and ``heldout_series`` are the
+    first row's.
 
     ``track_heldout=True`` evaluates the held-out loss after every step into
     ``heldout_series``. An experiment holds no state outside itself, so a
@@ -151,7 +143,7 @@ class Experiment:
             rows = [cfg]
         elif not rows:
             raise ConfigError("an experiment needs at least one row")
-        elif any(_without_lr(point) != _without_lr(cfg) for point in rows):
+        elif any(shared_text(point) != shared_text(cfg) for point in rows):
             raise ConfigError("the rows of an experiment may differ only in lr.* values")
         self.cfg = cfg
         self.track_heldout = track_heldout
@@ -167,7 +159,6 @@ class Experiment:
         self.records = [row.record for row in self._rows]
         self.record = self.records[0]
         self.heldout_series: list[tuple[int, float]] = self._rows[0].heldout
-        self.lr_schedule = self._rows[0].lr
 
         restored = None if resume_from is None else restore_optimizer(resume_from)
         self.opt = _build_optimizer(cfg.optimizer, cfg.optimizer_params, self.testbed.dim)
@@ -378,30 +369,20 @@ class SweepResult:
 
 
 def apply_override(cfg: ExperimentConfig, dotted_key: str, value) -> ExperimentConfig:
-    """Return a copy of ``cfg`` with one dotted config key replaced.
-
-    The copy is rendered to config text and parsed again, so the value is
-    validated and normalized like a parsed one (a tuple becomes a list).
-    """
-    section, _, name = dotted_key.partition(".")
-    if not name:
-        raise ConfigError(f"override key {dotted_key!r} is missing its section prefix")
-    if section == "switch" and cfg.switch is None:
-        raise ConfigError("config has no switch directive to override")
-    if section not in ("testbed", "optimizer", "lr", "run", "switch"):
-        raise ConfigError(f"unknown override section {section!r}")
-    if section == "run" and name not in ("steps", "seed", "cadence", "clip"):
-        raise ConfigError(f"cannot sweep run.{name}")
-    sections = config_sections(cfg)
-    sections[section][name] = value
-    return parse_config(format_sections(sections))
+    """Return a copy of ``cfg`` with one dotted config key replaced: the key
+    must pass :func:`emx.config.check_sweepable`, and the copy is made by
+    :func:`emx.config.with_values`."""
+    check_sweepable(cfg, dotted_key)
+    return with_values(cfg, {dotted_key: value})
 
 
 def run_sweep(cfg: ExperimentConfig, grid: dict) -> SweepResult:
     """Run the cartesian product of ``grid`` (dotted key -> list of values).
 
-    Points whose configs are equal except for ``lr.*`` values run as the
-    rows of one :class:`Experiment`, on every testbed: they share each
+    Each key is checked once, then each point's keys are set together and
+    the point is checked as one config, so the order of the keys does not
+    matter. Points whose configs are equal except for ``lr.*`` values run as
+    the rows of one :class:`Experiment`, on every testbed: they share each
     step's batch, testbed call and optimizer step, and every record has the
     bytes of the point run alone.
     Divergence in one grid point is recorded as a flag and never aborts or
@@ -413,16 +394,15 @@ def run_sweep(cfg: ExperimentConfig, grid: dict) -> SweepResult:
     for key, values in grid.items():
         if not values:
             raise ConfigError(f"sweep grid for {key!r} is empty")
+        check_sweepable(cfg, key)
 
     points = []
     groups: dict = {}
     for index, combo in enumerate(itertools.product(*grid.values())):
         overrides = dict(zip(grid, combo))
-        point = cfg
-        for key, value in overrides.items():
-            point = apply_override(point, key, value)
+        point = with_values(cfg, overrides)  # the point is checked as a whole
         points.append((overrides, point))
-        groups.setdefault(_without_lr(point), []).append(index)
+        groups.setdefault(shared_text(point), []).append(index)
 
     # build every group before stepping any, so a bad point fails at once
     runs = [(members, Experiment(points[members[0]][1], rows=[points[i][1] for i in members]))

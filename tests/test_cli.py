@@ -167,6 +167,24 @@ class TestSweepCommand:
     def test_bad_grid_is_config_error(self, toy_cfg_file):
         assert main(["sweep", toy_cfg_file, "--grid", "oops"]) == 3
 
+    def test_repeated_grid_key_is_config_error(self, toy_cfg_file, capsys):
+        code = main(["sweep", toy_cfg_file, "--grid", "lr.value=0.1,0.2", "--grid", "lr.value=0.3"])
+        assert code == 3
+        assert "duplicate --grid key 'lr.value'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("grids", [["run.steps=50", "lr.total=50"],
+                                       ["lr.total=50", "run.steps=50"]])
+    def test_grid_order_does_not_matter(self, tmp_path, grids):
+        cfg = tmp_path / "cosine.cfg"
+        cfg.write_text(TOY_CFG.replace("lr.kind = constant\nlr.value = 0.001\n",
+                                       "lr.kind = lr_warmup_cosine\nlr.eta_max = 0.001\n"
+                                       "lr.warmup = 5\nlr.total = 100\n")
+                       .replace("run.steps = 50", "run.steps = 100"))
+        out = tmp_path / "sweep.csv"
+        args = [arg for grid in grids for arg in ("--grid", grid)]
+        assert main(["sweep", str(cfg), *args, "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 2
+
     def test_diverged_point_exits_2(self, toy_cfg_file, tmp_path):
         out = tmp_path / "sweep.csv"
         code = main(["sweep", toy_cfg_file, "--grid", "lr.value=0.001,1e6",
@@ -213,11 +231,24 @@ class TestForgetCommand:
         first = normalized[1].split(",")
         assert int(first[0]) == 59 and float(first[1]) == 0.0
 
-    def test_t_b_flag_overrides(self, mlp_cfg_file, tmp_path):
-        outdir = tmp_path / "forget2"
-        assert main(["forget", mlp_cfg_file, "--t-b", "80", "--out-dir", str(outdir)]) == 0
-        normalized = (outdir / "normalized.csv").read_text().splitlines()
-        assert int(normalized[1].split(",")[0]) == 79
+    def test_t_b_flag_overrides(self, tmp_path):
+        # the same bytes as the config with forget.t_b = 80 written in, with or
+        # without a forget.t_b of its own
+        written = tmp_path / "written.cfg"
+        written.write_text(MLP_CFG.replace("forget.t_b = 60", "forget.t_b = 80"))
+        expected = tmp_path / "forget80"
+        assert main(["forget", str(written), "--out-dir", str(expected)]) == 0
+        names = sorted(os.listdir(expected))
+        assert len(names) == 5
+        for directive in ("forget.t_b = 60\n", ""):
+            flagged, outdir = tmp_path / "flagged.cfg", tmp_path / f"forget{len(directive)}"
+            flagged.write_text(MLP_CFG.replace("forget.t_b = 60\n", directive))
+            assert main(["forget", str(flagged), "--t-b", "80", "--out-dir", str(outdir)]) == 0
+            normalized = (outdir / "normalized.csv").read_text().splitlines()
+            assert int(normalized[1].split(",")[0]) == 79
+            assert sorted(os.listdir(outdir)) == names
+            for name in names:
+                assert (outdir / name).read_bytes() == (expected / name).read_bytes()
 
     def test_diverged_run_exits_2(self, tmp_path):
         cfg = tmp_path / "div.cfg"

@@ -18,7 +18,7 @@ from emx.config import (
     format_config,
     parse_config,
 )
-from emx.harness import Experiment
+from emx.harness import Experiment, _build_lr_schedule
 from emx.optimizers import OPTIMIZERS, SWITCHES
 from emx.testbeds import TESTBEDS
 
@@ -620,11 +620,11 @@ class TestWholeNumberHorizons:
             Experiment(cfg)
 
     def test_integral_floats_accepted(self):
-        exp = Experiment(parse_config(with_setting(MLP_TEXT, "lr.warmup", "100.0")))
-        assert exp.lr_schedule.warmup == 100 and type(exp.lr_schedule.warmup) is int
+        schedule = _build_lr_schedule(parse_config(with_setting(MLP_TEXT, "lr.warmup", "100.0")))
+        assert schedule.warmup == 100 and type(schedule.warmup) is int
         exp = Experiment(parse_config(with_setting(TOY_TEXT, "optimizer.t_alpha", "100.0")))
         assert exp.opt.t_alpha == 100 and type(exp.opt.t_alpha) is int
-        assert Experiment(parse_config(DECAY_TEXT)).lr_schedule.decay_end == 200
+        assert _build_lr_schedule(parse_config(DECAY_TEXT)).decay_end == 200
 
 
 class TestRunOut:

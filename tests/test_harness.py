@@ -355,6 +355,19 @@ class TestSweep:
         sweep = run_sweep(toy_config(steps=30), {"run.seed": [1, 2, 3]})
         assert len(sweep.entries) == 3
 
+    @pytest.mark.parametrize("keys", [("run.steps", "lr.total"), ("lr.total", "run.steps")])
+    def test_a_point_is_checked_as_one_config(self, keys):
+        # run.steps = 50 alone would leave lr.total = 100 past the end of the run
+        def text(steps):
+            return ("testbed.kind = rosenbrock\noptimizer.kind = adamw\n"
+                    "lr.kind = lr_warmup_cosine\nlr.eta_max = 0.001\nlr.warmup = 5\n"
+                    f"lr.total = {steps}\nrun.steps = {steps}\n")
+
+        sweep = run_sweep(parse_config(text(100)), {key: [50] for key in keys})
+        alone = run_experiment(parse_config(text(50)))
+        assert sweep.records == [alone]
+        assert format_record_csv(sweep.records[0]) == format_record_csv(alone)
+
 
 class TestRows:
     def test_rows_may_differ_only_in_lr(self):
