@@ -345,11 +345,11 @@ def check_sweepable(cfg: ExperimentConfig, dotted_key: str) -> None:
         raise ConfigError(f"override key {dotted_key!r} is missing its section prefix")
     if section == "switch" and cfg.switch is None:
         raise ConfigError("config has no switch directive to override")
-    roles = KEY_ROLES.get(section, FIXED)
+    roles = KEY_ROLES.get(section)
+    if roles is None:
+        raise ConfigError(f"unknown override section {section!r}")
     if not isinstance(roles, dict):
         roles = {name: roles}
-    if all(role == FIXED for role in roles.values()):  # no key of it may be swept
-        raise ConfigError(f"unknown override section {section!r}")
     if roles.get(name, FIXED) == FIXED:
         raise ConfigError(f"cannot sweep {dotted_key}")
 

@@ -92,7 +92,8 @@ def _build_optimizer(kind: str, params: dict, dim: int, switch=None):
         raise ConfigError(f"unknown optimizer kind {kind!r}")
     try:
         opt = cls(dim, **params)
-        if switch is not None:
+        if switch is not None:  # the state as it leaves step switch.at
+            opt.t = switch.at
             return switch_optimizer(opt, OPTIMIZERS[switch.to], **switch.params)
         if preseed is not None:
             preseed_momentum(opt, preseed)
@@ -143,7 +144,7 @@ class Experiment:
             rows = [cfg]
         elif not rows:
             raise ConfigError("an experiment needs at least one row")
-        elif any(shared_text(point) != shared_text(cfg) for point in rows):
+        elif {shared_text(point) for point in rows} != {shared_text(cfg)}:
             raise ConfigError("the rows of an experiment may differ only in lr.* values")
         self.cfg = cfg
         self.track_heldout = track_heldout
@@ -183,7 +184,7 @@ class Experiment:
                     f"checkpoint holds a {restored.variant!r} state at step {t}, "
                     f"the config expects {' or '.join(sorted(opt.variant for opt in expected))}"
                 )
-            for key in match.defaults:
+            for key in match.hyper():
                 if (held := getattr(restored, key)) != (want := getattr(match, key)):
                     raise ConfigError(
                         f"checkpoint holds a {restored.variant!r} state with {key} = {held!r} "

@@ -11,8 +11,11 @@ Baselines with their own update rules: :class:`Lion` (sign updates),
 :class:`AdMetaS` (nested EMAs) and :class:`AggMo` (K plain momentum buffers).
 
 Each class declares its hyperparameters once, in ``defaults`` (keyword ->
-default, in ``hyper()`` order); the base constructor types each value like
-its default and the subclass checks its ranges and makes its buffers.
+default, in ``hyper()`` order), its state once, in ``slot_names``, and its
+update once, in ``_kernel`` (the Adam family: ``_mixture`` and ``_convex``).
+The base constructor types each value like its default and allocates each
+slot as a zero row and, for a kind with slots, the ``_scratch`` row; the
+subclass checks its ranges. :meth:`Optimizer.step` runs ``_kernel``.
 
 ``step`` returns a fresh array for the new ``theta`` and never writes into
 ``theta`` or ``grad``; the state slots are updated in place, through ``out=``
@@ -100,11 +103,13 @@ class Optimizer:
 
     ``defaults`` maps each hyperparameter keyword to its default, in
     ``hyper()`` order; ``hyper()`` adds ``hyper_state``. ``slot_names`` are
-    the checkpointed buffers in order (``None`` ones are skipped) and
-    ``momentum`` the buffers :func:`preseed_momentum` sets. ``_scratch``, in
-    the kinds whose step uses one, is a buffer the shape of the state the
-    step works in; it is not state. ``shape`` is the state's shape, ``(dim,)``
-    or ``(K, dim)``.
+    the checkpointed buffers in order (``None`` ones are skipped), each
+    allocated here as zeros, and ``momentum`` the buffers
+    :func:`preseed_momentum` sets. A kind with slots also gets ``_scratch``,
+    a buffer the shape of the state its step works in; it is not state.
+    ``shape`` is the state's shape, ``(dim,)`` or ``(K, dim)``.
+
+    :meth:`step` runs the kind's ``_kernel(state, new, theta, grad, lr)``.
     """
 
     variant = ""
@@ -116,8 +121,9 @@ class Optimizer:
     _schedules: tuple = ()
 
     def __init__(self, dim, **kwargs):
-        """Set ``dim``, the step counter and every ``defaults`` key; an unknown
-        keyword is a ``TypeError``, a value of the wrong type a ``ValueError``."""
+        """Set ``dim``, the step counter and every ``defaults`` key, then
+        allocate the slots; an unknown keyword is a ``TypeError``, a value of
+        the wrong type a ``ValueError``."""
         unknown = kwargs.keys() - self.defaults.keys()
         if unknown:
             raise TypeError(f"{type(self).__name__}() got unexpected keywords {sorted(unknown)}")
@@ -126,6 +132,14 @@ class Optimizer:
         self.t = 0
         for name, default in self.defaults.items():
             setattr(self, name, _typed(name, kwargs.get(name, default), default))
+        # by name, not in checkpoint order (AdEMAMix: m1 before m2 and nu):
+        # glibc puts rows this size on its heap once its mmap threshold has
+        # grown, and checkpoint order raised perfbench wide_state's peak RSS
+        # from 272 to 288 MB (x86-64 Linux, glibc malloc, numpy 2.4)
+        for name in sorted(self.slot_names):
+            setattr(self, name, np.zeros(self.dim))
+        if self.slot_names:
+            self._scratch = np.empty(self.dim)
 
     @classmethod
     def keywords(cls) -> list:
@@ -143,8 +157,7 @@ class Optimizer:
 
         ``sched_offset`` restarts the warmup clock at a mid-run switch.
         """
-        t -= self.sched_offset
-        return [sched.at(t) for sched in self._schedules]
+        return [sched.at(t - self.sched_offset) for sched in self._schedules]
 
     def _remap(self, target, fn) -> None:
         """Set each buffer (slots and ``_scratch``) of ``target`` to ``fn`` of
@@ -164,6 +177,11 @@ class Optimizer:
         view = copy.copy(self)
         self._remap(view, lambda buf: buf[..., lo:hi])
         return view
+
+    def step(self, theta: np.ndarray, grad: np.ndarray, lr) -> np.ndarray:
+        """One update at learning rate ``lr``: a number, or a ``(K, 1)``
+        column for a rows state."""
+        return self._step(type(self)._kernel, theta, grad, lr)
 
     def _step(self, kernel, theta, grad, *args) -> np.ndarray:
         """Check the shapes, count the step and run ``kernel(state, new, theta,
@@ -257,6 +275,7 @@ class AdamFamily(Optimizer):
 
     momentum = ("m1", "m2", "m3")
     alpha = 0.0
+    m2 = m3 = None  # the slow EMAs of the kinds that declare none
 
     def __init__(self, dim, **kwargs):
         super().__init__(dim, **kwargs)
@@ -266,11 +285,6 @@ class AdamFamily(Optimizer):
         if self.alpha < 0:
             raise ValueError(f"alpha must be >= 0, got {self.alpha}")
         slow = [getattr(self, name) for name in ("beta3", "beta4") if name in self.defaults]
-        self.m1 = np.zeros(self.dim)
-        self.m2 = np.zeros(self.dim) if slow else None
-        self.m3 = np.zeros(self.dim) if len(slow) == 2 else None
-        self.nu = np.zeros(self.dim)
-        self._scratch = np.empty(self.dim)
         if slow:
             if self.beta_start is None:
                 self.beta_start = self.beta1
@@ -427,11 +441,6 @@ class Lion(Optimizer):
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
         decay("beta", self.beta)
-        self.m = np.zeros(self.dim)
-        self._scratch = np.empty(self.dim)
-
-    def step(self, theta: np.ndarray, grad: np.ndarray, lr: float) -> np.ndarray:
-        return self._step(Lion._kernel, theta, grad, lr)
 
     def _kernel(self, new, theta, grad, lr) -> None:
         tmp = np.multiply(self.alpha, self.m, out=self._scratch)
@@ -460,9 +469,6 @@ class AdMetaS(Optimizer):
         if not 0.0 < self.beta1 < 1.0:
             raise ValueError(f"beta1 must be in (0, 1), got {self.beta1}")
         decay("beta2", self.beta2)
-        self.m1 = np.zeros(self.dim)
-        self.m2 = np.zeros(self.dim)
-        self._scratch = np.empty(self.dim)
 
     @property
     def mu(self) -> float:
@@ -471,9 +477,6 @@ class AdMetaS(Optimizer):
     @property
     def kappa(self) -> float:
         return 10.0 / self.beta1 - 9.0
-
-    def step(self, theta: np.ndarray, grad: np.ndarray, lr: float) -> np.ndarray:
-        return self._step(AdMetaS._kernel, theta, grad, lr)
 
     def _kernel(self, new, theta, grad, lr) -> None:
         np.multiply(self.beta1, self.m1, out=self.m1)
@@ -501,9 +504,6 @@ class AggMo(Optimizer):
         for b in self.betas:
             decay("betas", b)
         self.m = [np.zeros(self.dim) for _ in self.betas]
-
-    def step(self, theta: np.ndarray, grad: np.ndarray, lr: float) -> np.ndarray:
-        return self._step(AggMo._kernel, theta, grad, lr)
 
     def _kernel(self, total, theta, grad, lr) -> None:
         total.fill(0.0)  # from +0.0, as a fresh sum: the first add turns -0.0 into +0.0

@@ -36,6 +36,11 @@ run.cadence = 1
 forget.t_b = 60
 """
 
+# TOY_CFG's optimizer reached by a switch at step 30, alpha warming up from there
+SWITCHED_CFG = (TOY_CFG.replace("ademamix\noptimizer.beta3 = 0.999\noptimizer.alpha = 5.0", "adamw")
+                + "switch.to = ademamix\nswitch.at = 30\nswitch.beta3 = 0.999\n"
+                + "switch.alpha = 5.0\nswitch.t_alpha = 20\n")
+
 
 @pytest.fixture
 def toy_cfg_file(tmp_path):
@@ -351,6 +356,20 @@ class TestCheckpointCommand:
         assert main(["checkpoint", "save", str(lion), "--at-step", "5", "--out", str(ck)]) == 0
         assert main(["run", toy_cfg_file, "--resume", str(ck)]) == 3
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("other", [
+        SWITCHED_CFG.replace("switch.at = 30", "switch.at = 35"),
+        TOY_CFG + "optimizer.t_alpha = 20\n",
+    ], ids=["later_switch", "no_switch"])
+    def test_resume_under_other_switch_step_exits_3(self, other, tmp_path, capsys):
+        cfg, ck = tmp_path / "switched.cfg", tmp_path / "state.emx"
+        cfg.write_text(SWITCHED_CFG)
+        assert main(["checkpoint", "save", str(cfg), "--at-step", "40", "--out", str(ck)]) == 0
+        cfg.write_text(other)
+        assert main(["run", str(cfg), "--resume", str(ck)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("config error: checkpoint holds a 'ademamix' state with "
+                              "sched_offset = 30 at step 40")
 
 
 def _flags(parser):

@@ -447,6 +447,7 @@ def kind_config(kind, optimizer_lines="", steps=100, extra=""):
 FORWARD = "switch.to = ademamix\nswitch.at = 50\nswitch.alpha = 3.0\nswitch.beta3 = 0.999"
 BACKWARD = "switch.to = adamw\nswitch.at = 50"
 MIX = "optimizer.alpha = 3.0\noptimizer.beta3 = 0.999"
+WARM = "\nswitch.t_alpha = 20"
 DIRECTIONS = {
     "forward": ("adamw", "", FORWARD),
     "backward": ("ademamix", MIX, BACKWARD),
@@ -530,6 +531,20 @@ class TestResumeGuards:
         with pytest.raises(ConfigError, match=re.escape(
                 "'ademamix' state with alpha = 3.0 at step 70, the config expects alpha = 4.0")):
             Experiment(other, resume_from=load_state(late.checkpoint()))
+
+    @pytest.mark.parametrize("other,offset", [
+        (kind_config("adamw", extra=FORWARD.replace("at = 50", "at = 35") + WARM), 35),
+        (kind_config("ademamix", MIX + WARM.replace("switch", "optimizer")), 0),
+    ], ids=["later_switch", "no_switch"])
+    def test_differing_sched_offset_is_config_error(self, other, offset):
+        # the state switched at step 30 warms alpha up from there: resumed under
+        # a later switch or none, its warmup clock would not be the config's
+        part = Experiment(kind_config("adamw", extra=FORWARD.replace("at = 50", "at = 30") + WARM))
+        part.run(until=40)
+        with pytest.raises(ConfigError, match=re.escape(
+                "checkpoint holds a 'ademamix' state with sched_offset = 30 at step 40, "
+                f"the config expects sched_offset = {offset}")):
+            Experiment(other, resume_from=load_state(part.checkpoint()))
 
 
 class TestBuildTimeValidation:
@@ -647,7 +662,7 @@ class TestOverrides:
             ("run.constant_after", "cannot sweep run.constant_after"),
             ("run.out", "cannot sweep run.out"),
             ("run.bogus", "cannot sweep run.bogus"),
-            ("forget.t_b", "unknown override section 'forget'"),
+            ("forget.t_b", "cannot sweep forget.t_b"),
             ("switch.at", "config has no switch directive to override"),
             ("switch.alpha", "config has no switch directive to override"),
             ("nope.key", "unknown override section 'nope'"),
@@ -660,7 +675,7 @@ class TestOverrides:
 
     def test_forget_refused_with_a_forget_directive(self):
         cfg = mlp_config(steps=100, extra="forget.t_b = 40")
-        with pytest.raises(ConfigError, match="unknown override section 'forget'"):
+        with pytest.raises(ConfigError, match="cannot sweep forget.t_b"):
             apply_override(cfg, "forget.t_b", 50)
 
     def test_switch_keys_accepted_with_a_switch_directive(self):

@@ -1114,6 +1114,33 @@ class TestDeclaredHyperparameters:
             OPTIMIZERS[kind](3, **OUT_OF_RANGE[key])
 
 
+# every kind, and the two AdEMAMix states its kind name does not tell apart
+FRESH_STATES = {
+    **OPTIMIZERS,
+    "ademamix_lean": lambda dim: AdEMAMix(dim, beta1=0.0),
+    "ademamix_m1": lambda dim: AdEMAMix(dim, beta1=0.0, with_m1_buffer=True),
+}
+
+
+class TestDeclaredState:
+    @pytest.mark.parametrize("name", list(FRESH_STATES))
+    def test_buffers_are_the_declared_slots(self, name):
+        opt = FRESH_STATES[name](3)
+        if isinstance(opt, AggMo):
+            slots, scratch = list(opt.m), []
+            assert not hasattr(opt, "_scratch")
+        else:
+            slots = [buf for n in opt.slot_names if (buf := getattr(opt, n)) is not None]
+            scratch = [opt._scratch]
+        held = [a for v in vars(opt).values() for a in (v if isinstance(v, list) else [v])
+                if isinstance(a, np.ndarray)]
+        assert sorted(map(id, held)) == sorted(map(id, slots + scratch))
+        assert len(slots) == len(opt.state_slots())
+        assert all(buf.shape == (3,) and not buf.any() for buf in slots)
+        for a, b in itertools.combinations(slots + scratch, 2):
+            assert not np.shares_memory(a, b)
+
+
 FLOAT_KEYS = [
     (kind, key) for kind, cls in OPTIMIZERS.items() for key, default in cls.defaults.items()
     if type(default) is not int and type(default) is not tuple
