@@ -209,12 +209,14 @@ class Optimizer:
         return new
 
     def _ranges(self, kernel, new, theta, grad, args) -> bool:
-        """Step one column range per CPU of the affinity mask: the first here,
-        each other in a thread joined before this returns. An exception in
-        any range is raised once all are joined; else, whether every piece
-        stayed finite."""
+        """Step one column range per CPU of the affinity mask (per CPU of the
+        machine where Python has no ``os.sched_getaffinity``, as on macOS and
+        Windows): the first here, each other in a thread joined before this
+        returns. An exception in any range is raised once all are joined;
+        else, whether every piece stayed finite."""
         cols = self.shape[-1]
-        n = min(len(os.sched_getaffinity(0)), cols)
+        affinity = getattr(os, "sched_getaffinity", None)
+        n = min(len(affinity(0)) if affinity else os.cpu_count() or 1, cols)
         edges = [cols * i // n for i in range(n + 1)]
         results = [None] * n
 

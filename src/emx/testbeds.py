@@ -6,7 +6,9 @@ finite-difference gradient checker. Everything is deterministic given
 (theta, batch), and every analytic gradient is validated against central
 differences in the test suite. Every testbed's ``loss`` and ``loss_and_grad``
 also take a ``(K, dim)`` array, one point per row, and evaluate every row in
-one call, each with the bits it would get alone.
+one call, each with the bits it would get alone: the landscapes in Python
+floats per row, the MLP as one stacked pass whose ``matmul`` runs one
+``gemm`` per row and whose sums stay within a row.
 
 :data:`TESTBEDS` maps each ``testbed.kind`` to a factory ``(seed, **params) ->
 (testbed, dataset or None, theta0)``; its keywords are the ``testbed.*`` keys.
@@ -139,13 +141,24 @@ class TinyMlp:
             theta[w_slice] = rng.standard_normal(d_in * d_out) / np.sqrt(d_in)
         return theta
 
-    def _unpack(self, theta):
-        for d_in, d_out, w_slice, b_slice in self._shapes:
-            yield theta[w_slice].reshape(d_in, d_out), theta[b_slice]
-
     def _layers_and_activations(self, theta, inputs) -> tuple[list, list]:
-        """Each layer's ``(w, b)`` and every layer's output, ``inputs`` first."""
-        layers = list(self._unpack(theta))
+        """Each layer's ``(K, d_in, d_out)`` weights and ``(K, 1, d_out)``
+        biases, views of the rows of ``theta`` (one point is one row), and
+        every layer's output, ``inputs`` first, ``(K, B, d_out)`` after it."""
+        rows = np.atleast_2d(theta)
+        if rows.shape[1:] != (self.dim,):
+            raise ValueError(
+                f"theta of shape {np.shape(theta)}, not ({self.dim},) or (K, {self.dim})"
+            )
+        if inputs.shape[1:] != self.layer_dims[:1]:
+            raise ValueError(
+                f"inputs of shape {inputs.shape}, not (batch, {self.layer_dims[0]})"
+            )
+        k = len(rows)
+        layers = [
+            (rows[:, w].reshape(k, d_in, d_out), rows[:, np.newaxis, b])
+            for d_in, d_out, w, b in self._shapes
+        ]
         activations = [inputs]
         for i, (w, b) in enumerate(layers):
             z = activations[-1] @ w + b
@@ -154,55 +167,43 @@ class TinyMlp:
 
     @np.errstate(over="ignore", invalid="ignore")
     def forward(self, theta: np.ndarray, inputs: np.ndarray) -> np.ndarray:
-        return self._layers_and_activations(theta, inputs)[1][-1]
+        """The ``(B, d_out)`` output of one point, or ``(K, B, d_out)`` of rows."""
+        out = self._layers_and_activations(theta, inputs)[1][-1]
+        return out if np.ndim(theta) == 2 else out[0]
 
+    @np.errstate(over="ignore", invalid="ignore")
     def loss(self, theta, batch):
         """The loss of one point, or the list of each row's loss."""
-        if np.ndim(theta) == 2:
-            return [self._loss(row, batch) for row in theta]
-        return self._loss(theta, batch)
+        inputs, targets = batch
+        diff = self._layers_and_activations(theta, inputs)[1][-1] - targets
+        losses = ((diff**2).sum(axis=(1, 2)) / diff[0].size).tolist()
+        return losses if np.ndim(theta) == 2 else losses[0]
 
     @np.errstate(over="ignore", invalid="ignore")
-    def _loss(self, theta, batch) -> float:
-        inputs, targets = batch
-        pred = self._layers_and_activations(theta, inputs)[1][-1]
-        return float(np.mean((pred - targets) ** 2))
-
     def loss_and_grad(self, theta, batch):
         """``(loss, gradient)`` of one point, or of each row of a ``(K, dim)``
-        array (then the losses are a list and the gradients rows). Each row is
-        its own forward and backward pass, never one stacked matmul, so it
-        gets the bits it would get alone."""
-        if np.ndim(theta) == 1:
-            return self._loss_and_grad(theta, batch)
-        pairs = [self._loss_and_grad(row, batch) for row in theta]
-        return [loss for loss, _ in pairs], np.array([grad for _, grad in pairs])
-
-    @np.errstate(over="ignore", invalid="ignore")
-    def _loss_and_grad(self, theta, batch):
+        array (then the losses are a list and the gradients rows). All rows
+        run as one stacked pass: numpy's stacked ``matmul`` runs one ``gemm``
+        per row, and every sum and mean runs within a row, so each row gets
+        the bits of its own 2-D pass."""
         inputs, targets = batch
-        if inputs.shape[1] != self.layer_dims[0]:
-            raise ValueError(
-                f"input width {inputs.shape[1]} does not match first layer "
-                f"{self.layer_dims[0]}"
-            )
         layers, activations = self._layers_and_activations(theta, inputs)
-        pred = activations[-1]
-        diff = pred - targets
-        loss = float(np.mean(diff**2))
+        diff = activations[-1] - targets
+        size = diff[0].size  # per row: the mean's count and the gradient's divisor
+        losses = ((diff**2).sum(axis=(1, 2)) / size).tolist()
 
-        grad = np.zeros_like(theta)
-        d_a = 2.0 * diff / diff.size
+        grad = np.empty((len(diff), self.dim))
+        d_a = 2.0 * diff / size
         for i in range(len(layers) - 1, -1, -1):
             w, _ = layers[i]
             a_out = activations[i + 1]
             d_z = d_a if i == len(layers) - 1 else d_a * (1.0 - a_out * a_out)
-            _, _, w_slice, b_slice = self._shapes[i]
-            grad[w_slice] = (activations[i].T @ d_z).ravel()
-            grad[b_slice] = d_z.sum(axis=0)
+            d_in, d_out, w_slice, b_slice = self._shapes[i]
+            grad[:, w_slice] = (activations[i].mT @ d_z).reshape(len(grad), d_in * d_out)
+            grad[:, b_slice] = d_z.sum(axis=1)
             if i:  # the input layer's d_a would be the gradient of the inputs
-                d_a = d_z @ w.T
-        return loss, grad
+                d_a = d_z @ w.mT
+        return (losses, grad) if np.ndim(theta) == 2 else (losses[0], grad[0])
 
 
 class SyntheticDataset:

@@ -1011,6 +1011,21 @@ class TestColumnSplit:
                             _step_args(kind, opt, None))
         assert calls == [] and len(three_ranges) == 4
 
+    @pytest.mark.parametrize("kind", ["adamw", "ademamix"])
+    def test_split_without_sched_getaffinity(self, kind, three_ranges, monkeypatch):
+        # Python on macOS and Windows has no os.sched_getaffinity: the CPU count serves
+        monkeypatch.delattr(optimizers.os, "sched_getaffinity")
+        monkeypatch.setattr(optimizers.os, "cpu_count", lambda: 3)
+        factory, method, reference = STEP_KINDS[kind]
+        opt, ref = factory(self.DIM), factory(self.DIM)
+        theta = make_rng(30).standard_normal(self.DIM)
+        grad = make_rng(31).standard_normal(self.DIM)
+        args = _step_args(kind, opt, None)
+        new = getattr(opt, method)(theta, grad, 1e-2, *args)
+        assert new.tobytes() == reference(ref, theta, grad, 1e-2, *args).tobytes()
+        assert _slot_bytes(opt) == _slot_bytes(ref)
+        assert len(three_ranges) == 2
+
     def test_below_the_floor_runs_inline(self, three_ranges):
         opt = AdEMAMix(SPLIT_FLOOR - 1)
         opt.step(np.zeros(SPLIT_FLOOR - 1), np.ones(SPLIT_FLOOR - 1), 1e-3)

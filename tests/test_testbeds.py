@@ -123,11 +123,25 @@ class TestTinyMlp:
         with pytest.raises(ValueError, match="need at least input and output dims"):
             TinyMlp((4,))
 
-    def test_input_width_mismatch(self):
+    @pytest.mark.parametrize("method", ["forward", "loss", "loss_and_grad"])
+    @pytest.mark.parametrize(
+        "shape, width, problem",
+        [
+            ((49,), 5, r"inputs of shape \(2, 5\), not \(batch, 4\)"),
+            ((3, 49), 5, r"inputs of shape \(2, 5\), not \(batch, 4\)"),
+            ((54,), 4, r"theta of shape \(54,\), not \(49,\) or \(K, 49\)"),
+            ((48,), 4, r"theta of shape \(48,\), not \(49,\) or \(K, 49\)"),
+            ((3, 54), 4, r"theta of shape \(3, 54\), not \(49,\) or \(K, 49\)"),
+            ((2, 2, 49), 4, r"theta of shape \(2, 2, 49\), not \(49,\) or \(K, 49\)"),
+        ],
+        ids=["wide_batch", "wide_batch_rows", "long", "short", "long_rows", "three_axes"],
+    )
+    def test_wrong_shapes_are_named(self, method, shape, width, problem):
         mlp = TinyMlp((4, 8, 1))
-        theta = np.zeros(mlp.n_params)
-        with pytest.raises(ValueError):
-            mlp.loss_and_grad(theta, (np.zeros((2, 5)), np.zeros((2, 1))))
+        inputs = np.zeros((2, width))
+        args = (inputs,) if method == "forward" else ((inputs, np.zeros((2, 1))),)
+        with pytest.raises(ValueError, match=problem):
+            getattr(mlp, method)(np.zeros(shape), *args)
 
     def test_forward_deterministic(self):
         mlp = TinyMlp((4, 8, 1))
@@ -157,6 +171,60 @@ def test_rows_have_the_bits_of_each_row_alone(kind):
     assert not np.isfinite(grad[2]).all()
     row_losses = np.array(testbed.loss(rows, batch))
     assert row_losses.tobytes() == np.array([testbed.loss(r, batch) for r in rows]).tobytes()
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def per_row_pass_before_stacking(mlp, theta, batch):
+    """One point's ``(loss, gradient, output)`` by the 2-D pass ``TinyMlp`` ran
+    once per row before its rows ran as one stacked pass."""
+    inputs, targets = batch
+    layers = [(theta[w].reshape(d_in, d_out), theta[b]) for d_in, d_out, w, b in mlp._shapes]
+    activations = [inputs]
+    for i, (w, b) in enumerate(layers):
+        z = activations[-1] @ w + b
+        activations.append(z if i == len(layers) - 1 else np.tanh(z))
+    diff = activations[-1] - targets
+    grad = np.zeros_like(theta)
+    d_a = 2.0 * diff / diff.size
+    for i in range(len(layers) - 1, -1, -1):
+        a_out = activations[i + 1]
+        d_z = d_a if i == len(layers) - 1 else d_a * (1.0 - a_out * a_out)
+        _, _, w_slice, b_slice = mlp._shapes[i]
+        grad[w_slice] = (activations[i].T @ d_z).ravel()
+        grad[b_slice] = d_z.sum(axis=0)
+        if i:
+            d_a = d_z @ layers[i][0].T
+    return float(np.mean(diff**2)), grad, activations[-1]
+
+
+@pytest.mark.parametrize(
+    "layer_dims",
+    [(16, 64, 64, 1), (16, 128, 64, 1), (4, 8, 1), (32, 64, 64, 64, 1), (3, 1), (16, 64, 64, 2)],
+)
+def test_stacked_pass_has_the_bits_of_the_per_row_pass(layer_dims):
+    mlp = TinyMlp(layer_dims)
+    rng = make_rng(sum(layer_dims))
+    for size in (1, 7, 32, 256):
+        batch = (rng.standard_normal((size, layer_dims[0])),
+                 rng.standard_normal((size, layer_dims[-1])))
+        for k in (1, 2, 3, 5, 8):
+            rows = np.stack([mlp.init_params(rng) for _ in range(k)])
+            rows[k // 2] = 1e200  # overflows to inf and nan; alone when k == 1
+            alone = [per_row_pass_before_stacking(mlp, row, batch) for row in rows]
+            losses, grad = mlp.loss_and_grad(rows, batch)
+            assert np.array(losses).tobytes() == np.array([a[0] for a in alone]).tobytes()
+            assert grad.tobytes() == np.array([a[1] for a in alone]).tobytes()
+            assert np.array(mlp.loss(rows, batch)).tobytes() == np.array(losses).tobytes()
+            outputs = np.array([a[2] for a in alone])
+            assert mlp.forward(rows, batch[0]).tobytes() == outputs.tobytes()
+            row, (loss, row_grad, out) = rows[-1], alone[-1]
+            one_loss, one_grad = mlp.loss_and_grad(row, batch)
+            assert type(one_loss) is float and one_grad.shape == (mlp.dim,)
+            assert np.float64(one_loss).tobytes() == np.float64(loss).tobytes()
+            assert one_grad.tobytes() == row_grad.tobytes()
+            assert type(mlp.loss(row, batch)) is float
+            assert np.float64(mlp.loss(row, batch)).tobytes() == np.float64(loss).tobytes()
+            assert mlp.forward(row, batch[0]).tobytes() == out.tobytes()
 
 
 def _batch_digest(batch):
