@@ -160,13 +160,15 @@ def restore_optimizer(ck: CheckpointData):
     """Rebuild the optimizer named by ``hyper['variant']`` from a checkpoint.
 
     One path serves every registered kind: a fresh instance's ``hyper()``
-    names the keys and their types, the constructor takes its ``keywords()``
-    and the rest is set afterwards, then each ``state_slots()`` buffer is
+    names the keys and their types, the constructor takes its ``defaults``
+    keys and the rest is set afterwards, then each ``state_slots()`` buffer is
     filled: the one copy of each slot out of the checkpoint bytes, so the
     state owns its buffers. ``hyper_state`` (``sched_offset``) is a step in
     ``[0, step]``.
     Bad content raises :class:`CheckpointFormatError`. Extra slots
-    (e.g. ``theta``) are left in ``ck.slots`` untouched.
+    (e.g. ``theta``, or the ``m1`` of a buffered AdEMAMix state at
+    ``beta1 = 0``, which restores as the lean state) are left in
+    ``ck.slots`` untouched.
     """
     variant = ck.hyper.get("variant")
     cls = optimizers.OPTIMIZERS.get(variant)
@@ -179,16 +181,13 @@ def restore_optimizer(ck: CheckpointData):
         raise CheckpointFormatError(f"missing hyper key {exc.args[0]!r}") from exc
     except ValueError as exc:
         raise CheckpointFormatError(f"malformed hyper value: {exc}") from exc
-    dim = len(ck.slots.get(next(iter(proto.state_slots())), ()))
+    dim = len(ck.slots.get(proto.slot_names[0], ()))
     try:
-        opt = cls(dim, **{key: hyper.pop(key) for key in cls.keywords()})
+        opt = cls(dim, **{key: hyper.pop(key) for key in cls.defaults})
         for key, value in hyper.items():
             setattr(opt, key, integer(key, value, 0, ck.step))
     except ValueError as exc:
         raise CheckpointFormatError(f"invalid {variant} hyperparameters: {exc}") from exc
-    for name in opt.slot_names:  # an optional buffer (lean AdEMAMix's m1) the state kept
-        if getattr(opt, name) is None and name in ck.slots:
-            setattr(opt, name, np.zeros(dim))
     for name, buf in opt.state_slots().items():
         vec = ck.slots.get(name)
         if vec is None:

@@ -53,7 +53,7 @@ _TESTBED_KEYS = {
 # a kind's keys, in order: its hyperparameter keywords, and preseed if it has
 # momentum (a keys view: ordered, and compared and subtracted like a set)
 _OPTIMIZER_KEYS = {
-    kind: dict.fromkeys([*cls.keywords(), *(["preseed"] if cls.momentum else [])]).keys()
+    kind: dict.fromkeys([*cls.defaults, *(["preseed"] if cls.momentum else [])]).keys()
     for kind, cls in OPTIMIZERS.items()
 }
 _LR_KEYS = {kind: {f.name for f in fields(cls)} for kind, cls in LR_SCHEDULES.items()}

@@ -7,7 +7,8 @@ on rows is elementwise, so a row gets the bits it would get alone; the one
 broadcast is a per-row value (a learning rate) as a ``(K, 1)`` column, which
 rounds like the same scalar. Reductions are taken per row with
 :func:`row_norms`, and a step's rows are checked with :func:`finite_rows`;
-each costs one BLAS ``ddot`` per array, not a numpy call per row. All
+each costs one BLAS ``ddot`` per array (per ``DOT_CHUNK`` columns for a
+norm), not a numpy call per row. All
 randomness flows through Philox, a counter-based 64-bit generator whose
 stream is reproducible bit-for-bit from the seed.
 """
@@ -19,6 +20,14 @@ import math
 import numpy as np
 
 from .schedules import finite_number
+
+# Elements in one ``ddot`` of a norm. OpenBLAS (``interface/dot.c``, 0.3.x)
+# splits a ddot of more than 10000 elements over its threads, which add
+# their terms in another order, so one ddot over a longer vector gives bits
+# that depend on OPENBLAS_NUM_THREADS. A norm takes its ddots in chunks of
+# this many elements and adds their sums in chunk order; a vector of one
+# chunk is one ddot, as before.
+DOT_CHUNK = 1 << 13
 
 
 class DivergenceError(ArithmeticError):
@@ -37,9 +46,12 @@ def l2_norm(a: np.ndarray) -> float:
 
     ``np.vdot`` gives ``np.dot``'s bits on a float64 vector but does not check
     the floating-point flags: a square sum that overflows is a quiet ``inf``,
-    not a ``RuntimeWarning``.
+    not a ``RuntimeWarning``. A vector of more than ``DOT_CHUNK`` elements
+    is one row of :func:`row_norms`, which sums its chunks.
     """
-    return math.sqrt(np.vdot(a, a))
+    if a.size <= DOT_CHUNK:
+        return math.sqrt(np.vdot(a, a))
+    return row_norms(a.reshape(1, -1))[0]
 
 
 def row_norms(rows: np.ndarray) -> list:
@@ -48,12 +60,18 @@ def row_norms(rows: np.ndarray) -> list:
     One ``np.vecdot`` over the rows: its float64 loop calls, for each row,
     the BLAS ``ddot`` that ``np.vdot`` calls, so each row gets the bits of
     :func:`l2_norm`. A reduction that is not a ``ddot`` (``einsum``,
-    ``(d*d).sum(1)``) rounds differently. ``vecdot`` checks the
+    ``(d*d).sum(1)``) rounds differently. Rows wider than ``DOT_CHUNK``
+    take one ``vecdot`` per chunk of columns, added in chunk order, so that
+    no ``ddot`` is threaded. ``vecdot`` and the adds check the
     floating-point flags where ``vdot`` does not, so an overflowed square
     sum is kept a quiet ``inf`` here.
     """
+    head = rows[..., :DOT_CHUNK]
     with np.errstate(over="ignore", invalid="ignore"):
-        squares = np.vecdot(rows, rows)
+        squares = np.vecdot(head, head)
+        for lo in range(DOT_CHUNK, rows.shape[-1], DOT_CHUNK):
+            chunk = rows[..., lo : lo + DOT_CHUNK]
+            squares += np.vecdot(chunk, chunk)
     return [math.sqrt(s) for s in squares.tolist()]
 
 

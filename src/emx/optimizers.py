@@ -7,15 +7,17 @@ is bias-corrected, so the slow ones fill up from zero. ``alpha == 0`` skips
 the slow term, which makes every step exactly an AdamW step, bit for bit.
 :class:`AdamW` (no slow EMA), :class:`AdEMAMix` (``m2``, the paper's
 optimizer) and :class:`Ad3EMAMix` (``m2`` and ``m3``) are thin subclasses.
-Baselines with their own update rules: :class:`Lion` (sign updates),
-:class:`AdMetaS` (nested EMAs) and :class:`AggMo` (K plain momentum buffers).
+With ``beta1 == 0`` the fast EMA is the raw gradient, so lean AdEMAMix
+holds no ``m1``. Baselines with their own update rules: :class:`Lion` (sign
+updates), :class:`AdMetaS` (nested EMAs) and :class:`AggMo` (K plain
+momentum buffers, ``m0`` ... ``m{K-1}``).
 
 Each class declares its hyperparameters once, in ``defaults`` (keyword ->
 default, in ``hyper()`` order), its state once, in ``slot_names``, and its
 update once, in ``_kernel`` (the Adam family: ``_mixture`` and ``_convex``).
 The base constructor types each value like its default and allocates each
-slot as a zero row and, for a kind with slots, the ``_scratch`` row; the
-subclass checks its ranges. :meth:`Optimizer.step` runs ``_kernel``.
+slot as a zero row and the ``_scratch`` row; the subclass checks its
+ranges. :meth:`Optimizer.step` runs ``_kernel``.
 
 ``step`` returns a fresh array for the new ``theta`` and never writes into
 ``theta`` or ``grad``; the state slots are updated in place, through ``out=``
@@ -55,6 +57,7 @@ from __future__ import annotations
 import copy
 import os
 import threading
+from functools import cached_property
 
 import numpy as np
 
@@ -103,11 +106,10 @@ class Optimizer:
 
     ``defaults`` maps each hyperparameter keyword to its default, in
     ``hyper()`` order; ``hyper()`` adds ``hyper_state``. ``slot_names`` are
-    the checkpointed buffers in order (``None`` ones are skipped), each
-    allocated here as zeros, and ``momentum`` the buffers
-    :func:`preseed_momentum` sets. A kind with slots also gets ``_scratch``,
-    a buffer the shape of the state its step works in; it is not state.
-    ``shape`` is the state's shape, ``(dim,)`` or ``(K, dim)``.
+    the checkpointed buffers in order, each allocated here as zeros, and
+    ``momentum`` the buffers :func:`preseed_momentum` sets. Every state also
+    gets ``_scratch``, a buffer the shape of the state its step works in; it
+    is not state. ``shape`` is the state's shape, ``(dim,)`` or ``(K, dim)``.
 
     :meth:`step` runs the kind's ``_kernel(state, new, theta, grad, lr)``.
     """
@@ -132,25 +134,20 @@ class Optimizer:
         self.t = 0
         for name, default in self.defaults.items():
             setattr(self, name, _typed(name, kwargs.get(name, default), default))
-        # by name, not in checkpoint order (AdEMAMix: m1 before m2 and nu):
+        # by name, not in checkpoint order (AdEMAMix: m1 before m2 and nu;
+        # AggMo: m10 before m2):
         # glibc puts rows this size on its heap once its mmap threshold has
         # grown, and checkpoint order raised perfbench wide_state's peak RSS
         # from 272 to 288 MB (x86-64 Linux, glibc malloc, numpy 2.4)
         for name in sorted(self.slot_names):
             setattr(self, name, np.zeros(self.dim))
-        if self.slot_names:
-            self._scratch = np.empty(self.dim)
-
-    @classmethod
-    def keywords(cls) -> list:
-        """The hyperparameter keywords, in ``hyper()`` order."""
-        return list(cls.defaults)
+        self._scratch = np.empty(self.dim)
 
     def hyper(self) -> dict:
-        return {name: getattr(self, name) for name in (*self.keywords(), *self.hyper_state)}
+        return {name: getattr(self, name) for name in (*self.defaults, *self.hyper_state)}
 
     def state_slots(self) -> dict:
-        return {n: buf for n in self.slot_names if (buf := getattr(self, n)) is not None}
+        return {name: getattr(self, name) for name in self.slot_names}
 
     def schedule_args(self, t: int) -> list:
         """Warmed-up values for ``step`` after ``lr`` at global step ``t``, if any.
@@ -163,14 +160,13 @@ class Optimizer:
         """Set each buffer (slots and ``_scratch``) of ``target`` to ``fn`` of
         this state's."""
         for name in (*self.slot_names, "_scratch"):
-            if (buf := getattr(self, name, None)) is not None:
-                setattr(target, name, fn(buf))
+            setattr(target, name, fn(getattr(self, name)))
 
     def select_rows(self, index) -> None:
         """Index the rows of every buffer: ``[0] * k`` makes ``k`` copies of a
         1-D state, a boolean mask keeps the rows of a rows state it marks."""
         self._remap(self, lambda buf: np.atleast_2d(buf)[index])
-        self.shape = next(iter(self.state_slots().values())).shape
+        self.shape = self._scratch.shape
 
     def _columns(self, lo: int, hi: int):
         """A shallow copy whose buffers are the columns ``lo:hi`` of this state's."""
@@ -257,8 +253,9 @@ class Optimizer:
         """Whether ``new`` and every slot are finite; a rows state is left to
         the caller, so it always is. No BLAS call: this runs in the step's
         ranges, and OpenBLAS threads a long ``ddot`` on the CPUs they use."""
-        arrays = (new, *self.state_slots().values())
-        return new.ndim == 2 or all(np.isfinite(a).all() for a in arrays)
+        if new.ndim == 2:
+            return True
+        return all(np.isfinite(a).all() for a in (new, *self.state_slots().values()))
 
 
 class AdamFamily(Optimizer):
@@ -277,7 +274,7 @@ class AdamFamily(Optimizer):
 
     momentum = ("m1", "m2", "m3")
     alpha = 0.0
-    m2 = m3 = None  # the slow EMAs of the kinds that declare none
+    m1 = m2 = m3 = None  # the EMAs a kind does not hold
 
     def __init__(self, dim, **kwargs):
         super().__init__(dim, **kwargs)
@@ -378,13 +375,11 @@ class AdamW(AdamFamily):
 class AdEMAMix(AdamFamily):
     """Two-EMA mixture optimizer: the kernel with one slow EMA ``m2``.
 
-    With ``beta1 == 0`` the fast EMA is the raw gradient, so by default
-    (``with_m1_buffer=None``) no ``m1`` buffer is kept; pass ``True`` to keep
-    it anyway.
+    With ``beta1 == 0`` the fast EMA is the raw gradient, so the lean state
+    holds no ``m1``: its slots are ``m2`` and ``nu``.
     """
 
     variant = "ademamix"
-    slot_names = ("m2", "nu", "m1")
     defaults = {
         "beta1": 0.9,
         "beta2": 0.999,
@@ -397,12 +392,7 @@ class AdEMAMix(AdamFamily):
         "beta_start": None,
     }
 
-    def __init__(self, dim, *, with_m1_buffer=None, **kwargs):
-        super().__init__(dim, **kwargs)
-        if not (self.beta1 != 0.0 if with_m1_buffer is None else with_m1_buffer):
-            if self.beta1 != 0.0:
-                raise ValueError("the fast-EMA buffer can only be dropped when beta1 == 0")
-            self.m1 = None
+    slot_names = cached_property(lambda self: ("m2", "nu", "m1") if self.beta1 else ("m2", "nu"))
 
 
 class Ad3EMAMix(AdamFamily):
@@ -493,7 +483,8 @@ class AggMo(Optimizer):
     """Aggregated momentum: K buffers ``m_i <- b_i*m_i + g`` (note: raw g,
     no (1-b) factor), update is the average ``theta - (lr/K)*sum(m_i)``.
 
-    ``betas`` may also be the comma-joined text that ``hyper()`` writes.
+    Its slots are ``m0`` ... ``m{K-1}``, one per beta. ``betas`` may also be
+    the comma-joined text that ``hyper()`` writes.
     """
 
     variant = "aggmo"
@@ -505,22 +496,18 @@ class AggMo(Optimizer):
             raise ValueError("need at least one momentum coefficient")
         for b in self.betas:
             decay("betas", b)
-        self.m = [np.zeros(self.dim) for _ in self.betas]
+
+    slot_names = cached_property(lambda self: tuple(f"m{i}" for i in range(len(self.betas))))
 
     def _kernel(self, total, theta, grad, lr) -> None:
         total.fill(0.0)  # from +0.0, as a fresh sum: the first add turns -0.0 into +0.0
-        for b, m in zip(self.betas, self.m):
+        for b, name in zip(self.betas, self.slot_names):
+            m = getattr(self, name)
             np.multiply(b, m, out=m)
             m += grad
             total += m
         np.multiply(lr / len(self.betas), total, out=total)
         np.subtract(theta, total, out=total)
-
-    def state_slots(self):
-        return {f"m{i}": m for i, m in enumerate(self.m)}
-
-    def _remap(self, target, fn) -> None:
-        target.m = [fn(m) for m in self.m]
 
     def hyper(self):
         return {"betas": ",".join(repr(b) for b in self.betas)}

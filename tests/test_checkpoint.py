@@ -1,3 +1,4 @@
+import hashlib
 import struct
 
 import numpy as np
@@ -15,6 +16,8 @@ from emx.checkpoint import (
     restore_optimizer,
     save_state,
 )
+from emx.config import parse_config
+from emx.harness import Experiment, format_record_csv
 from emx.numerics import make_rng
 from emx.optimizers import OPTIMIZERS, Ad3EMAMix, AdamW, AdEMAMix, AggMo, AdMetaS, Lion
 
@@ -43,6 +46,20 @@ ALL_OPTIMIZERS = [
 
 
 class TestRoundTrip:
+    def test_aggmo_slots_in_beta_order(self):
+        # eleven betas: m10 sorts before m2, but the checkpoint holds m0 ... m10
+        opt = AggMo(5, betas=[i / 11 for i in range(11)])
+        theta = _warm(opt)
+        blob = save_state(opt, extra_slots={"theta": theta})
+        ck = load_state(blob)
+        assert list(ck.slots) == [*(f"m{i}" for i in range(11)), "theta"]
+        restored = restore_optimizer(ck)
+        assert _state_bytes(restored) == _state_bytes(opt)
+        assert save_state(restored, extra_slots={"theta": ck.slots["theta"]}) == blob
+        grad = np.cos(theta)
+        assert restored.step(theta, grad, 1e-3).tobytes() == opt.step(theta, grad, 1e-3).tobytes()
+        assert _state_bytes(restored) == _state_bytes(opt)
+
     @pytest.mark.parametrize("factory", ALL_OPTIMIZERS)
     def test_bitwise_round_trip(self, factory):
         opt = factory()
@@ -154,7 +171,7 @@ class TestZeroCopyLoad:
 
     KINDS = {
         **{kind: lambda cls=cls: cls(5) for kind, cls in OPTIMIZERS.items()},
-        "ademamix_lean_m1": lambda: AdEMAMix(5, beta1=0.0, with_m1_buffer=True),
+        "ademamix_lean": lambda: AdEMAMix(5, beta1=0.0),
     }
 
     @pytest.mark.parametrize("kind", sorted(KINDS))
@@ -164,7 +181,7 @@ class TestZeroCopyLoad:
         ck = load_state(blob)
         loaded = {name: vec.tobytes() for name, vec in ck.slots.items()}
         first, second = restore_optimizer(ck), restore_optimizer(ck)
-        assert len(first.state_slots()) == len(ck.slots) - 1  # all but theta, m1 too
+        assert len(first.state_slots()) == len(ck.slots) - 1  # all but theta
         others = [np.frombuffer(blob, np.uint8), *ck.slots.values()]
         for a, b in [(first, second), (second, first)]:
             for buf in a.state_slots().values():
@@ -181,6 +198,76 @@ class TestZeroCopyLoad:
         for vec in [*ck.slots.values(), *load_state(bytearray(blob)).slots.values()]:
             with pytest.raises(ValueError, match="read-only"):
                 vec[0] = 1.0
+
+
+# tests/test_golden.py's state.ademamix_buffered: the bytes an AdEMAMix state
+# at beta1 = 0 that kept its fast EMA wrote, the lean slots and then m1
+BUFFERED_SHA256 = "1e4f3e055afe9aec65bfe6993902a4c1961f88e191bb0c4472fa7bc0586c82b1"
+# a dim-6 MLP, (3 + 1) * 1 + 1 + 1, with the hyperparameters of those bytes
+BUFFERED_CFG = """
+testbed.kind = mlp
+testbed.input_dim = 3
+testbed.hidden = 1
+testbed.batch_size = 4
+optimizer.kind = ademamix
+optimizer.beta1 = 0.0
+optimizer.beta3 = 0.999
+optimizer.alpha = 2.0
+optimizer.weight_decay = 0.0
+lr.kind = constant
+lr.value = 0.01
+run.steps = 8
+run.seed = 4
+run.cadence = 1
+"""
+
+
+def _lean_run(steps):
+    """The golden lean AdEMAMix state after ``steps`` direct steps (at most 8),
+    its ``theta`` and the eight gradients of the stream."""
+    rng = make_rng(11)
+    theta = rng.standard_normal(6)
+    grads = [rng.standard_normal(6) for _ in range(8)]
+    opt = AdEMAMix(6, beta1=0.0, beta3=0.999, alpha=2.0)
+    for grad in grads[:steps]:
+        theta = opt.step(theta, grad, 1e-2)
+    return opt, theta, grads
+
+
+class TestBufferedLeanState:
+    """A checkpoint that holds ``m1`` at ``beta1 = 0`` restores as the lean
+    state; ``m1`` stays in ``ck.slots`` as an extra slot."""
+
+    def _buffered(self):
+        opt, theta, grads = _lean_run(5)
+        blob = save_state(opt, extra_slots={"m1": grads[4], "theta": theta})
+        assert hashlib.sha256(blob).hexdigest() == BUFFERED_SHA256
+        return load_state(blob)
+
+    def test_restore_optimizer_gives_the_lean_state(self):
+        ck = self._buffered()
+        loaded = {name: vec.tobytes() for name, vec in ck.slots.items()}
+        opt = restore_optimizer(ck)
+        assert list(opt.state_slots()) == ["m2", "nu"] and opt.m1 is None
+        theta = ck.slots["theta"]
+        for grad in _lean_run(8)[2][5:]:
+            theta = opt.step(theta, grad, 1e-2)
+        assert {name: vec.tobytes() for name, vec in ck.slots.items()} == loaded
+        never_saved, lean_theta, _ = _lean_run(8)
+        assert theta.tobytes() == lean_theta.tobytes()
+        assert save_state(opt) == save_state(never_saved)
+
+    def test_experiment_resumes_as_the_lean_state(self):
+        cfg = parse_config(BUFFERED_CFG)
+        buffered = self._buffered()
+        m1 = buffered.slots["m1"].tobytes()
+        lean, theta, _ = _lean_run(5)
+        runs = [Experiment(cfg, resume_from=ck)
+                for ck in (buffered, load_state(save_state(lean, extra_slots={"theta": theta})))]
+        records = [format_record_csv(run.run()) for run in runs]
+        assert runs[0].opt.t == 8 and runs[0].opt.m1 is None
+        assert records[0] == records[1] and runs[0].checkpoint() == runs[1].checkpoint()
+        assert buffered.slots["m1"].tobytes() == m1
 
 
 class TestResume:

@@ -9,10 +9,14 @@ unchanged; only a deliberate change of output may re-pin them.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import emx
 from emx.checkpoint import load_state, save_state
 from emx.config import parse_config
 from emx.harness import (
@@ -130,9 +134,6 @@ def _direct_states(out):
             dim, beta1=0.9, beta3=0.9991, alpha=7.5, weight_decay=0.02, t_alpha=100, t_beta3=200
         ),
         "ademamix_lean": lambda: AdEMAMix(dim, beta1=0.0, beta3=0.999, alpha=2.0),
-        "ademamix_buffered": lambda: AdEMAMix(
-            dim, beta1=0.0, beta3=0.999, alpha=2.0, with_m1_buffer=True
-        ),
         "lion": lambda: Lion(dim, alpha=0.9, beta=0.99, weight_decay=0.25),
         "admeta_s": lambda: AdMetaS(dim, beta1=0.9, beta2=0.3),
         "aggmo": lambda: AggMo(dim, betas=(0.0, 0.9, 0.99)),
@@ -144,8 +145,14 @@ def _direct_states(out):
         opt = factory()
         theta = rng.standard_normal(dim)
         for _ in range(5):
-            theta = opt.step(theta, rng.standard_normal(dim), 1e-2)
+            grad = rng.standard_normal(dim)
+            theta = opt.step(theta, grad, 1e-2)
         out[f"state.{name}"] = save_state(opt, extra_slots={"theta": theta})
+        if name == "ademamix_lean":
+            # a state that kept its fast EMA at beta1 = 0 (m1 = the last gradient)
+            # wrote these bytes: the lean slots, then m1
+            buffered = save_state(opt, extra_slots={"m1": grad, "theta": theta})
+            out["state.ademamix_buffered"] = buffered
 
     # warmed-up schedule values passed per step, as the harness does
     for name, opt, extra in (
@@ -333,6 +340,51 @@ def test_artifact_set_is_pinned(digests):
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_bytes_unchanged(digests, name):
     assert digests[name] == GOLDEN[name], name
+
+
+# a clipped AdEMAMix MLP of dim 10497, (16 + 1) * 128 + (128 + 1) * 64 + 65: its
+# clip norms and update norms are square sums of more than 10000 elements
+WIDE_CLIPPED = """
+testbed.kind = mlp
+testbed.hidden = 128, 64
+optimizer.kind = ademamix
+optimizer.beta3 = 0.999
+optimizer.alpha = 5.0
+lr.kind = constant
+lr.value = 0.001
+run.steps = 60
+run.seed = 0
+run.cadence = 1
+run.clip = 0.5
+"""
+WIDE_CLIPPED_SHA256 = "14a337ebe12fbd103fe80ce91bbbe2683499299cff2ee7f508ccdd0bccaa1725"
+# the CSV hash of the config on stdin, then the bits of wide norms
+_CHILD = """
+import hashlib, sys
+import numpy as np
+from emx.config import parse_config
+from emx.harness import format_record_csv, run_experiment
+from emx.numerics import l2_norm, make_rng, row_norms
+csv = format_record_csv(run_experiment(parse_config(sys.stdin.read())))
+rows = make_rng(9).standard_normal((2, 200_007))
+norms = [l2_norm(rows[0]), l2_norm(rows[1, ::2]), *row_norms(rows), *row_norms(rows[:, ::2])]
+print(hashlib.sha256(csv.encode()).hexdigest(), np.array(norms).tobytes().hex())
+"""
+
+
+def test_bytes_do_not_depend_on_the_blas_thread_count():
+    # OpenBLAS threads a ddot of more than 10000 elements; the child imports
+    # the emx this process imported, with or without PYTHONPATH set
+    src = os.path.dirname(os.path.dirname(emx.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads}
+        proc = subprocess.run([sys.executable, "-c", _CHILD], input=WIDE_CLIPPED, env=env,
+                              capture_output=True, text=True, timeout=120, check=True)
+        outputs.append(proc.stdout.split())
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == WIDE_CLIPPED_SHA256
 
 
 if __name__ == "__main__":

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from emx.numerics import (
+    DOT_CHUNK,
     DivergenceError,
     finite_rows,
     global_norm_clip,
@@ -152,6 +154,25 @@ class TestRowNorms:
             norms = row_norms(rows)
         assert np.array(norms).tobytes() == np.array([l2_norm(r) for r in rows]).tobytes()
         assert norms[1] == np.inf and np.isnan(norms[2])
+
+    @pytest.mark.parametrize("n", [1, DOT_CHUNK - 1, DOT_CHUNK])
+    def test_one_chunk_is_one_ddot(self, n):
+        # below OpenBLAS's 10000-element threading cutoff, with the bits the norms always had
+        assert DOT_CHUNK <= 10000
+        x = make_rng(n).standard_normal(n)
+        assert l2_norm(x) == math.sqrt(np.vdot(x, x)) == row_norms(x[np.newaxis])[0]
+
+    @pytest.mark.parametrize("n", [DOT_CHUNK + 1, 2 * DOT_CHUNK, 3 * DOT_CHUNK + 5])
+    def test_chunks_sum_in_order(self, n):
+        rows = make_rng(n).standard_normal((2, n))
+        rows[1, -1] = 1e200  # the last chunk overflows, quietly
+        square = 0.0
+        for lo in range(0, n, DOT_CHUNK):
+            square += np.vdot(rows[0, lo : lo + DOT_CHUNK], rows[0, lo : lo + DOT_CHUNK])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            norms = row_norms(rows)
+            assert norms == [l2_norm(rows[0]), l2_norm(rows[1])] == [math.sqrt(square), np.inf]
 
 
 def _shapes(k):

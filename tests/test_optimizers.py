@@ -84,16 +84,19 @@ class TestAdEMAMixReductions:
         assert trail_a == trail_b
 
     def test_beta1_zero_buffered_equals_bufferless(self):
-        lean = AdEMAMix(2, beta1=0.0, beta3=0.999, alpha=5.0)
-        full = AdEMAMix(2, beta1=0.0, beta3=0.999, alpha=5.0, with_m1_buffer=True)
-        assert lean.m1 is None and full.m1 is not None
+        # AdamW's m is a real buffer; at beta1 = 0 it holds the gradient
+        lean = AdEMAMix(2, beta1=0.0, beta3=0.999, alpha=0.0)
+        full = AdamW(2, beta1=0.0)
+        assert lean.m1 is None and full.m is not None
         _, trail_a = rosenbrock_trajectory(lean, 300, 1e-3)
         _, trail_b = rosenbrock_trajectory(full, 300, 1e-3)
         assert trail_a == trail_b
 
-    def test_buffer_cannot_be_dropped_with_momentum(self):
-        with pytest.raises(ValueError):
-            AdEMAMix(2, beta1=0.9, with_m1_buffer=False)
+    @pytest.mark.parametrize(
+        "beta1,slots", [(0.0, ["m2", "nu"]), (-0.0, ["m2", "nu"]), (0.5, ["m2", "nu", "m1"])]
+    )
+    def test_slots_follow_beta1(self, beta1, slots):
+        assert list(AdEMAMix(2, beta1=beta1).state_slots()) == slots
 
     def test_slow_ema_not_bias_corrected(self):
         # after one step from zero, m2 is (1-beta3)*g, far below the corrected m1
@@ -425,13 +428,12 @@ class TestKernelAndRegistry:
     def test_constructor_keywords_unchanged(self):
         mix = ["beta1", "beta2", "beta3", "alpha", "weight_decay", "eps", "t_alpha", "t_beta3",
                "beta_start"]
-        assert AdamW.keywords() == ["beta1", "beta2", "weight_decay", "eps"]
-        assert AdEMAMix.keywords() == mix
-        assert Ad3EMAMix.keywords() == [*mix[:3], "beta4", *mix[3:]]
-        assert Lion.keywords() == ["alpha", "beta", "weight_decay"]
-        assert AdMetaS.keywords() == ["beta1", "beta2"]
-        assert AggMo.keywords() == ["betas"]
-        AdEMAMix(2, beta1=0.0, with_m1_buffer=True)
+        assert list(AdamW.defaults) == ["beta1", "beta2", "weight_decay", "eps"]
+        assert list(AdEMAMix.defaults) == mix
+        assert list(Ad3EMAMix.defaults) == [*mix[:3], "beta4", *mix[3:]]
+        assert list(Lion.defaults) == ["alpha", "beta", "weight_decay"]
+        assert list(AdMetaS.defaults) == ["beta1", "beta2"]
+        assert list(AggMo.defaults) == ["betas"]
 
     @pytest.mark.parametrize(
         "factory",
@@ -442,6 +444,7 @@ class TestKernelAndRegistry:
             lambda: AdamW(2, 0.9),
             lambda: AdEMAMix(2, beta4=0.9),
             lambda: AdEMAMix(2, slow=(0.9,)),
+            lambda: AdEMAMix(2, beta1=0.0, with_m1_buffer=True),
             lambda: Ad3EMAMix(2, with_m1_buffer=True),
             lambda: Lion(2, beta1=0.9),
             lambda: AdMetaS(2, beta=0.9),
@@ -566,11 +569,12 @@ def aggmo_step_before_in_place(opt, theta, grad, lr):
     check_same_length(theta, grad)
     opt.t += 1
     total = np.zeros(opt.dim)
-    for i, b in enumerate(opt.betas):
-        opt.m[i] = b * opt.m[i] + grad
-        total += opt.m[i]
+    names = [f"m{i}" for i in range(len(opt.betas))]
+    for name, b in zip(names, opt.betas):
+        setattr(opt, name, b * getattr(opt, name) + grad)
+        total += getattr(opt, name)
     new_theta = theta - (lr / len(opt.betas)) * total
-    check_finite_before_in_place(opt.t, new_theta, *opt.m)
+    check_finite_before_in_place(opt.t, new_theta, *(getattr(opt, name) for name in names))
     return new_theta
 
 
@@ -1026,6 +1030,19 @@ class TestColumnSplit:
         assert _slot_bytes(opt) == _slot_bytes(ref)
         assert len(three_ranges) == 2
 
+    def test_eleven_aggmo_slots_match_reference_bytes(self, three_ranges):
+        # slots m0 ... m10: allocated in name order (m10 before m2), stepped in beta order
+        betas = [i / 11 for i in range(11)]
+        opt, ref = AggMo(SPLIT_FLOOR, betas=betas), AggMo(SPLIT_FLOOR, betas=betas)
+        theta = ref_theta = make_rng(30).standard_normal(SPLIT_FLOOR)
+        for grad in self._grads(SPLIT_FLOOR, 3)[:-1]:
+            theta = opt.step(theta, grad, 1e-2)
+            ref_theta = aggmo_step_before_in_place(ref, ref_theta, grad, 1e-2)
+            assert theta.tobytes() == ref_theta.tobytes()
+            assert _slot_bytes(opt) == _slot_bytes(ref)
+        assert list(opt.state_slots()) == [f"m{i}" for i in range(11)]
+        assert len(three_ranges) == 4
+
     def test_below_the_floor_runs_inline(self, three_ranges):
         opt = AdEMAMix(SPLIT_FLOOR - 1)
         opt.step(np.zeros(SPLIT_FLOOR - 1), np.ones(SPLIT_FLOOR - 1), 1e-3)
@@ -1116,24 +1133,23 @@ class TestDeclaredHyperparameters:
     def test_keywords_and_default_hyper(self, kind):
         cls = OPTIMIZERS[kind]
         declared = DECLARED[kind]
-        assert cls.keywords() == [k for k in declared if k != "sched_offset"]
+        assert list(cls.defaults) == [k for k in declared if k != "sched_offset"]
         hyper = cls(3).hyper()
         assert hyper == declared
         assert {k: type(v) for k, v in hyper.items()} == {k: type(v) for k, v in declared.items()}
 
     @pytest.mark.parametrize(
-        "kind,key", [(kind, key) for kind, cls in OPTIMIZERS.items() for key in cls.keywords()]
+        "kind,key", [(kind, key) for kind, cls in OPTIMIZERS.items() for key in cls.defaults]
     )
     def test_out_of_range_value_raises(self, kind, key):
         with pytest.raises(ValueError):
             OPTIMIZERS[kind](3, **OUT_OF_RANGE[key])
 
 
-# every kind, and the two AdEMAMix states its kind name does not tell apart
+# every kind, and the AdEMAMix state its kind name does not tell apart
 FRESH_STATES = {
     **OPTIMIZERS,
     "ademamix_lean": lambda dim: AdEMAMix(dim, beta1=0.0),
-    "ademamix_m1": lambda dim: AdEMAMix(dim, beta1=0.0, with_m1_buffer=True),
 }
 
 
@@ -1141,14 +1157,9 @@ class TestDeclaredState:
     @pytest.mark.parametrize("name", list(FRESH_STATES))
     def test_buffers_are_the_declared_slots(self, name):
         opt = FRESH_STATES[name](3)
-        if isinstance(opt, AggMo):
-            slots, scratch = list(opt.m), []
-            assert not hasattr(opt, "_scratch")
-        else:
-            slots = [buf for n in opt.slot_names if (buf := getattr(opt, n)) is not None]
-            scratch = [opt._scratch]
-        held = [a for v in vars(opt).values() for a in (v if isinstance(v, list) else [v])
-                if isinstance(a, np.ndarray)]
+        slots = [getattr(opt, n) for n in opt.slot_names]
+        scratch = [opt._scratch]
+        held = [a for a in vars(opt).values() if isinstance(a, np.ndarray)]
         assert sorted(map(id, held)) == sorted(map(id, slots + scratch))
         assert len(slots) == len(opt.state_slots())
         assert all(buf.shape == (3,) and not buf.any() for buf in slots)
@@ -1171,7 +1182,7 @@ class TestTypedConstructor:
 
     def test_every_kind_declares_defaults(self):
         for cls in OPTIMIZERS.values():
-            assert cls.defaults and cls.keywords() == list(cls.defaults)
+            assert cls.defaults
 
     @pytest.mark.parametrize("kind,key", FLOAT_KEYS)
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -np.inf, True, "abc", [0.5],
@@ -1221,10 +1232,12 @@ class TestTypedConstructor:
         with pytest.raises(ValueError, match="need at least one momentum coefficient"):
             AggMo(2, betas=())
 
-    def test_scratch_only_where_the_step_uses_it(self):
-        assert not hasattr(AggMo(2), "_scratch")
-        for cls in (AdamW, AdEMAMix, Ad3EMAMix, Lion, AdMetaS):
-            assert cls(2)._scratch.shape == (2,)
+    @pytest.mark.parametrize("kind", list(FRESH_STATES))
+    def test_every_kind_has_one_scratch(self, kind):
+        opt = FRESH_STATES[kind](2)
+        assert opt._scratch.shape == (2,) and "_scratch" not in opt.state_slots()
+        opt.select_rows([0] * 3)
+        assert opt._scratch.shape == opt.shape == (3, 2)
 
     @pytest.mark.parametrize("cls", [AdEMAMix, Ad3EMAMix])
     def test_zero_decays_build_without_a_warmup(self, cls):
