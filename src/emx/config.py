@@ -51,7 +51,8 @@ _TESTBED_KEYS = {
     for kind, build in TESTBEDS.items()
 }
 # a kind's keys, in order: its hyperparameter keywords, and preseed if it has
-# momentum (a keys view: ordered, and compared and subtracted like a set)
+# momentum (a keys view: ordered, and compared and subtracted like a set);
+# AdEMAMix declares momentum per state, and every state of it has m2
 _OPTIMIZER_KEYS = {
     kind: dict.fromkeys([*cls.defaults, *(["preseed"] if cls.momentum else [])]).keys()
     for kind, cls in OPTIMIZERS.items()

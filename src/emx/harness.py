@@ -10,6 +10,7 @@ runs and checkpoint-resumed runs compare bit-for-bit.
 from __future__ import annotations
 
 import copy
+import functools
 import itertools
 import json
 import math
@@ -70,12 +71,15 @@ class RunRecord:
         return min(losses) if losses else math.inf
 
 
+_type_hints = functools.cache(get_type_hints)  # one lookup per schedule class, not per row
+
+
 def _build_lr_schedule(cfg: ExperimentConfig):
     cls = LR_SCHEDULES.get(cfg.lr.kind)
     if cls is None:
         raise ConfigError(f"unknown lr kind {cfg.lr.kind!r}")
     p = {"eta_min": 0.0, "warmup": 0, "total": cfg.steps, **cfg.lr.params}
-    types = get_type_hints(cls)
+    types = _type_hints(cls)
     try:
         return cls(**{f.name: (step_count if types[f.name] is int else finite_number)(
             f"lr.{f.name}", p[f.name]) for f in fields(cls)})
@@ -206,18 +210,18 @@ class Experiment:
         optimum = self.testbed.optimum
         return [None] * len(self.theta) if optimum is None else row_norms(self.theta - optimum)
 
-    def _drop(self, ok: np.ndarray, t: int, *arrays) -> list:
+    def _drop(self, ok: np.ndarray, t: int, losses: list, *arrays) -> list:
         """Record each live row not ``ok`` as diverged at step ``t`` and take it
-        out of the state; return ``arrays`` without those rows."""
+        out of the state; return ``losses`` and ``arrays`` without those rows."""
         keep = ok.tolist()
         for row, good in zip(self._live, keep):
             if not good:
                 rec = row.record
                 rec.diverged_step, rec.final_step, rec.final_loss = t, t - 1, math.inf
-        self._live = [row for row, good in zip(self._live, keep) if good]
+        self._live = list(itertools.compress(self._live, keep))
         self.theta = self.theta[ok]
         self.opt.select_rows(ok)
-        return [a[ok] for a in arrays]
+        return [list(itertools.compress(losses, keep)), *(a[ok] for a in arrays)]
 
     def _maybe_switch(self):
         sw = self.cfg.switch
@@ -233,12 +237,15 @@ class Experiment:
         if batch is None and self.dataset:
             batch = self.dataset.batch(t)
         losses, grad = self.testbed.loss_and_grad(self.theta, batch)
-        losses = np.array(losses)
-        ok = finite_rows(losses[:, np.newaxis], grad)
-        if ok is not None:
-            losses, grad = self._drop(ok, t, losses, grad)
-            if not self._live:
-                return
+        # a non-finite value makes the loss sum or the square sum non-finite;
+        # an overflowed sum of finite values falls through to masks that keep
+        # every row
+        if not (math.isfinite(sum(losses)) and math.isfinite(np.vdot(grad, grad))):
+            ok = np.isfinite(losses) & np.isfinite(grad).all(axis=-1)
+            if not ok.all():
+                losses, grad = self._drop(ok, t, losses, grad)
+                if not self._live:
+                    return
         if cfg.clip is not None:
             for row in grad:
                 if (clipped := global_norm_clip(row, cfg.clip)) is not row:
@@ -258,9 +265,16 @@ class Experiment:
                 row.heldout.append((t, loss))
         if t % cfg.cadence == 0:
             alpha, beta3 = args[:2] if args else (None, None)
+            optimum = self.testbed.optimum
+            if optimum is None:
+                update_norms, dists = row_norms(new - old), [None] * len(new)
+            else:  # both norms in one call
+                diffs = np.empty((2, *new.shape))
+                np.subtract(new, old, out=diffs[0])
+                np.subtract(new, optimum, out=diffs[1])
+                update_norms, dists = row_norms(diffs)
             for row, loss, dist, eta, update_norm, held in zip(
-                self._live, losses.tolist(), self._distances(), lr[:, 0].tolist(),
-                row_norms(new - old), heldout,
+                self._live, losses, dists, lr[:, 0].tolist(), update_norms, heldout,
             ):
                 row.record.rows.append(
                     RunRow(t, loss, dist, eta, alpha, beta3, update_norm, held)

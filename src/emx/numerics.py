@@ -6,11 +6,12 @@ one row per point when several points are stepped together. Every operation
 on rows is elementwise, so a row gets the bits it would get alone; the one
 broadcast is a per-row value (a learning rate) as a ``(K, 1)`` column, which
 rounds like the same scalar. Reductions are taken per row with
-:func:`row_norms`, and a step's rows are checked with :func:`finite_rows`;
-each costs one BLAS ``ddot`` per array (per ``DOT_CHUNK`` columns for a
-norm), not a numpy call per row. All
-randomness flows through Philox, a counter-based 64-bit generator whose
-stream is reproducible bit-for-bit from the seed.
+:func:`row_norms`, one BLAS ``ddot`` per row (per ``DOT_CHUNK`` columns)
+in one ``np.vecdot`` call for all the rows, or for a stack of row arrays;
+a step's rows are checked with :func:`finite_rows`, one ``ddot`` per array.
+Neither makes a numpy call per row. All randomness flows through Philox, a
+counter-based 64-bit generator whose stream is reproducible bit-for-bit
+from the seed.
 """
 
 from __future__ import annotations
@@ -55,10 +56,12 @@ def l2_norm(a: np.ndarray) -> float:
 
 
 def row_norms(rows: np.ndarray) -> list:
-    """:func:`l2_norm` of each row, as Python floats.
+    """:func:`l2_norm` of each row, as Python floats; a ``(S, K, dim)``
+    stack of row arrays gives ``S`` lists of ``K``.
 
     One ``np.vecdot`` over the rows: its float64 loop calls, for each row,
-    the BLAS ``ddot`` that ``np.vdot`` calls, so each row gets the bits of
+    the BLAS ``ddot`` that ``np.vdot`` calls, and ``np.sqrt`` rounds like
+    ``math.sqrt`` (both are correctly rounded), so each row gets the bits of
     :func:`l2_norm`. A reduction that is not a ``ddot`` (``einsum``,
     ``(d*d).sum(1)``) rounds differently. Rows wider than ``DOT_CHUNK``
     take one ``vecdot`` per chunk of columns, added in chunk order, so that
@@ -72,7 +75,7 @@ def row_norms(rows: np.ndarray) -> list:
         for lo in range(DOT_CHUNK, rows.shape[-1], DOT_CHUNK):
             chunk = rows[..., lo : lo + DOT_CHUNK]
             squares += np.vecdot(chunk, chunk)
-    return [math.sqrt(s) for s in squares.tolist()]
+        return np.sqrt(squares).tolist()
 
 
 def finite_rows(*arrays: np.ndarray) -> np.ndarray | None:

@@ -13,9 +13,10 @@ updates), :class:`AdMetaS` (nested EMAs) and :class:`AggMo` (K plain
 momentum buffers, ``m0`` ... ``m{K-1}``).
 
 Each class declares its hyperparameters once, in ``defaults`` (keyword ->
-default, in ``hyper()`` order), its state once, in ``slot_names``, and its
-update once, in ``_kernel`` (the Adam family: ``_mixture`` and ``_convex``).
-The base constructor types each value like its default and allocates each
+default, in ``hyper()`` order), its state once, in ``slot_names`` (the
+slots :func:`preseed_momentum` sets in ``momentum``), and its update once,
+in ``_kernel`` (the Adam family: ``_mixture`` and ``_convex``). The base
+constructor types each value like its default and allocates each
 slot as a zero row and the ``_scratch`` row; the subclass checks its
 ranges. :meth:`Optimizer.step` runs ``_kernel``.
 
@@ -272,7 +273,6 @@ class AdamFamily(Optimizer):
     ``beta1``).
     """
 
-    momentum = ("m1", "m2", "m3")
     alpha = 0.0
     m1 = m2 = m3 = None  # the EMAs a kind does not hold
 
@@ -367,6 +367,7 @@ class AdamW(AdamFamily):
 
     variant = "adamw"
     slot_names = ("m", "nu")
+    momentum = ("m",)
     defaults = {"beta1": 0.9, "beta2": 0.999, "weight_decay": 0.0, "eps": 1e-8}
 
     m = property(lambda self: self.m1, lambda self, value: setattr(self, "m1", value))
@@ -393,6 +394,7 @@ class AdEMAMix(AdamFamily):
     }
 
     slot_names = cached_property(lambda self: ("m2", "nu", "m1") if self.beta1 else ("m2", "nu"))
+    momentum = cached_property(lambda self: ("m2", "m1") if self.beta1 else ("m2",))
 
 
 class Ad3EMAMix(AdamFamily):
@@ -401,6 +403,7 @@ class Ad3EMAMix(AdamFamily):
 
     variant = "ad3emamix"
     slot_names = ("m1", "m2", "m3", "nu")
+    momentum = ("m1", "m2", "m3")
     defaults = {
         "beta1": 0.9,
         "beta2": 0.999,
@@ -555,5 +558,4 @@ def preseed_momentum(opt, m_init) -> None:
     if not opt.momentum:
         raise TypeError(f"cannot preseed momentum for {type(opt).__name__}")
     for name in opt.momentum:
-        if (buf := getattr(opt, name)) is not None:
-            buf[...] = values
+        getattr(opt, name)[...] = values

@@ -1,0 +1,58 @@
+"""tools/ab_pairs.py against two stub checkouts whose benchmark prints fixed numbers."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# a stand-in for perfbench/run.py: steps_per_s is the tree's base plus the
+# seed, and every run appends "<tree> <seed>" to ../order.log
+STUB = """
+import json, sys
+from pathlib import Path
+here = Path.cwd()
+seed = int(sys.argv[sys.argv.index("--seed") + 1])
+with open(here.parent / "order.log", "a") as fh:
+    fh.write(f"{here.name} {seed}\\n")
+base = {"parent": 100.0, "change": 110.0}[here.name]
+print("env " + json.dumps({"tree": here.name, "seed": seed}))
+print(json.dumps({"correct": True, "attempted": 4, "failed": 0, "metrics": {
+    "steps_per_s": {"value": base + seed, "unit": "1/s"},
+    "setup_s": {"value": 0.5 if here.name == "parent" else 0.4, "unit": "s"},
+    "peak_rss_mb": {"value": 40.0, "unit": "MB"}}}))
+"""
+
+
+def test_alternated_pairs_written_in_the_bench_layout(tmp_path):
+    for name in ("parent", "change"):
+        tree = tmp_path / name
+        (tree / "perfbench").mkdir(parents=True)
+        (tree / "perfbench" / "run.py").write_text(STUB)
+        (tree / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
+    out = tmp_path / "BENCH.json"
+    subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "ab_pairs.py"), str(tmp_path / "parent"),
+         str(tmp_path / "change"), "--workload", "toy_sweep", "--seeds", "1-4",
+         "--seconds", "1", "--claimed", "toy_sweep.steps_per_s", "--out", str(out),
+         "--section", "toy"],
+        check=True, capture_output=True, timeout=120,
+    )
+    order = (tmp_path / "order.log").read_text().split("\n")[:-1]
+    assert order == ["parent 1", "change 1", "change 2", "parent 2",
+                     "parent 3", "change 3", "change 4", "parent 4"]
+    bench = json.loads(out.read_text())["toy"]
+    assert bench["pairs"] == 4 and bench["seeds"] == [1, 2, 3, 4]
+    assert bench["all_runs_correct"] and bench["failed_operations"] == 0
+    assert json.loads(bench["env"]["p"][4:]) == {"tree": "parent", "seed": 1}
+    steps = bench["metrics"]["toy_sweep.steps_per_s"]
+    assert steps["runs"] == {"parent": [101.0, 102.0, 103.0, 104.0],
+                             "change": [111.0, 112.0, 113.0, 114.0]}
+    q1, median, q3 = np.percentile(steps["runs"]["parent"], [25, 50, 75])
+    assert steps["parent"] == {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1}
+    assert steps["change_wins"] == 4
+    assert bench["metrics"]["toy_sweep.setup_s"]["change_wins"] == 4  # lower is better
+    assert bench["metrics"]["toy_sweep.peak_rss_mb"]["change_wins"] == 0  # ties count for neither

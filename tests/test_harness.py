@@ -394,6 +394,76 @@ class TestRows:
             assert format_record_csv(record) == format_record_csv(run_experiment(cfg))
 
 
+class Rigged:
+    """A testbed whose ``loss_and_grad`` is ``inner``'s passed through ``edit``."""
+
+    def __init__(self, inner, edit):
+        self.inner, self.edit = inner, edit
+        self.dim, self.optimum = inner.dim, inner.optimum
+
+    def loss(self, theta, batch=None):
+        return self.inner.loss(theta, batch)
+
+    def loss_and_grad(self, theta, batch=None):
+        return self.edit(theta, *self.inner.loss_and_grad(theta, batch))
+
+
+def rigged_run(cfgs, edit):
+    """The records of ``cfgs`` stepped as the rows of one experiment on a
+    :class:`Rigged` Rosenbrock."""
+    exp = Experiment(cfgs[0], rows=cfgs)
+    exp.testbed = Rigged(exp.testbed, edit)
+    exp.run()
+    return exp.records
+
+
+class TestRowChecks:
+    """The pre-step check of the losses and gradient, and the post-step
+    check of the new state, drop exactly the rows they should."""
+
+    def test_losses_whose_sum_overflows_drop_no_row(self):
+        def huge(theta, losses, grad):
+            return [1.2e308] * len(losses), grad
+
+        cfgs = [toy_config(steps=6, lr=lr) for lr in (1e-3, 1e-2)]
+        records = rigged_run(cfgs, huge)
+        assert not any(r.diverged for r in records)
+        assert [row.loss for row in records[1].rows] == [1.2e308] * 6
+        for cfg, record in zip(cfgs, records):
+            assert record == rigged_run([cfg], huge)[0]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_a_non_finite_loss_drops_its_row_alone(self, bad):
+        x0 = np.array([-3.0, 5.0])
+
+        def far(theta, losses, grad):  # a row more than 0.25 from x0 has a bad loss
+            away = np.abs(theta - x0).max(axis=-1) > 0.25
+            return [bad if a else loss for a, loss in zip(away.tolist(), losses)], grad
+
+        cfgs = [toy_config(steps=10, lr=lr) for lr in (1e-3, 0.1, 1e-2)]
+        records = rigged_run(cfgs, far)
+        assert [r.diverged_step for r in records] == [None, 4, None]
+        assert [row.step for row in records[1].rows] == [1, 2, 3]
+        assert records[1].final_step == 3 and records[1].final_loss == math.inf
+        for cfg, record in zip(cfgs, records):
+            alone = rigged_run([cfg], far)[0]
+            assert record == alone and format_record_csv(record) == format_record_csv(alone)
+
+    def test_every_row_dropped_after_a_recorded_step(self):
+        # each square of the gradient overflows in nu: the gradient and the
+        # losses pass the pre-step check, the new state does not
+        def steep(theta, losses, grad):
+            return losses, grad * 1e200
+
+        cfgs = [toy_config(steps=5, lr=lr) for lr in (1e-3, 1e-2)]
+        exp = Experiment(cfgs[0], rows=cfgs)
+        exp.testbed = Rigged(exp.testbed, steep)
+        exp.run()
+        assert exp.theta.shape == (0, 2) and exp.opt.t == 1
+        for record in exp.records:
+            assert (record.diverged_step, record.final_step, record.rows) == (1, 0, [])
+
+
 class TestEmission:
     def test_empty_record_is_header_only(self):
         record = run_experiment(toy_config(steps=0))

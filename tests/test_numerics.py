@@ -175,6 +175,31 @@ class TestRowNorms:
             assert norms == [l2_norm(rows[0]), l2_norm(rows[1])] == [math.sqrt(square), np.inf]
 
 
+    @given(
+        st.integers(1, 3),
+        st.integers(0, 4),
+        st.one_of(st.integers(0, 40), st.sampled_from(
+            [DOT_CHUNK - 1, DOT_CHUNK, DOT_CHUNK + 1, 2 * DOT_CHUNK + 3])),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+        st.lists(st.tuples(st.integers(0, 2**32 - 1), HOSTILE), max_size=4),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_a_stack_has_the_bits_of_its_arrays(self, s, k, dim, strided, seed, hostile):
+        a = make_rng(seed).standard_normal((s, k, 2 * dim if strided else dim))
+        for at, value in hostile:
+            if a.size:
+                a.flat[at % a.size] = value
+        stack = a[..., ::2] if strided else a
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            norms = row_norms(stack)
+            alone = [row_norms(rows) for rows in stack]
+        assert [len(n) for n in norms] == [k] * s
+        assert all(type(n) is float for rows in norms for n in rows)
+        assert np.array(norms).tobytes() == np.array(alone).tobytes()
+
+
 def _shapes(k):
     """The shapes of one call's arrays: all 1-D, or ``(k, 1)`` and ``(k, dim)`` rows."""
     rows = st.one_of(st.just((k, 1)), st.integers(0, 16).map(lambda dim: (k, dim)))

@@ -410,9 +410,26 @@ class TestPreseed:
             preseed_momentum(opt, values)
         assert not opt.m.any()
 
-    def test_preseed_needs_a_momentum_buffer(self):
-        with pytest.raises(TypeError, match="cannot preseed momentum for AdMetaS"):
-            preseed_momentum(AdMetaS(2), [1.0, 0.0])
+    @pytest.mark.parametrize("cls", [AdMetaS, AggMo])
+    def test_preseed_needs_a_momentum_buffer(self, cls):
+        opt = cls(2)
+        with pytest.raises(TypeError, match=f"cannot preseed momentum for {cls.__name__}"):
+            preseed_momentum(opt, [1.0, 0.0])
+        assert not any(buf.any() for buf in opt.state_slots().values())
+
+    @pytest.mark.parametrize("make,momentum", [
+        (lambda: AdamW(2), ("m",)),
+        (lambda: AdEMAMix(2), ("m2", "m1")),
+        (lambda: AdEMAMix(2, beta1=0.0), ("m2",)),
+        (lambda: Ad3EMAMix(2), ("m1", "m2", "m3")),
+        (lambda: Lion(2), ("m",)),
+    ], ids=["adamw", "ademamix", "ademamix_lean", "ad3emamix", "lion"])
+    def test_preseed_sets_exactly_the_momentum_slots(self, make, momentum):
+        opt = make()
+        assert opt.momentum == momentum
+        preseed_momentum(opt, [-3.0, 0.5])
+        for name, buf in opt.state_slots().items():
+            assert buf.tolist() == ([-3.0, 0.5] if name in momentum else [0.0, 0.0]), name
 
     def test_preseed_takes_integers(self):
         opt = AdamW(2)
