@@ -63,12 +63,11 @@ def save_state(opt, extra_slots: dict | None = None) -> bytes:
     """
     if len(opt.shape) == 2 and opt.shape[0] != 1:
         raise ValueError(f"a checkpoint holds one row, the state has {opt.shape[0]} rows")
-    slots = dict(opt.state_slots())
-    if extra_slots:
-        for name, vec in extra_slots.items():
-            if name in slots:
-                raise ValueError(f"slot name collision: {name!r}")
-            slots[name] = vec
+    slots = opt.state_slots()  # a fresh dict
+    for name, vec in (extra_slots or {}).items():
+        if name in slots:
+            raise ValueError(f"slot name collision: {name!r}")
+        slots[name] = vec
     hyper = {"variant": opt.variant}
     hyper.update(opt.hyper())
 
@@ -161,14 +160,13 @@ def restore_optimizer(ck: CheckpointData):
 
     One path serves every registered kind: a fresh instance's ``hyper()``
     names the keys and their types, the constructor takes its ``defaults``
-    keys and the rest is set afterwards, then each ``state_slots()`` buffer is
-    filled: the one copy of each slot out of the checkpoint bytes, so the
-    state owns its buffers. ``hyper_state`` (``sched_offset``) is a step in
-    ``[0, step]``.
-    Bad content raises :class:`CheckpointFormatError`. Extra slots
-    (e.g. ``theta``, or the ``m1`` of a buffered AdEMAMix state at
-    ``beta1 = 0``, which restores as the lean state) are left in
-    ``ck.slots`` untouched.
+    keys and the rest is set afterwards, then each ``state_slots()`` row of
+    its ``slots`` block is filled: the one copy of each slot out of the
+    checkpoint bytes, so the state owns its block. ``hyper_state``
+    (``sched_offset``) is a step in ``[0, step]``. Bad content raises
+    :class:`CheckpointFormatError`. Extra slots (e.g. ``theta``, or the
+    ``m1`` of a buffered AdEMAMix state at ``beta1 = 0``, which restores as
+    the lean state) are left in ``ck.slots`` untouched.
     """
     variant = ck.hyper.get("variant")
     cls = optimizers.OPTIMIZERS.get(variant)

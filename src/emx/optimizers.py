@@ -16,14 +16,14 @@ Each class declares its hyperparameters once, in ``defaults`` (keyword ->
 default, in ``hyper()`` order), its state once, in ``slot_names`` (the
 slots :func:`preseed_momentum` sets in ``momentum``), and its update once,
 in ``_kernel`` (the Adam family: ``_mixture`` and ``_convex``). The base
-constructor types each value like its default and allocates each
-slot as a zero row and the ``_scratch`` row; the subclass checks its
-ranges. :meth:`Optimizer.step` runs ``_kernel``.
+constructor types each value like its default and allocates the slots as
+the rows of one zero block, ``slots`` (``_scratch`` apart); the subclass
+checks its ranges. :meth:`Optimizer.step` runs ``_kernel``.
 
 ``step`` returns a fresh array for the new ``theta`` and never writes into
 ``theta`` or ``grad``; the state slots are updated in place, through ``out=``
-ufuncs over a scratch buffer each instance owns, so a step allocates one
-array the shape of ``theta``. Every operation keeps the operands and the
+ufuncs over a scratch buffer the first step makes, so a later step allocates
+one array the shape of ``theta``. Every operation keeps the operands and the
 order of the plain expression it replaces, so the results are the same to
 the bit.
 
@@ -41,7 +41,7 @@ with the learning rate a ``(K, 1)`` column (the other step arguments are
 shared). Every operation is elementwise, so each row gets the bits it would
 get stepped alone. A non-finite 1-D state raises :class:`DivergenceError`;
 a rows step returns and leaves its non-finite rows for the caller to find
-(:func:`emx.numerics.finite_rows` of the result and the slots) and drop.
+(``finite_rows(new, opt.slots)``, :func:`emx.numerics.finite_rows`) and drop.
 
 Step functions take the learning rate (and the warmed-up ``alpha``/slow
 decays) from the caller. :meth:`Optimizer.schedule_args` gives those values
@@ -106,11 +106,11 @@ class Optimizer:
     """What every registered kind shares.
 
     ``defaults`` maps each hyperparameter keyword to its default, in
-    ``hyper()`` order; ``hyper()`` adds ``hyper_state``. ``slot_names`` are
-    the checkpointed buffers in order, each allocated here as zeros, and
-    ``momentum`` the buffers :func:`preseed_momentum` sets. Every state also
-    gets ``_scratch``, a buffer the shape of the state its step works in; it
-    is not state. ``shape`` is the state's shape, ``(dim,)`` or ``(K, dim)``.
+    ``hyper()`` order; ``hyper()`` adds ``hyper_state``. ``slot_names`` name
+    the rows of ``slots``, the checkpointed state, zeros here (each a view
+    of its row); ``momentum`` the ones :func:`preseed_momentum` sets.
+    ``_scratch``, apart, made by the first step in a shape, is what a step
+    works in. ``shape`` is ``(dim,)`` or ``(K, dim)``.
 
     :meth:`step` runs the kind's ``_kernel(state, new, theta, grad, lr)``.
     """
@@ -122,6 +122,7 @@ class Optimizer:
     hyper_state: tuple = ()
     sched_offset = 0
     _schedules: tuple = ()
+    slots = property(lambda self: self._block, doc="The slots as the rows of one array.")
 
     def __init__(self, dim, **kwargs):
         """Set ``dim``, the step counter and every ``defaults`` key, then
@@ -131,18 +132,13 @@ class Optimizer:
         if unknown:
             raise TypeError(f"{type(self).__name__}() got unexpected keywords {sorted(unknown)}")
         self.dim = int(dim)
-        self.shape = (self.dim,)
         self.t = 0
         for name, default in self.defaults.items():
             setattr(self, name, _typed(name, kwargs.get(name, default), default))
-        # by name, not in checkpoint order (AdEMAMix: m1 before m2 and nu;
-        # AggMo: m10 before m2):
-        # glibc puts rows this size on its heap once its mmap threshold has
-        # grown, and checkpoint order raised perfbench wide_state's peak RSS
-        # from 272 to 288 MB (x86-64 Linux, glibc malloc, numpy 2.4)
-        for name in sorted(self.slot_names):
-            setattr(self, name, np.zeros(self.dim))
-        self._scratch = np.empty(self.dim)
+        # a zeroed bytearray, not numpy's allocator, which marks a block this size for huge
+        # pages: the kernel then collapses the heap around it (wide_state peak RSS +15 MB)
+        n = len(self.slot_names)
+        self._bind(np.frombuffer(bytearray(8 * n * self.dim), np.float64).reshape(n, self.dim))
 
     def hyper(self) -> dict:
         return {name: getattr(self, name) for name in (*self.defaults, *self.hyper_state)}
@@ -157,23 +153,21 @@ class Optimizer:
         """
         return [sched.at(t - self.sched_offset) for sched in self._schedules]
 
-    def _remap(self, target, fn) -> None:
-        """Set each buffer (slots and ``_scratch``) of ``target`` to ``fn`` of
-        this state's."""
-        for name in (*self.slot_names, "_scratch"):
-            setattr(target, name, fn(getattr(self, name)))
+    def _bind(self, block: np.ndarray) -> None:
+        """Hold ``block``, the ``(S, *shape)`` state: slot ``i`` is row ``i``."""
+        self._block, self.shape, self._scratch = block, block.shape[1:], None
+        for name, row in zip(self.slot_names, block):
+            setattr(self, name, row)
+
+    def __setstate__(self, state) -> None:
+        self.__dict__.update(state)
+        self._bind(self._block)  # a copy's slots are arrays of their own: rebind them
 
     def select_rows(self, index) -> None:
-        """Index the rows of every buffer: ``[0] * k`` makes ``k`` copies of a
+        """Index the rows of the state: ``[0] * k`` makes ``k`` copies of a
         1-D state, a boolean mask keeps the rows of a rows state it marks."""
-        self._remap(self, lambda buf: np.atleast_2d(buf)[index])
-        self.shape = self._scratch.shape
-
-    def _columns(self, lo: int, hi: int):
-        """A shallow copy whose buffers are the columns ``lo:hi`` of this state's."""
-        view = copy.copy(self)
-        self._remap(view, lambda buf: buf[..., lo:hi])
-        return view
+        rows = self._block if len(self.shape) == 2 else self._block[:, np.newaxis]
+        self._bind(np.ascontiguousarray(rows[:, index]))
 
     def step(self, theta: np.ndarray, grad: np.ndarray, lr) -> np.ndarray:
         """One update at learning rate ``lr``: a number, or a ``(K, 1)``
@@ -194,11 +188,14 @@ class Optimizer:
                 f"state {self.shape}"
             )
         self.t += 1
+        # made here, not by _bind: an unstepped (say, restored) state holds no scratch
+        if self._scratch is None:
+            self._scratch = np.empty(self.shape)
         new = np.empty(self.shape)
         if new.size < SPLIT_FLOOR:
             with np.errstate(over="ignore", invalid="ignore"):
                 kernel(self, new, theta, grad, *args)
-            finite = self._finite(new)
+                finite = self._finite(new)
         else:
             finite = self._ranges(kernel, new, theta, grad, args)
         if not finite:
@@ -214,12 +211,13 @@ class Optimizer:
         cols = self.shape[-1]
         affinity = getattr(os, "sched_getaffinity", None)
         n = min(len(affinity(0)) if affinity else os.cpu_count() or 1, cols)
-        edges = [cols * i // n for i in range(n + 1)]
         results = [None] * n
+        # one view per range, made here: no thread allocates, for the heap to place by timing
+        spans = [(copy.copy(self), cols * i // n, cols * (i + 1) // n) for i in range(n)]
 
         def run(i):
             try:
-                results[i] = self._pieces(kernel, edges[i], edges[i + 1], new, theta, grad, args)
+                results[i] = self._pieces(*spans[i], kernel, new, theta, grad, args)
             except Exception as exc:
                 results[i] = exc
 
@@ -236,16 +234,17 @@ class Optimizer:
                 raise result
         return all(results)
 
-    def _pieces(self, kernel, lo, hi, new, theta, grad, args) -> bool:
-        """Step the columns ``lo:hi`` in pieces of at most ``BLOCK`` elements;
-        whether each piece stayed finite, checked while it is in cache."""
+    def _pieces(self, view, lo, hi, kernel, new, theta, grad, args) -> bool:
+        """Step the columns ``lo:hi`` through ``view`` in pieces of at most ``BLOCK``
+        elements; whether each piece stayed finite, checked while it is in cache."""
         width = max(1, BLOCK // (new.size // self.shape[-1]))
         finite = True
         # errstate is per thread: a new thread starts at numpy's default, "warn"
         with np.errstate(over="ignore", invalid="ignore"):
             for a in range(lo, hi, width):
-                b = min(a + width, hi)
-                view, cols = self._columns(a, b), (..., slice(a, b))
+                cols = (..., slice(a, min(a + width, hi)))
+                view._bind(self._block[cols])
+                view._scratch = self._scratch[cols]
                 kernel(view, new[cols], theta[cols], grad[cols], *args)
                 finite = finite and view._finite(new[cols])
         return finite
@@ -253,10 +252,10 @@ class Optimizer:
     def _finite(self, new) -> bool:
         """Whether ``new`` and every slot are finite; a rows state is left to
         the caller, so it always is. No BLAS call: this runs in the step's
-        ranges, and OpenBLAS threads a long ``ddot`` on the CPUs they use."""
-        if new.ndim == 2:
-            return True
-        return all(np.isfinite(a).all() for a in (new, *self.state_slots().values()))
+        ranges, and OpenBLAS threads a long ``ddot`` on the CPUs they use. No
+        allocation: ``min <= 0 <= max``, so ``min + max`` is finite when both are."""
+        return new.ndim == 2 or all(
+            np.isfinite(a.min(initial=0.0) + a.max(initial=0.0)) for a in (new, *self.slots))
 
 
 class AdamFamily(Optimizer):
@@ -504,8 +503,7 @@ class AggMo(Optimizer):
 
     def _kernel(self, total, theta, grad, lr) -> None:
         total.fill(0.0)  # from +0.0, as a fresh sum: the first add turns -0.0 into +0.0
-        for b, name in zip(self.betas, self.slot_names):
-            m = getattr(self, name)
+        for b, m in zip(self.betas, self.slots):
             np.multiply(b, m, out=m)
             m += grad
             total += m

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import struct
 import sys
@@ -13,7 +14,8 @@ from hypothesis.extra.numpy import arrays
 
 from emx import optimizers
 from emx.checkpoint import MAGIC, VERSION, load_state, save_state
-from emx.config import _format_scalar
+from emx.config import _format_scalar, parse_config
+from emx.harness import Experiment
 from emx.numerics import DivergenceError, finite_rows, make_rng
 from emx.optimizers import (
     BLOCK,
@@ -1173,15 +1175,98 @@ FRESH_STATES = {
 class TestDeclaredState:
     @pytest.mark.parametrize("name", list(FRESH_STATES))
     def test_buffers_are_the_declared_slots(self, name):
+        # the arrays a state holds: the block, a view of each of its rows and,
+        # from its first step, the scratch
         opt = FRESH_STATES[name](3)
         slots = [getattr(opt, n) for n in opt.slot_names]
-        scratch = [opt._scratch]
         held = [a for a in vars(opt).values() if isinstance(a, np.ndarray)]
-        assert sorted(map(id, held)) == sorted(map(id, slots + scratch))
+        assert sorted(map(id, held)) == sorted(map(id, [opt.slots] + slots))
+        assert opt.slots.shape == (len(slots), 3) and _rows_of_slots(opt)
         assert len(slots) == len(opt.state_slots())
         assert all(buf.shape == (3,) and not buf.any() for buf in slots)
+        opt.step(np.ones(3), np.ones(3), 1e-3)
+        scratch = [opt._scratch]
+        held = [a for a in vars(opt).values() if isinstance(a, np.ndarray)]
+        assert sorted(map(id, held)) == sorted(map(id, [opt.slots] + slots + scratch))
         for a, b in itertools.combinations(slots + scratch, 2):
             assert not np.shares_memory(a, b)
+
+
+def _rows_of_slots(opt):
+    """Whether each slot name is the row of ``opt.slots`` at its place in ``slot_names``."""
+    return len(opt.slots) == len(opt.slot_names) and all(
+        getattr(opt, name).__array_interface__ == row.__array_interface__
+        for name, row in zip(opt.slot_names, opt.slots)
+    )
+
+
+class TestSlotBlock:
+    """The slots are the rows of one ``(S, *shape)`` array, ``slots``."""
+
+    @pytest.mark.parametrize("name", list(FRESH_STATES))
+    def test_every_layout_is_a_row_per_slot(self, name):
+        opt = FRESH_STATES[name](5)
+        assert _rows_of_slots(opt) and opt.slots.shape == (len(opt.slot_names), 5)
+        for index in ([0] * 4, np.array([True, False, True, True])):
+            opt.select_rows(index)
+            assert _rows_of_slots(opt)
+            assert opt.slots.shape == (len(opt.slot_names), *opt.shape)
+            assert opt.slots.flags.c_contiguous
+            assert all(buf.flags.c_contiguous for buf in opt.state_slots().values())
+        assert opt.shape == (3, 5)
+
+    def test_each_piece_of_a_split_step_is_a_row_per_slot(self, monkeypatch):
+        opt = Ad3EMAMix(SPLIT_FLOOR // 2)
+        opt.select_rows([0] * 3)
+        seen, mixture = [], AdamFamily._mixture
+
+        def recorded(view, new, *args):
+            seen.append(_rows_of_slots(view) and view.shape == new.shape == view._scratch.shape
+                        and np.shares_memory(view.slots, opt.slots))
+            mixture(view, new, *args)
+
+        monkeypatch.setattr(AdamFamily, "_mixture", recorded)
+        theta = np.ones(opt.shape)
+        opt.step(theta, theta, np.full((3, 1), 1e-3))
+        assert len(seen) > 1 and all(seen) and _rows_of_slots(opt)
+
+    def test_select_rows_copies_each_row_into_every_slot(self):
+        opt = Ad3EMAMix(2)
+        opt.slots[...] = np.arange(8.0).reshape(4, 2)
+        opt.select_rows([0] * 3)
+        opt.select_rows(np.array([True, False, True]))
+        assert [opt.m1.tolist(), opt.nu.tolist()] == [[[0.0, 1.0]] * 2, [[6.0, 7.0]] * 2]
+
+    @pytest.mark.parametrize("kind", sorted(STEP_KINDS))
+    def test_a_deep_copy_binds_its_slots_to_its_own_block(self, kind):
+        factory, method, _ = STEP_KINDS[kind]
+        opt = factory(4)
+        opt.select_rows([0] * 3)
+        theta, args = np.ones((3, 4)), _step_args(kind, opt, None)
+        new = getattr(opt, method)(theta, theta, np.full((3, 1), 1e-2), *args)
+        dup = copy.deepcopy(opt)
+        assert _rows_of_slots(dup) and not np.shares_memory(dup.slots, opt.slots)
+        assert dup.slots.tobytes() == opt.slots.tobytes()
+        getattr(dup, dup.slot_names[-1])[1, 2] = np.inf
+        assert finite_rows(new, dup.slots).tolist() == [True, False, True]
+        assert finite_rows(new, opt.slots) is None
+
+    def test_an_experiment_copied_past_step_one_checks_its_own_slots(self):
+        # as the forgetting protocol copies its control run
+        cfg = parse_config(
+            "testbed.kind = rosenbrock\noptimizer.kind = ademamix\nlr.kind = constant\n"
+            "lr.value = 0.001\nrun.steps = 10\n"
+        )
+        exp = Experiment(cfg)
+        exp._advance(2)
+        dup = copy.deepcopy(exp)
+        assert _rows_of_slots(dup.opt) and not np.shares_memory(dup.opt.slots, exp.opt.slots)
+        dup.opt.nu[0, 1] = np.nan
+        assert finite_rows(dup.theta, dup.opt.slots).tolist() == [False]
+        dup._step()
+        assert dup.record.diverged_step == 3 and exp._live
+        exp._step()
+        assert exp.opt.t == 3 and not exp.record.diverged
 
 
 FLOAT_KEYS = [
@@ -1251,9 +1336,17 @@ class TestTypedConstructor:
 
     @pytest.mark.parametrize("kind", list(FRESH_STATES))
     def test_every_kind_has_one_scratch(self, kind):
+        # made by a state's first step, and again by the first step in a new shape
         opt = FRESH_STATES[kind](2)
-        assert opt._scratch.shape == (2,) and "_scratch" not in opt.state_slots()
+        assert opt._scratch is None
+        opt.step(np.ones(2), np.ones(2), 1e-3)
+        scratch = opt._scratch
+        assert scratch.shape == (2,) and "_scratch" not in opt.state_slots()
+        opt.step(np.ones(2), np.ones(2), 1e-3)
+        assert opt._scratch is scratch
         opt.select_rows([0] * 3)
+        assert opt._scratch is None
+        opt.step(np.ones((3, 2)), np.ones((3, 2)), np.full((3, 1), 1e-3))
         assert opt._scratch.shape == opt.shape == (3, 2)
 
     @pytest.mark.parametrize("cls", [AdEMAMix, Ad3EMAMix])

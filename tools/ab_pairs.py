@@ -1,16 +1,18 @@
 """Alternated A/B pairs of the emx benchmark between two checkouts.
 
-    python3 tools/ab_pairs.py PARENT CHANGE --workload toy_sweep --seeds 1-10 \
-        --seconds 20 --claimed toy_sweep.steps_per_s --describe "what changed" \
-        --out BENCH_20.json [--section toy_sweep_pairs]
+    python3 tools/ab_pairs.py PARENT CHANGE --workload toy_sweep,wide_state \
+        --seeds 1-10 --seconds 20 --claimed toy_sweep.steps_per_s \
+        --describe "what changed" --out BENCH_20.json [--section pairs]
 
-For each seed ``i`` it runs ``python3 perfbench/run.py --workload W --seed i
---seconds S`` in each checkout, one run after the other, with no
-``PYTHONPATH``: the parent first on odd seeds, the change first on even
-seeds. It writes the end-to-end metrics of ``BENCHMARK.json`` in the layout
-of ``BENCH_15.json``: per metric the runs of each side in seed order, their
-median and quartiles (linear interpolation, as ``numpy.percentile``), and
-the number of pairs the change won; plus the ``env`` stamp of each side's
+For each seed ``i`` and each workload ``W`` of the comma list, in its order,
+it runs ``python3 perfbench/run.py --workload W --seed i --seconds S`` in
+each checkout, one run after the other, with no ``PYTHONPATH``: the parent
+first on odd seeds, the change first on even seeds. So the two runs of a
+pair are back to back, however many workloads a seed runs. It writes the
+end-to-end metrics of ``BENCHMARK.json`` in the layout of
+``BENCH_15.json``: per metric (``<workload>.<metric>``) the runs of each
+side in seed order, their median and quartiles (linear interpolation, as
+``numpy.percentile``), and the number of pairs the change won; plus the ``env`` stamp of each side's
 first run, whether every run was correct and the failed operations.
 ``--section`` puts the results under that key of ``--out`` (kept if it
 exists) instead of at its top level.
@@ -27,6 +29,7 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
+WORKLOADS = ("toy_sweep", "mlp_train", "wide_state", "all")
 
 
 def seed_list(text: str) -> list[int]:
@@ -35,6 +38,14 @@ def seed_list(text: str) -> list[int]:
         lo, hi = map(int, text.split("-"))
         return list(range(lo, hi + 1))
     return [int(s) for s in text.split(",")]
+
+
+def workload_list(text: str) -> list[str]:
+    """``"toy_sweep,wide_state"`` as a list of distinct workloads."""
+    names = text.split(",")
+    if not set(names) <= set(WORKLOADS) or len(set(names)) != len(names):
+        raise argparse.ArgumentTypeError(f"want distinct names among {', '.join(WORKLOADS)}")
+    return names
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict, str]:
@@ -62,8 +73,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
-    parser.add_argument("--workload", required=True,
-                        choices=("toy_sweep", "mlp_train", "wide_state", "all"))
+    parser.add_argument("--workload", type=workload_list, required=True,
+                        help="e.g. toy_sweep or toy_sweep,wide_state")
     parser.add_argument("--seeds", type=seed_list, required=True, help="e.g. 1-10 or 1,4,7")
     parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--claimed", default=None, help="the metric the change claims, if any")
@@ -77,36 +88,42 @@ def main(argv=None) -> int:
     spec = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     trees = dict(zip(SIDES, (args.parent, args.change)))
-    results = {side: [] for side in SIDES}
+    results = {w: {side: [] for side in SIDES} for w in args.workload}
     stamps = {}
     for seed in args.seeds:
-        for side in SIDES if seed % 2 else SIDES[::-1]:
-            result, stamp = run_once(trees[side], args.workload, seed, args.seconds)
-            results[side].append(result)
-            stamps.setdefault(side, stamp)
-            print(f"seed {seed} {side}: correct={result['correct']} failed={result['failed']} "
-                  + " ".join(f"{k}={v['value']:.6g}" for k, v in result["metrics"].items()),
-                  flush=True)
+        for workload in args.workload:
+            for side in SIDES if seed % 2 else SIDES[::-1]:
+                result, stamp = run_once(trees[side], workload, seed, args.seconds)
+                results[workload][side].append(result)
+                stamps.setdefault(side, stamp)
+                print(f"seed {seed} {workload} {side}: correct={result['correct']} "
+                      f"failed={result['failed']} "
+                      + " ".join(f"{k}={v['value']:.6g}" for k, v in result["metrics"].items()),
+                      flush=True)
 
     metrics = {}
-    for key, first in results["parent"][0]["metrics"].items():
-        name = key if args.workload == "all" else f"{args.workload}.{key}"
-        runs = {side: [r["metrics"][key]["value"] for r in results[side]] for side in SIDES}
-        sign = 1 if better[key.rsplit(".", 1)[-1]] == "higher" else -1
-        metrics[name] = {
-            "unit": first["unit"],
-            **{side: summary(runs[side]) for side in SIDES},
-            "change_wins": sum(sign * (c - p) > 0 for p, c in zip(runs["parent"], runs["change"])),
-            "runs": runs,
-        }
-    every = results["parent"] + results["change"]
+    for workload, sides in results.items():
+        for key, first in sides["parent"][0]["metrics"].items():
+            name = key if workload == "all" else f"{workload}.{key}"
+            runs = {side: [r["metrics"][key]["value"] for r in sides[side]] for side in SIDES}
+            sign = 1 if better[key.rsplit(".", 1)[-1]] == "higher" else -1
+            metrics[name] = {
+                "unit": first["unit"],
+                **{side: summary(runs[side]) for side in SIDES},
+                "change_wins": sum(
+                    sign * (c - p) > 0 for p, c in zip(runs["parent"], runs["change"])
+                ),
+                "runs": runs,
+            }
+    every = [r for sides in results.values() for side in SIDES for r in sides[side]]
     record = {
         "change": args.describe,
-        "command": f"python3 perfbench/run.py --workload {args.workload} --seed i "
-                   f"--seconds {args.seconds:g}",
+        "command": "; ".join(f"python3 perfbench/run.py --workload {w} --seed i "
+                             f"--seconds {args.seconds:g}" for w in args.workload),
         "pairs": len(args.seeds),
         "seeds": args.seeds,
-        "order": "parent first on odd seeds, change first on even seeds",
+        "order": "parent first on odd seeds, change first on even seeds; within a seed, "
+                 "each workload's pair back to back, in the order given",
         "seconds_per_workload": args.seconds,
         "trees": "separate checkouts, run without PYTHONPATH",
         "claimed": args.claimed,
