@@ -47,15 +47,12 @@ def l2_norm(a: np.ndarray) -> float:
 
     ``np.vdot`` gives ``np.dot``'s bits on a float64 vector but does not check
     the floating-point flags: a square sum that overflows is a quiet ``inf``,
-    not a ``RuntimeWarning``. More than ``DOT_CHUNK`` values take one ``ddot``
-    per chunk, added in order as Python floats (quiet too): the bits of a row
-    of :func:`row_norms`, and no ``ddot`` is threaded.
+    not a ``RuntimeWarning``. A vector of more than ``DOT_CHUNK`` elements
+    is one row of :func:`row_norms`, which sums its chunks.
     """
     if a.size <= DOT_CHUNK:
         return math.sqrt(np.vdot(a, a))
-    flat = a.reshape(-1)
-    chunks = (flat[lo : lo + DOT_CHUNK] for lo in range(0, flat.size, DOT_CHUNK))
-    return math.sqrt(sum(float(np.vdot(c, c)) for c in chunks))
+    return row_norms(a.reshape(1, -1))[0]
 
 
 def row_norms(rows: np.ndarray) -> list:

@@ -109,8 +109,9 @@ class Optimizer:
     ``hyper()`` order; ``hyper()`` adds ``hyper_state``. ``slot_names`` name
     the rows of ``slots``, the checkpointed state, zeros here (each a view
     of its row); ``momentum`` the ones :func:`preseed_momentum` sets.
-    ``_scratch``, apart, made by the first step in a shape, is what a step
-    works in. ``shape`` is ``(dim,)`` or ``(K, dim)``.
+    ``_scratch``, an array apart the shape of the state that the first step
+    in that shape makes, is what a step works in; it is not state. ``shape``
+    is ``(dim,)`` or ``(K, dim)``.
 
     :meth:`step` runs the kind's ``_kernel(state, new, theta, grad, lr)``.
     """
@@ -135,10 +136,7 @@ class Optimizer:
         self.t = 0
         for name, default in self.defaults.items():
             setattr(self, name, _typed(name, kwargs.get(name, default), default))
-        # a zeroed bytearray, not numpy's allocator, which marks a block this size for huge
-        # pages: the kernel then collapses the heap around it (wide_state peak RSS +15 MB)
-        n = len(self.slot_names)
-        self._bind(np.frombuffer(bytearray(8 * n * self.dim), np.float64).reshape(n, self.dim))
+        self._bind(np.zeros((len(self.slot_names), self.dim)))
 
     def hyper(self) -> dict:
         return {name: getattr(self, name) for name in (*self.defaults, *self.hyper_state)}
@@ -153,21 +151,27 @@ class Optimizer:
         """
         return [sched.at(t - self.sched_offset) for sched in self._schedules]
 
-    def _bind(self, block: np.ndarray) -> None:
-        """Hold ``block``, the ``(S, *shape)`` state: slot ``i`` is row ``i``."""
-        self._block, self.shape, self._scratch = block, block.shape[1:], None
+    def _bind(self, block: np.ndarray, scratch: np.ndarray | None = None) -> None:
+        """Hold ``block``, the ``(S, *shape)`` state (slot ``i`` is row ``i``),
+        and ``scratch``, or none until the next step makes one."""
+        self._block, self.shape, self._scratch = block, block.shape[1:], scratch
         for name, row in zip(self.slot_names, block):
             setattr(self, name, row)
 
+    def __getstate__(self) -> dict:
+        # the slot views are left out: a copy copies the block once and binds its own
+        return {k: v for k, v in vars(self).items() if k not in self.slot_names}
+
     def __setstate__(self, state) -> None:
         self.__dict__.update(state)
-        self._bind(self._block)  # a copy's slots are arrays of their own: rebind them
+        self._bind(self._block, self._scratch)
 
     def select_rows(self, index) -> None:
         """Index the rows of the state: ``[0] * k`` makes ``k`` copies of a
         1-D state, a boolean mask keeps the rows of a rows state it marks."""
-        rows = self._block if len(self.shape) == 2 else self._block[:, np.newaxis]
-        self._bind(np.ascontiguousarray(rows[:, index]))
+        rows = self._block if len(self.shape) == 2 else self._block[..., np.newaxis, :]
+        # take writes one C-order copy, so each slot stays contiguous; it reads a mask as ints
+        self._bind(np.take(rows, np.arange(rows.shape[-2])[index], axis=-2))
 
     def step(self, theta: np.ndarray, grad: np.ndarray, lr) -> np.ndarray:
         """One update at learning rate ``lr``: a number, or a ``(K, 1)``
@@ -188,14 +192,13 @@ class Optimizer:
                 f"state {self.shape}"
             )
         self.t += 1
-        # made here, not by _bind: an unstepped (say, restored) state holds no scratch
-        if self._scratch is None:
+        if self._scratch is None:  # an unstepped state (restored, reindexed) holds its slots alone
             self._scratch = np.empty(self.shape)
         new = np.empty(self.shape)
         if new.size < SPLIT_FLOOR:
             with np.errstate(over="ignore", invalid="ignore"):
                 kernel(self, new, theta, grad, *args)
-                finite = self._finite(new)
+            finite = self._finite(new)
         else:
             finite = self._ranges(kernel, new, theta, grad, args)
         if not finite:
@@ -211,13 +214,12 @@ class Optimizer:
         cols = self.shape[-1]
         affinity = getattr(os, "sched_getaffinity", None)
         n = min(len(affinity(0)) if affinity else os.cpu_count() or 1, cols)
+        edges = [cols * i // n for i in range(n + 1)]
         results = [None] * n
-        # one view per range, made here: no thread allocates, for the heap to place by timing
-        spans = [(copy.copy(self), cols * i // n, cols * (i + 1) // n) for i in range(n)]
 
         def run(i):
             try:
-                results[i] = self._pieces(*spans[i], kernel, new, theta, grad, args)
+                results[i] = self._pieces(kernel, edges[i], edges[i + 1], new, theta, grad, args)
             except Exception as exc:
                 results[i] = exc
 
@@ -234,17 +236,17 @@ class Optimizer:
                 raise result
         return all(results)
 
-    def _pieces(self, view, lo, hi, kernel, new, theta, grad, args) -> bool:
-        """Step the columns ``lo:hi`` through ``view`` in pieces of at most ``BLOCK``
-        elements; whether each piece stayed finite, checked while it is in cache."""
+    def _pieces(self, kernel, lo, hi, new, theta, grad, args) -> bool:
+        """Step the columns ``lo:hi`` in pieces of at most ``BLOCK`` elements,
+        each through a view of this state; whether each piece stayed finite,
+        checked while it is in cache."""
         width = max(1, BLOCK // (new.size // self.shape[-1]))
-        finite = True
+        view, finite = copy.copy(self), True
         # errstate is per thread: a new thread starts at numpy's default, "warn"
         with np.errstate(over="ignore", invalid="ignore"):
             for a in range(lo, hi, width):
                 cols = (..., slice(a, min(a + width, hi)))
-                view._bind(self._block[cols])
-                view._scratch = self._scratch[cols]
+                view._bind(self._block[cols], self._scratch[cols])
                 kernel(view, new[cols], theta[cols], grad[cols], *args)
                 finite = finite and view._finite(new[cols])
         return finite
@@ -252,10 +254,10 @@ class Optimizer:
     def _finite(self, new) -> bool:
         """Whether ``new`` and every slot are finite; a rows state is left to
         the caller, so it always is. No BLAS call: this runs in the step's
-        ranges, and OpenBLAS threads a long ``ddot`` on the CPUs they use. No
-        allocation: ``min <= 0 <= max``, so ``min + max`` is finite when both are."""
-        return new.ndim == 2 or all(
-            np.isfinite(a.min(initial=0.0) + a.max(initial=0.0)) for a in (new, *self.slots))
+        ranges, and OpenBLAS threads a long ``ddot`` on the CPUs they use."""
+        if new.ndim == 2:
+            return True
+        return all(np.isfinite(a).all() for a in (new, *self.slots))
 
 
 class AdamFamily(Optimizer):

@@ -1244,8 +1244,10 @@ class TestSlotBlock:
         opt.select_rows([0] * 3)
         theta, args = np.ones((3, 4)), _step_args(kind, opt, None)
         new = getattr(opt, method)(theta, theta, np.full((3, 1), 1e-2), *args)
+        assert not opt.__getstate__().keys() & set(opt.slot_names)  # the block is copied once
         dup = copy.deepcopy(opt)
         assert _rows_of_slots(dup) and not np.shares_memory(dup.slots, opt.slots)
+        assert not np.shares_memory(dup._scratch, opt._scratch)
         assert dup.slots.tobytes() == opt.slots.tobytes()
         getattr(dup, dup.slot_names[-1])[1, 2] = np.inf
         assert finite_rows(new, dup.slots).tolist() == [True, False, True]
