@@ -253,7 +253,7 @@ class Experiment:
         lr = np.array([row.lr.at(t) for row in self._live])[:, np.newaxis]
         args = self.opt.schedule_args(t)
         new = self.opt.step(self.theta, grad, lr, *args)
-        ok = finite_rows(new, self.opt.slots)
+        ok = finite_rows(new, *self.opt.slots)
         if ok is not None:
             losses, lr, new = self._drop(ok, t, losses, lr, new)
 

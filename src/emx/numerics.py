@@ -8,10 +8,10 @@ broadcast is a per-row value (a learning rate) as a ``(K, 1)`` column, which
 rounds like the same scalar. Reductions are taken per row with
 :func:`row_norms`, one BLAS ``ddot`` per row (per ``DOT_CHUNK`` columns)
 in one ``np.vecdot`` call for all the rows, or for a stack of row arrays;
-a step's rows are checked with :func:`finite_rows`, one norm per array
-(a stack of slots is one). Neither makes a numpy call per row. All
-randomness flows through Philox, a counter-based 64-bit generator whose
-stream is reproducible bit-for-bit from the seed.
+a step's rows are checked with :func:`finite_rows`, one ``ddot`` per array.
+Neither makes a numpy call per row. All randomness flows through Philox, a
+counter-based 64-bit generator whose stream is reproducible bit-for-bit
+from the seed.
 """
 
 from __future__ import annotations
@@ -79,20 +79,20 @@ def row_norms(rows: np.ndarray) -> list:
 
 
 def finite_rows(*arrays: np.ndarray) -> np.ndarray | None:
-    """``None`` if every value of ``arrays`` is finite; else, per row of
-    ``arrays[0]`` (the last axis reduced; a scalar for 1-D), whether every
-    array is finite there; a later array may be a stack, as ``opt.slots``.
+    """``None`` if every value of ``arrays`` is finite; else, per row (the
+    last axis reduced; a scalar for 1-D arrays), whether every array is
+    finite there.
 
-    The common case is one :func:`l2_norm` per array: ``a · a`` is finite
-    only if every value of ``a`` is, for inf and nan propagate and squares
-    cannot cancel. A non-finite norm, which may also be the overflowed square
-    sum of finite values, falls through to per-value masks.
+    The common case is one BLAS ``ddot`` per array: ``a · a`` is finite only
+    if every value of ``a`` is, for inf and nan propagate and squares cannot
+    cancel. A non-finite dot, which may also be the overflowed square sum
+    of finite values, falls through to per-value masks.
     """
-    if all(math.isfinite(l2_norm(a)) for a in arrays):
+    if all(math.isfinite(np.vdot(a, a)) for a in arrays):
         return None
     ok = np.isfinite(arrays[0]).all(axis=-1)
-    for a in arrays[1:]:  # a stack's leading axes reduced too
-        ok &= np.isfinite(a).all(axis=(-1, *range(a.ndim - 1 - ok.ndim)))
+    for a in arrays[1:]:
+        ok &= np.isfinite(a).all(axis=-1)
     return None if ok.all() else ok
 
 

@@ -1250,8 +1250,8 @@ class TestSlotBlock:
         assert not np.shares_memory(dup._scratch, opt._scratch)
         assert dup.slots.tobytes() == opt.slots.tobytes()
         getattr(dup, dup.slot_names[-1])[1, 2] = np.inf
-        assert finite_rows(new, dup.slots).tolist() == [True, False, True]
-        assert finite_rows(new, opt.slots) is None
+        assert finite_rows(new, *dup.slots).tolist() == [True, False, True]
+        assert finite_rows(new, *opt.slots) is None
 
     def test_an_experiment_copied_past_step_one_checks_its_own_slots(self):
         # as the forgetting protocol copies its control run
@@ -1264,7 +1264,7 @@ class TestSlotBlock:
         dup = copy.deepcopy(exp)
         assert _rows_of_slots(dup.opt) and not np.shares_memory(dup.opt.slots, exp.opt.slots)
         dup.opt.nu[0, 1] = np.nan
-        assert finite_rows(dup.theta, dup.opt.slots).tolist() == [False]
+        assert finite_rows(dup.theta, *dup.opt.slots).tolist() == [False]
         dup._step()
         assert dup.record.diverged_step == 3 and exp._live
         exp._step()
