@@ -148,6 +148,8 @@ def load_state(data: bytes) -> CheckpointData:
         if "=" not in line:
             raise CheckpointFormatError(f"malformed hyper line {line!r}")
         key, _, value = line.partition("=")
+        if key in hyper:
+            raise CheckpointFormatError(f"duplicate hyper key {key!r}")
         hyper[key] = value
     step = r.u64()
     if r.pos != len(data):

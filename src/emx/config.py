@@ -13,6 +13,8 @@ Grammar (one setting per line):
 Sections: ``testbed``, ``optimizer``, ``lr``, ``run``, and the optional
 ``switch`` and ``forget`` directives. Floats are written back as shortest
 round-trip decimals, so ``parse_config(format_config(cfg)) == cfg`` exactly.
+A parsed :class:`ExperimentConfig` is frozen and holds its normalized section
+view, ``cfg.sections``, alone; :func:`config_sections` returns a copy to edit.
 
 :data:`KEY_ROLES` is the one table of the sections and of how each key may
 vary: a row key may differ between the rows of one experiment, a shared key is
@@ -30,7 +32,9 @@ from __future__ import annotations
 import inspect
 import re
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
+from functools import cached_property
+from typing import NamedTuple
 
 from .optimizers import OPTIMIZERS, SWITCHES
 from .schedules import LR_SCHEDULES, finite_number, integer
@@ -75,39 +79,60 @@ KEY_ROLES = {
 _INT_RE = re.compile(r"^[+-]?\d+$")
 
 
-@dataclass
-class LrSpec:
+class LrSpec(NamedTuple):
     kind: str
-    params: dict = field(default_factory=dict)
+    params: dict
 
 
-@dataclass
-class SwitchSpec:
+class SwitchSpec(NamedTuple):
     to: str
     at: int
-    params: dict = field(default_factory=dict)
+    params: dict
 
 
-@dataclass
-class ForgetSpec:
+class ForgetSpec(NamedTuple):
     t_b: int
 
 
-@dataclass
+def _params(keys: dict, heads=("kind",)) -> dict:
+    """A section's keys without its ``heads``: a fresh dict."""
+    return {key: value for key, value in keys.items() if key not in heads}
+
+
+@dataclass(frozen=True)
 class ExperimentConfig:
-    testbed: str
-    optimizer: str
-    lr: LrSpec
-    steps: int
-    testbed_params: dict = field(default_factory=dict)
-    optimizer_params: dict = field(default_factory=dict)
-    seed: int = 0
-    cadence: int = 1
-    clip: float | None = None
-    constant_after: bool = False
-    switch: SwitchSpec | None = None
-    forget: ForgetSpec | None = None
-    out: str | None = None
+    """A checked config. Its one field, ``sections``, is the normalized view
+    ``section -> {key: value}`` in :func:`format_config` order: ``kind``,
+    ``to`` and ``at`` first, the other keys sorted, the ``run`` keys in
+    :data:`KEY_ROLES` order without one at its default of ``None`` or false.
+    The other attributes read it; the ones each step reads (``clip``,
+    ``cadence`` and ``switch``) are cached."""
+
+    sections: dict
+
+    testbed = property(lambda self: self.sections["testbed"]["kind"])
+    testbed_params = property(lambda self: _params(self.sections["testbed"]))
+    optimizer = property(lambda self: self.sections["optimizer"]["kind"])
+    optimizer_params = property(lambda self: _params(self.sections["optimizer"]))
+    steps = property(lambda self: self.sections["run"]["steps"])
+    seed = property(lambda self: self.sections["run"]["seed"])
+    cadence = cached_property(lambda self: self.sections["run"]["cadence"])
+    clip = cached_property(lambda self: self.sections["run"].get("clip"))
+    constant_after = property(lambda self: self.sections["run"].get("constant_after", False))
+    out = property(lambda self: self.sections["run"].get("out"))
+
+    @property
+    def lr(self) -> LrSpec:
+        return LrSpec(self.sections["lr"]["kind"], _params(self.sections["lr"]))
+
+    @cached_property
+    def switch(self) -> SwitchSpec | None:
+        sw = self.sections.get("switch")
+        return None if sw is None else SwitchSpec(sw["to"], sw["at"], _params(sw, ("to", "at")))
+
+    @property
+    def forget(self) -> ForgetSpec | None:
+        return ForgetSpec(**self.sections["forget"]) if "forget" in self.sections else None
 
 
 def _parse_scalar(text: str):
@@ -249,7 +274,7 @@ def _read_sections(sections: dict) -> ExperimentConfig:
     if testbed == "mlp" and "weight_decay" in _OPTIMIZER_KEYS[optimizer]:
         optimizer_sec.setdefault("weight_decay", 0.1)
 
-    switch, switch_sec = None, {}
+    switch_sec = {}
     if "switch" in sections:
         switch_sec = dict(sections["switch"])
         to = switch_sec.pop("to", None)
@@ -262,9 +287,7 @@ def _read_sections(sections: dict) -> ExperimentConfig:
         for key in switch_sec:
             if key not in _OPTIMIZER_KEYS[to] - _OPTIMIZER_KEYS[optimizer]:
                 raise ConfigError(f"unknown key switch.{key} for switch.to = {to}")
-        switch = SwitchSpec(to=to, at=at, params=switch_sec)
 
-    forget = None
     if "forget" in sections:
         t_b = integer("forget.t_b", sections["forget"].get("t_b"), 1)
         if t_b + FORGET_SPAN > steps:
@@ -273,7 +296,6 @@ def _read_sections(sections: dict) -> ExperimentConfig:
                               f"{FORGET_SPAN} steps after t_b")
         if testbed != "mlp":
             raise ConfigError("the forgetting protocol requires testbed.kind = mlp")
-        forget = ForgetSpec(t_b=t_b)
 
     # the horizons: warmups in optimizer and switch, schedule ends in lr
     for section, params in (("optimizer", optimizer_sec), ("switch", switch_sec), ("lr", lr_sec)):
@@ -289,43 +311,26 @@ def _read_sections(sections: dict) -> ExperimentConfig:
                     "set run.constant_after = true to allow schedules that outlive the run"
                 )
 
-    return ExperimentConfig(
-        testbed=testbed,
-        testbed_params=testbed_sec,
-        optimizer=optimizer,
-        optimizer_params=optimizer_sec,
-        lr=LrSpec(kind=lr_kind, params=lr_sec),
-        steps=steps,
-        seed=seed,
-        cadence=cadence,
-        clip=clip,
-        constant_after=constant_after,
-        switch=switch,
-        forget=forget,
-        out=out,
-    )
+    # the run keys in KEY_ROLES order
+    run = {"steps": steps, "seed": seed, "cadence": cadence, "clip": clip,
+           "constant_after": constant_after, "out": out}
+    view = {
+        "testbed": {"kind": testbed, **dict(sorted(testbed_sec.items()))},
+        "optimizer": {"kind": optimizer, **dict(sorted(optimizer_sec.items()))},
+        "lr": {"kind": lr_kind, **dict(sorted(lr_sec.items()))},
+        "run": {key: v for key, v in run.items() if v is not None and v is not False},
+    }
+    if "switch" in sections:
+        view["switch"] = {"to": to, "at": at, **dict(sorted(switch_sec.items()))}
+    if "forget" in sections:
+        view["forget"] = {"t_b": t_b}
+    return ExperimentConfig(view)
 
 
 def config_sections(cfg: ExperimentConfig) -> dict:
-    """The ``section -> {name: value}`` view of ``cfg``; inverse of :func:`config_from_sections`.
-
-    Keys are in :func:`format_config` order: ``kind``/``to``/``at``, then the rest sorted
-    (the ``run`` keys in :data:`KEY_ROLES` order).
-    """
-    # the run keys are field names; one at its default of None or false is left out
-    run = {key: getattr(cfg, key) for key in KEY_ROLES["run"]}
-    sections = {
-        "testbed": {"kind": cfg.testbed, **dict(sorted(cfg.testbed_params.items()))},
-        "optimizer": {"kind": cfg.optimizer, **dict(sorted(cfg.optimizer_params.items()))},
-        "lr": {"kind": cfg.lr.kind, **dict(sorted(cfg.lr.params.items()))},
-        "run": {key: v for key, v in run.items() if v is not None and v is not False},
-    }
-    if cfg.switch is not None:
-        sw = cfg.switch
-        sections["switch"] = {"to": sw.to, "at": sw.at, **dict(sorted(sw.params.items()))}
-    if cfg.forget is not None:
-        sections["forget"] = {"t_b": cfg.forget.t_b}
-    return sections
+    """A copy of ``cfg.sections``, the ``section -> {name: value}`` view of
+    ``cfg``, to edit; inverse of :func:`config_from_sections`."""
+    return {section: dict(keys) for section, keys in cfg.sections.items()}
 
 
 def format_sections(sections: dict) -> str:
@@ -358,8 +363,7 @@ def check_sweepable(cfg: ExperimentConfig, dotted_key: str) -> None:
 def shared_text(cfg: ExperimentConfig) -> str:
     """The config text of every section whose keys are not row keys: what the
     rows of one experiment share."""
-    sections = config_sections(cfg)
-    return format_sections({s: keys for s, keys in sections.items() if KEY_ROLES[s] != ROW})
+    return format_sections({s: keys for s, keys in cfg.sections.items() if KEY_ROLES[s] != ROW})
 
 
 def with_values(cfg: ExperimentConfig, values: dict) -> ExperimentConfig:
@@ -379,7 +383,7 @@ def with_values(cfg: ExperimentConfig, values: dict) -> ExperimentConfig:
 
 def format_config(cfg: ExperimentConfig) -> str:
     """Render a config back to its textual form (inverse of :func:`parse_config`)."""
-    return format_sections(config_sections(cfg))
+    return format_sections(cfg.sections)
 
 
 def load_config(path: str) -> ExperimentConfig:

@@ -75,9 +75,7 @@ _type_hints = functools.cache(get_type_hints)  # one lookup per schedule class, 
 
 
 def _build_lr_schedule(cfg: ExperimentConfig):
-    cls = LR_SCHEDULES.get(cfg.lr.kind)
-    if cls is None:
-        raise ConfigError(f"unknown lr kind {cfg.lr.kind!r}")
+    cls = LR_SCHEDULES[cfg.lr.kind]
     p = {"eta_min": 0.0, "warmup": 0, "total": cfg.steps, **cfg.lr.params}
     types = _type_hints(cls)
     try:
@@ -91,11 +89,8 @@ def _build_optimizer(kind: str, params: dict, dim: int, switch=None):
     """The configured optimizer or, given ``switch``, what it becomes there."""
     params = dict(params)
     preseed = params.pop("preseed", None)
-    cls = OPTIMIZERS.get(kind)
-    if cls is None:
-        raise ConfigError(f"unknown optimizer kind {kind!r}")
     try:
-        opt = cls(dim, **params)
+        opt = OPTIMIZERS[kind](dim, **params)
         if switch is not None:  # the state as it leaves step switch.at
             opt.t = switch.at
             return switch_optimizer(opt, OPTIMIZERS[switch.to], **switch.params)
@@ -178,6 +173,9 @@ class Experiment:
             theta = resume_from.slots.get("theta")
             if theta is None or not len(theta) == restored.dim == self.testbed.dim:
                 raise ConfigError(f"checkpoint has no theta and state of length {self.testbed.dim}")
+            for name, vec in {**restored.state_slots(), "theta": theta}.items():
+                if not np.isfinite(vec).all():
+                    raise ConfigError(f"checkpoint slot {name!r} holds a non-finite value")
             sw, t = cfg.switch, restored.t  # the config's state before switch.at, the target after
             expected = [self.opt] if sw is None or t <= sw.at else []
             if sw is not None and t >= sw.at:

@@ -87,17 +87,18 @@ def _ema(buf: np.ndarray, beta: float, grad: np.ndarray, tmp: np.ndarray) -> Non
 
 def _typed(name: str, value, default):
     """``value`` typed like ``default``: a step count for an int, a tuple of
-    finite numbers (or the comma text ``hyper()`` writes) for a tuple, else a
-    finite number; ``None`` stays where it is the default."""
+    finite numbers (from a list, a tuple, one number or the comma text
+    ``hyper()`` writes) for a tuple, else a finite number; ``None`` stays
+    where it is the default."""
     if type(default) is int:
         return step_count(name, value)
     if type(default) is tuple:
-        try:
-            items = [float(v) for v in value.split(",")] if isinstance(value, str) else value
-        except ValueError:  # text that is not comma-separated numbers
-            items = None
-        if not isinstance(items, (list, tuple)):
-            raise ValueError(f"{name} must be a list of numbers, got {value!r}")
+        if isinstance(value, str):
+            try:
+                value = [float(v) for v in value.split(",")]
+            except ValueError:  # text that is not comma-separated numbers
+                raise ValueError(f"{name} must be a list of numbers, got {value!r}") from None
+        items = value if isinstance(value, (list, tuple)) else [value]
         return tuple(finite_number(name, v) for v in items)
     return None if value is None is default else finite_number(name, value)
 
@@ -159,8 +160,10 @@ class Optimizer:
             setattr(self, name, row)
 
     def __getstate__(self) -> dict:
-        # the slot views are left out: a copy copies the block once and binds its own
-        return {k: v for k, v in vars(self).items() if k not in self.slot_names}
+        # every other array is a view of the block (a slot, or AdamW's m1 for
+        # its m): a copy copies the block once and binds its own views
+        return {k: v for k, v in vars(self).items()
+                if k in ("_block", "_scratch") or not isinstance(v, np.ndarray)}
 
     def __setstate__(self, state) -> None:
         self.__dict__.update(state)

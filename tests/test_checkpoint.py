@@ -154,6 +154,13 @@ class TestLoadErrors:
         with pytest.raises(CheckpointFormatError):
             load_state(bytes(out))
 
+    def test_duplicate_hyper_keys(self):
+        out = bytearray(MAGIC + struct.pack("<II", 1, 0))
+        hyper = b"variant=adamw\nbeta1=0.9\nbeta2=0.999\nbeta1=0.5\n"
+        out += struct.pack("<I", len(hyper)) + hyper + struct.pack("<Q", 0)
+        with pytest.raises(CheckpointFormatError, match="duplicate hyper key 'beta1'"):
+            load_state(bytes(out))
+
     def test_unknown_variant(self):
         out = bytearray()
         out += MAGIC

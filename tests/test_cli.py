@@ -3,9 +3,11 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import emx
+from emx.checkpoint import load_state, restore_optimizer, save_state
 from emx.cli import _toy_config, build_parser, main
 from emx.config import parse_config
 
@@ -156,6 +158,39 @@ class TestToyCommand:
         assert (cfg.seed, cfg.cadence, cfg.clip, cfg.testbed_params) == (0, 1, None, {})
         assert cfg == parse_config(self.BASE.replace("rosenbrock", "valley")
                                    .replace("0.01", "0.001").replace("30", "1000"))
+
+
+class TestOneBetaAggMo:
+    CFG = ("testbed.kind = rosenbrock\noptimizer.kind = aggmo\noptimizer.betas = 0.5\n"
+           "lr.kind = constant\nlr.value = 0.0001\nrun.steps = 20\n")
+
+    def test_config_and_toy_flag_run_the_same(self, tmp_path):
+        cfg, run, toy = tmp_path / "aggmo.cfg", tmp_path / "run.csv", tmp_path / "toy.csv"
+        cfg.write_text(self.CFG)
+        assert main(["run", str(cfg), "--out", str(run)]) == 0
+        assert main(["toy", "rosenbrock", "--optimizer", "aggmo", "--betas", "0.5", "--steps", "20",
+                     "--lr", "0.0001", "--out", str(toy)]) == 0
+        assert run.read_bytes() == toy.read_bytes()
+        assert len(run.read_text().splitlines()) == 21
+
+    def test_resume_matches_uninterrupted(self, tmp_path):
+        cfg, full, tail = tmp_path / "aggmo.cfg", tmp_path / "full.csv", tmp_path / "tail.csv"
+        cfg.write_text(self.CFG)
+        ck = tmp_path / "half.emx"
+        assert main(["run", str(cfg), "--out", str(full)]) == 0
+        assert main(["checkpoint", "save", str(cfg), "--at-step", "8", "--out", str(ck)]) == 0
+        assert b"betas=0.5\n" in ck.read_bytes()
+        assert main(["run", str(cfg), "--resume", str(ck), "--out", str(tail)]) == 0
+        assert tail.read_text().splitlines()[1:] == full.read_text().splitlines()[9:]
+
+    def test_grid_runs_one_beta_points(self, tmp_path):
+        cfg, out = tmp_path / "aggmo.cfg", tmp_path / "sweep.csv"
+        cfg.write_text(self.CFG.replace("optimizer.betas = 0.5\n", ""))
+        assert main(["sweep", str(cfg), "--grid", "optimizer.betas=0.5,0.9",
+                     "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert lines[0] == "index,optimizer.betas,final_loss,best_loss,diverged"
+        assert sorted(line.split(",")[:2] for line in lines[1:]) == [["0", "0.5"], ["1", "0.9"]]
 
 
 class TestSweepCommand:
@@ -356,6 +391,24 @@ class TestCheckpointCommand:
         assert main(["checkpoint", "save", str(lion), "--at-step", "5", "--out", str(ck)]) == 0
         assert main(["run", toy_cfg_file, "--resume", str(ck)]) == 3
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("poisoned,named", [
+        (["nu"], "nu"), (["theta"], "theta"), (["theta", "nu", "m2"], "m2"),
+    ], ids=["slot", "theta", "first"])
+    def test_resume_of_a_non_finite_checkpoint_exits_3(self, poisoned, named, toy_cfg_file,
+                                                       tmp_path, capsys):
+        ck = tmp_path / "state.emx"
+        assert main(["checkpoint", "save", toy_cfg_file, "--at-step", "5", "--out", str(ck)]) == 0
+        data = load_state(ck.read_bytes())
+        opt, theta = restore_optimizer(data), data.slots["theta"].copy()
+        for name in poisoned:  # the state's slots are m2, nu, m1
+            (theta if name == "theta" else getattr(opt, name))[1] = np.nan
+        ck.write_bytes(save_state(opt, extra_slots={"theta": theta}))
+        out = tmp_path / "tail.csv"
+        assert main(["run", toy_cfg_file, "--resume", str(ck), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err == f"config error: checkpoint slot {named!r} holds a non-finite value\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("other", [
         SWITCHED_CFG.replace("switch.at = 30", "switch.at = 35"),

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -498,6 +499,27 @@ class TestSectionView:
         cfg = parse_config(MLP_TEXT)
         keys = [f"{s}.{k}" for s, names in config_sections(cfg).items() for k in names]
         assert keys == [line.split(" = ")[0] for line in format_config(cfg).splitlines()]
+
+    def test_a_config_is_its_frozen_section_view(self):
+        cfg = parse_config(MLP_TEXT)
+        assert [f.name for f in dataclasses.fields(cfg)] == ["sections"]
+        assert cfg.sections == config_sections(cfg)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.steps = 5
+        with pytest.raises(AttributeError):
+            cfg.lr.kind = "step"
+        with pytest.raises(AttributeError):
+            cfg.switch.at = 5
+
+    def test_config_sections_is_a_copy_to_edit(self):
+        cfg = parse_config(MLP_TEXT)
+        text = format_config(cfg)
+        sections = config_sections(cfg)
+        sections["run"]["steps"] = 7
+        sections["switch"].clear()
+        sections["lr"] = {}
+        assert format_config(cfg) == text and cfg == parse_config(text)
+        assert (cfg.steps, cfg.switch.at) == (2000, 1000)
 
     @given(valid_sections())
     @example({"testbed": {"kind": "valley"}, "optimizer": {"kind": "ademamix", "beta_start": None},

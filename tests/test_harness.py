@@ -718,12 +718,6 @@ class TestLrScheduleConstruction:
         with pytest.raises(ConfigError, match=match):
             Experiment(lr_config(lines))
 
-    def test_unknown_kind_is_config_error(self):
-        cfg = lr_config("lr.kind = constant\nlr.value = 0.1")
-        cfg.lr.kind = "step"
-        with pytest.raises(ConfigError, match="unknown lr kind 'step'"):
-            Experiment(cfg)
-
 
 class TestOverrides:
     @pytest.mark.parametrize(

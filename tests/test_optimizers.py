@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from emx import optimizers
-from emx.checkpoint import MAGIC, VERSION, load_state, save_state
+from emx.checkpoint import MAGIC, VERSION, load_state, restore_optimizer, save_state
 from emx.config import _format_scalar, parse_config
 from emx.harness import Experiment
 from emx.numerics import DivergenceError, finite_rows, make_rng
@@ -1253,6 +1253,14 @@ class TestSlotBlock:
         assert finite_rows(new, *dup.slots).tolist() == [True, False, True]
         assert finite_rows(new, *opt.slots) is None
 
+    @pytest.mark.parametrize("kind", list(FRESH_STATES))
+    def test_getstate_holds_no_array_but_the_block_and_the_scratch(self, kind):
+        # every other array is a view of the block, which a copy binds anew
+        opt = FRESH_STATES[kind](3)
+        opt.step(np.ones(3), np.ones(3), 1e-3)
+        state = opt.__getstate__()
+        assert {k for k, v in state.items() if isinstance(v, np.ndarray)} == {"_block", "_scratch"}
+
     def test_an_experiment_copied_past_step_one_checks_its_own_slots(self):
         # as the forgetting protocol copies its control run
         cfg = parse_config(
@@ -1326,7 +1334,14 @@ class TestTypedConstructor:
         assert opt.betas == (0.5, 0.9) and all(type(b) is float for b in opt.betas)
         assert AggMo(2, betas=opt.hyper()["betas"]).betas == opt.betas
 
-    @pytest.mark.parametrize("value", [0.5, True, [0.5, float("nan")], [0.5, True], "0.5,inf",
+    @pytest.mark.parametrize("value", [0.5, np.float64(0.5), [0.5], (0.5,), "0.5"])
+    def test_tuple_key_takes_one_number(self, value):
+        opt = AggMo(2, betas=value)
+        assert opt.betas == (0.5,) and opt.slot_names == ("m0",)
+        assert opt.hyper() == {"betas": "0.5"}
+        assert restore_optimizer(load_state(save_state(opt))).betas == (0.5,)
+
+    @pytest.mark.parametrize("value", [True, [0.5, float("nan")], [0.5, True], "0.5,inf",
                                        "abc", "0.5;0.9", ""])
     def test_tuple_key_refuses_the_rest(self, value):
         with pytest.raises(ValueError, match="^betas must be"):
