@@ -9,12 +9,16 @@ Layout (all integers little-endian):
                 u64 element count, elements as raw float64
     u32       byte length of the hyperparameter block, then that many UTF-8
               bytes of ``key=value`` lines (one per line, LF-terminated);
-              floats are written as shortest round-trip decimals
+              floats are written as shortest round-trip decimals, a tuple
+              as its comma-joined floats (AggMo's ``betas=0.0,0.9,0.99``)
     u64       step counter
 
 ``save_state``/``load_state`` round-trip bit-for-bit, including hyper floats
 and the step counter. The hyper key ``variant`` names the optimizer class so
-``restore_optimizer`` can rebuild it.
+``restore_optimizer`` can rebuild it. This module alone knows the
+hyperparameter text: an optimizer's ``hyper()`` gives typed values,
+``save_state`` formats them and ``restore_optimizer`` reads each one back as
+the type of its ``defaults`` entry.
 """
 
 from __future__ import annotations
@@ -68,8 +72,7 @@ def save_state(opt, extra_slots: dict | None = None) -> bytes:
         if name in slots:
             raise ValueError(f"slot name collision: {name!r}")
         slots[name] = vec
-    hyper = {"variant": opt.variant}
-    hyper.update(opt.hyper())
+    hyper = {"variant": opt.variant, **opt.hyper()}
 
     # one join of the headers and the slot arrays' own buffers: the blob is the only copy
     parts = [MAGIC, struct.pack("<II", VERSION, len(slots))]
@@ -77,7 +80,10 @@ def save_state(opt, extra_slots: dict | None = None) -> bytes:
         name_bytes = name.encode("utf-8")
         vec = np.ascontiguousarray(vec, dtype="<f8")
         parts += (struct.pack("<I", len(name_bytes)), name_bytes, struct.pack("<Q", vec.size), vec)
-    hyper_bytes = "".join(f"{k}={_format_scalar(v)}\n" for k, v in hyper.items()).encode("utf-8")
+    # one key=value line per key, a tuple as its comma-joined items
+    lines = (f"{k}={','.join(map(_format_scalar, v if type(v) is tuple else (v,)))}\n"
+             for k, v in hyper.items())
+    hyper_bytes = "".join(lines).encode("utf-8")
     parts += (struct.pack("<I", len(hyper_bytes)), hyper_bytes, struct.pack("<Q", opt.t))
     return b"".join(parts)
 
@@ -157,36 +163,41 @@ def load_state(data: bytes) -> CheckpointData:
     return CheckpointData(slots=slots, hyper=hyper, step=step)
 
 
+def _hyper_value(ck: CheckpointData, key: str, default):
+    """The text of hyper key ``key`` read as the type of ``default``: a tuple
+    as comma-separated floats, an int as an int, a float or ``None`` as a float."""
+    text = ck.hyper[key]
+    if type(default) is tuple:
+        return tuple(float(v) for v in text.split(","))
+    return (int if type(default) is int else float)(text)
+
+
 def restore_optimizer(ck: CheckpointData):
     """Rebuild the optimizer named by ``hyper['variant']`` from a checkpoint.
 
-    One path serves every registered kind: a fresh instance's ``hyper()``
-    names the keys and their types, the constructor takes its ``defaults``
-    keys and the rest is set afterwards, then each ``state_slots()`` row of
-    its ``slots`` block is filled: the one copy of each slot out of the
-    checkpoint bytes, so the state owns its block. ``hyper_state``
-    (``sched_offset``) is a step in ``[0, step]``. Bad content raises
-    :class:`CheckpointFormatError`. Extra slots (e.g. ``theta``, or the
-    ``m1`` of a buffered AdEMAMix state at ``beta1 = 0``, which restores as
-    the lean state) are left in ``ck.slots`` untouched.
+    One path serves every registered kind and builds one state: each of its
+    ``defaults`` keys is read as the type of its default and passed to the
+    constructor, whose ``dim`` is the length of the checkpoint's first slot
+    (:func:`save_state` writes the state's slots first); each ``hyper_state``
+    key of the built state (``sched_offset``) is then set, a step in ``[0,
+    step]``. Each ``state_slots()`` row of its ``slots`` block is filled: the
+    one copy of each slot out of the checkpoint bytes, so the state owns its
+    block. Bad content raises :class:`CheckpointFormatError`. Extra slots
+    (e.g. ``theta``, or the ``m1`` of a buffered AdEMAMix state at ``beta1 =
+    0``, which restores as the lean state) are left in ``ck.slots`` untouched.
     """
     variant = ck.hyper.get("variant")
     cls = optimizers.OPTIMIZERS.get(variant)
     if cls is None:
         raise CheckpointFormatError(f"unknown optimizer variant {variant!r}")
-    proto = cls(0)
+    dim = len(next(iter(ck.slots.values()), ()))
     try:
-        hyper = {key: type(value)(ck.hyper[key]) for key, value in proto.hyper().items()}
+        opt = cls(dim, **{key: _hyper_value(ck, key, d) for key, d in cls.defaults.items()})
+        for key in opt.hyper_state:
+            setattr(opt, key, integer(key, _hyper_value(ck, key, 0), 0, ck.step))
     except KeyError as exc:
         raise CheckpointFormatError(f"missing hyper key {exc.args[0]!r}") from exc
-    except ValueError as exc:
-        raise CheckpointFormatError(f"malformed hyper value: {exc}") from exc
-    dim = len(ck.slots.get(proto.slot_names[0], ()))
-    try:
-        opt = cls(dim, **{key: hyper.pop(key) for key in cls.defaults})
-        for key, value in hyper.items():
-            setattr(opt, key, integer(key, value, 0, ck.step))
-    except ValueError as exc:
+    except ValueError as exc:  # text that is not a number, or a value the kind refuses
         raise CheckpointFormatError(f"invalid {variant} hyperparameters: {exc}") from exc
     for name, buf in opt.state_slots().items():
         vec = ck.slots.get(name)

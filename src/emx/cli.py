@@ -3,16 +3,18 @@
 Subcommands: ``run``, ``sweep``, ``toy``, ``analyze-ema``, ``forget``,
 ``checkpoint``. Outputs are CSV (or JSONL behind ``--jsonl``); no plotting.
 The ``EMX_SEED`` environment variable overrides the config seed. Exit codes:
-0 completed, 2 diverged, 3 invalid config or checkpoint, a command-line usage
-error, or a file that cannot be read or written (such as an ``--out`` path in
-a missing directory). ``toy``'s optimizer flags are the ``optimizer.*``
-config keys of :data:`emx.optimizers.OPTIMIZERS`; ``analyze-ema`` takes its
-kinds and flags from :data:`emx.ema_weights.PROFILES`.
+0 completed, 2 diverged, 3 invalid config or checkpoint (a testbed too large
+to build included), a command-line usage error, a file that cannot be read or
+written (an ``--out`` path in a missing directory is refused before the first
+step), or memory that runs out during a run. ``toy``'s optimizer flags are
+the ``optimizer.*`` config keys of :data:`emx.optimizers.OPTIMIZERS`;
+``analyze-ema`` takes its kinds and flags from :data:`emx.ema_weights.PROFILES`.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import inspect
 import os
 import sys
@@ -49,6 +51,13 @@ def _apply_env_seed(cfg: ExperimentConfig) -> ExperimentConfig:
     return with_values(cfg, {"run.seed": seed})  # checked like a config's seed
 
 
+def _check_out(path: str | None) -> None:
+    """Refuse an output ``path`` whose directory does not exist, before any
+    step rather than after the run; nothing is created."""
+    if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+
+
 def _emit(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
@@ -70,6 +79,7 @@ def _record_exit(record) -> int:
 
 def _cmd_run(args) -> int:
     cfg = _apply_env_seed(load_config(args.config))
+    _check_out(args.out or cfg.out)
     resume = None
     if args.resume:
         with open(args.resume, "rb") as fh:
@@ -95,7 +105,9 @@ def _parse_grid(specs) -> dict:
 
 def _cmd_sweep(args) -> int:
     cfg = _apply_env_seed(load_config(args.config))
-    result = harness.run_sweep(cfg, _parse_grid(args.grid))
+    grid = _parse_grid(args.grid)
+    _check_out(args.out)
+    result = harness.run_sweep(cfg, grid)
     _emit(harness.format_sweep_csv(result), args.out)
     if any(e.diverged for e in result.entries):
         return EXIT_DIVERGED
@@ -118,6 +130,7 @@ def _toy_config(args) -> ExperimentConfig:
 
 def _cmd_toy(args) -> int:
     cfg = _apply_env_seed(_toy_config(args))
+    _check_out(args.out)
     record = harness.run_experiment(cfg)
     _emit_record(record, args.out, args.jsonl)
     return _record_exit(record)
@@ -129,6 +142,7 @@ def _cmd_analyze_ema(args) -> int:
     for name in args.given:
         if name not in params:
             raise ConfigError(f"--{name.replace('_', '-')} is not a parameter of --kind {args.kind}")
+    _check_out(args.out)
     try:
         weights = profile(**{n: getattr(args, n) for n in params})
     except ValueError as exc:
@@ -141,8 +155,8 @@ def _cmd_forget(args) -> int:
     cfg = _apply_env_seed(load_config(args.config))
     if args.t_b is not None:
         cfg = with_values(cfg, {"forget.t_b": args.t_b})
-    result = harness.run_forgetting_protocol(cfg)
     os.makedirs(args.out_dir, exist_ok=True)
+    result = harness.run_forgetting_protocol(cfg)
     heldout = ("step", "heldout_loss")
     outputs = {
         "control.csv": harness.format_record_csv(result.control),
@@ -164,6 +178,7 @@ def _cmd_checkpoint(args) -> int:
         if not 0 <= args.at_step <= cfg.steps:
             raise ConfigError(f"--at-step must be in [0, run.steps = {cfg.steps}], "
                               f"got {args.at_step}")
+        _check_out(args.out)
         exp = harness.Experiment(cfg)
         record = exp.run(until=args.at_step)
         if record.diverged:
@@ -295,6 +310,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except OSError as exc:  # a config, checkpoint or output path that cannot be opened
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:  # a run whose arrays outgrow the memory left
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -14,7 +14,8 @@ Sections: ``testbed``, ``optimizer``, ``lr``, ``run``, and the optional
 ``switch`` and ``forget`` directives. Floats are written back as shortest
 round-trip decimals, so ``parse_config(format_config(cfg)) == cfg`` exactly.
 A parsed :class:`ExperimentConfig` is frozen and holds its normalized section
-view, ``cfg.sections``, alone; :func:`config_sections` returns a copy to edit.
+view, ``cfg.sections``, alone; the view is read-only too (an edit in place is a
+``TypeError``), and :func:`config_sections` returns a copy to edit.
 
 :data:`KEY_ROLES` is the one table of the sections and of how each key may
 vary: a row key may differ between the rows of one experiment, a shared key is
@@ -34,6 +35,7 @@ import re
 import sys
 from dataclasses import dataclass, fields
 from functools import cached_property
+from types import MappingProxyType
 from typing import NamedTuple
 
 from .optimizers import OPTIMIZERS, SWITCHES
@@ -94,9 +96,22 @@ class ForgetSpec(NamedTuple):
     t_b: int
 
 
-def _params(keys: dict, heads=("kind",)) -> dict:
-    """A section's keys without its ``heads``: a fresh dict."""
-    return {key: value for key, value in keys.items() if key not in heads}
+class _ReadOnlyList(list):
+    """A list value of a parsed config: it reads and compares as a list, and an
+    edit in place is a ``TypeError``."""
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("a parsed config is read-only: edit a copy from config_sections()")
+
+    __setitem__ = __delitem__ = __iadd__ = __imul__ = _refuse
+    append = extend = insert = pop = remove = clear = sort = reverse = _refuse
+
+
+def _params(keys, heads=("kind",)) -> dict:
+    """A section's keys without its ``heads``: a fresh dict, a list value a
+    fresh list."""
+    return {key: list(v) if isinstance(v, list) else v for key, v in keys.items()
+            if key not in heads}
 
 
 @dataclass(frozen=True)
@@ -105,10 +120,22 @@ class ExperimentConfig:
     ``section -> {key: value}`` in :func:`format_config` order: ``kind``,
     ``to`` and ``at`` first, the other keys sorted, the ``run`` keys in
     :data:`KEY_ROLES` order without one at its default of ``None`` or false.
-    The other attributes read it; the ones each step reads (``clip``,
-    ``cadence`` and ``switch``) are cached."""
+    The view is read-only, its sections and its list values: an edit in place
+    would skip the checks and leave the cached attributes behind. The other
+    attributes read it; the ones each step reads (``clip``, ``cadence`` and
+    ``switch``) are cached."""
 
     sections: dict
+
+    def __post_init__(self):
+        object.__setattr__(self, "sections", MappingProxyType({
+            section: MappingProxyType(
+                {k: _ReadOnlyList(v) if isinstance(v, list) else v for k, v in keys.items()})
+            for section, keys in self.sections.items()
+        }))
+
+    def __reduce__(self):  # a mappingproxy neither pickles nor copies: rebuild from a copy
+        return ExperimentConfig, (config_sections(self),)
 
     testbed = property(lambda self: self.sections["testbed"]["kind"])
     testbed_params = property(lambda self: _params(self.sections["testbed"]))
@@ -128,7 +155,9 @@ class ExperimentConfig:
     @cached_property
     def switch(self) -> SwitchSpec | None:
         sw = self.sections.get("switch")
-        return None if sw is None else SwitchSpec(sw["to"], sw["at"], _params(sw, ("to", "at")))
+        if sw is None:
+            return None
+        return SwitchSpec(sw["to"], sw["at"], MappingProxyType(_params(sw, ("to", "at"))))
 
     @property
     def forget(self) -> ForgetSpec | None:
@@ -329,8 +358,9 @@ def _read_sections(sections: dict) -> ExperimentConfig:
 
 def config_sections(cfg: ExperimentConfig) -> dict:
     """A copy of ``cfg.sections``, the ``section -> {name: value}`` view of
-    ``cfg``, to edit; inverse of :func:`config_from_sections`."""
-    return {section: dict(keys) for section, keys in cfg.sections.items()}
+    ``cfg``, in plain dicts and lists to edit; inverse of
+    :func:`config_from_sections`."""
+    return {section: _params(keys, ()) for section, keys in cfg.sections.items()}
 
 
 def format_sections(sections: dict) -> str:

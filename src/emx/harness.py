@@ -148,7 +148,11 @@ class Experiment:
         self.cfg = cfg
         self.track_heldout = track_heldout
 
-        self.testbed, self.dataset, theta0 = TESTBEDS[cfg.testbed](cfg.seed, **cfg.testbed_params)
+        build = TESTBEDS[cfg.testbed]
+        try:
+            self.testbed, self.dataset, theta0 = build(cfg.seed, **cfg.testbed_params)
+        except (ValueError, MemoryError) as exc:  # sizes numpy refuses or cannot allocate
+            raise ConfigError(f"cannot build testbed {cfg.testbed!r}: {exc}") from exc
         if theta0.shape != (self.testbed.dim,):
             raise ConfigError(
                 f"initial point has length {theta0.shape}, testbed needs {self.testbed.dim}"
@@ -452,7 +456,14 @@ def format_record_csv(record: RunRecord) -> str:
 
 
 def format_record_jsonl(record: RunRecord) -> str:
-    return "".join(json.dumps(row._asdict()) + "\n" for row in record.rows)
+    """One JSON object per row; a non-finite float is the string of its CSV
+    cell (``"inf"``, ``"-inf"``, ``"nan"``), which JSON has no number for,
+    and ``None`` is ``null``."""
+    return "".join(
+        json.dumps({k: str(v) if isinstance(v, float) and not math.isfinite(v) else v
+                    for k, v in row._asdict().items()}) + "\n"
+        for row in record.rows
+    )
 
 
 def format_sweep_csv(result: SweepResult) -> str:

@@ -13,7 +13,9 @@ updates), :class:`AdMetaS` (nested EMAs) and :class:`AggMo` (K plain
 momentum buffers, ``m0`` ... ``m{K-1}``).
 
 Each class declares its hyperparameters once, in ``defaults`` (keyword ->
-default, in ``hyper()`` order), its state once, in ``slot_names`` (the
+default, in ``hyper()`` order; ``hyper()`` gives each value typed like its
+default, AggMo's ``betas`` a tuple, and :mod:`emx.checkpoint` alone turns
+them into text and back), its state once, in ``slot_names`` (the
 slots :func:`preseed_momentum` sets in ``momentum``), and its update once,
 in ``_kernel`` (the Adam family: ``_mixture`` and ``_convex``). The base
 constructor types each value like its default and allocates the slots as
@@ -87,17 +89,11 @@ def _ema(buf: np.ndarray, beta: float, grad: np.ndarray, tmp: np.ndarray) -> Non
 
 def _typed(name: str, value, default):
     """``value`` typed like ``default``: a step count for an int, a tuple of
-    finite numbers (from a list, a tuple, one number or the comma text
-    ``hyper()`` writes) for a tuple, else a finite number; ``None`` stays
-    where it is the default."""
+    finite numbers (from a list, a tuple or one number) for a tuple, else a
+    finite number; ``None`` stays where it is the default."""
     if type(default) is int:
         return step_count(name, value)
     if type(default) is tuple:
-        if isinstance(value, str):
-            try:
-                value = [float(v) for v in value.split(",")]
-            except ValueError:  # text that is not comma-separated numbers
-                raise ValueError(f"{name} must be a list of numbers, got {value!r}") from None
         items = value if isinstance(value, (list, tuple)) else [value]
         return tuple(finite_number(name, v) for v in items)
     return None if value is None is default else finite_number(name, value)
@@ -490,8 +486,9 @@ class AggMo(Optimizer):
     """Aggregated momentum: K buffers ``m_i <- b_i*m_i + g`` (note: raw g,
     no (1-b) factor), update is the average ``theta - (lr/K)*sum(m_i)``.
 
-    Its slots are ``m0`` ... ``m{K-1}``, one per beta. ``betas`` may also be
-    the comma-joined text that ``hyper()`` writes.
+    Its slots are ``m0`` ... ``m{K-1}``, one per beta. ``betas`` takes a
+    list, a tuple or one number, and ``hyper()`` gives it as the tuple; text
+    is a ``ValueError`` naming ``betas``.
     """
 
     variant = "aggmo"
@@ -514,9 +511,6 @@ class AggMo(Optimizer):
             total += m
         np.multiply(lr / len(self.betas), total, out=total)
         np.subtract(theta, total, out=total)
-
-    def hyper(self):
-        return {"betas": ",".join(repr(b) for b in self.betas)}
 
 
 OPTIMIZERS = {cls.variant: cls for cls in (AdamW, AdEMAMix, Lion, AdMetaS, AggMo, Ad3EMAMix)}

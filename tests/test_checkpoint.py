@@ -16,6 +16,7 @@ from emx.checkpoint import (
     restore_optimizer,
     save_state,
 )
+from emx import optimizers
 from emx.config import parse_config
 from emx.harness import Experiment, format_record_csv
 from emx.numerics import make_rng
@@ -396,6 +397,48 @@ def _load_and_restore(blob: bytes) -> None:
         restore_optimizer(load_state(blob))
     except CheckpointError:
         pass
+
+
+class TestHyperText:
+    """The hyperparameter text is written and read here alone: ``hyper()`` is
+    typed for every kind, and restore builds exactly one state."""
+
+    def test_no_kind_defines_its_own_hyper(self):
+        for cls in OPTIMIZERS.values():
+            assert all("hyper" not in vars(k) for k in cls.__mro__ if k is not optimizers.Optimizer)
+
+    @pytest.mark.parametrize("kind", sorted(OPTIMIZERS))
+    def test_hyper_is_typed_like_the_defaults(self, kind):
+        cls = OPTIMIZERS[kind]
+        hyper = cls(2).hyper()
+        for key, default in cls.defaults.items():
+            assert type(hyper[key]) is (float if default is None else type(default))
+        restored = restore_optimizer(load_state(save_state(cls(2))))
+        assert {k: (type(v), v) for k, v in restored.hyper().items()} == {
+            k: (type(v), v) for k, v in hyper.items()
+        }
+
+    @pytest.mark.parametrize("betas,line", [((0.0, 0.9, 0.99), b"\nbetas=0.0,0.9,0.99\n"),
+                                            (0.5, b"\nbetas=0.5\n"),
+                                            ((1e-20, 0.5), b"\nbetas=1e-20,0.5\n")])
+    def test_a_tuple_is_its_comma_joined_floats(self, betas, line):
+        opt = AggMo(2, betas=betas)
+        blob = save_state(opt)
+        assert line in blob
+        assert restore_optimizer(load_state(blob)).betas == opt.betas
+
+    @pytest.mark.parametrize("kind", sorted(VALID))
+    def test_restore_builds_one_state(self, kind, monkeypatch):
+        built = []
+        init = optimizers.Optimizer.__init__
+
+        def counting(self, dim, **kwargs):
+            built.append(dim)
+            init(self, dim, **kwargs)
+
+        monkeypatch.setattr(optimizers.Optimizer, "__init__", counting)
+        restored = restore_optimizer(load_state(VALID[kind]))
+        assert built == [3] and restored.dim == 3
 
 
 class TestLoadFuzz:

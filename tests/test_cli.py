@@ -1,4 +1,6 @@
 import argparse
+import functools
+import json
 import os
 import subprocess
 import sys
@@ -7,9 +9,12 @@ import numpy as np
 import pytest
 
 import emx
+from emx import harness
 from emx.checkpoint import load_state, restore_optimizer, save_state
 from emx.cli import _toy_config, build_parser, main
-from emx.config import parse_config
+from emx.config import ConfigError, parse_config
+from emx.ema_weights import PROFILES
+from emx.testbeds import SyntheticDataset
 
 TOY_CFG = """
 testbed.kind = rosenbrock
@@ -510,6 +515,92 @@ class TestBoundaryExitCodes:
         cfg.write_text(MLP_CFG.replace("testbed.batch_size = 8", "testbed.batch_size = 0"))
         assert main(["run", str(cfg), "--out", str(tmp_path / "x.csv")]) == 3
         assert "config error: testbed.batch_size" in capsys.readouterr().err
+
+
+def _never(*args, **kwargs):
+    raise AssertionError("the run started")
+
+
+class TestOutputCheckedBeforeTheRun:
+    """An output whose directory does not exist is refused before the first
+    step, and nothing is written."""
+
+    @pytest.mark.parametrize("argv,runner", [
+        (["run", "{cfg}", "--out", "{out}"], "run_experiment"),
+        (["run", "{cfg_with_out}"], "run_experiment"),
+        (["sweep", "{cfg}", "--grid", "lr.value=0.001,0.0001", "--out", "{out}"], "run_sweep"),
+        (["toy", "rosenbrock", "--steps", "200000", "--out", "{out}"], "run_experiment"),
+        (["checkpoint", "save", "{cfg}", "--at-step", "10", "--out", "{out}"], "Experiment.run"),
+    ], ids=["run --out", "run.out", "sweep", "toy", "checkpoint save"])
+    def test_missing_directory_exits_3_before_the_run(self, argv, runner, toy_cfg_file, tmp_path,
+                                                      monkeypatch, capsys):
+        out = tmp_path / "missing" / "x.csv"
+        cfg_with_out = tmp_path / "out.cfg"
+        cfg_with_out.write_text(TOY_CFG + f"run.out = {out}\n")
+        owner, _, name = runner.rpartition(".")
+        monkeypatch.setattr(getattr(harness, owner) if owner else harness, name, _never)
+        argv = [a.format(cfg=toy_cfg_file, out=out, cfg_with_out=cfg_with_out) for a in argv]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{out}'\n"
+        assert not out.parent.exists()
+
+    def test_analyze_ema_checks_before_it_computes(self, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "missing" / "x.csv"
+        # the nested and DEMA profiles take minutes at the largest horizon
+        monkeypatch.setitem(PROFILES, "nested", functools.wraps(PROFILES["nested"])(_never))
+        assert main(["analyze-ema", "--kind", "nested", "--horizon", "10", "--out", str(out)]) == 3
+        assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{out}'\n"
+
+    def test_forget_makes_its_directory_first(self, mlp_cfg_file, tmp_path, monkeypatch):
+        out_dir = tmp_path / "a" / "b"
+
+        def protocol(cfg):
+            assert out_dir.is_dir()
+            raise ConfigError("stopped before the run")
+
+        monkeypatch.setattr(harness, "run_forgetting_protocol", protocol)
+        assert main(["forget", mlp_cfg_file, "--out-dir", str(out_dir)]) == 3
+
+    def test_forget_directory_that_cannot_be_made_exits_3(self, mlp_cfg_file, tmp_path,
+                                                          monkeypatch, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        monkeypatch.setattr(harness, "run_forgetting_protocol", _never)
+        assert main(["forget", mlp_cfg_file, "--out-dir", str(blocker / "out")]) == 3
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+class TestNonFiniteJsonl:
+    def test_every_line_is_json(self, capsys):
+        assert main(["toy", "rosenbrock", "--lr", "1e200", "--steps", "3", "--jsonl"]) == 2
+
+        def refuse(name):
+            raise ValueError(f"{name} is not JSON")
+
+        rows = [json.loads(line, parse_constant=refuse)
+                for line in capsys.readouterr().out.splitlines()]
+        assert rows and rows[0]["distance_to_optimum"] == rows[0]["update_norm"] == "inf"
+        assert rows[0]["alpha"] is None
+
+
+class TestMemoryError:
+    def test_memory_that_runs_out_mid_run_exits_3(self, mlp_cfg_file, tmp_path, monkeypatch,
+                                                  capsys):
+        def no_memory(self, t):
+            raise MemoryError("Unable to allocate 1.31 TiB")
+
+        monkeypatch.setattr(SyntheticDataset, "batch", no_memory)
+        out = tmp_path / "x.csv"
+        assert main(["run", mlp_cfg_file, "--out", str(out)]) == 3
+        assert capsys.readouterr().err == "error: out of memory: Unable to allocate 1.31 TiB\n"
+        assert not out.exists()
+
+    def test_a_testbed_numpy_cannot_shape_exits_3(self, tmp_path, capsys):
+        cfg = tmp_path / "big.cfg"
+        cfg.write_text(MLP_CFG.replace("testbed.hidden = 12",
+                                       "testbed.hidden = 10000000000, 10000000000"))
+        assert main(["run", str(cfg)]) == 3
+        assert capsys.readouterr().err.startswith("config error: cannot build testbed 'mlp'")
 
 
 def _subparser(parser, name):

@@ -1,4 +1,7 @@
+import copy
 import dataclasses
+import operator
+import pickle
 import re
 
 import numpy as np
@@ -19,7 +22,7 @@ from emx.config import (
     format_config,
     parse_config,
 )
-from emx.harness import Experiment, _build_lr_schedule
+from emx.harness import Experiment, _build_lr_schedule, format_record_csv
 from emx.optimizers import OPTIMIZERS, SWITCHES
 from emx.testbeds import TESTBEDS
 
@@ -530,6 +533,73 @@ class TestSectionView:
         assert config_from_sections(config_sections(cfg)) == cfg
         assert format_config(cfg) == format_config_before_section_view(cfg)
         assert parse_config(format_config(cfg)) == cfg
+
+
+def _edits(cfg):
+    """In-place edits of a parsed config's view, each a function of no arguments."""
+    run, hidden = cfg.sections["run"], cfg.sections["testbed"]["hidden"]
+    return {
+        "set a run key": lambda: operator.setitem(run, "clip", 0.5),
+        "delete a run key": lambda: operator.delitem(run, "seed"),
+        "add a section": lambda: operator.setitem(cfg.sections, "forget", {"t_b": 3}),
+        "set a list item": lambda: operator.setitem(hidden, 0, 3),
+        "append to a list": lambda: hidden.append(3),
+        "extend a list": lambda: operator.iadd(hidden, [3]),
+        "sort a list": lambda: hidden.sort(key=abs),
+        "set a switch param": lambda: operator.setitem(cfg.switch.params, "alpha", 0.5),
+    }
+
+
+class TestReadOnlyView:
+    @pytest.mark.parametrize("edit", list(_edits(parse_config(MLP_TEXT + "run.clip = 1.0\n"))))
+    def test_an_edit_in_place_raises(self, edit):
+        cfg = parse_config(MLP_TEXT + "run.clip = 1.0\n")
+        exp = Experiment(cfg)
+        exp.run(until=2)  # the per-step attributes are cached by now
+        text = format_config(cfg)
+        with pytest.raises(TypeError):
+            _edits(cfg)[edit]()
+        assert format_config(cfg) == text and cfg == parse_config(text)
+        assert (cfg.clip, cfg.cadence, cfg.switch.params["alpha"]) == (1.0, 10, 2.0)
+
+    def test_params_and_copies_are_plain_lists_and_dicts(self):
+        cfg = parse_config(MLP_TEXT)
+        for value in (cfg.testbed_params["hidden"], config_sections(cfg)["testbed"]["hidden"]):
+            assert type(value) is list and value == [32, 32]
+            value.append(1)
+        assert cfg.sections["testbed"]["hidden"] == [32, 32]
+        assert all(type(keys) is dict for keys in config_sections(cfg).values())
+
+    @pytest.mark.parametrize("copier", [copy.deepcopy, copy.copy,
+                                        lambda cfg: pickle.loads(pickle.dumps(cfg))])
+    def test_a_copy_is_equal_and_read_only(self, copier):
+        cfg = parse_config(MLP_TEXT)
+        cfg.switch  # a cached attribute is rebuilt, not copied
+        twin = copier(cfg)
+        assert twin == cfg and format_config(twin) == format_config(cfg)
+        assert twin.switch == cfg.switch
+        with pytest.raises(TypeError):
+            twin.sections["testbed"]["hidden"].append(3)
+
+    @pytest.mark.parametrize("copier", [copy.deepcopy, lambda exp: pickle.loads(pickle.dumps(exp))])
+    def test_an_experiment_copy_runs_on(self, copier):
+        exp = Experiment(parse_config(MLP_TEXT.replace("switch.at = 1000", "switch.at = 10")))
+        exp.run(until=8)
+        twin = copier(exp)
+        assert twin.cfg == exp.cfg
+        exp.run(until=13)  # past the switch
+        twin.run(until=13)
+        assert twin.theta.tobytes() == exp.theta.tobytes()
+        assert format_record_csv(twin.record) == format_record_csv(exp.record)
+
+    @given(valid_sections())
+    @settings(max_examples=100, deadline=None)
+    def test_format_bytes_hold_through_a_copy(self, sections):
+        cfg = config_from_sections(sections)
+        text = format_config(cfg)
+        assert text == format_config_before_section_view(cfg)
+        assert format_config(pickle.loads(pickle.dumps(cfg))) == text
+        assert format_config(copy.deepcopy(cfg)) == text
 
 
 TESTBED_KEYS_BEFORE_REGISTRY = {

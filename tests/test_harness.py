@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from emx.checkpoint import load_state
-from emx.config import ConfigError, parse_config
+from emx.config import ConfigError, format_config, parse_config
 from emx.harness import (
     RECORD_COLUMNS,
     Experiment,
@@ -22,7 +22,7 @@ from emx.harness import (
     run_sweep,
 )
 from emx.schedules import ConstantSchedule, WarmupConstantLinearDecay, WarmupCosineDecay
-from emx.testbeds import SyntheticDataset
+from emx.testbeds import SyntheticDataset, TinyMlp
 
 
 def toy_config(optimizer="adamw", steps=200, lr=1e-3, seed=0, extra=""):
@@ -488,6 +488,21 @@ class TestEmission:
         obj = json.loads(lines[0])
         assert obj["step"] == 1 and obj["heldout_loss"] is None
 
+    def test_jsonl_writes_a_non_finite_float_as_its_csv_cell(self):
+        import json
+
+        row = RunRow(3, math.nan, math.inf, 0.1, None, None, -math.inf, 0.5)
+        line = format_record_jsonl(RunRecord(rows=[row]))
+
+        def refuse(name):
+            raise ValueError(f"{name} is not JSON")
+
+        assert json.loads(line, parse_constant=refuse) == {
+            "step": 3, "loss": "nan", "distance_to_optimum": "inf", "eta": 0.1, "alpha": None,
+            "beta3": None, "update_norm": "-inf", "heldout_loss": 0.5,
+        }
+        assert format_record_csv(RunRecord(rows=[row])).splitlines()[1] == "3,nan,inf,0.1,,,-inf,0.5"
+
     def test_floats_round_trip_through_csv(self):
         record = run_experiment(toy_config(steps=5))
         text = format_record_csv(record)
@@ -650,6 +665,26 @@ class TestBuildTimeValidation:
     def test_beta_start_unchecked_without_warmup(self):
         exp = Experiment(kind_config("ademamix", "optimizer.beta3 = 0.5", steps=5))
         assert exp.run().status == "completed"
+
+
+class TestTestbedBuildErrors:
+    """A testbed the config sizes past what numpy can build is a ConfigError
+    naming it, before any step."""
+
+    def test_a_size_numpy_refuses(self):
+        # 1e20 parameters: numpy refuses the shape before it allocates anything
+        cfg = parse_config(format_config(mlp_config()).replace(
+            "testbed.hidden = 16, 16", "testbed.hidden = 10000000000, 10000000000"))
+        with pytest.raises(ConfigError, match="cannot build testbed 'mlp': Maximum allowed"):
+            Experiment(cfg)
+
+    def test_memory_that_runs_out(self, monkeypatch):
+        def no_memory(self, rng):
+            raise MemoryError("Unable to allocate 1.31 TiB")
+
+        monkeypatch.setattr(TinyMlp, "init_params", no_memory)
+        with pytest.raises(ConfigError, match="cannot build testbed 'mlp': Unable to allocate"):
+            Experiment(mlp_config())
 
 
 def build_lr_schedule_before_registry(cfg):
