@@ -17,8 +17,10 @@ Layout (all integers little-endian):
 and the step counter. The hyper key ``variant`` names the optimizer class so
 ``restore_optimizer`` can rebuild it. This module alone knows the
 hyperparameter text: an optimizer's ``hyper()`` gives typed values,
-``save_state`` formats them and ``restore_optimizer`` reads each one back as
-the type of its ``defaults`` entry.
+``save_state`` formats them, and ``restore_optimizer`` parses each line with
+the value grammar of config files (``config._parse_value``) and leaves the
+typing to the constructor, which reads every keyword with
+:func:`emx.schedules.typed`.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import optimizers
-from .config import _format_scalar
+from .config import _format_scalar, _parse_value
 from .schedules import integer
 
 MAGIC = b"EMXCKPT1"
@@ -163,48 +165,43 @@ def load_state(data: bytes) -> CheckpointData:
     return CheckpointData(slots=slots, hyper=hyper, step=step)
 
 
-def _hyper_value(ck: CheckpointData, key: str, default):
-    """The text of hyper key ``key`` read as the type of ``default``: a tuple
-    as comma-separated floats, an int as an int, a float or ``None`` as a float."""
-    text = ck.hyper[key]
-    if type(default) is tuple:
-        return tuple(float(v) for v in text.split(","))
-    return (int if type(default) is int else float)(text)
-
-
 def restore_optimizer(ck: CheckpointData):
     """Rebuild the optimizer named by ``hyper['variant']`` from a checkpoint.
 
-    One path serves every registered kind and builds one state: each of its
-    ``defaults`` keys is read as the type of its default and passed to the
-    constructor, whose ``dim`` is the length of the checkpoint's first slot
-    (:func:`save_state` writes the state's slots first); each ``hyper_state``
-    key of the built state (``sched_offset``) is then set, a step in ``[0,
-    step]``. Each ``state_slots()`` row of its ``slots`` block is filled: the
-    one copy of each slot out of the checkpoint bytes, so the state owns its
-    block. Bad content raises :class:`CheckpointFormatError`. Extra slots
-    (e.g. ``theta``, or the ``m1`` of a buffered AdEMAMix state at ``beta1 =
-    0``, which restores as the lean state) are left in ``ck.slots`` untouched.
+    One path serves every registered kind and builds one state. Each of its
+    ``defaults`` keys is parsed with the config value grammar (``1e2``,
+    ``none`` and ``0.0,0.9`` read as in a config file) and passed to the
+    constructor, which types it like its default; each ``hyper_state`` key of
+    the built state (``sched_offset``) is then set, a step in ``[0, step]``.
+    The state is built at dim 0, so nothing the size of a slot is allocated
+    until every one of its ``slot_names`` is found in the checkpoint with the
+    length of the first slot (:func:`save_state` writes the state's slots
+    first). Then its ``slots`` block is stacked from them: one ``(S, dim)``
+    array and the one copy of each slot out of the checkpoint bytes, so the
+    state owns its block. Bad content raises :class:`CheckpointFormatError`.
+    Extra slots (e.g. ``theta``, or the ``m1`` of a buffered AdEMAMix state at
+    ``beta1 = 0``, which restores as the lean state) are left in ``ck.slots``
+    untouched.
     """
     variant = ck.hyper.get("variant")
     cls = optimizers.OPTIMIZERS.get(variant)
     if cls is None:
         raise CheckpointFormatError(f"unknown optimizer variant {variant!r}")
-    dim = len(next(iter(ck.slots.values()), ()))
     try:
-        opt = cls(dim, **{key: _hyper_value(ck, key, d) for key, d in cls.defaults.items()})
+        opt = cls(0, **{key: _parse_value(ck.hyper[key]) for key in cls.defaults})
         for key in opt.hyper_state:
-            setattr(opt, key, integer(key, _hyper_value(ck, key, 0), 0, ck.step))
+            setattr(opt, key, integer(key, _parse_value(ck.hyper[key]), 0, ck.step))
     except KeyError as exc:
         raise CheckpointFormatError(f"missing hyper key {exc.args[0]!r}") from exc
     except ValueError as exc:  # text that is not a number, or a value the kind refuses
         raise CheckpointFormatError(f"invalid {variant} hyperparameters: {exc}") from exc
-    for name, buf in opt.state_slots().items():
+    opt.dim = len(next(iter(ck.slots.values()), ()))
+    for name in opt.slot_names:
         vec = ck.slots.get(name)
         if vec is None:
             raise CheckpointFormatError(f"missing state slot {name!r}")
-        if len(vec) != dim:
-            raise CheckpointFormatError(f"slot {name!r} has length {len(vec)}, expected {dim}")
-        buf[...] = vec
+        if len(vec) != opt.dim:
+            raise CheckpointFormatError(f"slot {name!r} has length {len(vec)}, expected {opt.dim}")
+    opt._bind(np.stack([ck.slots[name] for name in opt.slot_names]))
     opt.t = ck.step
     return opt

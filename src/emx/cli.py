@@ -52,8 +52,10 @@ def _apply_env_seed(cfg: ExperimentConfig) -> ExperimentConfig:
 
 
 def _check_out(path: str | None) -> None:
-    """Refuse an output ``path`` whose directory does not exist, before any
-    step rather than after the run; nothing is created."""
+    """Refuse an output ``path`` that is a directory or whose directory does
+    not exist, before any step rather than after the run; nothing is created."""
+    if path is not None and os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
 

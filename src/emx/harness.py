@@ -30,7 +30,7 @@ from .config import (
 )
 from .numerics import finite_rows, global_norm_clip, row_norms
 from .optimizers import OPTIMIZERS, preseed_momentum, switch_optimizer
-from .schedules import LR_SCHEDULES, finite_number, step_count
+from .schedules import LR_SCHEDULES, typed
 from .testbeds import TESTBEDS
 
 
@@ -78,10 +78,12 @@ def _build_lr_schedule(cfg: ExperimentConfig):
     cls = LR_SCHEDULES[cfg.lr.kind]
     p = {"eta_min": 0.0, "warmup": 0, "total": cfg.steps, **cfg.lr.params}
     types = _type_hints(cls)
-    try:
-        return cls(**{f.name: (step_count if types[f.name] is int else finite_number)(
-            f"lr.{f.name}", p[f.name]) for f in fields(cls)})
-    except (KeyError, TypeError, ValueError) as exc:
+    try:  # each field is read like a default of its annotated type
+        return cls(**{f.name: typed(f"lr.{f.name}", p[f.name], types[f.name]())
+                      for f in fields(cls)})
+    except KeyError as exc:
+        raise ConfigError(f"lr.{exc.args[0]} is required for lr.kind = {cfg.lr.kind}") from None
+    except ValueError as exc:  # a value typed wrong, or fields the schedule refuses
         raise ConfigError(f"bad lr schedule parameters: {exc}") from exc
 
 

@@ -18,9 +18,11 @@ default, AggMo's ``betas`` a tuple, and :mod:`emx.checkpoint` alone turns
 them into text and back), its state once, in ``slot_names`` (the
 slots :func:`preseed_momentum` sets in ``momentum``), and its update once,
 in ``_kernel`` (the Adam family: ``_mixture`` and ``_convex``). The base
-constructor types each value like its default and allocates the slots as
-the rows of one zero block, ``slots`` (``_scratch`` apart); the subclass
-checks its ranges. :meth:`Optimizer.step` runs ``_kernel``.
+constructor types each value like its default with
+:func:`emx.schedules.typed`, the one reader of constructor keywords, lr
+fields and checkpoint text, and allocates the slots as the rows of one zero
+block, ``slots`` (``_scratch`` apart); the subclass checks its ranges.
+:meth:`Optimizer.step` runs ``_kernel``.
 
 ``step`` returns a fresh array for the new ``theta`` and never writes into
 ``theta`` or ``grad``; the state slots are updated in place, through ``out=``
@@ -65,7 +67,7 @@ from functools import cached_property
 import numpy as np
 
 from .numerics import DivergenceError
-from .schedules import HalfLifeLinearWarmup, LinearWarmup, decay, finite_number, step_count
+from .schedules import HalfLifeLinearWarmup, LinearWarmup, decay, finite_number, typed
 
 # A state of fewer elements steps inline on ``self``: one thread, one piece,
 # no copy. Measured on 2 CPUs (2 MiB of L2 each), where starting and joining
@@ -85,18 +87,6 @@ def _ema(buf: np.ndarray, beta: float, grad: np.ndarray, tmp: np.ndarray) -> Non
     """``buf <- beta*buf + (1-beta)*grad`` in place, ``tmp`` as scratch (it may be ``grad``)."""
     np.multiply(beta, buf, out=buf)
     buf += np.multiply(1.0 - beta, grad, out=tmp)
-
-
-def _typed(name: str, value, default):
-    """``value`` typed like ``default``: a step count for an int, a tuple of
-    finite numbers (from a list, a tuple or one number) for a tuple, else a
-    finite number; ``None`` stays where it is the default."""
-    if type(default) is int:
-        return step_count(name, value)
-    if type(default) is tuple:
-        items = value if isinstance(value, (list, tuple)) else [value]
-        return tuple(finite_number(name, v) for v in items)
-    return None if value is None is default else finite_number(name, value)
 
 
 class Optimizer:
@@ -123,16 +113,16 @@ class Optimizer:
     slots = property(lambda self: self._block, doc="The slots as the rows of one array.")
 
     def __init__(self, dim, **kwargs):
-        """Set ``dim``, the step counter and every ``defaults`` key, then
-        allocate the slots; an unknown keyword is a ``TypeError``, a value of
-        the wrong type a ``ValueError``."""
+        """Set ``dim``, the step counter and every ``defaults`` key (each read
+        by :func:`~emx.schedules.typed`), then allocate the slots; an unknown
+        keyword is a ``TypeError``, a value of the wrong type a ``ValueError``."""
         unknown = kwargs.keys() - self.defaults.keys()
         if unknown:
             raise TypeError(f"{type(self).__name__}() got unexpected keywords {sorted(unknown)}")
         self.dim = int(dim)
         self.t = 0
         for name, default in self.defaults.items():
-            setattr(self, name, _typed(name, kwargs.get(name, default), default))
+            setattr(self, name, typed(name, kwargs.get(name, default), default))
         self._bind(np.zeros((len(self.slot_names), self.dim)))
 
     def hyper(self) -> dict:

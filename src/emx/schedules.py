@@ -39,21 +39,39 @@ def t_half_inverse(t: float) -> float:
     return 0.5 ** (1.0 / (t + 1.0))
 
 
-def step_count(name: str, value) -> int:
-    """A horizon as an int: a whole number, from Python or numpy. A bool, text
-    or a fractional or non-finite number is a ``ValueError`` naming ``name``."""
+def _real(value) -> float:
+    """``value`` as a float: nan if it is not a real number (a bool is not),
+    inf for an int beyond the float range."""
     real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-    if not real or not float(value).is_integer():
-        raise ValueError(f"{name} must be a whole number of steps, got {value!r}")
-    return int(value)
+    try:
+        return float(value) if real else math.nan
+    except OverflowError:
+        return math.inf
 
 
 def finite_number(name: str, value) -> float:
     """``value`` as a float: a finite real number, from Python or numpy. A
-    bool, text, a list or nan/inf is a ``ValueError`` naming ``name``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+    bool, text, a list, nan/inf or an int beyond the float range is a
+    ``ValueError`` naming ``name``."""
+    if not math.isfinite(number := _real(value)):
         raise ValueError(f"{name} must be a finite number, got {value!r}")
-    return float(value)
+    return number
+
+
+def typed(name: str, value, default):
+    """``value`` typed like ``default``: the one reader of a value that a kind
+    declares by its default. An int default takes a whole number of steps
+    (``3.0`` included), a tuple default finite numbers (a list, a tuple or
+    one number) and a float default a :func:`finite_number`; ``None`` stays
+    where it is the default. Anything else is a ``ValueError`` naming ``name``."""
+    if type(default) is tuple:
+        items = value if isinstance(value, (list, tuple)) else [value]
+        return tuple(finite_number(name, v) for v in items)
+    if type(default) is not int:
+        return None if value is None is default else finite_number(name, value)
+    if not _real(value).is_integer():
+        raise ValueError(f"{name} must be a whole number of steps, got {value!r}")
+    return int(value)
 
 
 def integer(name: str, value, low: int = 0, high: int | None = None) -> int:

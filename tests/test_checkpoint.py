@@ -1,5 +1,7 @@
 import hashlib
 import struct
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -351,6 +353,52 @@ class TestRestoreErrors:
             ck.hyper["sched_offset"] = ok
             assert restore_optimizer(ck).sched_offset == int(ok)
 
+    @pytest.mark.parametrize("key", ["alpha", "beta3", "t_alpha", "sched_offset"])
+    @pytest.mark.parametrize("text", ["9" * 400, "-" + "9" * 400], ids=["400 nines", "-400 nines"])
+    def test_an_integer_beyond_the_float_range_names_its_key(self, key, text):
+        ck = self._checkpoint("ademamix")
+        ck.hyper[key] = text
+        with pytest.raises(CheckpointFormatError, match=f"{key} must be "):
+            restore_optimizer(ck)
+
+    def test_an_integer_of_5000_digits_is_refused(self):
+        ck = self._checkpoint("ademamix")
+        ck.hyper["t_alpha"] = "9" * 5000  # beyond the digits Python converts
+        with pytest.raises(CheckpointFormatError, match="invalid ademamix hyperparameters"):
+            restore_optimizer(ck)
+
+    @pytest.mark.parametrize("betas", [1000, 100_000])
+    def test_many_betas_and_one_slot_are_refused_before_a_block(self, betas):
+        """The kind's slots are checked before anything the size of a slot is
+        allocated: the traced peak of a refused restore does not grow with
+        the slot's length, where a state built at full dim asks for ``betas x
+        dim`` floats."""
+        peaks = []
+        for dim in (1000, 100_000):
+            ck = load_state(_assemble({"m0": np.zeros(dim)},
+                                      {"variant": "aggmo", "betas": ",".join(["0.5"] * betas)}, 0))
+            tracemalloc.start()
+            try:
+                with pytest.raises(CheckpointFormatError, match="^missing state slot 'm1'$"):
+                    restore_optimizer(ck)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) < 8 * 1000  # less than the smaller slot
+        assert max(peaks) < 400 * betas  # the parsed betas, the slot names and their rows
+
+    def test_a_valid_restore_allocates_one_block(self):
+        dim = 100_000
+        ck = load_state(save_state(AdEMAMix(dim)))
+        tracemalloc.start()
+        try:
+            opt = restore_optimizer(ck)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert opt.slots.shape == (3, dim) and opt.slots.flags.c_contiguous
+        assert 3 * 8 * dim <= peak < 3 * 8 * dim + (64 << 10)
+
     def test_fast_buffer_required_when_beta1_nonzero(self):
         ck = self._checkpoint("ademamix")
         del ck.slots["m1"]
@@ -386,6 +434,7 @@ HOSTILE_TEXT = st.one_of(
     st.sampled_from([
         "", "nan", "inf", "-inf", "-1", "0", "1", "0.5", "1.5", "1e400", "9" * 5000, "abc",
         "0.5,x", ",", "0.9,0.9", "0.5," * 300, "none", " 1", "1_0", "-0", "18446744073709551616",
+        "9" * 400, "-" + "9" * 400, "1" + "0" * 4999, "0.5," + "9" * 400,
     ]),
     st.text(max_size=12),
 )
@@ -427,6 +476,16 @@ class TestHyperText:
         assert line in blob
         assert restore_optimizer(load_state(blob)).betas == opt.betas
 
+    @pytest.mark.parametrize("key,text,value", [("t_alpha", "1e2", 100), ("t_alpha", "100.0", 100),
+                                                ("beta_start", "none", 0.9),
+                                                ("alpha", "5", 5.0)])
+    def test_text_is_read_with_the_config_grammar(self, key, text, value):
+        # config files accept these texts for these keys, and so does restore
+        ck = load_state(VALID["ademamix"])
+        ck.hyper[key] = text
+        got = getattr(restore_optimizer(ck), key)
+        assert type(got) is type(value) and got == value
+
     @pytest.mark.parametrize("kind", sorted(VALID))
     def test_restore_builds_one_state(self, kind, monkeypatch):
         built = []
@@ -438,7 +497,8 @@ class TestHyperText:
 
         monkeypatch.setattr(optimizers.Optimizer, "__init__", counting)
         restored = restore_optimizer(load_state(VALID[kind]))
-        assert built == [3] and restored.dim == 3
+        # built at dim 0, then given the checkpoint's slots as its block
+        assert built == [0] and restored.dim == 3 and restored.slots.shape[1:] == (3,)
 
 
 class TestLoadFuzz:
@@ -485,3 +545,38 @@ class TestLoadFuzz:
                 ck.slots[name] = np.zeros(data.draw(st.integers(0, 5), label=name))
             ck.step = data.draw(st.integers(0, 2**64 - 1), label="step")
         _load_and_restore(_assemble(ck.slots, ck.hyper, ck.step))
+
+
+# values for any hyperparameter: numbers in and out of range, huge ints, nan
+# and inf, bools, text, lists and numpy scalars
+ANY_VALUE = st.one_of(
+    st.floats(0.0, 0.99), st.integers(0, 50), st.integers(), st.floats(),
+    st.sampled_from([10**400, -(10**400), 2**1024, 2.0**1023, 3.0, None, "0.5", "", "none"]),
+    st.booleans(), st.text(max_size=6),
+    st.lists(st.one_of(st.floats(0.0, 0.99), st.integers(-2, 2), st.floats(), st.just(10**400)),
+             max_size=4),
+    st.tuples(st.floats(0.0, 0.99), st.floats(0.0, 0.99)),
+    st.floats(width=32).map(np.float32), st.floats(0.0, 0.99).map(np.float64),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64), st.sampled_from([np.True_, np.float16(6e4)]),
+)
+
+
+class TestOneReader:
+    """Every kind's constructor reads its keywords with ``schedules.typed``."""
+
+    @given(st.sampled_from(sorted(OPTIMIZERS)), st.data())
+    @settings(max_examples=500, deadline=None)
+    def test_any_value_is_typed_or_refused_and_what_is_typed_round_trips(self, kind, data):
+        cls = OPTIMIZERS[kind]
+        keys = data.draw(st.lists(st.sampled_from(sorted(cls.defaults)), unique=True), label="keys")
+        kwargs = {key: data.draw(ANY_VALUE, label=key) for key in keys}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an overflowing cast would warn
+            try:
+                opt = cls(2, **kwargs)
+            except (ValueError, TypeError):
+                return
+        restored = restore_optimizer(load_state(save_state(opt)))
+        assert {k: (type(v), v) for k, v in restored.hyper().items()} == {
+            k: (type(v), v) for k, v in opt.hyper().items()
+        }

@@ -2,6 +2,7 @@ import argparse
 import functools
 import json
 import os
+import struct
 import subprocess
 import sys
 
@@ -360,6 +361,22 @@ class TestCheckpointCommand:
         assert main(["run", toy_cfg_file, "--resume", str(ck)]) == 3
         assert "checkpoint error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["t_alpha", "alpha"])
+    def test_resume_of_an_integer_beyond_the_float_range_exits_3(self, key, toy_cfg_file,
+                                                                 tmp_path, capsys):
+        ck = tmp_path / "state.emx"
+        assert main(["checkpoint", "save", toy_cfg_file, "--at-step", "5", "--out", str(ck)]) == 0
+        blob = ck.read_bytes()
+        hyper = load_state(blob).hyper
+        text = "".join(f"{k}={v}\n" for k, v in hyper.items()).encode()
+        new = "".join(f"{k}={'9' * 400 if k == key else v}\n" for k, v in hyper.items()).encode()
+        start = blob.index(text)  # after the block's u32 byte length
+        ck.write_bytes(blob[:start - 4] + struct.pack("<I", len(new)) + new
+                       + blob[start + len(text):])
+        assert main(["run", toy_cfg_file, "--resume", str(ck)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"checkpoint error: invalid ademamix hyperparameters: {key} must be ")
+
     def test_resume_under_other_testbed_exits_3(self, toy_cfg_file, mlp_cfg_file, tmp_path, capsys):
         ck = tmp_path / "state.emx"
         main(["checkpoint", "save", toy_cfg_file, "--at-step", "5", "--out", str(ck)])
@@ -543,6 +560,29 @@ class TestOutputCheckedBeforeTheRun:
         assert main(argv) == 3
         assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{out}'\n"
         assert not out.parent.exists()
+
+    @pytest.mark.parametrize("argv,runner", [
+        (["run", "{cfg}", "--out", "{out}"], "run_experiment"),
+        (["sweep", "{cfg}", "--grid", "lr.value=0.001,0.0001", "--out", "{out}"], "run_sweep"),
+        (["toy", "rosenbrock", "--steps", "5", "--out", "{out}"], "run_experiment"),
+        (["checkpoint", "save", "{cfg}", "--at-step", "10", "--out", "{out}"], "Experiment.run"),
+    ], ids=["run", "sweep", "toy", "checkpoint save"])
+    def test_a_directory_exits_3_before_the_run(self, argv, runner, toy_cfg_file, tmp_path,
+                                                monkeypatch, capsys):
+        out = tmp_path / "a_directory"
+        out.mkdir()
+        owner, _, name = runner.rpartition(".")
+        monkeypatch.setattr(getattr(harness, owner) if owner else harness, name, _never)
+        assert main([a.format(cfg=toy_cfg_file, out=out) for a in argv]) == 3
+        assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{out}'\n"
+        assert list(out.iterdir()) == []
+
+    def test_analyze_ema_refuses_a_directory_before_it_computes(self, tmp_path, monkeypatch,
+                                                                capsys):
+        monkeypatch.setitem(PROFILES, "nested", functools.wraps(PROFILES["nested"])(_never))
+        assert main(["analyze-ema", "--kind", "nested", "--horizon", "10",
+                     "--out", str(tmp_path)]) == 3
+        assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
 
     def test_analyze_ema_checks_before_it_computes(self, tmp_path, monkeypatch, capsys):
         out = tmp_path / "missing" / "x.csv"

@@ -740,13 +740,13 @@ class TestLrScheduleConstruction:
     @pytest.mark.parametrize(
         "lines,match",
         [
-            ("lr.kind = constant", "'value'"),
+            ("lr.kind = constant", "^lr.value is required for lr.kind = constant$"),
             ("lr.kind = constant\nlr.value = abc", "abc"),
             ("lr.kind = constant\nlr.value = 1, 2", "bad lr schedule"),
             ("lr.kind = lr_warmup_cosine\nlr.eta_max = 0.1\nlr.warmup = 500\nlr.total = 300",
              "warmup"),
             ("lr.kind = lr_warmup_constant_linear_decay\nlr.eta_max = 0.1\nlr.decay_end = 9",
-             "'decay_start'"),
+             "^lr.decay_start is required for lr.kind = lr_warmup_constant_linear_decay$"),
         ],
     )
     def test_bad_parameters_are_config_errors(self, lines, match):

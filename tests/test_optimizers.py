@@ -1338,6 +1338,13 @@ class TestTypedConstructor:
         with pytest.raises(ValueError, match=f"^{key} must be a whole number of steps"):
             OPTIMIZERS[kind](2, **{key: value})
 
+    @pytest.mark.parametrize("value", [10**400, -(10**400)], ids=["10**400", "-10**400"])
+    @pytest.mark.parametrize("kind,key", FLOAT_KEYS + INT_KEYS + [("aggmo", "betas")])
+    def test_an_int_beyond_the_float_range_is_refused(self, kind, key, value):
+        what = "a whole number of steps" if (kind, key) in INT_KEYS else "a finite number"
+        with pytest.raises(ValueError, match=f"^{key} must be {what}, got "):
+            OPTIMIZERS[kind](2, **{key: [value] if key == "betas" else value})
+
     @pytest.mark.parametrize("kind,key", INT_KEYS)
     def test_int_key_takes_whole_numbers(self, kind, key):
         for value in (3, 3.0, np.int64(3), np.float64(3.0)):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,9 +13,11 @@ from emx.schedules import (
     WarmupConstantLinearDecay,
     WarmupCosineDecay,
     decay,
+    finite_number,
     integer,
     t_half,
     t_half_inverse,
+    typed,
 )
 
 # below 0.5 the most recent gradient alone already carries half the mass and
@@ -49,6 +52,68 @@ class TestReaders:
     def test_decay_refuses_the_rest(self, value):
         with pytest.raises(ValueError, match="^b must be "):
             decay("b", value)
+
+
+class TestTyped:
+    """``typed`` reads a value like its default; nothing else reaches a caller."""
+
+    @pytest.mark.parametrize("value", [3, 3.0, np.int64(3), np.float64(3.0), np.float32(3.0)])
+    def test_int_default_takes_a_whole_number(self, value):
+        assert typed("k", value, 0) == 3 and type(typed("k", value, 0)) is int
+
+    def test_int_default_keeps_a_large_int_exact(self):
+        assert typed("k", 2**60 + 1, 0) == 2**60 + 1
+
+    @pytest.mark.parametrize("value", [3.5, math.nan, math.inf, True, np.True_, "3", None, [3],
+                                       pytest.param(10**400, id="10**400"),
+                                       pytest.param(-(10**400), id="-10**400")])
+    def test_int_default_refuses_the_rest(self, value):
+        with pytest.raises(ValueError, match="^k must be a whole number of steps, got "):
+            typed("k", value, 0)
+
+    @pytest.mark.parametrize("default", [0.0, None])
+    @pytest.mark.parametrize("value", [math.nan, -math.inf, True, "0.5", [0.5],
+                                       pytest.param(10**400, id="10**400"),
+                                       pytest.param(-(10**400), id="-10**400"), np.float64("inf")])
+    def test_float_default_refuses_non_numbers(self, default, value):
+        with pytest.raises(ValueError, match="^k must be a finite number, got "):
+            typed("k", value, default)
+
+    def test_none_stays_only_where_it_is_the_default(self):
+        assert typed("k", None, None) is None
+        assert typed("k", 1, None) == 1.0 and type(typed("k", 1, None)) is float
+        with pytest.raises(ValueError, match="^k must be a finite number"):
+            typed("k", None, 0.0)
+
+    @pytest.mark.parametrize("value,expected", [([0.5, 1], (0.5, 1.0)), ((0.5,), (0.5,)),
+                                                (0.5, (0.5,)), (np.float32(0.5), (0.5,))])
+    def test_tuple_default_takes_finite_numbers(self, value, expected):
+        got = typed("k", value, (0.0,))
+        assert got == expected and all(type(v) is float for v in got)
+
+    @pytest.mark.parametrize("value", [pytest.param([0.5, 10**400], id="[0.5, 10**400]"),
+                                       "0.5,0.9", None, [0.5, None], True])
+    def test_tuple_default_refuses_the_rest(self, value):
+        with pytest.raises(ValueError, match="^k must be a finite number"):
+            typed("k", value, (0.0,))
+
+    @pytest.mark.parametrize("value", [np.float32(1e38), np.float16(6e4), np.float32("nan"),
+                                       np.float16("inf"), np.int64(2**62),
+                                       pytest.param(10**400, id="10**400")])
+    def test_numpy_and_huge_values_warn_nothing(self, value):
+        # a range check by comparison would cast float max to float32 and warn
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for default in (0, 0.0, (0.0,)):
+                try:
+                    typed("k", value, default)
+                except ValueError:
+                    pass
+
+    @pytest.mark.parametrize("reader", [finite_number, decay])
+    def test_an_int_beyond_the_float_range_is_a_value_error(self, reader):
+        with pytest.raises(ValueError, match="^b must be a finite number, got 1000"):
+            reader("b", 10**400)
 
 
 class TestTHalf:
