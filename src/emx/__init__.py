@@ -32,7 +32,6 @@ from .numerics import (
     DivergenceError,
     global_norm_clip,
     l2_norm,
-    make_rng,
     spawn_rng,
 )
 from .optimizers import (
@@ -60,9 +59,7 @@ from .testbeds import (
     finite_difference_grad,
     gradient_check,
     rosenbrock,
-    rosenbrock_testbed,
     sharp_valley,
-    sharp_valley_testbed,
 )
 
 __version__ = "0.1.0"

@@ -187,10 +187,17 @@ def restore_optimizer(ck: CheckpointData):
     cls = optimizers.OPTIMIZERS.get(variant)
     if cls is None:
         raise CheckpointFormatError(f"unknown optimizer variant {variant!r}")
+
+    def value(key):
+        try:
+            return _parse_value(ck.hyper[key])
+        except ValueError as exc:  # an int of more digits than Python converts
+            raise ValueError(f"{key}: {exc}") from None
+
     try:
-        opt = cls(0, **{key: _parse_value(ck.hyper[key]) for key in cls.defaults})
+        opt = cls(0, **{key: value(key) for key in cls.defaults})
         for key in opt.hyper_state:
-            setattr(opt, key, integer(key, _parse_value(ck.hyper[key]), 0, ck.step))
+            setattr(opt, key, integer(key, value(key), 0, ck.step))
     except KeyError as exc:
         raise CheckpointFormatError(f"missing hyper key {exc.args[0]!r}") from exc
     except ValueError as exc:  # text that is not a number, or a value the kind refuses

@@ -18,6 +18,7 @@ import errno
 import inspect
 import os
 import sys
+from pathlib import Path
 from typing import get_args, get_type_hints
 
 from . import harness
@@ -67,11 +68,6 @@ def _emit(text: str, path: str | None) -> None:
         harness.write_text(path, text)
 
 
-def _emit_record(record, path: str | None, jsonl: bool) -> None:
-    text = harness.format_record_jsonl(record) if jsonl else harness.format_record_csv(record)
-    _emit(text, path)
-
-
 def _record_exit(record) -> int:
     if record.diverged:
         print(f"diverged at step {record.diverged_step}", file=sys.stderr)
@@ -79,16 +75,21 @@ def _record_exit(record) -> int:
     return EXIT_OK
 
 
-def _cmd_run(args) -> int:
-    cfg = _apply_env_seed(load_config(args.config))
-    _check_out(args.out or cfg.out)
-    resume = None
-    if args.resume:
-        with open(args.resume, "rb") as fh:
-            resume = load_state(fh.read())
+def _run(cfg: ExperimentConfig, args) -> int:
+    """The body of ``run`` and ``toy``: run ``cfg`` (from ``--resume`` if
+    given) and emit its record to ``--out``, ``run.out`` or stdout."""
+    cfg = _apply_env_seed(cfg)
+    out = args.out or cfg.out
+    _check_out(out)
+    resume = load_state(Path(args.resume).read_bytes()) if args.resume else None
     record = harness.run_experiment(cfg, resume_from=resume)
-    _emit_record(record, args.out or cfg.out, args.jsonl)
+    text = harness.format_record_jsonl(record) if args.jsonl else harness.format_record_csv(record)
+    _emit(text, out)
     return _record_exit(record)
+
+
+def _cmd_run(args) -> int:
+    return _run(load_config(args.config), args)
 
 
 def _parse_grid(specs) -> dict:
@@ -131,22 +132,19 @@ def _toy_config(args) -> ExperimentConfig:
 
 
 def _cmd_toy(args) -> int:
-    cfg = _apply_env_seed(_toy_config(args))
-    _check_out(args.out)
-    record = harness.run_experiment(cfg)
-    _emit_record(record, args.out, args.jsonl)
-    return _record_exit(record)
+    return _run(_toy_config(args), args)
 
 
 def _cmd_analyze_ema(args) -> int:
     profile = PROFILES[args.kind]
     params = inspect.signature(profile).parameters
-    for name in args.given:
+    given = {k.removeprefix("profile."): v for k, v in vars(args).items() if k.startswith("profile.")}
+    for name in given:  # in command-line order
         if name not in params:
             raise ConfigError(f"--{name.replace('_', '-')} is not a parameter of --kind {args.kind}")
     _check_out(args.out)
     try:
-        weights = profile(**{n: getattr(args, n) for n in params})
+        weights = profile(**given)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     _emit(harness.format_series_csv(enumerate(weights), ("age", "weight")), args.out)
@@ -185,12 +183,10 @@ def _cmd_checkpoint(args) -> int:
         record = exp.run(until=args.at_step)
         if record.diverged:
             return _record_exit(record)
-        with open(args.out, "wb") as fh:
-            fh.write(exp.checkpoint())
+        Path(args.out).write_bytes(exp.checkpoint())
         return EXIT_OK
     # load: print a summary for inspection
-    with open(args.file, "rb") as fh:
-        ck = load_state(fh.read())
+    ck = load_state(Path(args.file).read_bytes())
     print(f"variant: {ck.hyper.get('variant')}")
     print(f"step: {ck.step}")
     for name in sorted(ck.slots):
@@ -201,19 +197,11 @@ def _cmd_checkpoint(args) -> int:
     return EXIT_OK
 
 
-class _Given(argparse.Action):
-    """Stores a flag's value (a switch's with ``nargs=0``) and notes the flag in ``given``."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        setattr(namespace, self.dest, True if self.nargs == 0 else values)
-        namespace.given = (*namespace.given, self.dest)
-
-
 def _add_profile_flags(parser: argparse.ArgumentParser) -> None:
-    """One flag per parameter of the ``PROFILES`` functions: its default is the
-    keyword default, its type the annotation (``X | None`` reads as ``X``, and
-    a ``bool`` is a switch). The flags given are noted in ``args.given``."""
-    parser.set_defaults(given=())
+    """One flag per parameter of the ``PROFILES`` functions: its type is the
+    annotation (``X | None`` reads as ``X``, and a ``bool`` is a switch), and
+    its help shows the keyword default. A flag given is ``profile.<name>`` in
+    ``args``; one not given is absent, so the profile's default applies."""
     params = {}  # name -> (default, annotation, the kinds that take it)
     for kind, profile in PROFILES.items():
         hints = get_type_hints(profile)
@@ -221,9 +209,10 @@ def _add_profile_flags(parser: argparse.ArgumentParser) -> None:
             params.setdefault(name, (param.default, hints[name], []))[2].append(kind)
     for name, (default, hint, kinds) in params.items():
         hint = next(t for t in get_args(hint) or [hint] if t is not type(None))
-        how = {"nargs": 0} if hint is bool else {"type": hint}
-        parser.add_argument("--" + name.replace("_", "-"), dest=name, default=default, action=_Given,
-                            help=f"for {', '.join(kinds)} (default: {default})", **how)
+        how = {"action": "store_true"} if hint is bool else {"type": hint, "metavar": name.upper()}
+        parser.add_argument("--" + name.replace("_", "-"), dest="profile." + name,
+                            default=argparse.SUPPRESS, **how,
+                            help=f"for {', '.join(kinds)} (default: {default})")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -270,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
         p_toy.add_argument("--" + key, dest=f"run.{key}", metavar=key.upper(), type=kind)
     p_toy.add_argument("--out")
     p_toy.add_argument("--jsonl", action="store_true")
-    p_toy.set_defaults(fn=_cmd_toy)
+    p_toy.set_defaults(fn=_cmd_toy, resume=None)
 
     p_ema = sub.add_parser("analyze-ema", help="emit a gradient-age weight profile as CSV")
     p_ema.add_argument("--kind", required=True, choices=list(PROFILES))

@@ -47,7 +47,6 @@ class ConfigError(Exception):
     """Invalid experiment configuration (reported before any step runs)."""
 
 
-LR_KINDS = tuple(LR_SCHEDULES)
 # the normalized forgetting curve runs from t_b - 1 to this many steps after t_b
 FORGET_SPAN = 50
 

@@ -24,6 +24,7 @@ from .config import (
     FORGET_SPAN,
     ConfigError,
     ExperimentConfig,
+    _format_value,
     check_sweepable,
     shared_text,
     with_values,
@@ -469,9 +470,15 @@ def format_record_jsonl(record: RunRecord) -> str:
 
 
 def format_sweep_csv(result: SweepResult) -> str:
+    """One row per grid point, sorted as :meth:`SweepResult.summary`; a list
+    value (``testbed.hidden``) is its config text in double quotes, one field."""
     keys = list(result.entries[0].overrides) if result.entries else []
+
+    def cell(value):
+        return f'"{_format_value(value)}"' if isinstance(value, (list, tuple)) else value
+
     rows = (
-        (e.index, *[e.overrides[k] for k in keys], e.final_loss, e.best_loss,
+        (e.index, *[cell(e.overrides[k]) for k in keys], e.final_loss, e.best_loss,
          "true" if e.diverged else "false")
         for e in result.summary()
     )

@@ -134,13 +134,9 @@ def global_norm_clip(g: np.ndarray, max_norm: float) -> np.ndarray:
     return clipped
 
 
-def make_rng(seed: int) -> np.random.Generator:
-    """Counter-based generator; the same seed gives the same stream anywhere."""
-    return spawn_rng(seed)
-
-
 def spawn_rng(seed: int, *key: int) -> np.random.Generator:
-    """Independent stream for (seed, key), e.g. one per training step."""
+    """Independent stream for (seed, key), e.g. one per training step; the
+    same (seed, key) gives the same stream anywhere."""
     return np.random.Generator(
         np.random.Philox(np.random.SeedSequence(seed, spawn_key=key))
     )

@@ -67,7 +67,7 @@ from functools import cached_property
 import numpy as np
 
 from .numerics import DivergenceError
-from .schedules import HalfLifeLinearWarmup, LinearWarmup, decay, finite_number, typed
+from .schedules import HalfLifeLinearWarmup, LinearWarmup, _shown, decay, finite_number, typed
 
 # A state of fewer elements steps inline on ``self``: one thread, one piece,
 # no copy. Measured on 2 CPUs (2 MiB of L2 each), where starting and joining
@@ -537,7 +537,7 @@ def preseed_momentum(opt, m_init) -> None:
     try:
         values = [finite_number("preseed", v) for v in m_init]
     except (TypeError, ValueError):  # not iterable, or an item that is not a finite number
-        raise ValueError(f"preseed must be finite numbers, got {m_init!r}") from None
+        raise ValueError(f"preseed must be finite numbers, got {_shown(m_init)}") from None
     if len(values) != opt.dim:
         raise ValueError(f"preseed length {len(values)} does not match dim {opt.dim}")
     if opt.t != 0:

@@ -39,6 +39,17 @@ def t_half_inverse(t: float) -> float:
     return 0.5 ** (1.0 / (t + 1.0))
 
 
+def _shown(value) -> str:
+    """``repr(value)`` for a message; an int with more digits than Python
+    will print shows its size in bits instead."""
+    try:
+        return repr(value)
+    except ValueError:  # beyond sys.get_int_max_str_digits()
+        if isinstance(value, int):
+            return f"an integer of {value.bit_length()} bits"
+        return f"a {type(value).__name__} holding an integer too long to print"
+
+
 def _real(value) -> float:
     """``value`` as a float: nan if it is not a real number (a bool is not),
     inf for an int beyond the float range."""
@@ -54,7 +65,7 @@ def finite_number(name: str, value) -> float:
     bool, text, a list, nan/inf or an int beyond the float range is a
     ``ValueError`` naming ``name``."""
     if not math.isfinite(number := _real(value)):
-        raise ValueError(f"{name} must be a finite number, got {value!r}")
+        raise ValueError(f"{name} must be a finite number, got {_shown(value)}")
     return number
 
 
@@ -70,7 +81,7 @@ def typed(name: str, value, default):
     if type(default) is not int:
         return None if value is None is default else finite_number(name, value)
     if not _real(value).is_integer():
-        raise ValueError(f"{name} must be a whole number of steps, got {value!r}")
+        raise ValueError(f"{name} must be a whole number of steps, got {_shown(value)}")
     return int(value)
 
 
@@ -81,7 +92,7 @@ def integer(name: str, value, low: int = 0, high: int | None = None) -> int:
     whole = isinstance(value, numbers.Integral) and not isinstance(value, bool)
     if not whole or value < low or high is not None and value > high:
         bound = f">= {low}" if high is None else f"in [{low}, {high}]"
-        raise ValueError(f"{name} must be {bound} (an integer), got {value!r}")
+        raise ValueError(f"{name} must be {bound} (an integer), got {_shown(value)}")
     return int(value)
 
 

@@ -100,14 +100,6 @@ class AnalyticTestbed:
         return self._fn(theta)
 
 
-def rosenbrock_testbed() -> AnalyticTestbed:
-    return AnalyticTestbed(rosenbrock, (1.0, 1.0))
-
-
-def sharp_valley_testbed() -> AnalyticTestbed:
-    return AnalyticTestbed(sharp_valley, (1.0, 4.0))
-
-
 class TinyMlp:
     """Fully-connected tanh network with parameters in one flat vector.
 
@@ -245,11 +237,11 @@ class SyntheticDataset:
 
 
 def _rosenbrock(seed, x0=(-3.0, 5.0)):
-    return rosenbrock_testbed(), None, np.asarray(x0, dtype=np.float64)
+    return AnalyticTestbed(rosenbrock, (1.0, 1.0)), None, np.asarray(x0, dtype=np.float64)
 
 
 def _valley(seed, x0=(0.3, 1.5)):
-    return sharp_valley_testbed(), None, np.asarray(x0, dtype=np.float64)
+    return AnalyticTestbed(sharp_valley, (1.0, 4.0)), None, np.asarray(x0, dtype=np.float64)
 
 
 def _mlp(seed, input_dim=16, hidden=(64, 64), batch_size=32, noise=0.05, eval_size=256):

@@ -12,7 +12,7 @@ import numpy as np
 from emx.checkpoint import load_state, restore_optimizer, save_state
 from emx.config import parse_config
 from emx.harness import Experiment, format_record_csv, run_experiment, run_forgetting_protocol
-from emx.numerics import make_rng
+from emx.numerics import spawn_rng
 from emx.optimizers import (
     Ad3EMAMix,
     AdamW,
@@ -29,12 +29,11 @@ from emx.schedules import (
     t_half,
 )
 from emx.testbeds import (
+    TESTBEDS,
     TinyMlp,
     gradient_check,
     rosenbrock,
-    rosenbrock_testbed,
     sharp_valley,
-    sharp_valley_testbed,
 )
 
 
@@ -241,8 +240,8 @@ def test_criterion_06_preseeded_momentum_toy():
 
 def test_criterion_07_gradient_verification():
     ok = True
-    rng = make_rng(2024)
-    for bed in (rosenbrock_testbed(), sharp_valley_testbed()):
+    rng = spawn_rng(2024)
+    for bed in (TESTBEDS["rosenbrock"](0)[0], TESTBEDS["valley"](0)[0]):
         for _ in range(20):
             theta = rng.uniform(-3, 3, size=2)
             ok = ok and gradient_check(bed, theta) <= 1e-6
@@ -361,7 +360,7 @@ def test_criterion_10_nested_ema_constants():
 
 def test_criterion_11_determinism_and_persistence():
     # checkpoint round-trips, bitwise, for every optimizer variant
-    rng = make_rng(3)
+    rng = spawn_rng(3)
     round_trip_ok = True
     for opt in (
         AdamW(4), AdEMAMix(4, beta3=0.999, alpha=3.0), AdEMAMix(4, beta1=0.0),

@@ -2,6 +2,7 @@ import argparse
 import functools
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -654,27 +655,41 @@ class TestAnalyzeEmaInterface:
     """The ``analyze-ema`` flags, their types and defaults, and its output bytes."""
 
     def test_flags_types_and_defaults(self):
+        """Each flag's option strings, dest, type, whether it is a switch, and
+        the default its help shows. A profile flag has no argparse default, so
+        one not given is absent from ``args`` and the profile's own default
+        applies (``test_csv_bytes`` with no flags)."""
         from emx.cli import build_parser
 
         p_ema = _subparser(build_parser(), "analyze-ema")
-        flags = {
-            " ".join(a.option_strings): (a.dest, a.type, a.default, a.nargs == 0)
-            for a in p_ema._actions
-        }
+        flags = {}
+        for a in p_ema._actions:
+            shown = re.fullmatch(r"for [a-z, ]+ \(default: (.*)\)", a.help or "")
+            flags[" ".join(a.option_strings)] = (a.dest, a.type, a.nargs == 0, shown and shown[1])
         assert flags == {
-            "-h --help": ("help", None, argparse.SUPPRESS, True),
-            "--kind": ("kind", None, None, False),
-            "--horizon": ("horizon", int, 10000, False),
-            "--beta": ("beta", float, 0.9, False),
-            "--beta1": ("beta1", float, 0.9, False),
-            "--beta3": ("beta3", float, 0.9999, False),
-            "--alpha": ("alpha", float, 5.0, False),
-            "--beta-inner": ("beta_inner", float, 0.9, False),
-            "--beta-outer": ("beta_outer", float, 0.9, False),
-            "--window": ("window", int, None, False),
-            "--normalized": ("normalized", None, False, True),
-            "--out": ("out", None, None, False),
+            "-h --help": ("help", None, True, None),
+            "--kind": ("kind", None, False, None),
+            "--horizon": ("profile.horizon", int, False, "10000"),
+            "--beta": ("profile.beta", float, False, "0.9"),
+            "--beta1": ("profile.beta1", float, False, "0.9"),
+            "--beta3": ("profile.beta3", float, False, "0.9999"),
+            "--alpha": ("profile.alpha", float, False, "5.0"),
+            "--beta-inner": ("profile.beta_inner", float, False, "0.9"),
+            "--beta-outer": ("profile.beta_outer", float, False, "0.9"),
+            "--window": ("profile.window", int, False, "None"),
+            "--normalized": ("profile.normalized", None, True, "False"),
+            "--out": ("out", None, False, None),
         }
+        assert all(a.default is argparse.SUPPRESS for a in p_ema._actions
+                   if a.dest.startswith("profile."))
+
+        def given(*argv):
+            args = vars(p_ema.parse_args(["--kind", "mixture", *argv]))
+            return {k: v for k, v in args.items() if k.startswith("profile.")}
+
+        assert given() == {}
+        assert given("--normalized", "--horizon", "7") == {
+            "profile.normalized": True, "profile.horizon": 7}
         kind = next(a for a in p_ema._actions if a.dest == "kind")
         assert kind.required
         assert list(kind.choices) == ["single", "mixture", "nested", "dema"]

@@ -13,7 +13,6 @@ from emx.config import (
     _LR_KEYS,
     _OPTIMIZER_KEYS,
     _TESTBED_KEYS,
-    LR_KINDS,
     ConfigError,
     ExperimentConfig,
     _format_value,
@@ -24,6 +23,7 @@ from emx.config import (
 )
 from emx.harness import Experiment, _build_lr_schedule, format_record_csv
 from emx.optimizers import OPTIMIZERS, SWITCHES
+from emx.schedules import LR_SCHEDULES
 from emx.testbeds import TESTBEDS
 
 TOY_TEXT = """
@@ -250,7 +250,7 @@ LR_KEYS_BEFORE_REGISTRY = {
 class TestLrKeys:
     def test_accepted_keys_unchanged(self):
         assert _LR_KEYS == LR_KEYS_BEFORE_REGISTRY
-        assert LR_KINDS == tuple(LR_KEYS_BEFORE_REGISTRY)
+        assert tuple(LR_SCHEDULES) == tuple(LR_KEYS_BEFORE_REGISTRY)
 
     def test_unknown_lr_kind_message_lists_the_kinds(self):
         with pytest.raises(ConfigError, match=r"lr.kind must be one of \('constant', "):
@@ -442,7 +442,7 @@ def valid_sections(draw):
     """Section views that :func:`config_from_sections` accepts."""
     testbed = draw(st.sampled_from(["rosenbrock", "valley", "mlp"]))
     kind = draw(st.sampled_from(sorted(OPTIMIZERS)))
-    lr_kind = draw(st.sampled_from(LR_KINDS))
+    lr_kind = draw(st.sampled_from(list(LR_SCHEDULES)))
     steps = draw(st.integers(min_value=0, max_value=5000))
 
     def params(keys):

@@ -28,7 +28,7 @@ from emx.harness import (
     run_experiment,
     run_forgetting_protocol,
 )
-from emx.numerics import make_rng
+from emx.numerics import spawn_rng
 from emx.optimizers import (
     Ad3EMAMix,
     AdamW,
@@ -141,7 +141,7 @@ def _direct_states(out):
         "ad3emamix_beta1_zero": lambda: Ad3EMAMix(dim, beta1=0.0, beta3=0.99, alpha=1.5),
     }
     for name, factory in factories.items():
-        rng = make_rng(11)
+        rng = spawn_rng(11)
         opt = factory()
         theta = rng.standard_normal(dim)
         for _ in range(5):
@@ -159,7 +159,7 @@ def _direct_states(out):
         ("ademamix", AdEMAMix(dim, beta3=0.999, alpha=5.0), ()),
         ("ad3emamix", Ad3EMAMix(dim, beta3=0.99, beta4=0.999), (0.995,)),
     ):
-        rng = make_rng(12)
+        rng = spawn_rng(12)
         theta = rng.standard_normal(dim)
         for t in range(1, 6):
             theta = opt.step(theta, rng.standard_normal(dim), 1e-2, 0.5 * t, 0.9 + 0.01 * t, *extra)
@@ -169,7 +169,7 @@ def _direct_states(out):
         ("convex", AdEMAMix(dim, beta3=0.999, alpha=5.0)),
         ("convex_lean", AdEMAMix(dim, beta1=0.0, beta3=0.999, alpha=5.0)),
     ):
-        rng = make_rng(13)
+        rng = spawn_rng(13)
         theta = rng.standard_normal(dim)
         for t in range(1, 6):
             theta = opt.step_convex(theta, rng.standard_normal(dim), 6e-2, 5.0 / 6.0, 0.99)
@@ -189,7 +189,7 @@ def _direct_states(out):
         out[f"state.signed_zero.{name}"] = save_state(opt, extra_slots={"theta": theta})
 
     # direct switches carry the fast EMA and the second moment
-    rng = make_rng(14)
+    rng = spawn_rng(14)
     opt = AdamW(dim, weight_decay=0.01)
     theta = rng.standard_normal(dim)
     for _ in range(4):
@@ -364,9 +364,9 @@ import hashlib, sys
 import numpy as np
 from emx.config import parse_config
 from emx.harness import format_record_csv, run_experiment
-from emx.numerics import l2_norm, make_rng, row_norms
+from emx.numerics import l2_norm, row_norms, spawn_rng
 csv = format_record_csv(run_experiment(parse_config(sys.stdin.read())))
-rows = make_rng(9).standard_normal((2, 200_007))
+rows = spawn_rng(9).standard_normal((2, 200_007))
 norms = [l2_norm(rows[0]), l2_norm(rows[1, ::2]), *row_norms(rows), *row_norms(rows[:, ::2])]
 print(hashlib.sha256(csv.encode()).hexdigest(), np.array(norms).tobytes().hex())
 """

@@ -1,4 +1,6 @@
 import copy
+import csv
+import io
 import math
 import re
 
@@ -6,7 +8,7 @@ import numpy as np
 import pytest
 
 from emx.checkpoint import load_state
-from emx.config import ConfigError, format_config, parse_config
+from emx.config import ConfigError, _parse_value, format_config, parse_config
 from emx.harness import (
     RECORD_COLUMNS,
     Experiment,
@@ -520,6 +522,15 @@ class TestEmission:
         python_grid = run_sweep(toy_config(steps=10), {"lr.value": [0.001, 0.002]})
         text = format_sweep_csv(numpy_grid)
         assert "np." not in text and text == format_sweep_csv(python_grid)
+
+    @pytest.mark.parametrize("cfg,key,values", [
+        (mlp_config(steps=3), "testbed.hidden", [[8, 8], [16, 4, 4]]),
+        (toy_config(steps=3), "testbed.x0", [(-3.0, 5.0), [0.5, 1]]),
+    ], ids=["hidden", "x0"])
+    def test_a_list_cell_is_one_quoted_field_of_config_text(self, cfg, key, values):
+        rows = list(csv.reader(io.StringIO(format_sweep_csv(run_sweep(cfg, {key: values})))))
+        assert [len(row) for row in rows] == [5] * 3 and rows[0][1] == key
+        assert sorted(_parse_value(row[1]) for row in rows[1:]) == sorted(map(list, values))
 
 
 def kind_config(kind, optimizer_lines="", steps=100, extra=""):

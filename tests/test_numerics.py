@@ -13,7 +13,6 @@ from emx.numerics import (
     finite_rows,
     global_norm_clip,
     l2_norm,
-    make_rng,
     row_norms,
     spawn_rng,
 )
@@ -145,7 +144,7 @@ class TestRowNorms:
     @pytest.mark.parametrize("strided", [False, True])
     def test_rows_wider_than_a_threaded_ddot(self, strided):
         # OpenBLAS threads a ddot above 10000 elements
-        a = make_rng(8).standard_normal((3, 2 * 10007 if strided else 10007)) * 1e150
+        a = spawn_rng(8).standard_normal((3, 2 * 10007 if strided else 10007)) * 1e150
         a[1, 4] = 1e200
         a[2, -2] = np.nan
         rows = a[:, ::2] if strided else a
@@ -159,12 +158,12 @@ class TestRowNorms:
     def test_one_chunk_is_one_ddot(self, n):
         # below OpenBLAS's 10000-element threading cutoff, with the bits the norms always had
         assert DOT_CHUNK <= 10000
-        x = make_rng(n).standard_normal(n)
+        x = spawn_rng(n).standard_normal(n)
         assert l2_norm(x) == math.sqrt(np.vdot(x, x)) == row_norms(x[np.newaxis])[0]
 
     @pytest.mark.parametrize("n", [DOT_CHUNK + 1, 2 * DOT_CHUNK, 3 * DOT_CHUNK + 5])
     def test_chunks_sum_in_order(self, n):
-        rows = make_rng(n).standard_normal((2, n))
+        rows = spawn_rng(n).standard_normal((2, n))
         rows[1, -1] = 1e200  # the last chunk overflows, quietly
         square = 0.0
         for lo in range(0, n, DOT_CHUNK):
@@ -186,7 +185,7 @@ class TestRowNorms:
     )
     @settings(max_examples=150, deadline=None)
     def test_a_stack_has_the_bits_of_its_arrays(self, s, k, dim, strided, seed, hostile):
-        a = make_rng(seed).standard_normal((s, k, 2 * dim if strided else dim))
+        a = spawn_rng(seed).standard_normal((s, k, 2 * dim if strided else dim))
         for at, value in hostile:
             if a.size:
                 a.flat[at % a.size] = value
@@ -232,13 +231,13 @@ class TestFiniteRows:
 
 class TestRng:
     def test_same_seed_same_stream(self):
-        a = make_rng(1234).standard_normal(10_000)
-        b = make_rng(1234).standard_normal(10_000)
+        a = spawn_rng(1234).standard_normal(10_000)
+        b = spawn_rng(1234).standard_normal(10_000)
         assert np.array_equal(a, b)
 
     def test_different_seeds_differ(self):
-        a = make_rng(1).standard_normal(100)
-        b = make_rng(2).standard_normal(100)
+        a = spawn_rng(1).standard_normal(100)
+        b = spawn_rng(2).standard_normal(100)
         assert not np.array_equal(a, b)
 
     def test_spawned_streams_are_deterministic_and_distinct(self):

@@ -16,7 +16,7 @@ from emx import optimizers
 from emx.checkpoint import MAGIC, VERSION, load_state, restore_optimizer, save_state
 from emx.config import _format_scalar, parse_config
 from emx.harness import Experiment
-from emx.numerics import DivergenceError, finite_rows, make_rng
+from emx.numerics import DivergenceError, finite_rows, spawn_rng
 from emx.optimizers import (
     BLOCK,
     OPTIMIZERS,
@@ -294,7 +294,7 @@ class TestWeightDecay:
 
 class TestSecondMomentNonNegative:
     def test_nu_stays_nonnegative(self):
-        rng = make_rng(11)
+        rng = spawn_rng(11)
         for opt in (AdamW(4), AdEMAMix(4), Ad3EMAMix(4)):
             theta = rng.standard_normal(4)
             for _ in range(50):
@@ -405,7 +405,8 @@ class TestPreseed:
         with pytest.raises(ValueError):
             preseed_momentum(opt, np.zeros(2))
 
-    @pytest.mark.parametrize("values", [[np.nan, 0.0], [0.0, np.inf], ["a", "b"], [True, False]])
+    @pytest.mark.parametrize("values", [[np.nan, 0.0], [0.0, np.inf], ["a", "b"], [True, False],
+                                        pytest.param([0.0, 10**5000], id="10**5000")])
     def test_preseed_refuses_non_finite_values(self, values):
         opt = AdamW(2)
         with pytest.raises(ValueError, match="^preseed must be finite numbers"):
@@ -737,7 +738,7 @@ class TestInPlaceKernels:
     def test_result_is_a_fresh_array(self, kind):
         factory, method, _ = STEP_KINDS[kind]
         opt = factory(8)
-        rng = make_rng(21)
+        rng = spawn_rng(21)
         theta = rng.standard_normal(8)
         previous = []
         for _ in range(3):
@@ -816,7 +817,7 @@ class TestRows:
         factory, method, _ = STEP_KINDS[kind]
         flat, rows = factory(5), factory(5)
         rows.select_rows([0])
-        theta = make_rng(3).standard_normal(5)
+        theta = spawn_rng(3).standard_normal(5)
         flat_theta, rows_theta = theta, theta[np.newaxis]
         for _ in range(3):
             args = _step_args(kind, flat, None)
@@ -862,7 +863,7 @@ class TestSaveStateBytes:
     def test_bytes_equal_the_old_serializer(self, kind):
         factory, method, _ = STEP_KINDS[kind]
         opt = factory(7)
-        rng = make_rng(22)
+        rng = spawn_rng(22)
         theta = rng.standard_normal(7)
         step = getattr(opt, method)
         for _ in range(3):
@@ -924,7 +925,7 @@ class TestColumnSplit:
     LRS = [1e-3, 1e-2, 0.5]
 
     def _grads(self, shape, steps):
-        rng = make_rng(31)
+        rng = spawn_rng(31)
         grads = [rng.standard_normal(shape) for _ in range(steps)]
         # hostile values in the last step and columns only: the last range's last piece
         grads[-1][..., -4:] = [np.inf, np.nan, -0.0, 1e160]
@@ -935,7 +936,7 @@ class TestColumnSplit:
         assert self.DIM >= SPLIT_FLOOR and self.DIM % BLOCK and self.DIM > 3 * BLOCK
         factory, method, reference = STEP_KINDS[kind]
         opt, ref = factory(self.DIM), factory(self.DIM)
-        theta = ref_theta = make_rng(30).standard_normal(self.DIM)
+        theta = ref_theta = spawn_rng(30).standard_normal(self.DIM)
         grads = self._grads(self.DIM, 4)
         for grad in grads:
             args = _step_args(kind, opt, None)
@@ -954,7 +955,7 @@ class TestColumnSplit:
         factory, method, reference = STEP_KINDS[kind]
         rows = factory(self.DIM)
         rows.select_rows([0] * 3)
-        theta = make_rng(30).standard_normal((3, self.DIM))
+        theta = spawn_rng(30).standard_normal((3, self.DIM))
         alone = [(factory(self.DIM), row.copy()) for row in theta]
         grads = self._grads((3, self.DIM), 3)
         grads[-1][[0, 2], -4:] = 1.0  # only the middle row turns non-finite
@@ -1057,8 +1058,8 @@ class TestColumnSplit:
         monkeypatch.setattr(optimizers.os, "cpu_count", lambda: 3)
         factory, method, reference = STEP_KINDS[kind]
         opt, ref = factory(self.DIM), factory(self.DIM)
-        theta = make_rng(30).standard_normal(self.DIM)
-        grad = make_rng(31).standard_normal(self.DIM)
+        theta = spawn_rng(30).standard_normal(self.DIM)
+        grad = spawn_rng(31).standard_normal(self.DIM)
         args = _step_args(kind, opt, None)
         new = getattr(opt, method)(theta, grad, 1e-2, *args)
         assert new.tobytes() == reference(ref, theta, grad, 1e-2, *args).tobytes()
@@ -1069,7 +1070,7 @@ class TestColumnSplit:
         # slots m0 ... m10: allocated in name order (m10 before m2), stepped in beta order
         betas = [i / 11 for i in range(11)]
         opt, ref = AggMo(SPLIT_FLOOR, betas=betas), AggMo(SPLIT_FLOOR, betas=betas)
-        theta = ref_theta = make_rng(30).standard_normal(SPLIT_FLOOR)
+        theta = ref_theta = spawn_rng(30).standard_normal(SPLIT_FLOOR)
         for grad in self._grads(SPLIT_FLOOR, 3)[:-1]:
             theta = opt.step(theta, grad, 1e-2)
             ref_theta = aggmo_step_before_in_place(ref, ref_theta, grad, 1e-2)
@@ -1108,7 +1109,7 @@ class TestAllocation:
         # tracemalloc traces every thread: a split step's spans are views
         factory, method, _ = STEP_KINDS[kind]
         opt = factory(dim)
-        rng = make_rng(23)
+        rng = spawn_rng(23)
         theta, grad = rng.standard_normal(dim), rng.standard_normal(dim)
         step = getattr(opt, method)
         theta = step(theta, grad, 1e-3, *_step_args(kind, opt, None))
@@ -1338,7 +1339,8 @@ class TestTypedConstructor:
         with pytest.raises(ValueError, match=f"^{key} must be a whole number of steps"):
             OPTIMIZERS[kind](2, **{key: value})
 
-    @pytest.mark.parametrize("value", [10**400, -(10**400)], ids=["10**400", "-10**400"])
+    @pytest.mark.parametrize("value", [10**400, -(10**400), 10**5000],
+                             ids=["10**400", "-10**400", "10**5000"])
     @pytest.mark.parametrize("kind,key", FLOAT_KEYS + INT_KEYS + [("aggmo", "betas")])
     def test_an_int_beyond_the_float_range_is_refused(self, kind, key, value):
         what = "a whole number of steps" if (kind, key) in INT_KEYS else "a finite number"

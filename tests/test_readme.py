@@ -1,6 +1,8 @@
 """The README's examples work as written: every ``ini`` block parses and builds
-an :class:`~emx.harness.Experiment`, and every ``python`` block runs."""
+an :class:`~emx.harness.Experiment`, every ``python`` block runs, and every
+backticked ``emx.<module>[.<name>]`` it names exists."""
 
+import importlib
 import re
 from pathlib import Path
 
@@ -32,3 +34,19 @@ def test_ini_block_builds_an_experiment(text):
 @pytest.mark.parametrize("code", PYTHON, ids=range(len(PYTHON)))
 def test_python_block_runs(code):
     exec(compile(code, "README.md", "exec"), {})
+
+
+# `emx.numerics`, `emx.optimizers.OPTIMIZERS`, `emx.schedules.typed(name, ...)`
+NAMES = sorted(set(re.findall(r"`(emx(?:\.\w+)+)[`(]", README)))
+
+
+def test_the_readme_names_emx_modules():
+    assert "emx.cli" in NAMES and "emx.optimizers.OPTIMIZERS" in NAMES
+
+
+@pytest.mark.parametrize("dotted", NAMES)
+def test_each_emx_name_exists(dotted):
+    module, *attrs = dotted.split(".")[1:]
+    found = importlib.import_module(f"emx.{module}")
+    for attr in attrs:
+        found = getattr(found, attr)

@@ -53,6 +53,21 @@ class TestReaders:
         with pytest.raises(ValueError, match="^b must be "):
             decay("b", value)
 
+    @pytest.mark.parametrize("value", [10**5000, -(10**5000)], ids=["10**5000", "-10**5000"])
+    @pytest.mark.parametrize("read,refusal", [
+        (lambda v: integer("k", v, 0, 5), r"k must be in \[0, 5\] \(an integer\)"),
+        (lambda v: decay("k", v), "k must be a finite number"),
+        (lambda v: finite_number("k", v), "k must be a finite number"),
+        (lambda v: typed("k", v, 0), "k must be a whole number of steps"),
+        (lambda v: typed("k", v, 0.0), "k must be a finite number"),
+        (lambda v: typed("k", [0.5, v], (0.5,)), "k must be a finite number"),
+    ], ids=["integer", "decay", "finite_number", "typed-int", "typed-float", "typed-tuple"])
+    def test_an_int_too_long_to_print_is_named_by_its_key(self, read, refusal, value):
+        """Python will not ``repr`` an int of more than 4300 digits; the message
+        names the key and shows the int's size in bits."""
+        with pytest.raises(ValueError, match=f"^{refusal}, got an integer of 16610 bits$"):
+            read(value)
+
 
 class TestTyped:
     """``typed`` reads a value like its default; nothing else reaches a caller."""

@@ -3,17 +3,16 @@ import hashlib
 import numpy as np
 import pytest
 
-from emx.numerics import make_rng
+from emx.numerics import spawn_rng
 from emx.testbeds import (
     TESTBEDS,
+    AnalyticTestbed,
     SyntheticDataset,
     TinyMlp,
     finite_difference_grad,
     gradient_check,
     rosenbrock,
-    rosenbrock_testbed,
     sharp_valley,
-    sharp_valley_testbed,
 )
 
 GRAD_TOL = 1e-6
@@ -31,11 +30,11 @@ class TestRosenbrock:
         np.testing.assert_array_equal(grad, [-2.0, 0.0])
 
     def test_start_point_matches_finite_differences(self):
-        bed = rosenbrock_testbed()
+        bed = AnalyticTestbed(rosenbrock, (1.0, 1.0))
         assert gradient_check(bed, np.array([-3.0, 5.0])) <= GRAD_TOL
 
     def test_nonnegative_and_zero_only_at_optimum(self):
-        rng = make_rng(5)
+        rng = spawn_rng(5)
         for _ in range(50):
             theta = rng.uniform(-4, 4, size=2)
             loss, _ = rosenbrock(theta)
@@ -55,11 +54,11 @@ class TestSharpValley:
             assert grad[1] == pytest.approx(-2.5, abs=1e-15)
 
     def test_start_point_matches_finite_differences(self):
-        bed = sharp_valley_testbed()
+        bed = AnalyticTestbed(sharp_valley, (1.0, 4.0))
         assert gradient_check(bed, np.array([0.3, 1.5])) <= GRAD_TOL
 
     def test_nonnegative(self):
-        rng = make_rng(6)
+        rng = spawn_rng(6)
         for _ in range(50):
             theta = rng.uniform(-3, 5, size=2)
             loss, _ = sharp_valley(theta)
@@ -67,10 +66,10 @@ class TestSharpValley:
 
 
 class TestGradientChecks:
-    @pytest.mark.parametrize("bed_factory", [rosenbrock_testbed, sharp_valley_testbed])
-    def test_twenty_seeded_points(self, bed_factory):
-        bed = bed_factory()
-        rng = make_rng(2024)
+    @pytest.mark.parametrize("kind", ["rosenbrock", "valley"])
+    def test_twenty_seeded_points(self, kind):
+        bed = TESTBEDS[kind](0)[0]
+        rng = spawn_rng(2024)
         for _ in range(20):
             theta = rng.uniform(-3, 3, size=2)
             assert gradient_check(bed, theta) <= GRAD_TOL
@@ -93,14 +92,14 @@ class TestTinyMlp:
 
     def test_gradient_matches_finite_differences(self):
         mlp = TinyMlp((4, 8, 1))
-        rng = make_rng(7)
+        rng = spawn_rng(7)
         theta = mlp.init_params(rng)
         batch = (rng.standard_normal((5, 4)), rng.standard_normal((5, 1)))
         assert gradient_check(mlp, theta, batch) <= GRAD_TOL
 
     def test_twenty_seeded_gradient_checks(self):
         mlp = TinyMlp((3, 6, 1))
-        rng = make_rng(99)
+        rng = spawn_rng(99)
         batch = (rng.standard_normal((4, 3)), rng.standard_normal((4, 1)))
         for _ in range(20):
             theta = rng.standard_normal(mlp.n_params) * 0.5
@@ -108,7 +107,7 @@ class TestTinyMlp:
 
     def test_duplicated_batch_leaves_loss_and_grad_unchanged(self):
         mlp = TinyMlp((4, 8, 1))
-        rng = make_rng(8)
+        rng = spawn_rng(8)
         theta = mlp.init_params(rng)
         x = rng.standard_normal((5, 4))
         y = rng.standard_normal((5, 1))
@@ -145,14 +144,14 @@ class TestTinyMlp:
 
     def test_forward_deterministic(self):
         mlp = TinyMlp((4, 8, 1))
-        rng = make_rng(9)
+        rng = spawn_rng(9)
         theta = mlp.init_params(rng)
         x = rng.standard_normal((3, 4))
         assert np.array_equal(mlp.forward(theta, x), mlp.forward(theta, x))
 
     def test_loss_and_grad_shares_the_forward_pass(self):
         mlp = TinyMlp((4, 8, 8, 2))
-        rng = make_rng(10)
+        rng = spawn_rng(10)
         theta = mlp.init_params(rng)
         batch = (rng.standard_normal((5, 4)), rng.standard_normal((5, 2)))
         assert mlp.loss_and_grad(theta, batch)[0] == mlp.loss(theta, batch)
@@ -203,7 +202,7 @@ def per_row_pass_before_stacking(mlp, theta, batch):
 )
 def test_stacked_pass_has_the_bits_of_the_per_row_pass(layer_dims):
     mlp = TinyMlp(layer_dims)
-    rng = make_rng(sum(layer_dims))
+    rng = spawn_rng(sum(layer_dims))
     for size in (1, 7, 32, 256):
         batch = (rng.standard_normal((size, layer_dims[0])),
                  rng.standard_normal((size, layer_dims[-1])))
