@@ -103,6 +103,12 @@ def _parse_grid(specs) -> dict:
             raise ConfigError(f"duplicate --grid key {key!r}")
         parsed = _parse_value(values.strip())  # same value grammar as config files
         grid[key] = parsed if isinstance(parsed, list) else [parsed]
+        for i, value in enumerate(grid[key]):
+            if value in grid[key][:i]:
+                raise ConfigError(
+                    f"--grid {key!r} repeats the value {value!r}: each value is one point, "
+                    f"so --grid cannot give a list-valued point"
+                )
     return grid
 
 

@@ -9,12 +9,11 @@ runs and checkpoint-resumed runs compare bit-for-bit.
 
 from __future__ import annotations
 
-import copy
 import functools
 import itertools
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import NamedTuple, get_type_hints
 
 import numpy as np
@@ -68,6 +67,10 @@ class RunRecord:
         return "diverged" if self.diverged else "completed"
 
     def best_loss(self) -> float:
+        """The least finite recorded loss (``inf`` if none is finite); the
+        final loss if no step was recorded."""
+        if not self.rows:
+            return self.final_loss
         losses = [row.loss for row in self.rows if math.isfinite(row.loss)]
         return min(losses) if losses else math.inf
 
@@ -131,8 +134,11 @@ class Experiment:
     first row's.
 
     ``track_heldout=True`` evaluates the held-out loss after every step into
-    ``heldout_series``. An experiment holds no state outside itself, so a
-    ``copy.deepcopy`` of it is an independent run from the same step.
+    ``heldout_series``. :func:`run_forgetting_protocol` splits a one-row
+    experiment into two equal rows (``_split``) and gives them one batch each
+    for one step (``_step``). An experiment holds no state outside itself, so
+    a ``copy.deepcopy`` or a pickle of it is an independent run from the same
+    step.
     """
 
     def __init__(
@@ -233,9 +239,22 @@ class Experiment:
         if sw is not None and self.opt.t == sw.at and self.opt.variant != sw.to:
             self.opt = switch_optimizer(self.opt, OPTIMIZERS[sw.to], **sw.params)
 
+    def _split(self) -> None:
+        """Make the one row two equal rows: the second gets copies of the
+        first's record and held-out series and, while the row is live, of its
+        theta and state row."""
+        (row,) = self._rows
+        twin = _Row(row.lr, replace(row.record, rows=list(row.record.rows)), list(row.heldout))
+        self._rows.append(twin)
+        self.records.append(twin.record)
+        if self._live:
+            self._live.append(twin)
+            self.theta = self.theta[[0, 0]]
+            self.opt.select_rows([0, 0])
+
     def _step(self, batch=None) -> None:
         """One step of every live row, on ``batch`` (default: the training
-        batch of the step)."""
+        batch of the step), shared by every row or one per row."""
         cfg = self.cfg
         self._maybe_switch()
         t = self.opt.t + 1
@@ -285,15 +304,12 @@ class Experiment:
                     RunRow(t, loss, dist, eta, alpha, beta3, update_norm, held)
                 )
 
-    def _advance(self, stop: int) -> None:
-        """Step every live row to step ``stop``, with no final evaluation."""
-        while self._live and self.opt.t < stop:
-            self._step()
-
     def run(self, until: int | None = None) -> RunRecord:
         """Advance every live row to step ``until`` (default: the configured
         total); return the first row's record."""
-        self._advance(self.cfg.steps if until is None else min(until, self.cfg.steps))
+        stop = self.cfg.steps if until is None else min(until, self.cfg.steps)
+        while self._live and self.opt.t < stop:
+            self._step()
         if self._live:
             self._maybe_switch()
             eval_batch = self.dataset.eval_batch() if self.dataset is not None else None
@@ -327,9 +343,12 @@ def run_forgetting_protocol(cfg: ExperimentConfig) -> ForgettingResult:
     """Paired runs measuring how fast a once-seen batch is forgotten.
 
     The control run never sees the held-out batch; the injected run trains on
-    it exactly once, at ``forget.t_b``, in place of the scheduled batch. The
-    two are one run up to step ``t_b - 1``: it runs once, and the injected
-    run is a copy of it from there. Both track the held-out loss after every
+    it exactly once, at ``forget.t_b``, in place of the scheduled batch. Both
+    are rows of one :class:`Experiment`: one row up to step ``t_b - 1``,
+    which then splits into the control row and the injected row. At ``t_b``
+    each row takes its own batch, ``(2, B, in)``; every other step is one
+    batch, one stacked pass and one optimizer call for both rows. Each row
+    has the bits of its run alone. Both track the held-out loss after every
     step. The normalized curve rescales the injected run's series so the
     value just before injection is 0 and the value
     :data:`emx.config.FORGET_SPAN` steps after is -1.
@@ -338,30 +357,32 @@ def run_forgetting_protocol(cfg: ExperimentConfig) -> ForgettingResult:
         raise ConfigError("config has no forget.t_b directive")
     t_b = cfg.forget.t_b
 
-    control_exp = Experiment(cfg, track_heldout=True)
-    control_exp._advance(t_b - 1)
-    injected_exp = copy.deepcopy(control_exp)
-    if injected_exp._live:
-        injected_exp._step(injected_exp._heldout_batch)
-    control = control_exp.run()
-    injected = injected_exp.run()
+    exp = Experiment(cfg, track_heldout=True)
+    exp.run(until=t_b - 1)
+    exp._split()
+    if exp._live:  # row 0 trains on the batch of t_b, row 1 on the held-out batch
+        (x, y), (held_x, held_y) = exp.dataset.batch(t_b), exp._heldout_batch
+        exp._step((np.stack([x, held_x]), np.stack([y, held_y])))
+    exp.run()
+    control, injected = exp.records
+    control_heldout, injected_heldout = (row.heldout for row in exp._rows)
 
     normalized = []
-    series = dict(injected_exp.heldout_series)
+    series = dict(injected_heldout)
     if not injected.diverged:  # the config has t_b + FORGET_SPAN <= run.steps
         anchor0, anchor_end = series[t_b - 1], series[t_b + FORGET_SPAN]
         scale = anchor0 - anchor_end
         if scale != 0.0:
             normalized = [
                 (s, (value - anchor0) / scale)
-                for s, value in injected_exp.heldout_series
+                for s, value in injected_heldout
                 if s >= t_b - 1
             ]
     return ForgettingResult(
         control=control,
         injected=injected,
-        control_heldout=control_exp.heldout_series,
-        injected_heldout=injected_exp.heldout_series,
+        control_heldout=control_heldout,
+        injected_heldout=injected_heldout,
         normalized=normalized,
     )
 

@@ -8,7 +8,8 @@ differences in the test suite. Every testbed's ``loss`` and ``loss_and_grad``
 also take a ``(K, dim)`` array, one point per row, and evaluate every row in
 one call, each with the bits it would get alone: the landscapes in Python
 floats per row, the MLP as one stacked pass whose ``matmul`` runs one
-``gemm`` per row and whose sums stay within a row.
+``gemm`` per row and whose sums stay within a row, on one batch shared by
+every row or on one batch per row.
 
 :data:`TESTBEDS` maps each ``testbed.kind`` to a factory ``(seed, **params) ->
 (testbed, dataset or None, theta0)``; its keywords are the ``testbed.*`` keys.
@@ -107,6 +108,11 @@ class TinyMlp:
     tanh (smooth, so finite-difference checks hold at tight tolerance); the
     output layer is linear. Loss is the mean squared error over all batch
     elements and output coordinates.
+
+    ``forward``, ``loss`` and ``loss_and_grad`` take one point or a ``(K,
+    dim)`` array of rows. With rows, the inputs (and the targets) are either
+    ``(B, width)``, one batch shared by every row, or ``(K, B, width)``, one
+    batch per row; a point takes only ``(B, width)``.
     """
 
     optimum = None  # no known minimizer
@@ -133,41 +139,41 @@ class TinyMlp:
             theta[w_slice] = rng.standard_normal(d_in * d_out) / np.sqrt(d_in)
         return theta
 
-    def _layers_and_activations(self, theta, inputs) -> tuple[list, list]:
+    def _layers(self, theta, *batch) -> list:
         """Each layer's ``(K, d_in, d_out)`` weights and ``(K, 1, d_out)``
-        biases, views of the rows of ``theta`` (one point is one row), and
-        every layer's output, ``inputs`` first, ``(K, B, d_out)`` after it."""
+        biases, views of the rows of ``theta`` (one point is one row), once
+        ``theta`` and the ``batch`` arrays (inputs, then targets) are checked:
+        an array is ``(B, width)``, shared by every row, or, for a ``(K,
+        dim)`` theta, ``(K, B, width)``, one batch per row."""
         rows = np.atleast_2d(theta)
         if rows.shape[1:] != (self.dim,):
             raise ValueError(
                 f"theta of shape {np.shape(theta)}, not ({self.dim},) or (K, {self.dim})"
             )
-        if inputs.shape[1:] != self.layer_dims[:1]:
-            raise ValueError(
-                f"inputs of shape {inputs.shape}, not (batch, {self.layer_dims[0]})"
-            )
         k = len(rows)
-        layers = [
+        for name, array, width in zip(("inputs", "targets"), batch,
+                                      (self.layer_dims[0], self.layer_dims[-1])):
+            shape = array.shape
+            per_row = len(shape) == 3 and np.ndim(theta) == 2 and shape[0] == k
+            if len(shape) != 2 + per_row or shape[-1] != width:
+                rows_shape = f" or ({k}, batch, {width})" if np.ndim(theta) == 2 else ""
+                raise ValueError(f"{name} of shape {shape}, not (batch, {width}){rows_shape}")
+        return [
             (rows[:, w].reshape(k, d_in, d_out), rows[:, np.newaxis, b])
             for d_in, d_out, w, b in self._shapes
         ]
-        activations = [inputs]
-        for i, (w, b) in enumerate(layers):
-            z = activations[-1] @ w + b
-            activations.append(z if i == len(layers) - 1 else np.tanh(z))
-        return layers, activations
 
     @np.errstate(over="ignore", invalid="ignore")
     def forward(self, theta: np.ndarray, inputs: np.ndarray) -> np.ndarray:
         """The ``(B, d_out)`` output of one point, or ``(K, B, d_out)`` of rows."""
-        out = self._layers_and_activations(theta, inputs)[1][-1]
+        out = _activations(self._layers(theta, inputs), inputs)[-1]
         return out if np.ndim(theta) == 2 else out[0]
 
     @np.errstate(over="ignore", invalid="ignore")
     def loss(self, theta, batch):
         """The loss of one point, or the list of each row's loss."""
         inputs, targets = batch
-        diff = self._layers_and_activations(theta, inputs)[1][-1] - targets
+        diff = _activations(self._layers(theta, inputs, targets), inputs)[-1] - targets
         losses = ((diff**2).sum(axis=(1, 2)) / diff[0].size).tolist()
         return losses if np.ndim(theta) == 2 else losses[0]
 
@@ -177,9 +183,10 @@ class TinyMlp:
         array (then the losses are a list and the gradients rows). All rows
         run as one stacked pass: numpy's stacked ``matmul`` runs one ``gemm``
         per row, and every sum and mean runs within a row, so each row gets
-        the bits of its own 2-D pass."""
+        the bits of its own 2-D pass, on the shared batch or on its own."""
         inputs, targets = batch
-        layers, activations = self._layers_and_activations(theta, inputs)
+        layers = self._layers(theta, inputs, targets)
+        activations = _activations(layers, inputs)
         diff = activations[-1] - targets
         size = diff[0].size  # per row: the mean's count and the gradient's divisor
         losses = ((diff**2).sum(axis=(1, 2)) / size).tolist()
@@ -196,6 +203,16 @@ class TinyMlp:
             if i:  # the input layer's d_a would be the gradient of the inputs
                 d_a = d_z @ w.mT
         return (losses, grad) if np.ndim(theta) == 2 else (losses[0], grad[0])
+
+
+def _activations(layers, inputs) -> list:
+    """Every layer's output of a :meth:`TinyMlp._layers` list, ``inputs``
+    first, ``(K, B, d_out)`` after it."""
+    activations = [inputs]
+    for i, (w, b) in enumerate(layers):
+        z = activations[-1] @ w + b
+        activations.append(z if i == len(layers) - 1 else np.tanh(z))
+    return activations
 
 
 class SyntheticDataset:
@@ -216,10 +233,11 @@ class SyntheticDataset:
         self.eval_size = int(eval_size)
         self.teacher = TinyMlp((self.input_dim, 64, 64, 1))
         self.teacher_theta = self.teacher.init_params(spawn_rng(self.seed, _KEY_TEACHER))
+        self._teacher_layers = self.teacher._layers(self.teacher_theta)  # fixed weight views
 
     def _make_batch(self, rng: np.random.Generator, size: int):
         inputs = rng.standard_normal((size, self.input_dim))
-        clean = self.teacher.forward(self.teacher_theta, inputs)
+        clean = _activations(self._teacher_layers, inputs)[-1][0]  # teacher.forward's bits
         targets = clean + self.noise * rng.standard_normal(clean.shape)
         return inputs, targets
 

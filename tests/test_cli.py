@@ -219,6 +219,23 @@ class TestSweepCommand:
         assert code == 3
         assert "duplicate --grid key 'lr.value'" in capsys.readouterr().err
 
+    def test_a_repeated_grid_value_is_config_error(self, mlp_cfg_file, capsys):
+        assert main(["sweep", mlp_cfg_file, "--grid", "testbed.hidden=16,16"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("config error: --grid 'testbed.hidden' repeats the value 16: each "
+                                "value is one point, so --grid cannot give a list-valued point\n")
+
+    def test_a_point_with_no_recorded_step_is_best_at_its_final_loss(self, tmp_path, capsys):
+        cfg = tmp_path / "mlp.cfg"  # 3 steps at the MLP's cadence of 10 record no row
+        cfg.write_text(MLP_CFG.replace("run.steps = 180", "run.steps = 3")
+                       .replace("run.cadence = 1\nforget.t_b = 60\n", ""))
+        assert main(["sweep", str(cfg), "--grid", "testbed.hidden=16"]) == 0
+        row = capsys.readouterr().out.splitlines()[1]
+        index, hidden, final_loss, best_loss, diverged = row.split(",")
+        assert (index, hidden, diverged) == ("0", "16", "false")
+        assert best_loss == final_loss != "inf"
+
     @pytest.mark.parametrize("grids", [["run.steps=50", "lr.total=50"],
                                        ["lr.total=50", "run.steps=50"]])
     def test_grid_order_does_not_matter(self, tmp_path, grids):

@@ -8,16 +8,18 @@ import numpy as np
 import pytest
 
 from emx.checkpoint import load_state
-from emx.config import ConfigError, _parse_value, format_config, parse_config
+from emx.config import FORGET_SPAN, ConfigError, _parse_value, format_config, parse_config
 from emx.harness import (
     RECORD_COLUMNS,
     Experiment,
+    ForgettingResult,
     RunRecord,
     RunRow,
     _build_lr_schedule,
     apply_override,
     format_record_csv,
     format_record_jsonl,
+    format_series_csv,
     format_sweep_csv,
     run_experiment,
     run_forgetting_protocol,
@@ -214,8 +216,72 @@ def format_record_csv_rows(rows):
     return format_record_csv(RunRecord(rows=list(rows)))
 
 
+def forgetting_by_fork(cfg) -> ForgettingResult:
+    """The forgetting protocol as two one-row experiments: the control run
+    steps to ``t_b - 1``, and the injected run is a deep copy of it from
+    there that takes the held-out batch at ``t_b``."""
+    t_b = cfg.forget.t_b
+    control_exp = Experiment(cfg, track_heldout=True)
+    while control_exp._live and control_exp.opt.t < t_b - 1:
+        control_exp._step()
+    injected_exp = copy.deepcopy(control_exp)
+    if injected_exp._live:
+        injected_exp._step(injected_exp._heldout_batch)
+    control, injected = control_exp.run(), injected_exp.run()
+    normalized = []
+    series = dict(injected_exp.heldout_series)
+    if not injected.diverged:
+        anchor0, anchor_end = series[t_b - 1], series[t_b + FORGET_SPAN]
+        if (scale := anchor0 - anchor_end) != 0.0:
+            normalized = [(s, (value - anchor0) / scale)
+                          for s, value in injected_exp.heldout_series if s >= t_b - 1]
+    return ForgettingResult(control, injected, control_exp.heldout_series,
+                            injected_exp.heldout_series, normalized)
+
+
+def forgetting_outputs(result: ForgettingResult) -> list:
+    """The five files of ``emx forget`` and each record's end."""
+    return [
+        format_record_csv(result.control),
+        format_record_csv(result.injected),
+        format_series_csv(result.control_heldout),
+        format_series_csv(result.injected_heldout),
+        format_series_csv(result.normalized),
+        [(r.diverged_step, r.final_step, repr(r.final_loss), r.final_distance)
+         for r in (result.control, result.injected)],
+    ]
+
+
+# a switch to AdEMAMix with alpha = 1e300 diverges two steps after switch.at
+DIVERGE_AT_12 = "switch.to = ademamix\nswitch.at = 10\nswitch.alpha = 1e300\n"
+DIVERGE_AT_32 = "switch.to = ademamix\nswitch.at = 30\nswitch.alpha = 1e300\n"
+
+
 class TestForgetting:
     CFG = "forget.t_b = 100"
+
+    @pytest.mark.parametrize("optimizer, t_b, extra, diverged_step", [
+        ("ademamix", 1, "run.clip = 0.5\n", None),
+        ("ademamix", 2, "run.clip = 0.5\n", None),
+        ("ademamix", 20, "run.clip = 0.5\n", None),
+        ("ademamix", 80 - FORGET_SPAN, "run.clip = 0.5\n", None),
+        ("adamw", 20, "switch.to = ademamix\nswitch.at = 19\nswitch.beta3 = 0.999\n", None),
+        ("adamw", 20, "switch.to = ademamix\nswitch.at = 20\nswitch.beta3 = 0.999\n", None),
+        ("adamw", 1, "switch.to = ademamix\nswitch.at = 0\nswitch.beta3 = 0.999\n", None),
+        ("ademamix", 20, "switch.to = adamw\nswitch.at = 19\n", None),
+        ("adamw", 20, DIVERGE_AT_12, 12),
+        ("adamw", 20, DIVERGE_AT_32, 32),
+    ], ids=["t_b1", "t_b2", "t_b20", "t_b_last", "switch_before_t_b", "switch_at_t_b",
+            "switch_at_0", "switch_back_before_t_b", "diverged_before_t_b",
+            "diverged_after_t_b"])
+    def test_one_split_experiment_has_the_bytes_of_the_fork(
+            self, optimizer, t_b, extra, diverged_step):
+        cfg = mlp_config(optimizer, steps=80, extra=f"{extra}forget.t_b = {t_b}")
+        result = run_forgetting_protocol(cfg)
+        assert forgetting_outputs(result) == forgetting_outputs(forgetting_by_fork(cfg))
+        assert result.control.diverged_step == result.injected.diverged_step == diverged_step
+        assert result.control.rows is not result.injected.rows
+        assert result.control_heldout is not result.injected_heldout
 
     def test_records_identical_before_injection(self):
         result = run_forgetting_protocol(mlp_config(steps=200, extra=self.CFG))
@@ -252,12 +318,16 @@ class TestForgetting:
             calls["step"] += 1
             step(self, *args, **kwargs)
 
+        def no_deepcopy(*args, **kwargs):
+            raise AssertionError("the protocol copies no experiment")
+
         monkeypatch.setattr(Experiment, "__init__", counting_init)
         monkeypatch.setattr(Experiment, "_step", counting_step)
+        monkeypatch.setattr(copy, "deepcopy", no_deepcopy)
         steps, t_b = 80, 20
         run_forgetting_protocol(mlp_config(steps=steps, extra=f"forget.t_b = {t_b}"))
-        # the shared steps 1 .. t_b - 1 once, then steps t_b .. steps in each run
-        assert calls == {"init": 1, "step": (t_b - 1) + 2 * (steps - t_b + 1)}
+        # one experiment, whose two rows from t_b on take each step together
+        assert calls == {"init": 1, "step": steps}
 
     def test_a_copy_runs_apart_from_its_original(self):
         cfg = mlp_config(optimizer="ademamix", steps=40, extra="run.clip = 0.5")

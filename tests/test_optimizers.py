@@ -1279,13 +1279,12 @@ class TestSlotBlock:
         assert {k for k, v in state.items() if isinstance(v, np.ndarray)} == {"_block", "_scratch"}
 
     def test_an_experiment_copied_past_step_one_checks_its_own_slots(self):
-        # as the forgetting protocol copies its control run
         cfg = parse_config(
             "testbed.kind = rosenbrock\noptimizer.kind = ademamix\nlr.kind = constant\n"
             "lr.value = 0.001\nrun.steps = 10\n"
         )
         exp = Experiment(cfg)
-        exp._advance(2)
+        exp.run(until=2)
         dup = copy.deepcopy(exp)
         assert _rows_of_slots(dup.opt) and not np.shares_memory(dup.opt.slots, exp.opt.slots)
         dup.opt.nu[0, 1] = np.nan

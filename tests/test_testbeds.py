@@ -142,6 +142,32 @@ class TestTinyMlp:
         with pytest.raises(ValueError, match=problem):
             getattr(mlp, method)(np.zeros(shape), *args)
 
+    @pytest.mark.parametrize(
+        "theta_shape, inputs_shape, targets_shape, problem",
+        [
+            ((3, 49), (2, 5, 4), (5, 1), r"inputs of shape \(2, 5, 4\), not \(batch, 4\) or "
+                                         r"\(3, batch, 4\)"),
+            ((3, 49), (4, 5, 4), (3, 5, 1), r"inputs of shape \(4, 5, 4\)"),
+            ((3, 49), (3, 5, 4), (2, 5, 1), r"targets of shape \(2, 5, 1\), not \(batch, 1\) "
+                                            r"or \(3, batch, 1\)"),
+            ((3, 49), (5, 4), (3, 5, 2), r"targets of shape \(3, 5, 2\)"),
+            ((49,), (1, 5, 4), (5, 1), r"inputs of shape \(1, 5, 4\), not \(batch, 4\)$"),
+            ((49,), (5, 4), (1, 5, 1), r"targets of shape \(1, 5, 1\), not \(batch, 1\)$"),
+        ],
+        ids=["rows_short", "rows_long", "targets_rows_short", "targets_wide", "point_inputs",
+             "point_targets"],
+    )
+    def test_per_row_batches_must_match_the_rows(
+            self, theta_shape, inputs_shape, targets_shape, problem):
+        mlp = TinyMlp((4, 8, 1))
+        theta, batch = np.zeros(theta_shape), (np.zeros(inputs_shape), np.zeros(targets_shape))
+        calls = [lambda: mlp.loss(theta, batch), lambda: mlp.loss_and_grad(theta, batch)]
+        if problem.startswith("inputs"):  # forward takes no targets
+            calls.append(lambda: mlp.forward(theta, batch[0]))
+        for call in calls:
+            with pytest.raises(ValueError, match=problem):
+                call()
+
     def test_forward_deterministic(self):
         mlp = TinyMlp((4, 8, 1))
         rng = spawn_rng(9)
@@ -224,6 +250,21 @@ def test_stacked_pass_has_the_bits_of_the_per_row_pass(layer_dims):
             assert type(mlp.loss(row, batch)) is float
             assert np.float64(mlp.loss(row, batch)).tobytes() == np.float64(loss).tobytes()
             assert mlp.forward(row, batch[0]).tobytes() == out.tobytes()
+        for k in (2, 3, 6, 8):  # one batch per row, (K, B, width)
+            rows = np.stack([mlp.init_params(rng) for _ in range(k)])
+            rows[k // 2] = 1e200
+            inputs = rng.standard_normal((k, size, layer_dims[0]))
+            targets = rng.standard_normal((k, size, layer_dims[-1]))
+            for shared_targets in (False, True):
+                batch = (inputs, targets[0] if shared_targets else targets)
+                per_row = zip(rows, inputs, np.broadcast_to(batch[1], targets.shape))
+                alone = [per_row_pass_before_stacking(mlp, row, (x, y)) for row, x, y in per_row]
+                losses, grad = mlp.loss_and_grad(rows, batch)
+                assert np.array(losses).tobytes() == np.array([a[0] for a in alone]).tobytes()
+                assert grad.tobytes() == np.array([a[1] for a in alone]).tobytes()
+                assert np.array(mlp.loss(rows, batch)).tobytes() == np.array(losses).tobytes()
+            outputs = np.array([a[2] for a in alone])
+            assert mlp.forward(rows, inputs).tobytes() == outputs.tobytes()
 
 
 def _batch_digest(batch):
