@@ -5,10 +5,11 @@ Subcommands: ``run``, ``sweep``, ``toy``, ``analyze-ema``, ``forget``,
 The ``EMX_SEED`` environment variable overrides the config seed. Exit codes:
 0 completed, 2 diverged, 3 invalid config or checkpoint (a testbed too large
 to build included), a command-line usage error, a file that cannot be read or
-written (an ``--out`` path in a missing directory is refused before the first
-step), or memory that runs out during a run. ``toy``'s optimizer flags are
-the ``optimizer.*`` config keys of :data:`emx.optimizers.OPTIMIZERS`;
-``analyze-ema`` takes its kinds and flags from :data:`emx.ema_weights.PROFILES`.
+written (an ``--out`` path that is empty, a directory or in a missing
+directory is refused before the first step), or memory that runs out during a
+run. ``toy``'s optimizer flags are the ``optimizer.*`` config keys of
+:data:`emx.optimizers.OPTIMIZERS`; ``analyze-ema`` takes its kinds and flags
+from :data:`emx.ema_weights.PROFILES`.
 """
 
 from __future__ import annotations
@@ -53,11 +54,12 @@ def _apply_env_seed(cfg: ExperimentConfig) -> ExperimentConfig:
 
 
 def _check_out(path: str | None) -> None:
-    """Refuse an output ``path`` that is a directory or whose directory does
-    not exist, before any step rather than after the run; nothing is created."""
+    """Refuse an output ``path`` that is empty, a directory or in a directory
+    that does not exist, before any step rather than after the run; nothing
+    is created."""
     if path is not None and os.path.isdir(path):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-    if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
+    if path is not None and not (path and os.path.isdir(os.path.dirname(path) or ".")):
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
 
 
@@ -79,7 +81,7 @@ def _run(cfg: ExperimentConfig, args) -> int:
     """The body of ``run`` and ``toy``: run ``cfg`` (from ``--resume`` if
     given) and emit its record to ``--out``, ``run.out`` or stdout."""
     cfg = _apply_env_seed(cfg)
-    out = args.out or cfg.out
+    out = args.out if args.out is not None else cfg.out
     _check_out(out)
     resume = load_state(Path(args.resume).read_bytes()) if args.resume else None
     record = harness.run_experiment(cfg, resume_from=resume)

@@ -129,8 +129,8 @@ class Experiment:
     a row is elementwise and every reduction is taken per row, so each
     row's record has the bytes of the point run alone. A row whose loss,
     gradient or new state is non-finite is recorded as diverged at that
-    step and dropped from the state; the others go on. ``records`` holds
-    one :class:`RunRecord` per row; ``record`` and ``heldout_series`` are the
+    step and dropped from the state; the others go on. ``records`` reads
+    each row's :class:`RunRecord`; ``record`` and ``heldout_series`` read the
     first row's.
 
     ``track_heldout=True`` evaluates the held-out loss after every step into
@@ -140,6 +140,10 @@ class Experiment:
     a ``copy.deepcopy`` or a pickle of it is an independent run from the same
     step.
     """
+
+    records = property(lambda self: [row.record for row in self._rows])
+    record = property(lambda self: self._rows[0].record)
+    heldout_series = property(lambda self: self._rows[0].heldout)  # (step, held-out loss)
 
     def __init__(
         self,
@@ -169,9 +173,6 @@ class Experiment:
 
         self._rows = [_Row(_build_lr_schedule(point)) for point in rows]
         self._live = list(self._rows)
-        self.records = [row.record for row in self._rows]
-        self.record = self.records[0]
-        self.heldout_series: list[tuple[int, float]] = self._rows[0].heldout
 
         restored = None if resume_from is None else restore_optimizer(resume_from)
         self.opt = _build_optimizer(cfg.optimizer, cfg.optimizer_params, self.testbed.dim)
@@ -216,11 +217,6 @@ class Experiment:
             for row, loss in zip(self._live, self.testbed.loss(self.theta, self._heldout_batch)):
                 row.heldout.append((0, loss))
 
-    def _distances(self) -> list:
-        """Each live row's distance to the optimum; ``None`` without one."""
-        optimum = self.testbed.optimum
-        return [None] * len(self.theta) if optimum is None else row_norms(self.theta - optimum)
-
     def _drop(self, ok: np.ndarray, t: int, losses: list, *arrays) -> list:
         """Record each live row not ``ok`` as diverged at step ``t`` and take it
         out of the state; return ``losses`` and ``arrays`` without those rows."""
@@ -246,7 +242,6 @@ class Experiment:
         (row,) = self._rows
         twin = _Row(row.lr, replace(row.record, rows=list(row.record.rows)), list(row.heldout))
         self._rows.append(twin)
-        self.records.append(twin.record)
         if self._live:
             self._live.append(twin)
             self.theta = self.theta[[0, 0]]
@@ -314,7 +309,9 @@ class Experiment:
             self._maybe_switch()
             eval_batch = self.dataset.eval_batch() if self.dataset is not None else None
             losses = self.testbed.loss(self.theta, eval_batch)
-            for row, loss, dist in zip(self._live, losses, self._distances()):
+            optimum = self.testbed.optimum  # each live row's distance to it, if known
+            dists = [None] * len(losses) if optimum is None else row_norms(self.theta - optimum)
+            for row, loss, dist in zip(self._live, losses, dists):
                 row.record.final_step = self.opt.t
                 row.record.final_loss = loss
                 row.record.final_distance = dist
@@ -389,17 +386,25 @@ def run_forgetting_protocol(cfg: ExperimentConfig) -> ForgettingResult:
 
 @dataclass
 class SweepEntry:
+    """One grid point: its place in grid order, the keys it sets and the
+    record of its run, which ``final_loss``, ``best_loss`` and ``diverged``
+    read."""
+
     index: int
     overrides: dict
-    final_loss: float
-    best_loss: float
-    diverged: bool
+    record: RunRecord
+    final_loss = property(lambda self: self.record.final_loss)
+    best_loss = property(lambda self: self.record.best_loss())
+    diverged = property(lambda self: self.record.diverged)
 
 
 @dataclass
 class SweepResult:
-    entries: list  # in grid order
-    records: list  # RunRecord per entry, grid order
+    """The entries of a sweep in grid order; ``records`` reads each one's
+    record."""
+
+    entries: list
+    records = property(lambda self: [entry.record for entry in self.entries])
 
     def summary(self) -> list:
         """Entries sorted by final loss (diverged last), stable on grid order."""
@@ -428,7 +433,8 @@ def run_sweep(cfg: ExperimentConfig, grid: dict) -> SweepResult:
     bytes of the point run alone.
     Divergence in one grid point is recorded as a flag and never aborts or
     perturbs sibling runs; every run uses the base config seed so duplicate
-    grid points produce identical records.
+    grid points produce identical records. Each point's :class:`SweepEntry`
+    holds the record of its row, made when its group is built.
     """
     if not grid:
         raise ConfigError("sweep grid is empty")
@@ -437,34 +443,21 @@ def run_sweep(cfg: ExperimentConfig, grid: dict) -> SweepResult:
             raise ConfigError(f"sweep grid for {key!r} is empty")
         check_sweepable(cfg, key)
 
-    points = []
     groups: dict = {}
     for index, combo in enumerate(itertools.product(*grid.values())):
         overrides = dict(zip(grid, combo))
         point = with_values(cfg, overrides)  # the point is checked as a whole
-        points.append((overrides, point))
-        groups.setdefault(shared_text(point), []).append(index)
+        groups.setdefault(shared_text(point), []).append((index, overrides, point))
 
     # build every group before stepping any, so a bad point fails at once
-    runs = [(members, Experiment(points[members[0]][1], rows=[points[i][1] for i in members]))
-            for members in groups.values()]
-    records = [None] * len(points)
-    for members, exp in runs:
+    runs = [Experiment(group[0][2], rows=[point for *_, point in group])
+            for group in groups.values()]
+    entries = [SweepEntry(index, overrides, record)
+               for group, exp in zip(groups.values(), runs)
+               for (index, overrides, _), record in zip(group, exp.records)]
+    for exp in runs:
         exp.run()
-        for i, record in zip(members, exp.records):
-            records[i] = record
-
-    entries = [
-        SweepEntry(
-            index=index,
-            overrides=overrides,
-            final_loss=record.final_loss,
-            best_loss=record.best_loss(),
-            diverged=record.diverged,
-        )
-        for index, ((overrides, _), record) in enumerate(zip(points, records))
-    ]
-    return SweepResult(entries=entries, records=records)
+    return SweepResult(sorted(entries, key=lambda entry: entry.index))
 
 
 def _csv(header, rows) -> str:

@@ -129,12 +129,11 @@ class TinyMlp:
             b_slice = slice(offset, offset + d_out)
             offset += d_out
             self._shapes.append((d_in, d_out, w_slice, b_slice))
-        self.n_params = offset
         self.dim = offset
 
     def init_params(self, rng: np.random.Generator) -> np.ndarray:
         """Gaussian weights scaled by 1/sqrt(fan_in), zero biases."""
-        theta = np.zeros(self.n_params)
+        theta = np.zeros(self.dim)
         for d_in, d_out, w_slice, b_slice in self._shapes:
             theta[w_slice] = rng.standard_normal(d_in * d_out) / np.sqrt(d_in)
         return theta
@@ -144,7 +143,8 @@ class TinyMlp:
         biases, views of the rows of ``theta`` (one point is one row), once
         ``theta`` and the ``batch`` arrays (inputs, then targets) are checked:
         an array is ``(B, width)``, shared by every row, or, for a ``(K,
-        dim)`` theta, ``(K, B, width)``, one batch per row."""
+        dim)`` theta, ``(K, B, width)``, one batch per row, with the inputs'
+        batch size ``B``."""
         rows = np.atleast_2d(theta)
         if rows.shape[1:] != (self.dim,):
             raise ValueError(
@@ -158,6 +158,8 @@ class TinyMlp:
             if len(shape) != 2 + per_row or shape[-1] != width:
                 rows_shape = f" or ({k}, batch, {width})" if np.ndim(theta) == 2 else ""
                 raise ValueError(f"{name} of shape {shape}, not (batch, {width}){rows_shape}")
+            if shape[-2] != (size := batch[0].shape[-2]):
+                raise ValueError(f"{name} of shape {shape}, not the inputs' batch of {size}")
         return [
             (rows[:, w].reshape(k, d_in, d_out), rows[:, np.newaxis, b])
             for d_in, d_out, w, b in self._shapes
@@ -231,9 +233,9 @@ class SyntheticDataset:
         self.seed = int(seed)
         self.noise = float(noise)
         self.eval_size = int(eval_size)
-        self.teacher = TinyMlp((self.input_dim, 64, 64, 1))
-        self.teacher_theta = self.teacher.init_params(spawn_rng(self.seed, _KEY_TEACHER))
-        self._teacher_layers = self.teacher._layers(self.teacher_theta)  # fixed weight views
+        teacher = TinyMlp((self.input_dim, 64, 64, 1))
+        teacher_theta = teacher.init_params(spawn_rng(self.seed, _KEY_TEACHER))
+        self._teacher_layers = teacher._layers(teacher_theta)  # fixed weight views
 
     def _make_batch(self, rng: np.random.Generator, size: int):
         inputs = rng.standard_normal((size, self.input_dim))

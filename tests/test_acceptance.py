@@ -248,7 +248,7 @@ def test_criterion_07_gradient_verification():
     mlp = TinyMlp((6, 12, 1))
     batch = (rng.standard_normal((5, 6)), rng.standard_normal((5, 1)))
     for _ in range(20):
-        theta = rng.standard_normal(mlp.n_params) * 0.5
+        theta = rng.standard_normal(mlp.dim) * 0.5
         ok = ok and gradient_check(mlp, theta, batch) <= 1e-6
     _report("criterion 7: finite-difference checks at 20 seeded points per testbed", ok)
 

@@ -556,58 +556,52 @@ def _never(*args, **kwargs):
     raise AssertionError("the run started")
 
 
+def _out_commands(parser, prefix=()):
+    """Each (sub)command of ``parser`` that takes ``--out``: its names and
+    the argv of its other required arguments."""
+    values = {"config": "{cfg}", "grid": "lr.value=0.001,0.0001", "at_step": "10"}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _out_commands(sub, (*prefix, name))
+        elif "--out" in action.option_strings:
+            argv = list(prefix)
+            for other in parser._actions:
+                if other.required and other is not action:
+                    value = next(iter(other.choices)) if other.choices else values[other.dest]
+                    argv += [*other.option_strings[:1], value]
+            yield pytest.param(argv, id=" ".join(prefix))
+
+
 class TestOutputCheckedBeforeTheRun:
-    """An output whose directory does not exist is refused before the first
-    step, and nothing is written."""
+    """An output path that is empty, a directory or in a directory that does
+    not exist is refused before the first step, and nothing is written."""
 
-    @pytest.mark.parametrize("argv,runner", [
-        (["run", "{cfg}", "--out", "{out}"], "run_experiment"),
-        (["run", "{cfg_with_out}"], "run_experiment"),
-        (["sweep", "{cfg}", "--grid", "lr.value=0.001,0.0001", "--out", "{out}"], "run_sweep"),
-        (["toy", "rosenbrock", "--steps", "200000", "--out", "{out}"], "run_experiment"),
-        (["checkpoint", "save", "{cfg}", "--at-step", "10", "--out", "{out}"], "Experiment.run"),
-    ], ids=["run --out", "run.out", "sweep", "toy", "checkpoint save"])
-    def test_missing_directory_exits_3_before_the_run(self, argv, runner, toy_cfg_file, tmp_path,
-                                                      monkeypatch, capsys):
-        out = tmp_path / "missing" / "x.csv"
-        cfg_with_out = tmp_path / "out.cfg"
-        cfg_with_out.write_text(TOY_CFG + f"run.out = {out}\n")
-        owner, _, name = runner.rpartition(".")
-        monkeypatch.setattr(getattr(harness, owner) if owner else harness, name, _never)
-        argv = [a.format(cfg=toy_cfg_file, out=out, cfg_with_out=cfg_with_out) for a in argv]
-        assert main(argv) == 3
+    @pytest.mark.parametrize("argv", _out_commands(build_parser()))
+    @pytest.mark.parametrize("out,errno_text", [
+        ("", "[Errno 2] No such file or directory"),
+        ("{tmp}", "[Errno 21] Is a directory"),
+        ("{tmp}/missing/x.csv", "[Errno 2] No such file or directory"),
+    ], ids=["empty", "directory", "missing directory"])
+    def test_every_out_is_checked_before_the_run(self, argv, out, errno_text, toy_cfg_file,
+                                                 tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(harness.Experiment, "__init__", _never)
+        for kind, profile in PROFILES.items():
+            monkeypatch.setitem(PROFILES, kind, functools.wraps(profile)(_never))
+        out = out.format(tmp=tmp_path)
+        assert main([a.format(cfg=toy_cfg_file) for a in argv] + ["--out", out]) == 3
+        assert capsys.readouterr().err == f"error: {errno_text}: '{out}'\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["toy.cfg"]
+
+    @pytest.mark.parametrize("out", ["", "{tmp}/missing/x.csv"], ids=["empty", "missing directory"])
+    def test_run_out_is_checked_before_the_run(self, out, tmp_path, monkeypatch, capsys):
+        out = out.format(tmp=tmp_path)
+        cfg = tmp_path / "out.cfg"
+        cfg.write_text(TOY_CFG + f"run.out = {out}\n")
+        monkeypatch.setattr(harness.Experiment, "__init__", _never)
+        assert main(["run", str(cfg)]) == 3
         assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{out}'\n"
-        assert not out.parent.exists()
-
-    @pytest.mark.parametrize("argv,runner", [
-        (["run", "{cfg}", "--out", "{out}"], "run_experiment"),
-        (["sweep", "{cfg}", "--grid", "lr.value=0.001,0.0001", "--out", "{out}"], "run_sweep"),
-        (["toy", "rosenbrock", "--steps", "5", "--out", "{out}"], "run_experiment"),
-        (["checkpoint", "save", "{cfg}", "--at-step", "10", "--out", "{out}"], "Experiment.run"),
-    ], ids=["run", "sweep", "toy", "checkpoint save"])
-    def test_a_directory_exits_3_before_the_run(self, argv, runner, toy_cfg_file, tmp_path,
-                                                monkeypatch, capsys):
-        out = tmp_path / "a_directory"
-        out.mkdir()
-        owner, _, name = runner.rpartition(".")
-        monkeypatch.setattr(getattr(harness, owner) if owner else harness, name, _never)
-        assert main([a.format(cfg=toy_cfg_file, out=out) for a in argv]) == 3
-        assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{out}'\n"
-        assert list(out.iterdir()) == []
-
-    def test_analyze_ema_refuses_a_directory_before_it_computes(self, tmp_path, monkeypatch,
-                                                                capsys):
-        monkeypatch.setitem(PROFILES, "nested", functools.wraps(PROFILES["nested"])(_never))
-        assert main(["analyze-ema", "--kind", "nested", "--horizon", "10",
-                     "--out", str(tmp_path)]) == 3
-        assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
-
-    def test_analyze_ema_checks_before_it_computes(self, tmp_path, monkeypatch, capsys):
-        out = tmp_path / "missing" / "x.csv"
-        # the nested and DEMA profiles take minutes at the largest horizon
-        monkeypatch.setitem(PROFILES, "nested", functools.wraps(PROFILES["nested"])(_never))
-        assert main(["analyze-ema", "--kind", "nested", "--horizon", "10", "--out", str(out)]) == 3
-        assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{out}'\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.cfg"]
 
     def test_forget_makes_its_directory_first(self, mlp_cfg_file, tmp_path, monkeypatch):
         out_dir = tmp_path / "a" / "b"

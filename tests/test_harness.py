@@ -405,6 +405,18 @@ class TestSweep:
         combos = [(e.overrides["optimizer.beta1"], e.overrides["lr.value"]) for e in sweep.entries]
         assert combos == [(0.8, 1e-3), (0.8, 1e-4), (0.9, 1e-3), (0.9, 1e-4)]
 
+    def test_an_entry_reads_its_record(self):
+        # two groups (one per beta1) of two rows, each with a diverging point
+        sweep = run_sweep(toy_config(steps=100, extra="optimizer.weight_decay = 0.001"),
+                          {"optimizer.beta1": [0.8, 0.9], "lr.value": [1e6, 1e-3]})
+        assert [e.index for e in sweep.entries] == [0, 1, 2, 3]
+        assert [e.diverged for e in sweep.entries] == [True, False, True, False]
+        for i, entry in enumerate(sweep.entries):
+            assert entry.record is sweep.records[i]
+            assert entry.final_loss == entry.record.final_loss
+            assert entry.best_loss == entry.record.best_loss()
+            assert entry.diverged == entry.record.diverged
+
     def test_bad_override_key(self):
         with pytest.raises(ConfigError):
             run_sweep(toy_config(steps=10), {"nope.key": [1]})

@@ -82,13 +82,13 @@ class TestGradientChecks:
 class TestTinyMlp:
     def test_zero_everything_gives_zero_loss(self):
         mlp = TinyMlp((4, 8, 1))
-        theta = np.zeros(mlp.n_params)
+        theta = np.zeros(mlp.dim)
         batch = (np.zeros((3, 4)), np.zeros((3, 1)))
         assert mlp.loss(theta, batch) == 0.0
 
     def test_param_count(self):
         mlp = TinyMlp((16, 64, 64, 1))
-        assert mlp.n_params == 16 * 64 + 64 + 64 * 64 + 64 + 64 * 1 + 1
+        assert mlp.dim == 16 * 64 + 64 + 64 * 64 + 64 + 64 * 1 + 1
 
     def test_gradient_matches_finite_differences(self):
         mlp = TinyMlp((4, 8, 1))
@@ -102,7 +102,7 @@ class TestTinyMlp:
         rng = spawn_rng(99)
         batch = (rng.standard_normal((4, 3)), rng.standard_normal((4, 1)))
         for _ in range(20):
-            theta = rng.standard_normal(mlp.n_params) * 0.5
+            theta = rng.standard_normal(mlp.dim) * 0.5
             assert gradient_check(mlp, theta, batch) <= GRAD_TOL
 
     def test_duplicated_batch_leaves_loss_and_grad_unchanged(self):
@@ -153,9 +153,17 @@ class TestTinyMlp:
             ((3, 49), (5, 4), (3, 5, 2), r"targets of shape \(3, 5, 2\)"),
             ((49,), (1, 5, 4), (5, 1), r"inputs of shape \(1, 5, 4\), not \(batch, 4\)$"),
             ((49,), (5, 4), (1, 5, 1), r"targets of shape \(1, 5, 1\), not \(batch, 1\)$"),
+            ((49,), (5, 4), (1, 1), r"targets of shape \(1, 1\), not the inputs' batch of 5$"),
+            ((49,), (5, 4), (3, 1), r"targets of shape \(3, 1\), not the inputs' batch of 5$"),
+            ((3, 49), (5, 4), (3, 1, 1), r"targets of shape \(3, 1, 1\), not the inputs' "
+                                         r"batch of 5$"),
+            ((3, 49), (3, 5, 4), (1, 1), r"targets of shape \(1, 1\), not the inputs' batch of 5$"),
+            ((3, 49), (3, 5, 4), (3, 2, 1), r"targets of shape \(3, 2, 1\), not the inputs' "
+                                            r"batch of 5$"),
         ],
         ids=["rows_short", "rows_long", "targets_rows_short", "targets_wide", "point_inputs",
-             "point_targets"],
+             "point_targets", "point_targets_of_one", "point_targets_short",
+             "rows_targets_of_one", "per_row_inputs_shared_targets", "per_row_targets_short"],
     )
     def test_per_row_batches_must_match_the_rows(
             self, theta_shape, inputs_shape, targets_shape, problem):
