@@ -11,12 +11,16 @@ in one ``np.vecdot`` call for all the rows, or for a stack of row arrays;
 a step's rows are checked with :func:`finite_rows`, one ``ddot`` per array.
 Neither makes a numpy call per row. All randomness flows through Philox, a
 counter-based 64-bit generator whose stream is reproducible bit-for-bit
-from the seed.
+from the seed: :func:`spawn_rng` makes one stream per ``(seed, key)``, and
+:class:`StepStreams` gives the streams ``spawn_rng(seed, *prefix, t)`` of a
+whole family of steps ``t`` from one re-keyed ``Philox``, with no
+``SeedSequence`` per step.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import permutations
 
 import numpy as np
 
@@ -140,3 +144,90 @@ def spawn_rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(
         np.random.Philox(np.random.SeedSequence(seed, spawn_key=key))
     )
+
+
+# SeedSequence's constants (numpy.random.bit_generator): ``hashmix`` (A),
+# ``mix`` (L, R) and ``generate_state`` (B), on a pool of four 32-bit words.
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _words(n: int) -> list:
+    """``n`` as SeedSequence splits an int: its 32-bit words, low first."""
+    if n < 0:
+        raise ValueError(f"a stream key must be non-negative, got {n}")
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    return words
+
+
+def _hashmix(value: int, hash_const: int, mult: int = _MULT_A) -> tuple[int, int]:
+    """SeedSequence's ``hashmix`` (``generate_state``'s with ``_MULT_B``):
+    the hashed value and the next constant."""
+    value ^= hash_const
+    hash_const = hash_const * mult & _MASK32
+    value = value * hash_const & _MASK32
+    return value ^ value >> 16, hash_const
+
+
+def _mix(pool: list, i: int, word: int, hash_const: int) -> int:
+    """SeedSequence's ``mix`` of ``hashmix(word)`` into ``pool[i]``; the
+    next constant."""
+    value, hash_const = _hashmix(word, hash_const)
+    mixed = (_MIX_L * pool[i] - _MIX_R * value) & _MASK32
+    pool[i] = mixed ^ mixed >> 16
+    return hash_const
+
+
+def _mix_in(pool: list, hash_const: int, words: list) -> int:
+    """Mix each of ``words`` into every word of ``pool``, as SeedSequence
+    mixes the entropy beyond its pool; the next constant."""
+    for word in words:
+        for i in range(4):
+            hash_const = _mix(pool, i, word, hash_const)
+    return hash_const
+
+
+class StepStreams:
+    """The streams ``spawn_rng(seed, *prefix, t)`` of every ``t``, bit for
+    bit, from one ``Philox`` that :meth:`rng` re-keys.
+
+    ``SeedSequence(seed, spawn_key=(*prefix, t))`` hashes the seed (padded
+    to four words) into its pool, then mixes each key word into every pool
+    word, and ``Philox`` takes its key from the pool. The words of ``seed``
+    and ``prefix`` are mixed here once, so a stream costs the mixing of
+    ``t``'s words and one state set, not a ``SeedSequence`` and a ``Philox``.
+    The generator :meth:`rng` returns is the same object for every ``t``:
+    draw from it before the next call.
+    """
+
+    def __init__(self, seed: int, *prefix: int):
+        words = _words(seed)
+        entropy = words + [0] * (4 - len(words)) + [w for key in prefix for w in _words(key)]
+        self._pool, hash_const = [], _INIT_A
+        for word in entropy[:4]:
+            value, hash_const = _hashmix(word, hash_const)
+            self._pool.append(value)
+        for src, dst in permutations(range(4), 2):  # every pool word into every other
+            hash_const = _mix(self._pool, dst, self._pool[src], hash_const)
+        self._hash = _mix_in(self._pool, hash_const, entropy[4:])
+        self._rng = np.random.Generator(np.random.Philox(key=0))
+        self._state = self._rng.bit_generator.state
+
+    def key(self, t: int) -> tuple[int, int]:
+        """The Philox key of stream ``t``: ``generate_state(2, np.uint64)``."""
+        pool = self._pool.copy()
+        _mix_in(pool, self._hash, _words(t))
+        hash_const, out = _INIT_B, []
+        for value in pool:
+            value, hash_const = _hashmix(value, hash_const, _MULT_B)
+            out.append(value)
+        return out[0] | out[1] << 32, out[2] | out[3] << 32
+
+    def rng(self, t: int) -> np.random.Generator:
+        """The generator of ``spawn_rng(seed, *prefix, t)``, at its start."""
+        self._state["state"]["key"] = self.key(t)
+        self._rng.bit_generator.state = self._state
+        return self._rng

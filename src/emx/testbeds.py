@@ -9,7 +9,9 @@ also take a ``(K, dim)`` array, one point per row, and evaluate every row in
 one call, each with the bits it would get alone: the landscapes in Python
 floats per row, the MLP as one stacked pass whose ``matmul`` runs one
 ``gemm`` per row and whose sums stay within a row, on one batch shared by
-every row or on one batch per row.
+every row or on one batch per row. The same stacked pass makes the
+synthetic data: :class:`SyntheticDataset` runs its teacher once over a
+block of steps' batches, and each batch keeps the bits of its own pass.
 
 :data:`TESTBEDS` maps each ``testbed.kind`` to a factory ``(seed, **params) ->
 (testbed, dataset or None, theta0)``; its keywords are the ``testbed.*`` keys.
@@ -21,7 +23,7 @@ import math
 
 import numpy as np
 
-from .numerics import spawn_rng
+from .numerics import StepStreams, spawn_rng
 
 # spawn-key namespaces for dataset streams (first key component)
 _KEY_TRAIN = 0
@@ -225,6 +227,16 @@ class SyntheticDataset:
     and resumed runs see exactly the same stream. A designated held-out batch
     lives in a separate key namespace and therefore never appears in the
     training stream unless injected explicitly.
+
+    Training batches are made a block of steps at a time: :meth:`batch`
+    makes the aligned block of ``max(1, 128 // batch_size)`` steps that
+    holds ``t`` (so no ``(n, batch, 64)`` teacher temporary reaches glibc's
+    128 KiB mmap threshold), with one stacked teacher pass, and serves the
+    block's other steps from it. Each step still draws from its own stream,
+    and the stacked ``matmul`` runs one ``gemm`` per step, so no batch
+    depends on the block it came from. The dataset keeps only the current
+    block (about 17 KB at batch 32), read-only; a copy or pickle carries it
+    unchanged. The held-out and eval batches are blocks of one.
     """
 
     def __init__(self, input_dim=16, batch_size=32, seed=0, noise=0.05, eval_size=256):
@@ -236,24 +248,49 @@ class SyntheticDataset:
         teacher = TinyMlp((self.input_dim, 64, 64, 1))
         teacher_theta = teacher.init_params(spawn_rng(self.seed, _KEY_TEACHER))
         self._teacher_layers = teacher._layers(teacher_theta)  # fixed weight views
+        self._streams = StepStreams(self.seed, _KEY_TRAIN)
+        self._block_len = max(1, 128 // self.batch_size)
+        self._block_start, self._block = None, None
 
-    def _make_batch(self, rng: np.random.Generator, size: int):
-        inputs = rng.standard_normal((size, self.input_dim))
-        clean = _activations(self._teacher_layers, inputs)[-1][0]  # teacher.forward's bits
-        targets = clean + self.noise * rng.standard_normal(clean.shape)
+    def _synthesize(self, rngs, n: int, size: int) -> tuple:
+        """Read-only ``(inputs, targets)`` of shape ``(n, size, input_dim)``
+        and ``(n, size, 1)``: per generator of ``rngs`` (an iterable of
+        ``n``, taken lazily so that each is drawn before the next is made),
+        the inputs and then the noise; then one teacher pass over all ``n``
+        batches."""
+        inputs = np.empty((n, size, self.input_dim))
+        noise = np.empty((n, size, 1))
+        for rng, x, z in zip(rngs, inputs, noise):
+            rng.standard_normal(out=x)
+            rng.standard_normal(out=z)
+        clean = _activations(self._teacher_layers, inputs)[-1]  # teacher.forward's bits
+        targets = clean + self.noise * noise
+        inputs.flags.writeable = targets.flags.writeable = False
         return inputs, targets
 
     def batch(self, t: int):
-        """Training batch for step t >= 1."""
-        return self._make_batch(spawn_rng(self.seed, _KEY_TRAIN, t), self.batch_size)
+        """Training batch for step t >= 1 (an int), served from its block."""
+        if isinstance(t, bool) or not isinstance(t, (int, np.integer)) or t < 1:
+            raise ValueError(f"batch step t must be an int >= 1, got {t!r}")
+        t = int(t)
+        start = t - (t - 1) % self._block_len
+        if start != self._block_start:
+            steps = range(start, start + self._block_len)
+            self._block_start, self._block = start, self._synthesize(
+                map(self._streams.rng, steps), self._block_len, self.batch_size)
+        return self._block[0][t - start], self._block[1][t - start]
+
+    def _fixed_batch(self, namespace: int, size: int) -> tuple:
+        inputs, targets = self._synthesize([spawn_rng(self.seed, namespace, 0)], 1, size)
+        return inputs[0], targets[0]
 
     def heldout_batch(self):
         """The designated held-out batch, disjoint from the training stream."""
-        return self._make_batch(spawn_rng(self.seed, _KEY_HELDOUT, 0), self.batch_size)
+        return self._fixed_batch(_KEY_HELDOUT, self.batch_size)
 
     def eval_batch(self):
         """A larger fixed batch for low-variance loss evaluation."""
-        return self._make_batch(spawn_rng(self.seed, _KEY_EVAL, 0), self.eval_size)
+        return self._fixed_batch(_KEY_EVAL, self.eval_size)
 
 
 def _rosenbrock(seed, x0=(-3.0, 5.0)):

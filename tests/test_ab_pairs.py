@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -29,12 +30,16 @@ print(json.dumps({"correct": True, "attempted": 4, "failed": 0, "metrics": {
 """
 
 
-def test_alternated_pairs_written_in_the_bench_layout(tmp_path):
+def stub_trees(tmp_path):
     for name in ("parent", "change"):
         tree = tmp_path / name
         (tree / "perfbench").mkdir(parents=True)
         (tree / "perfbench" / "run.py").write_text(STUB)
         (tree / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
+
+
+def test_alternated_pairs_written_in_the_bench_layout(tmp_path):
+    stub_trees(tmp_path)
     out = tmp_path / "BENCH.json"
     subprocess.run(
         [sys.executable, str(ROOT / "tools" / "ab_pairs.py"), str(tmp_path / "parent"),
@@ -69,6 +74,27 @@ def test_alternated_pairs_written_in_the_bench_layout(tmp_path):
     assert bench["metrics"]["toy_sweep.peak_rss_mb"]["change_wins"] == 0  # ties count for neither
 
 
+def test_the_sides_alternate_by_position_in_the_seed_list(tmp_path):
+    stub_trees(tmp_path)
+    out = tmp_path / "BENCH.json"
+    subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "ab_pairs.py"), str(tmp_path / "parent"),
+         str(tmp_path / "change"), "--workload", "mlp_train", "--seeds", "1,3,5,8,7",
+         "--seconds", "1", "--out", str(out)],
+        check=True, capture_output=True, timeout=120,
+    )
+    order = (tmp_path / "order.log").read_text().split("\n")[:-1]
+    firsts = ["parent", "change", "parent", "change", "parent"]
+    assert order == [f"{side} mlp_train {seed}" for seed, first in zip((1, 3, 5, 8, 7), firsts)
+                     for side in (first, "change" if first == "parent" else "parent")]
+    bench = json.loads(out.read_text())
+    assert bench["seeds"] == [1, 3, 5, 8, 7]
+    assert bench["order"].startswith("parent first for the 1st, 3rd, ... seed of the list, "
+                                     "change first for the 2nd, 4th, ...")
+    assert bench["metrics"]["mlp_train.steps_per_s"]["runs"]["parent"] == [
+        101.0, 103.0, 105.0, 108.0, 107.0]
+
+
 def test_a_workload_list_refuses_unknown_and_repeated_names():
     for text in ("toy_sweep,nope", "toy_sweep,toy_sweep", ""):
         proc = subprocess.run(
@@ -77,3 +103,21 @@ def test_a_workload_list_refuses_unknown_and_repeated_names():
             capture_output=True, text=True, timeout=60,
         )
         assert proc.returncode == 2 and "want distinct names" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "workload, seeds, message",
+    [
+        ("all,toy_sweep", "1-2", "all runs every workload: give it alone"),
+        ("mlp_train,all", "1-2", "all runs every workload: give it alone"),
+        ("toy_sweep", "1,1", "seed repeated in 1,1"),
+        ("toy_sweep", "1,2,3,2", "seed repeated in 1,2,3,2"),
+    ],
+)
+def test_a_list_that_would_repeat_a_pair_or_a_key_is_refused(workload, seeds, message):
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "ab_pairs.py"), "a", "b", "--workload", workload,
+         "--seeds", seeds, "--out", "x.json"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2 and message in proc.stderr

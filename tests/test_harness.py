@@ -2,6 +2,7 @@ import copy
 import csv
 import io
 import math
+import pickle
 import re
 
 import numpy as np
@@ -344,6 +345,18 @@ class TestForgetting:
         assert exp.records == alone.records
         assert exp.heldout_series == alone.heldout_series
         assert exp.checkpoint() == alone.checkpoint()
+
+    @pytest.mark.parametrize("copier", [copy.deepcopy, lambda exp: pickle.loads(pickle.dumps(exp))])
+    def test_a_copy_inside_a_batch_block_finishes_with_the_run_bytes(self, copier):
+        text = format_config(mlp_config(steps=130)).replace("batch_size = 16", "batch_size = 32")
+        cfg = parse_config(text)  # blocks of 4 steps: 121-124 holds 122
+        alone = format_record_csv(run_experiment(cfg))
+        exp = Experiment(cfg)
+        assert exp.dataset.batch_size == 32
+        exp.run(until=122)
+        twin = copier(exp)
+        assert format_record_csv(twin.run()) == alone
+        assert format_record_csv(exp.run()) == alone
 
     def test_heldout_tracked_on_a_testbed_without_a_dataset(self):
         exp = Experiment(toy_config(steps=5), track_heldout=True)

@@ -10,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 from emx.numerics import (
     DOT_CHUNK,
     DivergenceError,
+    StepStreams,
     finite_rows,
     global_norm_clip,
     l2_norm,
@@ -248,3 +249,29 @@ class TestRng:
         assert np.array_equal(a1, a2)
         assert not np.array_equal(a1, b)
         assert not np.array_equal(a1, c)
+
+
+class TestStepStreams:
+    STEPS = [*range(301), 2**31, 2**32 - 1, 2**32, 2**40 + 7]
+
+    @pytest.mark.parametrize("prefix", [(0,), (1, 2)])
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**128 + 9])
+    def test_key_is_the_seed_sequence_key(self, seed, prefix):
+        streams = StepStreams(seed, *prefix)
+        for t in self.STEPS:
+            want = np.random.SeedSequence(seed, spawn_key=(*prefix, t)).generate_state(2, np.uint64)
+            assert streams.key(t) == tuple(want.tolist()), t
+
+    def test_rekeyed_draws_are_spawn_rngs(self):
+        streams = StepStreams(2**64 + 3, 1, 2)
+        for t in (0, 5, 2**32 + 1, 5):
+            rng = streams.rng(t)
+            want = spawn_rng(2**64 + 3, 1, 2, t)
+            assert rng.standard_normal(9).tobytes() == want.standard_normal(9).tobytes()
+            assert rng.random(5).tobytes() == want.random(5).tobytes()
+            assert rng.integers(0, 2**40, 5).tolist() == want.integers(0, 2**40, 5).tolist()
+            assert rng.standard_normal(3).tobytes() == want.standard_normal(3).tobytes()
+
+    def test_a_negative_step_is_refused(self):
+        with pytest.raises(ValueError, match="non-negative, got -1"):
+            StepStreams(3, 0).key(-1)

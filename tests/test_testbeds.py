@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -305,3 +306,56 @@ class TestSyntheticDataset:
     def test_eval_batch_fixed(self):
         ds = SyntheticDataset(input_dim=4, batch_size=8, seed=5)
         assert _batch_digest(ds.eval_batch()) == _batch_digest(ds.eval_batch())
+
+
+def batch_from_one_stream(ds, t):
+    """Step ``t``'s batch as made before blocks: inputs, then noise, from
+    ``spawn_rng(seed, 0, t)``, and a one-batch teacher pass."""
+    rng = spawn_rng(ds.seed, 0, t)
+    inputs = rng.standard_normal((ds.batch_size, ds.input_dim))
+    teacher = TinyMlp((ds.input_dim, 64, 64, 1))
+    clean = teacher.forward(teacher.init_params(spawn_rng(ds.seed, 2)), inputs)
+    return inputs, clean + ds.noise * rng.standard_normal(clean.shape)
+
+
+class TestBlocks:
+    @pytest.mark.parametrize("input_dim", [1, 16, 100])
+    @pytest.mark.parametrize("batch_size", [1, 3, 32, 33, 128, 129])
+    def test_a_batch_is_its_one_stream_batch_in_any_order(self, batch_size, input_dim):
+        n = max(1, 128 // batch_size)
+        steps = sorted({1, 2, n, n + 1, n + 2, 2 * n, 2 * n + 1, 3 * n})  # across block edges
+        want = {t: _batch_digest(batch_from_one_stream(
+            SyntheticDataset(input_dim, batch_size, seed=7), t)) for t in steps}
+        shuffled = list(np.random.default_rng(batch_size * input_dim).permutation(steps))
+        for order in (steps, steps[::-1], shuffled):
+            ds = SyntheticDataset(input_dim, batch_size, seed=7)
+            assert [_batch_digest(ds.batch(t)) for t in order] == [want[t] for t in order]
+
+    def test_heldout_and_eval_batches_are_one_stream_batches(self):
+        ds = SyntheticDataset(input_dim=5, batch_size=6, seed=3, eval_size=40)
+        for batch, key, size in ((ds.heldout_batch(), 1, 6), (ds.eval_batch(), 4, 40)):
+            rng = spawn_rng(3, key, 0)
+            inputs = rng.standard_normal((size, 5))
+            teacher = TinyMlp((5, 64, 64, 1))
+            clean = teacher.forward(teacher.init_params(spawn_rng(3, 2)), inputs)
+            assert _batch_digest(batch) == _batch_digest(
+                (inputs, clean + 0.05 * rng.standard_normal(clean.shape)))
+
+    def test_a_served_batch_is_read_only(self):
+        x, y = SyntheticDataset(input_dim=4, batch_size=8, seed=5).batch(3)
+        for array in (x, y):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 1.0
+
+    @pytest.mark.parametrize("t", [True, False, 0, -1, 2.0, 1.5, "1", None, np.int64(-1),
+                                   np.float64(3.0), np.bool_(True)])
+    def test_a_step_that_is_not_an_int_from_one_is_refused(self, t):
+        ds = SyntheticDataset(input_dim=4, batch_size=8, seed=5)
+        with pytest.raises(ValueError, match=re.escape(f"batch step t must be an int >= 1, got {t!r}")):
+            ds.batch(t)
+
+    def test_numpy_int_steps_are_steps(self):
+        ds = SyntheticDataset(input_dim=4, batch_size=8, seed=5)
+        want = _batch_digest(batch_from_one_stream(ds, 20))
+        for t in (np.int64(20), np.uint32(20), np.int8(20), 20):
+            assert _batch_digest(ds.batch(t)) == want

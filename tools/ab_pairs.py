@@ -7,10 +7,12 @@
 For each seed ``i`` and each workload ``W`` of the comma list, in its order,
 it runs ``python3 perfbench/run.py --workload W --seed i --seconds S`` in
 each checkout, one run after the other, with no ``PYTHONPATH``: the parent
-first on odd seeds, the change first on even seeds. So the two runs of a
-pair are back to back, however many workloads a seed runs. It writes the
-end-to-end metrics of ``BENCHMARK.json`` in the layout of
-``BENCH_15.json``: per metric (``<workload>.<metric>``) the runs of each
+first for the 1st, 3rd, ... seed of the list, the change first for the 2nd,
+4th, ... (so the sides alternate whatever the seeds are). So the two runs of
+a pair are back to back, however many workloads a seed runs. A repeated
+seed, and ``all`` beside another workload (whose metrics would share keys),
+are refused. It writes the end-to-end metrics of ``BENCHMARK.json`` in the
+layout of ``BENCH_15.json``: per metric (``<workload>.<metric>``) the runs of each
 side in seed order, their median and quartiles (linear interpolation, as
 ``numpy.percentile``), and the number of pairs the change won; plus the ``env`` stamp of each side's
 first run, whether every run was correct and the failed operations.
@@ -33,11 +35,14 @@ WORKLOADS = ("toy_sweep", "mlp_train", "wide_state", "all")
 
 
 def seed_list(text: str) -> list[int]:
-    """``"1-10"`` or ``"1,4,7"`` as a list of seeds."""
+    """``"1-10"`` or ``"1,4,7"`` as a list of distinct seeds."""
     if "-" in text:
         lo, hi = map(int, text.split("-"))
         return list(range(lo, hi + 1))
-    return [int(s) for s in text.split(",")]
+    seeds = [int(s) for s in text.split(",")]
+    if len(set(seeds)) != len(seeds):
+        raise argparse.ArgumentTypeError(f"seed repeated in {text}")
+    return seeds
 
 
 def workload_list(text: str) -> list[str]:
@@ -45,6 +50,8 @@ def workload_list(text: str) -> list[str]:
     names = text.split(",")
     if not set(names) <= set(WORKLOADS) or len(set(names)) != len(names):
         raise argparse.ArgumentTypeError(f"want distinct names among {', '.join(WORKLOADS)}")
+    if "all" in names and len(names) > 1:
+        raise argparse.ArgumentTypeError("all runs every workload: give it alone")
     return names
 
 
@@ -90,9 +97,9 @@ def main(argv=None) -> int:
     trees = dict(zip(SIDES, (args.parent, args.change)))
     results = {w: {side: [] for side in SIDES} for w in args.workload}
     stamps = {}
-    for seed in args.seeds:
+    for position, seed in enumerate(args.seeds):
         for workload in args.workload:
-            for side in SIDES if seed % 2 else SIDES[::-1]:
+            for side in SIDES[::-1] if position % 2 else SIDES:
                 result, stamp = run_once(trees[side], workload, seed, args.seconds)
                 results[workload][side].append(result)
                 stamps.setdefault(side, stamp)
@@ -122,8 +129,9 @@ def main(argv=None) -> int:
                              f"--seconds {args.seconds:g}" for w in args.workload),
         "pairs": len(args.seeds),
         "seeds": args.seeds,
-        "order": "parent first on odd seeds, change first on even seeds; within a seed, "
-                 "each workload's pair back to back, in the order given",
+        "order": "parent first for the 1st, 3rd, ... seed of the list, change first for "
+                 "the 2nd, 4th, ...; within a seed, each workload's pair back to back, "
+                 "in the order given",
         "seconds_per_workload": args.seconds,
         "trees": "separate checkouts, run without PYTHONPATH",
         "claimed": args.claimed,
