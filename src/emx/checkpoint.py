@@ -172,7 +172,8 @@ def restore_optimizer(ck: CheckpointData):
     ``defaults`` keys is parsed with the config value grammar (``1e2``,
     ``none`` and ``0.0,0.9`` read as in a config file) and passed to the
     constructor, which types it like its default; each ``hyper_state`` key of
-    the built state (``sched_offset``) is then set, a step in ``[0, step]``.
+    the built state (``sched_offset``) is then set, a step in ``[0, step]``;
+    any other key but ``variant`` is foreign to the kind, and refused.
     The state is built at dim 0, so nothing the size of a slot is allocated
     until every one of its ``slot_names`` is found in the checkpoint with the
     length of the first slot (:func:`save_state` writes the state's slots
@@ -202,6 +203,9 @@ def restore_optimizer(ck: CheckpointData):
         raise CheckpointFormatError(f"missing hyper key {exc.args[0]!r}") from exc
     except ValueError as exc:  # text that is not a number, or a value the kind refuses
         raise CheckpointFormatError(f"invalid {variant} hyperparameters: {exc}") from exc
+    unknown = ck.hyper.keys() - {"variant", *opt.hyper()}
+    if unknown:
+        raise CheckpointFormatError(f"unknown {variant} hyper keys {sorted(unknown)}")
     opt.dim = len(next(iter(ck.slots.values()), ()))
     for name in opt.slot_names:
         vec = ck.slots.get(name)

@@ -11,16 +11,17 @@ in one ``np.vecdot`` call for all the rows, or for a stack of row arrays;
 a step's rows are checked with :func:`finite_rows`, one ``ddot`` per array.
 Neither makes a numpy call per row. All randomness flows through Philox, a
 counter-based 64-bit generator whose stream is reproducible bit-for-bit
-from the seed: :func:`spawn_rng` makes one stream per ``(seed, key)``, and
-:class:`StepStreams` gives the streams ``spawn_rng(seed, *prefix, t)`` of a
-whole family of steps ``t`` from one re-keyed ``Philox``, with no
-``SeedSequence`` per step.
+from the seed: :func:`spawn_rng` makes a one-off stream per ``(seed, key)``,
+and :class:`StepStreams` gives the streams ``spawn_rng(seed, *prefix, t)`` of
+a whole family of steps ``t`` from one re-keyed ``Philox``: numpy's
+``SeedSequence`` mixes ``(seed, prefix)`` once, and each step mixes only
+the words of ``t``.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import permutations
+import operator
 
 import numpy as np
 
@@ -139,8 +140,10 @@ def global_norm_clip(g: np.ndarray, max_norm: float) -> np.ndarray:
 
 
 def spawn_rng(seed: int, *key: int) -> np.random.Generator:
-    """Independent stream for (seed, key), e.g. one per training step; the
-    same (seed, key) gives the same stream anywhere."""
+    """Independent stream for (seed, key), for a one-off stream such as a
+    teacher, an init, or a held-out or eval batch (a family of training
+    steps takes :class:`StepStreams`); the same (seed, key) gives the same
+    stream anywhere."""
     return np.random.Generator(
         np.random.Philox(np.random.SeedSequence(seed, spawn_key=key))
     )
@@ -154,7 +157,9 @@ _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 
 
 def _words(n: int) -> list:
-    """``n`` as SeedSequence splits an int: its 32-bit words, low first."""
+    """``n`` (any integer, read with ``operator.index``) as SeedSequence
+    splits it: its 32-bit words, low first."""
+    n = operator.index(n)
     if n < 0:
         raise ValueError(f"a stream key must be non-negative, got {n}")
     words = [n & _MASK32]
@@ -163,63 +168,48 @@ def _words(n: int) -> list:
     return words
 
 
-def _hashmix(value: int, hash_const: int, mult: int = _MULT_A) -> tuple[int, int]:
-    """SeedSequence's ``hashmix`` (``generate_state``'s with ``_MULT_B``):
-    the hashed value and the next constant."""
+def _hashmix(value: int, hash_const: int, mult: int) -> tuple[int, int]:
+    """SeedSequence's ``hashmix`` (``mult`` is ``_MULT_A``, or ``_MULT_B``
+    in ``generate_state``): the hashed value and the next constant."""
     value ^= hash_const
     hash_const = hash_const * mult & _MASK32
     value = value * hash_const & _MASK32
     return value ^ value >> 16, hash_const
 
 
-def _mix(pool: list, i: int, word: int, hash_const: int) -> int:
-    """SeedSequence's ``mix`` of ``hashmix(word)`` into ``pool[i]``; the
-    next constant."""
-    value, hash_const = _hashmix(word, hash_const)
-    mixed = (_MIX_L * pool[i] - _MIX_R * value) & _MASK32
-    pool[i] = mixed ^ mixed >> 16
-    return hash_const
-
-
-def _mix_in(pool: list, hash_const: int, words: list) -> int:
-    """Mix each of ``words`` into every word of ``pool``, as SeedSequence
-    mixes the entropy beyond its pool; the next constant."""
-    for word in words:
-        for i in range(4):
-            hash_const = _mix(pool, i, word, hash_const)
-    return hash_const
-
-
 class StepStreams:
     """The streams ``spawn_rng(seed, *prefix, t)`` of every ``t``, bit for
     bit, from one ``Philox`` that :meth:`rng` re-keys.
 
-    ``SeedSequence(seed, spawn_key=(*prefix, t))`` hashes the seed (padded
-    to four words) into its pool, then mixes each key word into every pool
-    word, and ``Philox`` takes its key from the pool. The words of ``seed``
-    and ``prefix`` are mixed here once, so a stream costs the mixing of
-    ``t``'s words and one state set, not a ``SeedSequence`` and a ``Philox``.
-    The generator :meth:`rng` returns is the same object for every ``t``:
-    draw from it before the next call.
+    ``SeedSequence(seed, spawn_key=(*prefix, t))`` mixes the words of
+    ``seed`` and ``prefix`` into a pool of four words, then each word of
+    ``t`` into every pool word, and ``Philox`` takes its key from the pool.
+    numpy's ``SeedSequence(seed, spawn_key=prefix)`` gives the pool of the
+    first part once; here a stream costs only the mixing of ``t``'s words
+    and ``generate_state``, not a ``SeedSequence`` and a ``Philox``. The
+    generator :meth:`rng` returns is the same object for every ``t``: draw
+    from it before the next call.
     """
 
     def __init__(self, seed: int, *prefix: int):
-        words = _words(seed)
-        entropy = words + [0] * (4 - len(words)) + [w for key in prefix for w in _words(key)]
-        self._pool, hash_const = [], _INIT_A
-        for word in entropy[:4]:
-            value, hash_const = _hashmix(word, hash_const)
-            self._pool.append(value)
-        for src, dst in permutations(range(4), 2):  # every pool word into every other
-            hash_const = _mix(self._pool, dst, self._pool[src], hash_const)
-        self._hash = _mix_in(self._pool, hash_const, entropy[4:])
+        # Read first: a negative key keeps this module's error, and numpy
+        # would take a ``None`` seed as fresh entropy from the OS.
+        width = max(4, len(_words(seed))) + sum(len(_words(k)) for k in prefix)
+        # ``tolist``: Python ints, which do not wrap in the mixing below.
+        self._pool = np.random.SeedSequence(seed, spawn_key=prefix).pool.tolist()
+        # numpy's mixing calls ``hashmix`` four times per entropy word.
+        self._hash = _INIT_A * pow(_MULT_A, 4 * width, 1 << 32) & _MASK32
         self._rng = np.random.Generator(np.random.Philox(key=0))
         self._state = self._rng.bit_generator.state
 
     def key(self, t: int) -> tuple[int, int]:
         """The Philox key of stream ``t``: ``generate_state(2, np.uint64)``."""
-        pool = self._pool.copy()
-        _mix_in(pool, self._hash, _words(t))
+        pool, hash_const = self._pool.copy(), self._hash
+        for word in _words(t):
+            for i in range(4):
+                value, hash_const = _hashmix(word, hash_const, _MULT_A)
+                mixed = (_MIX_L * pool[i] - _MIX_R * value) & _MASK32
+                pool[i] = mixed ^ mixed >> 16
         hash_const, out = _INIT_B, []
         for value in pool:
             value, hash_const = _hashmix(value, hash_const, _MULT_B)

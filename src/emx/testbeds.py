@@ -24,6 +24,7 @@ import math
 import numpy as np
 
 from .numerics import StepStreams, spawn_rng
+from .schedules import integer
 
 # spawn-key namespaces for dataset streams (first key component)
 _KEY_TRAIN = 0
@@ -241,7 +242,7 @@ class SyntheticDataset:
 
     def __init__(self, input_dim=16, batch_size=32, seed=0, noise=0.05, eval_size=256):
         self.input_dim = int(input_dim)
-        self.batch_size = int(batch_size)
+        self.batch_size = integer("batch_size", batch_size, 1)
         self.seed = int(seed)
         self.noise = float(noise)
         self.eval_size = int(eval_size)

@@ -329,6 +329,20 @@ class TestRestoreErrors:
             restore_optimizer(ck)
 
     @pytest.mark.parametrize("kind", list(OPTIMIZERS))
+    def test_a_hyper_key_the_kind_does_not_take(self, kind):
+        ck = self._checkpoint(kind)
+        ck.hyper["bogus"] = "x"
+        with pytest.raises(CheckpointFormatError, match=rf"^unknown {kind} hyper keys \['bogus'\]$"):
+            restore_optimizer(ck)
+
+    def test_an_adamw_checkpoint_with_alpha_is_refused(self):
+        ck = self._checkpoint("adamw")
+        ck.hyper.update(alpha="5.0", bogus="x")
+        with pytest.raises(CheckpointFormatError,
+                           match=r"^unknown adamw hyper keys \['alpha', 'bogus'\]$"):
+            restore_optimizer(ck)
+
+    @pytest.mark.parametrize("kind", list(OPTIMIZERS))
     def test_missing_slot(self, kind):
         ck = self._checkpoint(kind)
         del ck.slots[sorted(ck.slots)[-1]]

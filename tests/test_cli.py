@@ -379,21 +379,35 @@ class TestCheckpointCommand:
         assert main(["run", toy_cfg_file, "--resume", str(ck)]) == 3
         assert "checkpoint error" in capsys.readouterr().err
 
+    @staticmethod
+    def _save_with_hyper(cfg, ck, **lines):
+        """Save ``cfg``'s state at step 5 to ``ck``, its hyperparameter block
+        updated with ``lines``."""
+        assert main(["checkpoint", "save", cfg, "--at-step", "5", "--out", str(ck)]) == 0
+        blob = ck.read_bytes()
+        hyper = load_state(blob).hyper
+        text = "".join(f"{k}={v}\n" for k, v in hyper.items()).encode()
+        new = "".join(f"{k}={v}\n" for k, v in {**hyper, **lines}.items()).encode()
+        start = blob.index(text)  # after the block's u32 byte length
+        ck.write_bytes(blob[:start - 4] + struct.pack("<I", len(new)) + new
+                       + blob[start + len(text):])
+
     @pytest.mark.parametrize("key", ["t_alpha", "alpha"])
     def test_resume_of_an_integer_beyond_the_float_range_exits_3(self, key, toy_cfg_file,
                                                                  tmp_path, capsys):
         ck = tmp_path / "state.emx"
-        assert main(["checkpoint", "save", toy_cfg_file, "--at-step", "5", "--out", str(ck)]) == 0
-        blob = ck.read_bytes()
-        hyper = load_state(blob).hyper
-        text = "".join(f"{k}={v}\n" for k, v in hyper.items()).encode()
-        new = "".join(f"{k}={'9' * 400 if k == key else v}\n" for k, v in hyper.items()).encode()
-        start = blob.index(text)  # after the block's u32 byte length
-        ck.write_bytes(blob[:start - 4] + struct.pack("<I", len(new)) + new
-                       + blob[start + len(text):])
+        self._save_with_hyper(toy_cfg_file, ck, **{key: "9" * 400})
         assert main(["run", toy_cfg_file, "--resume", str(ck)]) == 3
         err = capsys.readouterr().err
         assert err.startswith(f"checkpoint error: invalid ademamix hyperparameters: {key} must be ")
+
+    def test_resume_of_a_hyper_key_the_kind_does_not_take_exits_3(self, toy_cfg_file,
+                                                                  tmp_path, capsys):
+        ck = tmp_path / "state.emx"
+        self._save_with_hyper(toy_cfg_file, ck, bogus="x", betas="0.5")
+        assert main(["run", toy_cfg_file, "--resume", str(ck)]) == 3
+        err = capsys.readouterr().err
+        assert err == "checkpoint error: unknown ademamix hyper keys ['betas', 'bogus']\n"
 
     def test_resume_under_other_testbed_exits_3(self, toy_cfg_file, mlp_cfg_file, tmp_path, capsys):
         ck = tmp_path / "state.emx"

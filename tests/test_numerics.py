@@ -252,21 +252,31 @@ class TestRng:
 
 
 class TestStepStreams:
-    STEPS = [*range(301), 2**31, 2**32 - 1, 2**32, 2**40 + 7]
+    STEPS = [*range(301), np.int64(7), 2**31, 2**32 - 1, 2**32, 2**40 + 7]
 
-    @pytest.mark.parametrize("prefix", [(0,), (1, 2)])
-    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**128 + 9])
+    # a prefix of ``()``, a long prefix word and a seed of seven words pin
+    # how many hashes numpy's mixing of (seed, prefix) takes
+    @pytest.mark.parametrize("prefix", [(), (0,), (1, 2), (2**40,), (np.int64(3),)])
+    @pytest.mark.parametrize(
+        "seed",
+        [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**128 + 9, 2**200 + 1,
+         np.int64(5), np.uint32(9), np.uint64(2**63 + 5)],
+    )
     def test_key_is_the_seed_sequence_key(self, seed, prefix):
         streams = StepStreams(seed, *prefix)
         for t in self.STEPS:
             want = np.random.SeedSequence(seed, spawn_key=(*prefix, t)).generate_state(2, np.uint64)
             assert streams.key(t) == tuple(want.tolist()), t
 
-    def test_rekeyed_draws_are_spawn_rngs(self):
-        streams = StepStreams(2**64 + 3, 1, 2)
-        for t in (0, 5, 2**32 + 1, 5):
+    @pytest.mark.parametrize(
+        "seed, prefix",
+        [(2**64 + 3, (1, 2)), (np.int64(5), (0,)), (np.uint32(9), (np.int64(3),))],
+    )
+    def test_rekeyed_draws_are_spawn_rngs(self, seed, prefix):
+        streams = StepStreams(seed, *prefix)
+        for t in (0, 5, 2**32 + 1, np.int64(7), 5):
             rng = streams.rng(t)
-            want = spawn_rng(2**64 + 3, 1, 2, t)
+            want = spawn_rng(seed, *prefix, t)
             assert rng.standard_normal(9).tobytes() == want.standard_normal(9).tobytes()
             assert rng.random(5).tobytes() == want.random(5).tobytes()
             assert rng.integers(0, 2**40, 5).tolist() == want.integers(0, 2**40, 5).tolist()
@@ -275,3 +285,8 @@ class TestStepStreams:
     def test_a_negative_step_is_refused(self):
         with pytest.raises(ValueError, match="non-negative, got -1"):
             StepStreams(3, 0).key(-1)
+
+    @pytest.mark.parametrize("seed", [None, 1.5, [1, 2]])
+    def test_a_seed_that_is_not_an_integer_is_refused(self, seed):
+        with pytest.raises(TypeError):
+            StepStreams(seed, 0)

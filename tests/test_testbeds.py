@@ -354,6 +354,12 @@ class TestBlocks:
         with pytest.raises(ValueError, match=re.escape(f"batch step t must be an int >= 1, got {t!r}")):
             ds.batch(t)
 
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_a_batch_size_below_one_is_refused(self, batch_size):
+        want = f"batch_size must be >= 1 (an integer), got {batch_size}"
+        with pytest.raises(ValueError, match=re.escape(want)):
+            SyntheticDataset(input_dim=4, batch_size=batch_size, seed=5)
+
     def test_numpy_int_steps_are_steps(self):
         ds = SyntheticDataset(input_dim=4, batch_size=8, seed=5)
         want = _batch_digest(batch_from_one_stream(ds, 20))
