@@ -26,6 +26,7 @@ from . import harness
 from .ema_weights import PROFILES
 from .checkpoint import CheckpointError, load_state
 from .config import (
+    _INT_RE,
     _OPTIMIZER_KEYS,
     _TESTBED_KEYS,
     ConfigError,
@@ -47,8 +48,10 @@ def _apply_env_seed(cfg: ExperimentConfig) -> ExperimentConfig:
     if env is None:
         return cfg
     try:
+        if not _INT_RE.fullmatch(env):  # a config's integer: no "5_0", no spaces
+            raise ValueError(env)
         seed = int(env)
-    except ValueError as exc:
+    except ValueError as exc:  # or more digits than int() reads
         raise ConfigError(f"EMX_SEED must be an integer, got {env!r}") from exc
     return with_values(cfg, {"run.seed": seed})  # checked like a config's seed
 
@@ -163,6 +166,7 @@ def _cmd_forget(args) -> int:
     cfg = _apply_env_seed(load_config(args.config))
     if args.t_b is not None:
         cfg = with_values(cfg, {"forget.t_b": args.t_b})
+    harness.forget_step(cfg)  # refuse a config without forget.t_b before making the directory
     os.makedirs(args.out_dir, exist_ok=True)
     result = harness.run_forgetting_protocol(cfg)
     heldout = ("step", "heldout_loss")

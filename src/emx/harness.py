@@ -336,6 +336,14 @@ class ForgettingResult:
     normalized: list  # (step, value); 0 right before injection, -1 FORGET_SPAN steps after
 
 
+def forget_step(cfg: ExperimentConfig) -> int:
+    """``forget.t_b``, the step that injects the held-out batch; a config
+    without the directive is a :class:`ConfigError`."""
+    if cfg.forget is None:
+        raise ConfigError("config has no forget.t_b directive")
+    return cfg.forget.t_b
+
+
 def run_forgetting_protocol(cfg: ExperimentConfig) -> ForgettingResult:
     """Paired runs measuring how fast a once-seen batch is forgotten.
 
@@ -350,10 +358,7 @@ def run_forgetting_protocol(cfg: ExperimentConfig) -> ForgettingResult:
     value just before injection is 0 and the value
     :data:`emx.config.FORGET_SPAN` steps after is -1.
     """
-    if cfg.forget is None:
-        raise ConfigError("config has no forget.t_b directive")
-    t_b = cfg.forget.t_b
-
+    t_b = forget_step(cfg)
     exp = Experiment(cfg, track_heldout=True)
     exp.run(until=t_b - 1)
     exp._split()

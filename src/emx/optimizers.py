@@ -17,7 +17,8 @@ default, in ``hyper()`` order; ``hyper()`` gives each value typed like its
 default, AggMo's ``betas`` a tuple, and :mod:`emx.checkpoint` alone turns
 them into text and back), its state once, in ``slot_names`` (the
 slots :func:`preseed_momentum` sets in ``momentum``), and its update once,
-in ``_kernel`` (the Adam family: ``_mixture`` and ``_convex``). The base
+in ``_kernel`` (the Adam family's serves ``step`` and ``step_convex``, whose
+``1 - alpha_hat`` weighs the fast term). The base
 constructor types each value like its default with
 :func:`emx.schedules.typed`, the one reader of constructor keywords, lr
 fields and checkpoint text, and allocates the slots as the rows of one zero
@@ -100,7 +101,7 @@ class Optimizer:
     in that shape makes, is what a step works in; it is not state. ``shape``
     is ``(dim,)`` or ``(K, dim)``.
 
-    :meth:`step` runs the kind's ``_kernel(state, new, theta, grad, lr)``.
+    :meth:`step` runs the kind's ``_kernel(new, theta, grad, lr)``.
     """
 
     variant = ""
@@ -165,11 +166,11 @@ class Optimizer:
     def step(self, theta: np.ndarray, grad: np.ndarray, lr) -> np.ndarray:
         """One update at learning rate ``lr``: a number, or a ``(K, 1)``
         column for a rows state."""
-        return self._step(type(self)._kernel, theta, grad, lr)
+        return self._step(theta, grad, lr)
 
-    def _step(self, kernel, theta, grad, *args) -> np.ndarray:
-        """Check the shapes, count the step and run ``kernel(state, new, theta,
-        grad, *args)``, which writes the new ``theta`` to ``new`` and updates
+    def _step(self, theta, grad, *args) -> np.ndarray:
+        """Check the shapes, count the step and run ``_kernel(new, theta, grad,
+        *args)``, which writes the new ``theta`` to ``new`` and updates
         the slots; return ``new``, the step's one allocation.
 
         A non-finite 1-D state raises :class:`DivergenceError` once every
@@ -186,15 +187,15 @@ class Optimizer:
         new = np.empty(self.shape)
         if new.size < SPLIT_FLOOR:
             with np.errstate(over="ignore", invalid="ignore"):
-                kernel(self, new, theta, grad, *args)
+                self._kernel(new, theta, grad, *args)
             finite = self._finite(new)
         else:
-            finite = self._ranges(kernel, new, theta, grad, args)
+            finite = self._ranges(new, theta, grad, args)
         if not finite:
             raise DivergenceError(f"non-finite value after update step {self.t}", step=self.t)
         return new
 
-    def _ranges(self, kernel, new, theta, grad, args) -> bool:
+    def _ranges(self, new, theta, grad, args) -> bool:
         """Step one column range per CPU of the affinity mask (per CPU of the
         machine where Python has no ``os.sched_getaffinity``, as on macOS and
         Windows): the first here, each other in a thread joined before this
@@ -208,7 +209,7 @@ class Optimizer:
 
         def run(i):
             try:
-                results[i] = self._pieces(kernel, edges[i], edges[i + 1], new, theta, grad, args)
+                results[i] = self._pieces(edges[i], edges[i + 1], new, theta, grad, args)
             except Exception as exc:
                 results[i] = exc
 
@@ -225,7 +226,7 @@ class Optimizer:
                 raise result
         return all(results)
 
-    def _pieces(self, kernel, lo, hi, new, theta, grad, args) -> bool:
+    def _pieces(self, lo, hi, new, theta, grad, args) -> bool:
         """Step the columns ``lo:hi`` in pieces of at most ``BLOCK`` elements,
         each through a view of this state; whether each piece stayed finite,
         checked while it is in cache."""
@@ -236,7 +237,7 @@ class Optimizer:
             for a in range(lo, hi, width):
                 cols = (..., slice(a, min(a + width, hi)))
                 view._bind(self._block[cols], self._scratch[cols])
-                kernel(view, new[cols], theta[cols], grad[cols], *args)
+                view._kernel(new[cols], theta[cols], grad[cols], *args)
                 finite = finite and view._finite(new[cols])
         return finite
 
@@ -285,56 +286,44 @@ class AdamFamily(Optimizer):
                 for b in slow
             ]
 
-    def _moments(self, grad, beta3_t, beta4_t) -> np.ndarray:
-        """Advance every EMA; return ``m1_hat``: ``grad`` itself on the lean
-        path, else the scratch row."""
+    def _kernel(self, new, theta, grad, lr, alpha_t, beta3_t, beta4_t, fast=None) -> None:
+        """Advance every EMA, then write ``theta - lr*(num/(sqrt(nu_hat) + eps)
+        + wd*theta)`` to ``new``, where ``num = m1_hat + alpha_t*(m2 [+ m3])``
+        (``fast*m1_hat + ...`` for the convex form, which passes ``fast``).
+
+        ``m1_hat`` is ``grad`` itself on the lean path. The slow term is
+        skipped when ``alpha_t == 0`` outside the convex form, so that
+        ``step`` is then AdamW to the bit. ``wd*theta`` is added even when
+        ``wd == 0``: ``x + 0.0*theta`` turns ``-0.0`` into ``+0.0``, as the
+        plain expression does.
+        """
         tmp = self._scratch
         if self.m2 is not None:
             _ema(self.m2, self.beta3 if beta3_t is None else beta3_t, grad, tmp)
         if self.m3 is not None:
             _ema(self.m3, self.beta4 if beta4_t is None else beta4_t, grad, tmp)
         _ema(self.nu, self.beta2, np.multiply(grad, grad, out=tmp), tmp)
-        if self.m1 is None:
-            return grad
-        _ema(self.m1, self.beta1, grad, tmp)
-        return np.divide(self.m1, 1.0 - self.beta1**self.t, out=tmp)
-
-    def _slow(self, coef: float, out: np.ndarray) -> np.ndarray:
-        """``coef * (m2 [+ m3])``, written to ``out``."""
-        # m2 + m3 directly: sum() would start from 0 and turn -0.0 into +0.0
-        slow = self.m2 if self.m3 is None else np.add(self.m2, self.m3, out=out)
-        return np.multiply(coef, slow, out=out)
-
-    def _update(self, theta, lr, num, new) -> None:
-        """Write ``theta - lr*(num/(sqrt(nu_hat) + eps) + wd*theta)`` to ``new``.
-
-        ``wd*theta`` is added even when ``wd == 0``: ``x + 0.0*theta`` turns
-        ``-0.0`` into ``+0.0``, as the plain expression does.
-        """
+        num = grad
+        if self.m1 is not None:
+            _ema(self.m1, self.beta1, grad, tmp)
+            num = np.divide(self.m1, 1.0 - self.beta1**self.t, out=tmp)
+        if fast is not None:
+            num = np.multiply(fast, num, out=tmp)
+        if fast is not None or alpha_t != 0.0:
+            # m2 + m3 directly: sum() would start from 0 and turn -0.0 into +0.0
+            slow = self.m2 if self.m3 is None else np.add(self.m2, self.m3, out=new)
+            num = np.add(num, np.multiply(alpha_t, slow, out=new), out=tmp)
         denom = np.divide(self.nu, 1.0 - self.beta2**self.t, out=new)
         np.sqrt(denom, out=denom)
         denom += self.eps
-        upd = np.divide(num, denom, out=self._scratch)
+        upd = np.divide(num, denom, out=tmp)
         upd += np.multiply(self.weight_decay, theta, out=new)
         np.subtract(theta, np.multiply(lr, upd, out=upd), out=new)
-
-    def _mixture(self, new, theta, grad, lr, alpha_t, beta3_t, beta4_t) -> None:
-        num = self._moments(grad, beta3_t, beta4_t)
-        # alpha == 0 must reduce to AdamW exactly, so skip the slow term entirely
-        if alpha_t != 0.0:
-            num = np.add(num, self._slow(alpha_t, new), out=self._scratch)
-        self._update(theta, lr, num, new)
-
-    def _convex(self, new, theta, grad, eta_hat, alpha_hat, beta3_t, beta4_t) -> None:
-        m1_hat = self._moments(grad, beta3_t, beta4_t)
-        num = np.multiply(1.0 - alpha_hat, m1_hat, out=self._scratch)
-        num += self._slow(alpha_hat, new)
-        self._update(theta, eta_hat, num, new)
 
     def step(self, theta, grad, lr, alpha_t=None, beta3_t=None, beta4_t=None) -> np.ndarray:
         """One update; ``alpha_t`` and the slow decays default to the final values."""
         alpha_t = self.alpha if alpha_t is None else alpha_t
-        return self._step(AdamFamily._mixture, theta, grad, lr, alpha_t, beta3_t, beta4_t)
+        return self._step(theta, grad, lr, alpha_t, beta3_t, beta4_t)
 
     def step_convex(self, theta, grad, eta_hat, alpha_hat, beta3_t=None, beta4_t=None):
         """Convex-combination form: numerator ``(1-a)*m1_hat + a*(slow EMAs)``.
@@ -346,7 +335,7 @@ class AdamFamily(Optimizer):
         """
         if not 0.0 <= alpha_hat <= 1.0:
             raise ValueError(f"alpha_hat must be in [0, 1], got {alpha_hat}")
-        return self._step(AdamFamily._convex, theta, grad, eta_hat, alpha_hat, beta3_t, beta4_t)
+        return self._step(theta, grad, eta_hat, alpha_hat, beta3_t, beta4_t, 1.0 - alpha_hat)
 
 
 class AdamW(AdamFamily):

@@ -24,7 +24,7 @@ import math
 import numpy as np
 
 from .numerics import StepStreams, spawn_rng
-from .schedules import integer
+from .schedules import finite_number, integer
 
 # spawn-key namespaces for dataset streams (first key component)
 _KEY_TRAIN = 0
@@ -107,7 +107,8 @@ class AnalyticTestbed:
 class TinyMlp:
     """Fully-connected tanh network with parameters in one flat vector.
 
-    ``layer_dims`` gives (input, hidden..., output) widths. Hidden layers use
+    ``layer_dims`` gives (input, hidden..., output) widths, each an int >=
+    1 (else a ``ValueError`` naming ``layer_dims``). Hidden layers use
     tanh (smooth, so finite-difference checks hold at tight tolerance); the
     output layer is linear. Loss is the mean squared error over all batch
     elements and output coordinates.
@@ -123,7 +124,7 @@ class TinyMlp:
     def __init__(self, layer_dims=(16, 64, 64, 1)):
         if len(layer_dims) < 2:
             raise ValueError("need at least input and output dims")
-        self.layer_dims = tuple(int(d) for d in layer_dims)
+        self.layer_dims = tuple(integer("layer_dims", d, 1) for d in layer_dims)
         self._shapes = []
         offset = 0
         for d_in, d_out in zip(self.layer_dims[:-1], self.layer_dims[1:]):
@@ -238,14 +239,18 @@ class SyntheticDataset:
     depends on the block it came from. The dataset keeps only the current
     block (about 17 KB at batch 32), read-only; a copy or pickle carries it
     unchanged. The held-out and eval batches are blocks of one.
+
+    ``input_dim``, ``batch_size`` and ``eval_size`` are ints >= 1, ``seed``
+    an int >= 0 and ``noise`` a finite number; anything else is a
+    ``ValueError`` naming the argument.
     """
 
     def __init__(self, input_dim=16, batch_size=32, seed=0, noise=0.05, eval_size=256):
-        self.input_dim = int(input_dim)
+        self.input_dim = integer("input_dim", input_dim, 1)
         self.batch_size = integer("batch_size", batch_size, 1)
-        self.seed = int(seed)
-        self.noise = float(noise)
-        self.eval_size = int(eval_size)
+        self.seed = integer("seed", seed)
+        self.noise = finite_number("noise", noise)
+        self.eval_size = integer("eval_size", eval_size, 1)
         teacher = TinyMlp((self.input_dim, 64, 64, 1))
         teacher_theta = teacher.init_params(spawn_rng(self.seed, _KEY_TEACHER))
         self._teacher_layers = teacher._layers(teacher_theta)  # fixed weight views

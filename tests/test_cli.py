@@ -100,8 +100,11 @@ class TestRunCommand:
         assert out1.read_bytes() != out2.read_bytes()
 
     def test_bad_env_seed_is_config_error(self, toy_cfg_file, monkeypatch, capsys):
-        monkeypatch.setenv("EMX_SEED", "not-a-number")
-        assert main(["run", toy_cfg_file]) == 3
+        for env in ("not-a-number", "5_0", " 5"):  # int() reads the last two; a config does not
+            monkeypatch.setenv("EMX_SEED", env)
+            assert main(["run", toy_cfg_file]) == 3
+            want = f"config error: EMX_SEED must be an integer, got {env!r}\n"
+            assert capsys.readouterr() == ("", want)
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
@@ -634,6 +637,14 @@ class TestOutputCheckedBeforeTheRun:
         monkeypatch.setattr(harness, "run_forgetting_protocol", _never)
         assert main(["forget", mlp_cfg_file, "--out-dir", str(blocker / "out")]) == 3
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_forget_without_t_b_makes_no_directory(self, tmp_path, monkeypatch, capsys):
+        cfg, out_dir = tmp_path / "no_t_b.cfg", tmp_path / "new"
+        cfg.write_text(MLP_CFG.replace("forget.t_b = 60\n", ""))
+        monkeypatch.setattr(harness.Experiment, "__init__", _never)
+        assert main(["forget", str(cfg), "--out-dir", str(out_dir)]) == 3
+        assert capsys.readouterr().err == "config error: config has no forget.t_b directive\n"
+        assert not out_dir.exists()
 
 
 class TestNonFiniteJsonl:

@@ -734,6 +734,22 @@ class TestInPlaceKernels:
             assert _slot_bytes(opt) == _slot_bytes(ref)
             theta, grad = new, -grad
 
+    @pytest.mark.parametrize("kind", ["ademamix_convex", "ademamix_lean_convex"])
+    def test_convex_form_adds_a_slow_term_of_weight_zero(self, kind):
+        # at alpha_hat == 0, + 0.0*m2 still turns a -0.0 numerator into +0.0; a
+        # buffered state's m1_hat is -0.0 only from an m1 of -0.0, as a restore may leave it
+        factory, _, reference = STEP_KINDS[kind]
+        opt, ref = factory(3), factory(3)
+        if opt.m1 is not None:
+            opt.m1[...] = ref.m1[...] = -0.0
+        theta, grad = np.array([-0.0, 1.0, -0.0]), np.array([-0.0, 0.5, -1e-300])
+        for _ in range(2):
+            new = opt.step_convex(theta, grad, 1e-3, 0.0)
+            ref_new = reference(ref, theta, grad, 1e-3, 0.0)
+            assert new.tobytes() == ref_new.tobytes()
+            assert _slot_bytes(opt) == _slot_bytes(ref)
+            theta, grad = new, -grad
+
     @pytest.mark.parametrize("kind", sorted(STEP_KINDS))
     def test_result_is_a_fresh_array(self, kind):
         factory, method, _ = STEP_KINDS[kind]
@@ -1009,14 +1025,14 @@ class TestColumnSplit:
         assert len(three_ranges) == 3 and not any(t.is_alive() for t in three_ranges)
 
     def test_error_in_a_worker_alone_is_raised(self, three_ranges, monkeypatch):
-        kernel = AdamFamily._mixture
+        kernel = AdamFamily._kernel
 
         def failing(state, *args):
             if threading.current_thread() is not threading.main_thread():
                 raise ZeroDivisionError("in a worker")
             kernel(state, *args)
 
-        monkeypatch.setattr(AdamFamily, "_mixture", failing)
+        monkeypatch.setattr(AdamFamily, "_kernel", failing)
         opt = AdEMAMix(self.DIM)
         with pytest.raises(ZeroDivisionError, match="in a worker"):
             opt.step(np.zeros(self.DIM), np.ones(self.DIM), 1e-3)
@@ -1235,14 +1251,14 @@ class TestSlotBlock:
     def test_each_piece_of_a_split_step_is_a_row_per_slot(self, monkeypatch):
         opt = Ad3EMAMix(SPLIT_FLOOR // 2)
         opt.select_rows([0] * 3)
-        seen, mixture = [], AdamFamily._mixture
+        seen, mixture = [], AdamFamily._kernel
 
         def recorded(view, new, *args):
             seen.append(_rows_of_slots(view) and view.shape == new.shape == view._scratch.shape
                         and np.shares_memory(view.slots, opt.slots))
             mixture(view, new, *args)
 
-        monkeypatch.setattr(AdamFamily, "_mixture", recorded)
+        monkeypatch.setattr(AdamFamily, "_kernel", recorded)
         theta = np.ones(opt.shape)
         opt.step(theta, theta, np.full((3, 1), 1e-3))
         assert len(seen) > 1 and all(seen) and _rows_of_slots(opt)

@@ -123,6 +123,12 @@ class TestTinyMlp:
         with pytest.raises(ValueError, match="need at least input and output dims"):
             TinyMlp((4,))
 
+    @pytest.mark.parametrize("width", [0, -1, 2.5, True, "8", None])
+    def test_a_width_that_is_not_an_int_from_one_is_refused(self, width):
+        want = f"layer_dims must be >= 1 (an integer), got {width!r}"
+        with pytest.raises(ValueError, match=re.escape(want)):
+            TinyMlp((4, width, 1))
+
     @pytest.mark.parametrize("method", ["forward", "loss", "loss_and_grad"])
     @pytest.mark.parametrize(
         "shape, width, problem",
@@ -306,6 +312,20 @@ class TestSyntheticDataset:
     def test_eval_batch_fixed(self):
         ds = SyntheticDataset(input_dim=4, batch_size=8, seed=5)
         assert _batch_digest(ds.eval_batch()) == _batch_digest(ds.eval_batch())
+
+    @pytest.mark.parametrize("key, value, want", [
+        ("input_dim", 2.7, "input_dim must be >= 1 (an integer), got 2.7"),
+        ("input_dim", 0, "input_dim must be >= 1 (an integer), got 0"),
+        ("eval_size", 0, "eval_size must be >= 1 (an integer), got 0"),
+        ("eval_size", 8.0, "eval_size must be >= 1 (an integer), got 8.0"),
+        ("seed", 1.5, "seed must be >= 0 (an integer), got 1.5"),
+        ("seed", -1, "seed must be >= 0 (an integer), got -1"),
+        ("noise", float("nan"), "noise must be a finite number, got nan"),
+        ("noise", "0.1", "noise must be a finite number, got '0.1'"),
+    ])
+    def test_an_argument_out_of_its_domain_is_refused(self, key, value, want):
+        with pytest.raises(ValueError, match=re.escape(want)):
+            SyntheticDataset(**{"input_dim": 4, "batch_size": 8, "seed": 5, key: value})
 
 
 def batch_from_one_stream(ds, t):
