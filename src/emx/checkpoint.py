@@ -14,13 +14,14 @@ Layout (all integers little-endian):
     u64       step counter
 
 ``save_state``/``load_state`` round-trip bit-for-bit, including hyper floats
-and the step counter. The hyper key ``variant`` names the optimizer class so
-``restore_optimizer`` can rebuild it. This module alone knows the
-hyperparameter text: an optimizer's ``hyper()`` gives typed values,
-``save_state`` formats them, and ``restore_optimizer`` parses each line with
-the value grammar of config files (``config._parse_value``) and leaves the
-typing to the constructor, which reads every keyword with
-:func:`emx.schedules.typed`.
+and the step counter; ``load_state`` reads any byte buffer (``bytes``,
+``bytearray``, ``memoryview``, ``mmap``) in one pass, its slots views of it.
+The hyper key ``variant`` names the optimizer class so ``restore_optimizer``
+can rebuild it. This module alone knows the hyperparameter text: an
+optimizer's ``hyper()`` gives typed values, ``save_state`` formats them, and
+``restore_optimizer`` parses each line with the value grammar of config
+files (``config._parse_value``) and leaves the typing to the constructor,
+which reads every keyword with :func:`emx.schedules.typed`.
 """
 
 from __future__ import annotations
@@ -90,78 +91,67 @@ def save_state(opt, extra_slots: dict | None = None) -> bytes:
     return b"".join(parts)
 
 
-class _Reader:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def skip(self, n: int) -> int:
-        """Step over ``n`` bytes; return the offset they start at."""
-        if self.pos + n > len(self.data):
-            raise CheckpointTruncatedError(
-                f"needed {n} bytes at offset {self.pos}, only {len(self.data) - self.pos} left"
-            )
-        self.pos += n
-        return self.pos - n
-
-    def take(self, n: int) -> bytes:
-        start = self.skip(n)
-        return self.data[start : start + n]
-
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
-
-    def u64(self) -> int:
-        return struct.unpack("<Q", self.take(8))[0]
-
-
-def load_state(data: bytes) -> CheckpointData:
+def load_state(data) -> CheckpointData:
     """Parse checkpoint bytes; raises a distinct error per failure mode.
 
-    No slot is copied: each entry of ``slots`` is a read-only float64 view
-    into ``data`` and keeps it alive (on a big-endian host, a read-only native
-    copy). :func:`restore_optimizer` makes the one copy into buffers the new
-    state owns; copy a slot before writing to it.
+    ``data`` is any C-contiguous byte buffer: ``bytes``, ``bytearray``,
+    ``memoryview`` or ``mmap``. No slot is copied: each entry of ``slots``
+    is a read-only float64 view into ``data`` and keeps it alive (on a
+    big-endian host, a read-only native copy). :func:`restore_optimizer`
+    makes the one copy into buffers the new state owns; copy a slot before
+    writing to it.
     """
-    r = _Reader(data)
-    if r.take(len(MAGIC)) != MAGIC:
+    pos = 0
+
+    def skip(n):
+        """Step over ``n`` bytes; return the offset they start at."""
+        nonlocal pos
+        if pos + n > len(data):
+            left = len(data) - pos
+            raise CheckpointTruncatedError(f"needed {n} bytes at offset {pos}, only {left} left")
+        pos += n
+        return pos - n
+
+    def word(fmt):
+        """The next fixed-width field, ``fmt`` a one-field struct format."""
+        return struct.unpack_from(fmt, data, skip(struct.calcsize(fmt)))[0]
+
+    def text(what):
+        """The next length-prefixed UTF-8 field; ``what`` names it in errors."""
+        n = word("<I")
+        start = skip(n)
+        try:
+            return bytes(data[start : start + n]).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CheckpointFormatError(f"{what} is not valid UTF-8: {exc}") from exc
+
+    skip(len(MAGIC))
+    if data[: len(MAGIC)] != MAGIC:
         raise CheckpointVersionError("bad magic header")
-    version = r.u32()
+    version = word("<I")
     if version != VERSION:
         raise CheckpointVersionError(f"unsupported checkpoint version {version}")
-    n_slots = r.u32()
     slots = {}
-    for _ in range(n_slots):
-        name_len = r.u32()
-        try:
-            name = r.take(name_len).decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise CheckpointFormatError(f"slot name is not valid UTF-8: {exc}") from exc
+    for _ in range(word("<I")):
+        name = text("slot name")
         if name in slots:
             raise CheckpointFormatError(f"duplicate slot name {name!r}")
-        count = r.u64()
-        offset = r.skip(8 * count)  # a view in place; a copy only on a big-endian host
+        count = word("<Q")
+        offset = skip(8 * count)  # a view in place; a copy only on a big-endian host
         vec = np.frombuffer(data, "<f8", count, offset).astype(np.float64, copy=False)
         vec.flags.writeable = False  # also when ``data`` is a writable buffer
         slots[name] = vec
-    hyper_len = r.u32()
-    try:
-        hyper_text = r.take(hyper_len).decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise CheckpointFormatError(f"hyper block is not valid UTF-8: {exc}") from exc
     hyper = {}
-    for line in hyper_text.splitlines():
-        if not line:
-            continue
+    for line in filter(None, text("hyper block").splitlines()):
         if "=" not in line:
             raise CheckpointFormatError(f"malformed hyper line {line!r}")
         key, _, value = line.partition("=")
         if key in hyper:
             raise CheckpointFormatError(f"duplicate hyper key {key!r}")
         hyper[key] = value
-    step = r.u64()
-    if r.pos != len(data):
-        raise CheckpointFormatError(f"{len(data) - r.pos} trailing bytes after checkpoint")
+    step = word("<Q")
+    if pos != len(data):
+        raise CheckpointFormatError(f"{len(data) - pos} trailing bytes after checkpoint")
     return CheckpointData(slots=slots, hyper=hyper, step=step)
 
 

@@ -106,7 +106,10 @@ def _parse_grid(specs) -> dict:
         key = key.strip()
         if key in grid:
             raise ConfigError(f"duplicate --grid key {key!r}")
-        parsed = _parse_value(values.strip())  # same value grammar as config files
+        try:
+            parsed = _parse_value(values.strip())  # same value grammar as config files
+        except ValueError as exc:  # an int of more digits than Python converts
+            raise ConfigError(f"--grid {key!r}: {exc}") from None
         grid[key] = parsed if isinstance(parsed, list) else [parsed]
         for i, value in enumerate(grid[key]):
             if value in grid[key][:i]:

@@ -331,8 +331,11 @@ class AdamFamily(Optimizer):
         With static hyperparameters, ``eta_hat = lr*(alpha+1)`` and
         ``alpha_hat = alpha/(alpha+1)`` reproduces :meth:`step` up to
         rounding. Once schedules move ``lr`` and ``alpha`` per step the two
-        forms are no longer reparametrizations of each other.
+        forms are no longer reparametrizations of each other. A kind with no
+        slow EMA (AdamW) is a ``TypeError``, raised before the state moves.
         """
+        if self.m2 is None:
+            raise TypeError(f"{type(self).__name__} has no slow EMA to take a convex step with")
         if not 0.0 <= alpha_hat <= 1.0:
             raise ValueError(f"alpha_hat must be in [0, 1], got {alpha_hat}")
         return self._step(theta, grad, eta_hat, alpha_hat, beta3_t, beta4_t, 1.0 - alpha_hat)
@@ -504,8 +507,12 @@ def switch_optimizer(opt: AdamFamily, cls: type, **params) -> AdamFamily:
     moment are copied bit-for-bit into the new state's own buffers;
     ``params`` set the rest. New slow EMAs start at zero, so the first update
     after a switch to AdEMAMix is still an AdamW update. The global step keeps
-    counting; only the warmup clock restarts at the switch.
+    counting; only the warmup clock restarts at the switch. Both kinds must
+    be of the Adam family.
     """
+    if not (isinstance(opt, AdamFamily) and issubclass(cls, AdamFamily)):
+        raise TypeError(f"cannot switch {opt.variant} to {cls.variant}: "
+                        "both kinds must be of the Adam family")
     new = cls(opt.dim, **{k: getattr(opt, k) for k in cls.defaults if k in opt.defaults}, **params)
     if len(opt.shape) == 2:  # a rows state: every row switches
         new.select_rows([0] * opt.shape[0])

@@ -1,4 +1,5 @@
 import hashlib
+import mmap
 import struct
 import tracemalloc
 import warnings
@@ -176,6 +177,14 @@ class TestLoadErrors:
             restore_optimizer(load_state(bytes(out)))
 
 
+def _mapped(blob, tmp_path):
+    """A read-only ``mmap`` of a file that holds ``blob``."""
+    path = tmp_path / "state.ckpt"
+    path.write_bytes(blob)
+    with open(path, "rb") as f:
+        return mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
+
+
 class TestZeroCopyLoad:
     """Loaded slots are read-only views of the bytes; each restore owns its copy."""
 
@@ -184,15 +193,31 @@ class TestZeroCopyLoad:
         "ademamix_lean": lambda: AdEMAMix(5, beta1=0.0),
     }
 
+    # every kind of byte buffer load_state reads, each holding the same checkpoint
+    SOURCES = {
+        "bytes": lambda blob, tmp_path: blob,
+        "bytearray": lambda blob, tmp_path: bytearray(blob),
+        "memoryview": lambda blob, tmp_path: memoryview(blob),
+        "mmap": _mapped,
+    }
+
+    @pytest.mark.parametrize("source", sorted(SOURCES))
     @pytest.mark.parametrize("kind", sorted(KINDS))
-    def test_restored_states_are_independent(self, kind):
+    def test_restored_states_are_independent(self, kind, source, tmp_path):
         opt = self.KINDS[kind]()
         blob = save_state(opt, extra_slots={"theta": _warm(opt)})
-        ck = load_state(blob)
+        data = self.SOURCES[source](blob, tmp_path)
+        ck, reference = load_state(data), load_state(blob)
         loaded = {name: vec.tobytes() for name, vec in ck.slots.items()}
+        assert loaded == {name: vec.tobytes() for name, vec in reference.slots.items()}
+        assert (ck.hyper, ck.step) == (reference.hyper, reference.step)
+        whole = np.frombuffer(data, np.uint8)
+        for vec in ck.slots.values():  # views of the input, never copies
+            assert vec.dtype == np.float64 and not vec.flags.writeable
+            assert np.shares_memory(vec, whole)
         first, second = restore_optimizer(ck), restore_optimizer(ck)
         assert len(first.state_slots()) == len(ck.slots) - 1  # all but theta
-        others = [np.frombuffer(blob, np.uint8), *ck.slots.values()]
+        others = [whole, *ck.slots.values()]
         for a, b in [(first, second), (second, first)]:
             for buf in a.state_slots().values():  # rows of the state's own block
                 assert buf.flags.writeable
@@ -455,12 +480,18 @@ HOSTILE_TEXT = st.one_of(
 )
 
 
-def _load_and_restore(blob: bytes) -> None:
-    """A state, or a CheckpointError subclass; any other exception fails the test."""
+def _load_and_restore(blob) -> tuple:
+    """A state, or a CheckpointError subclass; any other exception fails the test.
+
+    Returns the outcome: the checkpoint's content and the restored state's
+    bytes, or the error's type and message.
+    """
     try:
-        restore_optimizer(load_state(blob))
-    except CheckpointError:
-        pass
+        ck = load_state(blob)
+        content = ({name: vec.tobytes() for name, vec in ck.slots.items()}, ck.hyper, ck.step)
+        return content, save_state(restore_optimizer(ck))
+    except CheckpointError as exc:
+        return type(exc), str(exc)
 
 
 class TestHyperText:
@@ -546,7 +577,8 @@ class TestLoadFuzz:
                 else:
                     byte = data.draw(st.integers(0, 255), label="byte")
                     blob[at] = blob[at] ^ (byte or 1) if edit == "flip" else byte
-        _load_and_restore(bytes(blob))
+        blob = bytes(blob)
+        assert _load_and_restore(memoryview(blob)) == _load_and_restore(blob)
 
     @given(st.sampled_from(sorted(VALID)), st.data())
     @example("aggmo", None)

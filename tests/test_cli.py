@@ -217,6 +217,12 @@ class TestSweepCommand:
     def test_bad_grid_is_config_error(self, toy_cfg_file):
         assert main(["sweep", toy_cfg_file, "--grid", "oops"]) == 3
 
+    def test_a_grid_int_too_long_to_convert_is_config_error(self, toy_cfg_file, capsys):
+        assert main(["sweep", toy_cfg_file, "--grid", "lr.value=" + "1" * 5000]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: --grid 'lr.value': Exceeds the limit")
+
     def test_repeated_grid_key_is_config_error(self, toy_cfg_file, capsys):
         code = main(["sweep", toy_cfg_file, "--grid", "lr.value=0.1,0.2", "--grid", "lr.value=0.3"])
         assert code == 3

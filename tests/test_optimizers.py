@@ -149,6 +149,14 @@ class TestConvexForm:
         with pytest.raises(ValueError):
             opt.step_convex(np.zeros(1), np.ones(1), 0.1, 1.5)
 
+    def test_a_state_with_no_slow_ema_is_refused_before_it_moves(self):
+        opt = AdamW(3)
+        before = {name: buf.tobytes() for name, buf in opt.state_slots().items()}
+        with pytest.raises(TypeError, match="AdamW has no slow EMA"):
+            opt.step_convex(np.zeros(3), np.ones(3), 0.1, 0.5)
+        assert opt.t == 0
+        assert {name: buf.tobytes() for name, buf in opt.state_slots().items()} == before
+
 
 class TestLion:
     def test_update_is_sign_scaled(self):
@@ -373,6 +381,14 @@ class TestSwitching:
         back = switch_optimizer(mix, AdamW)
         post_norm = float(np.linalg.norm(back.step(pre_theta, g, 1e-3) - pre_theta))
         assert post_norm < pre_norm
+
+    @pytest.mark.parametrize("old,cls", [(Lion, AdEMAMix), (AdamW, Lion), (AggMo, AdamW),
+                                         (AdMetaS, Ad3EMAMix), (Lion, AggMo)])
+    def test_a_kind_outside_the_adam_family_is_refused(self, old, cls):
+        opt = old(2)
+        with pytest.raises(TypeError, match=f"cannot switch {old.variant} to {cls.variant}: "
+                                            "both kinds must be of the Adam family"):
+            switch_optimizer(opt, cls)
 
 
 class TestPreseed:
