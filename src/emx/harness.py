@@ -28,7 +28,7 @@ from .config import (
     shared_text,
     with_values,
 )
-from .numerics import finite_rows, global_norm_clip, row_norms
+from .numerics import clip_rows, finite_rows, row_norms
 from .optimizers import OPTIMIZERS, preseed_momentum, switch_optimizer
 from .schedules import LR_SCHEDULES, typed
 from .testbeds import TESTBEDS
@@ -254,25 +254,28 @@ class Experiment:
         self._maybe_switch()
         t = self.opt.t + 1
         if batch is None and self.dataset:
-            batch = self.dataset.batch(t)
+            batch = self.dataset.batch(t, cfg.steps)
         losses, grad = self.testbed.loss_and_grad(self.theta, batch)
-        # a non-finite value makes the loss sum or the square sum non-finite;
+        # a non-finite value makes the loss sum or the gradient's square sum
+        # non-finite (with a clip, the sum of its row norms is that check);
         # an overflowed sum of finite values falls through to masks that keep
         # every row
-        if not (math.isfinite(sum(losses)) and math.isfinite(np.vdot(grad, grad))):
+        norms = None if cfg.clip is None else row_norms(grad)
+        finite = finite_rows(grad) is None if norms is None else math.isfinite(sum(norms))
+        if not (finite and math.isfinite(sum(losses))):
             ok = np.isfinite(losses) & np.isfinite(grad).all(axis=-1)
             if not ok.all():
                 losses, grad = self._drop(ok, t, losses, grad)
                 if not self._live:
                     return
-        if cfg.clip is not None:
-            for row in grad:
-                if (clipped := global_norm_clip(row, cfg.clip)) is not row:
-                    row[...] = clipped
+                if norms is not None:
+                    norms = list(itertools.compress(norms, ok.tolist()))
+        if norms is not None:
+            clip_rows(grad, cfg.clip, norms)
         lr = np.array([row.lr.at(t) for row in self._live])[:, np.newaxis]
         args = self.opt.schedule_args(t)
         new = self.opt.step(self.theta, grad, lr, *args)
-        ok = finite_rows(new, *self.opt.slots)
+        ok = finite_rows(new, self.opt.slots)
         if ok is not None:
             losses, lr, new = self._drop(ok, t, losses, lr, new)
 
@@ -363,7 +366,7 @@ def run_forgetting_protocol(cfg: ExperimentConfig) -> ForgettingResult:
     exp.run(until=t_b - 1)
     exp._split()
     if exp._live:  # row 0 trains on the batch of t_b, row 1 on the held-out batch
-        (x, y), (held_x, held_y) = exp.dataset.batch(t_b), exp._heldout_batch
+        (x, y), (held_x, held_y) = exp.dataset.batch(t_b, cfg.steps), exp._heldout_batch
         exp._step((np.stack([x, held_x]), np.stack([y, held_y])))
     exp.run()
     control, injected = exp.records

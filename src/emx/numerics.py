@@ -7,15 +7,19 @@ on rows is elementwise, so a row gets the bits it would get alone; the one
 broadcast is a per-row value (a learning rate) as a ``(K, 1)`` column, which
 rounds like the same scalar. Reductions are taken per row with
 :func:`row_norms`, one BLAS ``ddot`` per row (per ``DOT_CHUNK`` columns)
-in one ``np.vecdot`` call for all the rows, or for a stack of row arrays;
-a step's rows are checked with :func:`finite_rows`, one ``ddot`` per array.
-Neither makes a numpy call per row. All randomness flows through Philox, a
-counter-based 64-bit generator whose stream is reproducible bit-for-bit
-from the seed: :func:`spawn_rng` makes a one-off stream per ``(seed, key)``,
-and :class:`StepStreams` gives the streams ``spawn_rng(seed, *prefix, t)`` of
-a whole family of steps ``t`` from one re-keyed ``Philox``: numpy's
-``SeedSequence`` mixes ``(seed, prefix)`` once, and each step mixes only
-the words of ``t``.
+in one ``np.vecdot`` call for all the rows, or for a stack of row arrays.
+A step's arrays are checked with :func:`finite_rows`, one pass per array
+(a slot block is one array): one ``ddot`` up to ``DOT_CHUNK`` elements,
+else one per row in a ``vecdot`` call per chunk of columns. So no ``ddot``
+is threaded, and neither function makes a numpy call per slot or per row.
+:func:`clip_rows` clips rows from norms taken once for a check as well,
+and rescales only the rows above the bound. All randomness flows through
+Philox, a counter-based 64-bit generator whose stream is reproducible
+bit-for-bit from the seed: :func:`spawn_rng` makes a one-off stream per
+``(seed, key)``, and :class:`StepStreams` gives the streams
+``spawn_rng(seed, *prefix, t)`` of a whole family of steps ``t`` from one
+re-keyed ``Philox``: numpy's ``SeedSequence`` mixes ``(seed, prefix)``
+once, and each step mixes only the words of ``t``.
 """
 
 from __future__ import annotations
@@ -60,6 +64,22 @@ def l2_norm(a: np.ndarray) -> float:
     return row_norms(a.reshape(1, -1))[0]
 
 
+# the decorator form costs half of a ``with np.errstate`` block per call
+@np.errstate(over="ignore", invalid="ignore")
+def _squares(rows: np.ndarray) -> np.ndarray:
+    """Each row's square sum, the last axis reduced: one ``np.vecdot`` call
+    per chunk of ``DOT_CHUNK`` columns for all the rows, added in chunk
+    order. ``vecdot`` and the adds check the floating-point flags where
+    ``vdot`` does not, so they run under an ``np.errstate`` that ignores
+    overflow: an overflowed square sum is a quiet ``inf``."""
+    head = rows[..., :DOT_CHUNK]
+    squares = np.vecdot(head, head)
+    for lo in range(DOT_CHUNK, rows.shape[-1], DOT_CHUNK):
+        chunk = rows[..., lo : lo + DOT_CHUNK]
+        squares += np.vecdot(chunk, chunk)
+    return squares
+
+
 def row_norms(rows: np.ndarray) -> list:
     """:func:`l2_norm` of each row, as Python floats; a ``(S, K, dim)``
     stack of row arrays gives ``S`` lists of ``K``.
@@ -70,34 +90,48 @@ def row_norms(rows: np.ndarray) -> list:
     :func:`l2_norm`. A reduction that is not a ``ddot`` (``einsum``,
     ``(d*d).sum(1)``) rounds differently. Rows wider than ``DOT_CHUNK``
     take one ``vecdot`` per chunk of columns, added in chunk order, so that
-    no ``ddot`` is threaded. ``vecdot`` and the adds check the
-    floating-point flags where ``vdot`` does not, so an overflowed square
-    sum is kept a quiet ``inf`` here.
+    no ``ddot`` is threaded. One row of at most ``DOT_CHUNK`` columns is
+    one ``vdot``, as in :func:`l2_norm`.
     """
-    head = rows[..., :DOT_CHUNK]
-    with np.errstate(over="ignore", invalid="ignore"):
-        squares = np.vecdot(head, head)
-        for lo in range(DOT_CHUNK, rows.shape[-1], DOT_CHUNK):
-            chunk = rows[..., lo : lo + DOT_CHUNK]
-            squares += np.vecdot(chunk, chunk)
-        return np.sqrt(squares).tolist()
+    if rows.shape[:-1] == (1,) and rows.size <= DOT_CHUNK:
+        return [math.sqrt(np.vdot(rows, rows))]
+    return np.sqrt(_squares(rows)).tolist()
+
+
+def _finite_squares(a: np.ndarray) -> bool:
+    """Whether the square sum of ``a`` is finite: one ``vdot`` for at most
+    ``DOT_CHUNK`` elements, else :func:`_squares` of its rows, so that no
+    ``ddot`` is threaded and the calls do not grow with the leading axes."""
+    if a.size <= DOT_CHUNK:
+        return math.isfinite(np.vdot(a, a))
+    return math.isfinite(sum(_squares(a).ravel().tolist()))
 
 
 def finite_rows(*arrays: np.ndarray) -> np.ndarray | None:
-    """``None`` if every value of ``arrays`` is finite; else, per row (the
-    last axis reduced; a scalar for 1-D arrays), whether every array is
-    finite there.
+    """``None`` if every value of ``arrays`` is finite; else, per row of the
+    first array (its last axis reduced; a scalar for a 1-D array), whether
+    every array is finite there. An array with more axes than the first has
+    its leading ones reduced too, so a ``(S, K, dim)`` block of slot rows
+    gives the masks of its ``S`` slots combined.
 
-    The common case is one BLAS ``ddot`` per array: ``a · a`` is finite only
-    if every value of ``a`` is, for inf and nan propagate and squares cannot
-    cancel. A non-finite dot, which may also be the overflowed square sum
-    of finite values, falls through to per-value masks.
+    The common case is one pass per array: ``a · a`` is finite only if every
+    value of ``a`` is, for inf and nan propagate and squares cannot cancel.
+    The square sum is one ``ddot`` for an array of at most ``DOT_CHUNK``
+    elements, else one ``ddot`` per row (per ``DOT_CHUNK`` columns), in one
+    ``vecdot`` call per chunk for all the rows: no ``ddot`` is threaded, and
+    there is never a call per slot or per row. A non-finite sum, which may
+    also be the overflowed square sum of finite values, falls through to
+    per-value masks.
     """
-    if all(math.isfinite(np.vdot(a, a)) for a in arrays):
+    for a in arrays:
+        if not _finite_squares(a):
+            break
+    else:
         return None
+    lead = arrays[0].ndim - 1
     ok = np.isfinite(arrays[0]).all(axis=-1)
     for a in arrays[1:]:
-        ok &= np.isfinite(a).all(axis=-1)
+        ok &= np.isfinite(a).all(axis=(*range(a.ndim - 1 - lead), -1))
     return None if ok.all() else ok
 
 
@@ -115,6 +149,28 @@ def _norm_parts(g: np.ndarray) -> tuple[float, float]:
     return l2_norm(g / peak), peak
 
 
+def _bound(max_norm) -> float:
+    """``max_norm`` as a float; one that is not a finite number above 0 is a
+    ``ValueError``."""
+    max_norm = finite_number("max_norm", max_norm)
+    if max_norm <= 0:
+        raise ValueError(f"max_norm must be positive, got {max_norm}")
+    return max_norm
+
+
+def _rescaled(g: np.ndarray, max_norm: float, norm: float, peak: float) -> np.ndarray:
+    """``g`` scaled to the norm ``max_norm``, given its norm ``norm * peak``
+    (:func:`_norm_parts`)."""
+    scale = max_norm / norm / peak
+    clipped = g * scale
+    # Rounding can leave the recomputed norm a hair above the bound; walk the
+    # scale down by ulps so a second clip is exactly the identity.
+    while math.prod(_norm_parts(clipped)) > max_norm:
+        scale = np.nextafter(scale, 0.0)
+        clipped = g * scale
+    return clipped
+
+
 def global_norm_clip(g: np.ndarray, max_norm: float) -> np.ndarray:
     """Rescale ``g`` so its global L2 norm is at most ``max_norm``.
 
@@ -122,21 +178,32 @@ def global_norm_clip(g: np.ndarray, max_norm: float) -> np.ndarray:
     operation idempotent bit-for-bit. Non-finite inputs signal divergence. A
     finite ``g`` whose squared norm overflows is measured as ``g / max|g|``.
     ``max_norm`` must be a finite number above 0, else a ``ValueError``.
+    Rows of an array whose :func:`row_norms` are known take
+    :func:`clip_rows`, which gives each row these bits.
     """
-    max_norm = finite_number("max_norm", max_norm)
-    if max_norm <= 0:
-        raise ValueError(f"max_norm must be positive, got {max_norm}")
+    max_norm = _bound(max_norm)
     norm, peak = _norm_parts(g)
     if norm * peak <= max_norm:
         return g
-    scale = max_norm / norm / peak
-    clipped = g * scale
-    # Rounding can leave the recomputed norm a hair above the bound; walk the
-    # scale down by ulps so a second clip is exactly the identity.
-    while np.multiply(*_norm_parts(clipped)) > max_norm:
-        scale = np.nextafter(scale, 0.0)
-        clipped = g * scale
-    return clipped
+    return _rescaled(g, max_norm, norm, peak)
+
+
+def clip_rows(rows: np.ndarray, max_norm: float, norms: list) -> None:
+    """Clip each row of ``rows`` in place to ``global_norm_clip(row,
+    max_norm)``, given ``norms``, the rows' :func:`row_norms` (taken once,
+    for a check as well).
+
+    Only the rows above the bound are touched. A finite norm is the one
+    :func:`global_norm_clip` measures, so such a row gets its scale and ulp
+    walk; a row whose square sum overflows (or holds a non-finite value,
+    a :class:`DivergenceError`) takes :func:`global_norm_clip` itself.
+    """
+    max_norm = _bound(max_norm)
+    for i, norm in enumerate(norms):
+        if not norm <= max_norm:
+            row = rows[i]
+            row[...] = (_rescaled(row, max_norm, norm, 1.0) if math.isfinite(norm)
+                        else global_norm_clip(row, max_norm))
 
 
 def spawn_rng(seed: int, *key: int) -> np.random.Generator:

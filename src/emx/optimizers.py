@@ -46,7 +46,8 @@ with the learning rate a ``(K, 1)`` column (the other step arguments are
 shared). Every operation is elementwise, so each row gets the bits it would
 get stepped alone. A non-finite 1-D state raises :class:`DivergenceError`;
 a rows step returns and leaves its non-finite rows for the caller to find
-(``finite_rows(new, *opt.slots)``, :func:`emx.numerics.finite_rows`) and drop.
+(``finite_rows(new, opt.slots)``, :func:`emx.numerics.finite_rows`, which
+takes the slot block as one array) and drop.
 
 Step functions take the learning rate (and the warmed-up ``alpha``/slow
 decays) from the caller. :meth:`Optimizer.schedule_args` gives those values

@@ -233,12 +233,14 @@ class SyntheticDataset:
     Training batches are made a block of steps at a time: :meth:`batch`
     makes the aligned block of ``max(1, 128 // batch_size)`` steps that
     holds ``t`` (so no ``(n, batch, 64)`` teacher temporary reaches glibc's
-    128 KiB mmap threshold), with one stacked teacher pass, and serves the
-    block's other steps from it. Each step still draws from its own stream,
-    and the stacked ``matmul`` runs one ``gemm`` per step, so no batch
-    depends on the block it came from. The dataset keeps only the current
-    block (about 17 KB at batch 32), read-only; a copy or pickle carries it
-    unchanged. The held-out and eval batches are blocks of one.
+    128 KiB mmap threshold), cut after the run's last step when the caller
+    gives it, with one stacked teacher pass, and serves the block's other
+    steps from it. Each step still draws from its own stream, and the
+    stacked ``matmul`` runs one ``gemm`` per step, so no batch depends on
+    the block it came from. The dataset keeps only the current block (about
+    17 KB at batch 32) and the eval batch, made on its first use, both
+    read-only; a copy or pickle carries them, still read-only. The held-out
+    and eval batches are blocks of one.
 
     ``input_dim``, ``batch_size`` and ``eval_size`` are ints >= 1, ``seed``
     an int >= 0 and ``noise`` a finite number; anything else is a
@@ -257,6 +259,13 @@ class SyntheticDataset:
         self._streams = StepStreams(self.seed, _KEY_TRAIN)
         self._block_len = max(1, 128 // self.batch_size)
         self._block_start, self._block = None, None
+        self._eval = None
+
+    def __setstate__(self, state) -> None:
+        # numpy's copy and pickle make writeable arrays: keep the kept ones read-only
+        self.__dict__.update(state)
+        for array in (*(self._block or ()), *(self._eval or ())):
+            array.flags.writeable = False
 
     def _synthesize(self, rngs, n: int, size: int) -> tuple:
         """Read-only ``(inputs, targets)`` of shape ``(n, size, input_dim)``
@@ -274,16 +283,21 @@ class SyntheticDataset:
         inputs.flags.writeable = targets.flags.writeable = False
         return inputs, targets
 
-    def batch(self, t: int):
-        """Training batch for step t >= 1 (an int), served from its block."""
+    def batch(self, t: int, last: int | None = None):
+        """Training batch for step t >= 1 (an int), served from its block;
+        ``last``, the run's last step (an int >= 1, read when a block is
+        made), cuts a block made here after it (after ``t`` if ``t`` is
+        later), so that no batch past the run is made."""
         if isinstance(t, bool) or not isinstance(t, (int, np.integer)) or t < 1:
             raise ValueError(f"batch step t must be an int >= 1, got {t!r}")
         t = int(t)
         start = t - (t - 1) % self._block_len
-        if start != self._block_start:
-            steps = range(start, start + self._block_len)
+        if start != self._block_start or t - start >= len(self._block[0]):
+            stop = start + self._block_len
+            if last is not None:  # read here alone: a served step costs no check
+                stop = min(stop, max(t, integer("last", last, 1)) + 1)
             self._block_start, self._block = start, self._synthesize(
-                map(self._streams.rng, steps), self._block_len, self.batch_size)
+                map(self._streams.rng, range(start, stop)), stop - start, self.batch_size)
         return self._block[0][t - start], self._block[1][t - start]
 
     def _fixed_batch(self, namespace: int, size: int) -> tuple:
@@ -295,8 +309,10 @@ class SyntheticDataset:
         return self._fixed_batch(_KEY_HELDOUT, self.batch_size)
 
     def eval_batch(self):
-        """A larger fixed batch for low-variance loss evaluation."""
-        return self._fixed_batch(_KEY_EVAL, self.eval_size)
+        """A larger fixed batch for low-variance loss evaluation, made once."""
+        if self._eval is None:
+            self._eval = self._fixed_batch(_KEY_EVAL, self.eval_size)
+        return self._eval
 
 
 def _rosenbrock(seed, x0=(-3.0, 5.0)):

@@ -669,7 +669,7 @@ class TestNonFiniteJsonl:
 class TestMemoryError:
     def test_memory_that_runs_out_mid_run_exits_3(self, mlp_cfg_file, tmp_path, monkeypatch,
                                                   capsys):
-        def no_memory(self, t):
+        def no_memory(self, t, last=None):
             raise MemoryError("Unable to allocate 1.31 TiB")
 
         monkeypatch.setattr(SyntheticDataset, "batch", no_memory)

@@ -26,6 +26,8 @@ from emx.harness import (
     run_forgetting_protocol,
     run_sweep,
 )
+from emx import numerics
+from emx.numerics import DOT_CHUNK, StepStreams
 from emx.schedules import ConstantSchedule, WarmupConstantLinearDecay, WarmupCosineDecay
 from emx.testbeds import SyntheticDataset, TinyMlp
 
@@ -546,6 +548,32 @@ class TestRowChecks:
             alone = rigged_run([cfg], far)[0]
             assert record == alone and format_record_csv(record) == format_record_csv(alone)
 
+    def test_a_clipped_step_drops_a_non_finite_gradient_row_alone(self):
+        x0 = np.array([-3.0, 5.0])
+
+        def far(theta, losses, grad):  # a row more than 0.05 from x0 has a nan gradient
+            grad[np.abs(theta - x0).max(axis=-1) > 0.05, 1] = math.nan
+            return losses, grad
+
+        cfgs = [toy_config(steps=8, lr=lr, extra="run.clip = 0.5") for lr in (1e-3, 0.03, 1e-2)]
+        records = rigged_run(cfgs, far)
+        assert [r.diverged_step for r in records] == [None, 3, 6]
+        for cfg, record in zip(cfgs, records):
+            alone = rigged_run([cfg], far)[0]
+            assert record == alone and format_record_csv(record) == format_record_csv(alone)
+
+    def test_clipped_gradients_whose_square_sums_overflow_keep_their_rows(self):
+        # unclipped, these rows diverge at step 1 (see the next test)
+        def steep(theta, losses, grad):
+            return losses, grad * 1e200
+
+        cfgs = [toy_config(steps=6, lr=lr, extra="run.clip = 0.5") for lr in (1e-3, 1e-2, 3e-3)]
+        records = rigged_run(cfgs, steep)
+        assert not any(r.diverged for r in records)
+        for cfg, record in zip(cfgs, records):
+            alone = rigged_run([cfg], steep)[0]
+            assert record == alone and format_record_csv(record) == format_record_csv(alone)
+
     def test_every_row_dropped_after_a_recorded_step(self):
         # each square of the gradient overflows in nu: the gradient and the
         # losses pass the pre-step check, the new state does not
@@ -559,6 +587,136 @@ class TestRowChecks:
         assert exp.theta.shape == (0, 2) and exp.opt.t == 1
         for record in exp.records:
             assert (record.diverged_step, record.final_step, record.rows) == (1, 0, [])
+
+
+class TestUnthreadedDdots:
+    """Every ``ddot`` a step takes (the checks, the clip's norms and the
+    recorded norms) spans at most ``DOT_CHUNK`` elements, below OpenBLAS's
+    10000-element threading cutoff, and the number of ``vdot`` and
+    ``vecdot`` calls does not grow with the optimizer's slot count. The
+    rescale of a row above the clip bound checks that row's norm, as
+    ``global_norm_clip`` does, so its calls are not counted."""
+
+    KINDS = ["lion", "adamw", "ademamix", "ad3emamix"]  # 1, 2, 3 and 4 slots
+
+    @staticmethod
+    def trace(monkeypatch):
+        """The elements of each ddot of every ``np.vdot`` and ``np.vecdot``
+        call while ``on[0]`` is true, and the count of those calls outside
+        a row's rescale."""
+        spans, counted, on = [], [0], [True]
+        vdot, vecdot, rescaled = np.vdot, np.vecdot, numerics._rescaled
+
+        def traced(call, span):
+            def wrapper(a, b, **kwargs):
+                if on[0]:
+                    spans.append(span(a))
+                    counted[0] += 1
+                return call(a, b, **kwargs)
+            return wrapper
+
+        def traced_rescaled(*args):
+            before = counted[0]
+            try:
+                return rescaled(*args)
+            finally:
+                counted[0] = before
+
+        monkeypatch.setattr(np, "vdot", traced(vdot, np.size))
+        monkeypatch.setattr(np, "vecdot", traced(vecdot, lambda a: np.shape(a)[-1]))
+        monkeypatch.setattr(numerics, "_rescaled", traced_rescaled)
+        return spans, counted, on
+
+    @staticmethod
+    def mlp(kind, steps, hidden="64, 64", extra=""):
+        return parse_config(
+            f"testbed.kind = mlp\ntestbed.input_dim = 16\ntestbed.hidden = {hidden}\n"
+            f"testbed.batch_size = 32\noptimizer.kind = {kind}\nlr.kind = constant\n"
+            f"lr.value = 1e-3\nrun.steps = {steps}\nrun.cadence = 1\n{extra}"
+        )
+
+    @pytest.mark.parametrize("hidden", ["64, 64", "96, 96"])  # dims 5313 and 11041
+    def test_a_clipped_four_row_mlp_step(self, monkeypatch, hidden):
+        counts = {}
+        for kind in self.KINDS:
+            cfg = self.mlp(kind, 4, hidden, "run.clip = 0.5")
+            exp = Experiment(cfg, rows=[with_lr(cfg, lr) for lr in (1e-4, 1e-3, 1e-2, 0.1)])
+            spans, counted, _ = self.trace(monkeypatch)
+            exp.run()
+            monkeypatch.undo()
+            assert exp.theta.size > 10000 and not any(r.diverged for r in exp.records)
+            assert spans and max(spans) <= DOT_CHUNK
+            counts[kind] = counted[0]
+        assert len(set(counts.values())) == 1, counts
+
+    @pytest.mark.parametrize("clip", ["", "run.clip = 0.5\n"])
+    def test_the_forgetting_protocol_after_its_split(self, monkeypatch, clip):
+        counts = {}
+        for kind in self.KINDS:
+            spans, counted, on = self.trace(monkeypatch)
+            split = Experiment._split
+
+            def traced_split(exp):
+                split(exp)
+                on[0] = True
+
+            monkeypatch.setattr(Experiment, "_split", traced_split)
+            on[0] = False
+            cfg = self.mlp(kind, 2 + FORGET_SPAN, extra=f"{clip}forget.t_b = 2")
+            result = run_forgetting_protocol(cfg)
+            monkeypatch.undo()
+            assert not result.injected.diverged
+            assert spans and max(spans) <= DOT_CHUNK
+            counts[kind] = counted[0]
+        assert len(set(counts.values())) == 1, counts
+
+
+def with_lr(cfg, lr):
+    return apply_override(cfg, "lr.value", lr)
+
+
+class TestBatchesOfTheRun:
+    """A run synthesises the training batches of its own steps and no more."""
+
+    @staticmethod
+    def streams(monkeypatch):
+        made, rng = [], StepStreams.rng
+
+        def traced(self, t):
+            made.append(t)
+            return rng(self, t)
+
+        monkeypatch.setattr(StepStreams, "rng", traced)
+        return made
+
+    @pytest.mark.parametrize("steps, batch_size", [(10, 32), (1, 32), (5, 1), (12, 32), (7, 200)])
+    def test_a_run_makes_one_stream_per_step(self, monkeypatch, steps, batch_size):
+        cfg = parse_config(
+            f"testbed.kind = mlp\ntestbed.input_dim = 4\ntestbed.hidden = 8\n"
+            f"testbed.batch_size = {batch_size}\noptimizer.kind = adamw\nlr.kind = constant\n"
+            f"lr.value = 0.01\nrun.steps = {steps}\nrun.cadence = 1\n"
+        )
+        made = self.streams(monkeypatch)
+        record = run_experiment(cfg)
+        assert made == list(range(1, steps + 1))
+        monkeypatch.undo()
+        assert format_record_csv(record) == format_record_csv(run_experiment(cfg))
+
+    def test_the_forgetting_protocol_makes_one_stream_per_step(self, monkeypatch):
+        cfg = mlp_config("ademamix", steps=61, extra="forget.t_b = 10")  # blocks of 8 steps
+        made = self.streams(monkeypatch)
+        result = run_forgetting_protocol(cfg)
+        assert sorted(made) == list(range(1, 62))
+        monkeypatch.undo()
+        assert forgetting_outputs(result) == forgetting_outputs(forgetting_by_fork(cfg))
+
+    def test_a_split_run_resumes_on_the_same_batches(self):
+        cfg = mlp_config(steps=9)  # blocks of 8 steps: 1-8 whole, then 9 alone
+        first = Experiment(cfg)
+        head = first.run(until=5)
+        tail = Experiment(cfg, resume_from=load_state(first.checkpoint())).run()
+        assert format_record_csv(RunRecord(rows=head.rows + tail.rows)) == format_record_csv(
+            run_experiment(cfg))
 
 
 class TestEmission:

@@ -11,6 +11,7 @@ from emx.numerics import (
     DOT_CHUNK,
     DivergenceError,
     StepStreams,
+    clip_rows,
     finite_rows,
     global_norm_clip,
     l2_norm,
@@ -228,6 +229,123 @@ class TestFiniteRows:
         assert finite_rows(np.full((3, 4), 1e160), np.array([[1e200], [-1e300], [0.0]])) is None
         ok = finite_rows(np.full((3, 4), 1e160), np.array([[1e200], [np.nan], [0.0]]))
         assert ok.tolist() == [True, False, True]
+
+
+class TestFiniteRowsOfABlock:
+    """A ``(S, K, dim)`` slot block passed as one array gives the masks of
+    its ``S`` slots passed one by one."""
+
+    @given(
+        st.integers(0, 4),
+        st.integers(1, 3),
+        st.sampled_from([0, 1, 5, 64, DOT_CHUNK - 1, DOT_CHUNK, DOT_CHUNK + 1]),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+        st.lists(st.tuples(st.integers(0, 2**32 - 1), HOSTILE), max_size=4),
+    )
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_a_block_gives_the_masks_of_its_slots(self, s, k, dim, one_d, seed, hostile):
+        shape = (dim,) if one_d else (k, dim)
+        values = spawn_rng(seed).standard_normal(int(np.prod(shape)) * (s + 1))
+        for at, value in hostile:  # in the new theta or in any slot and row
+            if values.size:
+                values[at % values.size] = value
+        new, block = values[: values.size // (s + 1)].reshape(shape), values[
+            values.size // (s + 1) :].reshape(s, *shape)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an overflowed square sum is quiet
+            ok = finite_rows(new, block)
+            per_slot = finite_rows(new, *block)
+        want = np.logical_and.reduce([np.isfinite(a).all(axis=-1) for a in (new, *block)])
+        if np.all(want):
+            assert ok is None and per_slot is None
+        else:
+            assert np.shape(ok) == np.shape(want) == np.shape(per_slot)
+            assert np.array_equal(ok, want) and np.array_equal(per_slot, want)
+
+    def test_overflowed_square_sums_of_a_wide_block_keep_every_row(self):
+        block = np.full((3, 2, DOT_CHUNK + 1), 1e160)
+        block[1, 0, -1] = -1e300
+        assert finite_rows(np.zeros((2, DOT_CHUNK + 1)), block) is None
+        block[2, 1, DOT_CHUNK] = np.nan  # the second chunk of the last slot's second row
+        assert finite_rows(np.zeros((2, DOT_CHUNK + 1)), block).tolist() == [True, False]
+
+
+def _walk_rows(dim, max_norm, n):
+    """``n`` seeded rows whose first scale, ``max_norm / norm``, leaves the
+    recomputed norm above ``max_norm``, so that the clip walks it down."""
+    rng, found = spawn_rng(dim, n), []
+    while len(found) < n:
+        row = rng.standard_normal(dim) * 3.0
+        if l2_norm(row * (max_norm / l2_norm(row))) > max_norm:
+            found.append(row)
+    return np.array(found)
+
+
+class TestClipRows:
+    """Norms taken once by ``row_norms`` clip each row to the bits of
+    ``global_norm_clip`` on that row."""
+
+    @staticmethod
+    def clipped_alone(rows, max_norm):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return np.array([global_norm_clip(row, max_norm) for row in rows]).reshape(rows.shape)
+
+    @staticmethod
+    def clipped_together(rows, max_norm):
+        out = rows.copy()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # overflowed norms stay quiet
+            clip_rows(out, max_norm, row_norms(out))
+        return out
+
+    @given(
+        st.integers(1, 6),
+        st.sampled_from([1, 2, 7, 64, DOT_CHUNK + 1]),
+        st.lists(st.sampled_from(["normal", "zero", "tiny", "huge", "overflow"]),
+                 min_size=6, max_size=6),
+        st.one_of(st.none(), st.integers(0, 5)),
+        st.floats(1e-3, 1e3),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_each_row_gets_the_bits_of_global_norm_clip(self, k, dim, kinds, at_bound,
+                                                         max_norm, seed):
+        rng = spawn_rng(seed)
+        scales = {"normal": 1.0, "zero": 0.0, "tiny": 1e-200, "huge": 1e100, "overflow": 1e200}
+        rows = np.array([rng.standard_normal(dim) * scales[kind] for kind in kinds[:k]])
+        if at_bound is not None and at_bound < k and 0.0 < l2_norm(rows[at_bound]) < math.inf:
+            max_norm = l2_norm(rows[at_bound])  # that row is exactly at the bound
+        out = self.clipped_together(rows, max_norm)
+        assert out.tobytes() == self.clipped_alone(rows, max_norm).tobytes()
+
+    @pytest.mark.parametrize("dim", [3, 64, 5313])
+    def test_rows_that_need_the_ulp_walk(self, dim):
+        rows = _walk_rows(dim, 0.5, 3)
+        rows = np.concatenate([rows, np.zeros((1, dim)), rows[:1] * 1e200, rows[:1] * 1e-3])
+        out = self.clipped_together(rows, 0.5)
+        assert out.tobytes() == self.clipped_alone(rows, 0.5).tobytes()
+        for row in out[:3]:
+            assert global_norm_clip(row, 0.5) is row  # the walk left it at the bound
+            assert l2_norm(row) <= 0.5
+
+    def test_rows_within_the_bound_are_not_written(self):
+        rows = np.array([[3.0, 4.0], [0.3, 0.4], [0.0, 0.0]])
+        rows.flags.writeable = False  # a write to any row would raise
+        clip_rows(rows, 5.0, row_norms(rows))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_row_is_divergence(self, bad):
+        rows = np.ones((2, 3))
+        rows[1, 2] = bad
+        with pytest.raises(DivergenceError):
+            clip_rows(rows, 1.0, row_norms(rows))
+
+    @pytest.mark.parametrize("max_norm", [0.0, -1.0, np.nan, np.inf, True, "1", None])
+    def test_a_bad_bound_is_refused(self, max_norm):
+        with pytest.raises(ValueError, match="max_norm"):
+            clip_rows(np.ones((2, 2)), max_norm, [2.0, 2.0])
 
 
 class TestRng:

@@ -1,10 +1,12 @@
+import copy
 import hashlib
+import pickle
 import re
 
 import numpy as np
 import pytest
 
-from emx.numerics import spawn_rng
+from emx.numerics import StepStreams, spawn_rng
 from emx.testbeds import (
     TESTBEDS,
     AnalyticTestbed,
@@ -379,6 +381,48 @@ class TestBlocks:
         want = f"batch_size must be >= 1 (an integer), got {batch_size}"
         with pytest.raises(ValueError, match=re.escape(want)):
             SyntheticDataset(input_dim=4, batch_size=batch_size, seed=5)
+
+    @pytest.mark.parametrize("batch_size", [1, 3, 32, 33, 129])
+    def test_a_block_cut_at_the_last_step_keeps_every_batch(self, batch_size, monkeypatch):
+        n = max(1, 128 // batch_size)
+        full = SyntheticDataset(4, batch_size, seed=7)
+        want = {t: _batch_digest(full.batch(t)) for t in range(1, 2 * n + 2)}
+        made, rng = [], StepStreams.rng
+        monkeypatch.setattr(StepStreams, "rng", lambda streams, t: made.append(t) or rng(streams, t))
+        for last in sorted({1, 2, n - 1, n, n + 1, 2 * n - 1, 2 * n + 1} - {0}):
+            ds, made[:] = SyntheticDataset(4, batch_size, seed=7), []
+            assert [_batch_digest(ds.batch(t, last)) for t in range(1, last + 1)] == [
+                want[t] for t in range(1, last + 1)]
+            assert made == list(range(1, last + 1))  # no batch past the last step
+
+    def test_a_step_past_the_last_is_still_served(self):
+        ds = SyntheticDataset(4, 8, seed=7)  # blocks of 16 steps
+        assert _batch_digest(ds.batch(3, 2)) == _batch_digest(SyntheticDataset(4, 8, seed=7).batch(3))
+        assert _batch_digest(ds.batch(2, 2)) == _batch_digest(SyntheticDataset(4, 8, seed=7).batch(2))
+
+    @pytest.mark.parametrize("last", [0, -1, 2.0, True, "3"])
+    def test_a_last_step_that_is_not_an_int_from_one_is_refused(self, last):
+        with pytest.raises(ValueError, match=re.escape("last must be >= 1 (an integer)")):
+            SyntheticDataset(4, 8, seed=5).batch(1, last)
+
+    def test_the_eval_batch_is_made_once_and_copies_carry_it_read_only(self, monkeypatch):
+        ds = SyntheticDataset(input_dim=5, batch_size=6, seed=3, eval_size=40)
+        x, y = ds.eval_batch()
+        assert all(a is b for a, b in zip(ds.eval_batch(), (x, y)))
+        for array in (x, y):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 1.0
+        made, synthesize = [], SyntheticDataset._synthesize
+        monkeypatch.setattr(SyntheticDataset, "_synthesize",
+                            lambda self, *args: made.append(args) or synthesize(self, *args))
+        ds.batch(3)
+        for dup in (copy.deepcopy(ds), pickle.loads(pickle.dumps(ds))):
+            assert _batch_digest(dup.eval_batch()) == _batch_digest((x, y))
+            assert _batch_digest(dup.batch(2)) == _batch_digest(ds.batch(2))
+            for array in (*dup.eval_batch(), *dup.batch(2)):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0, 0] = 1.0
+        assert len(made) == 1  # the block of step 3, made before the copies
 
     def test_numpy_int_steps_are_steps(self):
         ds = SyntheticDataset(input_dim=4, batch_size=8, seed=5)
