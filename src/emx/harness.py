@@ -257,9 +257,10 @@ class Experiment:
             batch = self.dataset.batch(t, cfg.steps)
         losses, grad = self.testbed.loss_and_grad(self.theta, batch)
         # a non-finite value makes the loss sum or the gradient's square sum
-        # non-finite (with a clip, the sum of its row norms is that check);
-        # an overflowed sum of finite values falls through to masks that keep
-        # every row
+        # non-finite (with a clip, the sum of its row norms is that check;
+        # without one, one vdot costs less than row_norms on a few short
+        # rows); an overflowed sum of finite values falls through to masks
+        # that keep every row
         norms = None if cfg.clip is None else row_norms(grad)
         finite = finite_rows(grad) is None if norms is None else math.isfinite(sum(norms))
         if not (finite and math.isfinite(sum(losses))):

@@ -57,11 +57,10 @@ def l2_norm(a: np.ndarray) -> float:
     ``np.vdot`` gives ``np.dot``'s bits on a float64 vector but does not check
     the floating-point flags: a square sum that overflows is a quiet ``inf``,
     not a ``RuntimeWarning``. A vector of more than ``DOT_CHUNK`` elements
-    is one row of :func:`row_norms`, which sums its chunks.
+    sums its chunks in order, as a row of :func:`row_norms` does; an array
+    of more axes is the vector of its values.
     """
-    if a.size <= DOT_CHUNK:
-        return math.sqrt(np.vdot(a, a))
-    return row_norms(a.reshape(1, -1))[0]
+    return math.sqrt(_square_sum(a if a.ndim == 1 else a.reshape(1, -1)))
 
 
 # the decorator form costs half of a ``with np.errstate`` block per call
@@ -90,21 +89,22 @@ def row_norms(rows: np.ndarray) -> list:
     :func:`l2_norm`. A reduction that is not a ``ddot`` (``einsum``,
     ``(d*d).sum(1)``) rounds differently. Rows wider than ``DOT_CHUNK``
     take one ``vecdot`` per chunk of columns, added in chunk order, so that
-    no ``ddot`` is threaded. One row of at most ``DOT_CHUNK`` columns is
-    one ``vdot``, as in :func:`l2_norm`.
+    no ``ddot`` is threaded. One row is :func:`l2_norm` of that row, one
+    ``vdot`` up to ``DOT_CHUNK`` columns.
     """
-    if rows.shape[:-1] == (1,) and rows.size <= DOT_CHUNK:
-        return [math.sqrt(np.vdot(rows, rows))]
+    if rows.shape[:-1] == (1,):
+        return [math.sqrt(_square_sum(rows))]
     return np.sqrt(_squares(rows)).tolist()
 
 
-def _finite_squares(a: np.ndarray) -> bool:
-    """Whether the square sum of ``a`` is finite: one ``vdot`` for at most
-    ``DOT_CHUNK`` elements, else :func:`_squares` of its rows, so that no
-    ``ddot`` is threaded and the calls do not grow with the leading axes."""
+def _square_sum(a: np.ndarray) -> float:
+    """The square sum of every value of ``a``: one ``vdot`` for at most
+    ``DOT_CHUNK`` elements, else the sums of :func:`_squares` over its rows,
+    added in row order, so that no ``ddot`` is threaded and the calls do
+    not grow with the leading axes."""
     if a.size <= DOT_CHUNK:
-        return math.isfinite(np.vdot(a, a))
-    return math.isfinite(sum(_squares(a).ravel().tolist()))
+        return np.vdot(a, a)
+    return sum(_squares(a).ravel().tolist())
 
 
 def finite_rows(*arrays: np.ndarray) -> np.ndarray | None:
@@ -123,8 +123,8 @@ def finite_rows(*arrays: np.ndarray) -> np.ndarray | None:
     also be the overflowed square sum of finite values, falls through to
     per-value masks.
     """
-    for a in arrays:
-        if not _finite_squares(a):
+    for a in arrays:  # a loop: a generator in all() costs a third of a small check
+        if not math.isfinite(_square_sum(a)):
             break
     else:
         return None

@@ -489,9 +489,11 @@ class AggMo(Optimizer):
     def _kernel(self, total, theta, grad, lr) -> None:
         total.fill(0.0)  # from +0.0, as a fresh sum: the first add turns -0.0 into +0.0
         for b, m in zip(self.betas, self.slots):
-            # b*m into scratch, not in place: on one element ``m += grad`` takes
-            # grad's NaN where ``b*m + grad`` takes b*m's (0*inf against a NaN)
-            np.add(np.multiply(b, m, out=self._scratch), grad, out=m)
+            np.multiply(b, m, out=m)
+            if m.size > 1:
+                m += grad
+            else:  # numpy's in-place add on one element (alone among sizes) keeps
+                m[...] = m + grad  # grad's NaN where b*m + grad keeps 0*inf's
             total += m
         np.multiply(lr / len(self.betas), total, out=total)
         np.subtract(theta, total, out=total)

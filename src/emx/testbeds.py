@@ -238,9 +238,8 @@ class SyntheticDataset:
     steps from it. Each step still draws from its own stream, and the
     stacked ``matmul`` runs one ``gemm`` per step, so no batch depends on
     the block it came from. The dataset keeps only the current block (about
-    17 KB at batch 32) and the eval batch, made on its first use, both
-    read-only; a copy or pickle carries them, still read-only. The held-out
-    and eval batches are blocks of one.
+    17 KB at batch 32), read-only; a copy or pickle carries it, still
+    read-only. The held-out and eval batches are blocks of one.
 
     ``input_dim``, ``batch_size`` and ``eval_size`` are ints >= 1, ``seed``
     an int >= 0 and ``noise`` a finite number; anything else is a
@@ -259,12 +258,11 @@ class SyntheticDataset:
         self._streams = StepStreams(self.seed, _KEY_TRAIN)
         self._block_len = max(1, 128 // self.batch_size)
         self._block_start, self._block = None, None
-        self._eval = None
 
     def __setstate__(self, state) -> None:
-        # numpy's copy and pickle make writeable arrays: keep the kept ones read-only
+        # numpy's copy and pickle make writeable arrays: keep the block read-only
         self.__dict__.update(state)
-        for array in (*(self._block or ()), *(self._eval or ())):
+        for array in self._block or ():
             array.flags.writeable = False
 
     def _synthesize(self, rngs, n: int, size: int) -> tuple:
@@ -285,17 +283,19 @@ class SyntheticDataset:
 
     def batch(self, t: int, last: int | None = None):
         """Training batch for step t >= 1 (an int), served from its block;
-        ``last``, the run's last step (an int >= 1, read when a block is
-        made), cuts a block made here after it (after ``t`` if ``t`` is
-        later), so that no batch past the run is made."""
+        ``last``, the run's last step (an int >= 1), cuts a block made here
+        after it (after ``t`` if ``t`` is later), so that no batch past the
+        run is made."""
         if isinstance(t, bool) or not isinstance(t, (int, np.integer)) or t < 1:
             raise ValueError(f"batch step t must be an int >= 1, got {t!r}")
         t = int(t)
+        if last is not None and not (type(last) is int and last >= 1):  # a run's int passes at once
+            last = integer("last", last, 1)
         start = t - (t - 1) % self._block_len
         if start != self._block_start or t - start >= len(self._block[0]):
             stop = start + self._block_len
-            if last is not None:  # read here alone: a served step costs no check
-                stop = min(stop, max(t, integer("last", last, 1)) + 1)
+            if last is not None:
+                stop = min(stop, max(t, last) + 1)
             self._block_start, self._block = start, self._synthesize(
                 map(self._streams.rng, range(start, stop)), stop - start, self.batch_size)
         return self._block[0][t - start], self._block[1][t - start]
@@ -309,10 +309,8 @@ class SyntheticDataset:
         return self._fixed_batch(_KEY_HELDOUT, self.batch_size)
 
     def eval_batch(self):
-        """A larger fixed batch for low-variance loss evaluation, made once."""
-        if self._eval is None:
-            self._eval = self._fixed_batch(_KEY_EVAL, self.eval_size)
-        return self._eval
+        """A larger fixed batch for low-variance loss evaluation."""
+        return self._fixed_batch(_KEY_EVAL, self.eval_size)
 
 
 def _rosenbrock(seed, x0=(-3.0, 5.0)):

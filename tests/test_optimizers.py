@@ -750,6 +750,18 @@ class TestInPlaceKernels:
             assert _slot_bytes(opt) == _slot_bytes(ref)
             theta, grad = new, -grad
 
+    def test_aggmo_keeps_the_nan_of_a_zero_beta_on_one_element(self):
+        # 0*inf is a NaN of its own sign; b*m + grad keeps it where an in-place
+        # ``m += grad`` on one element took the gradient's NaN
+        factory, method, reference = STEP_KINDS["aggmo"]
+        opt, ref = factory(1), factory(1)
+        assert opt.betas[0] == 0.0
+        opt.state_slots()["m0"][...] = ref.state_slots()["m0"][...] = np.inf
+        grad = np.array([np.nan])
+        assert _run(getattr(type(opt), method), opt, np.zeros(1), grad, 1e-3, []) == (None, 1)
+        assert _run(reference, ref, np.zeros(1), grad.copy(), 1e-3, []) == (None, 1)
+        assert _slot_bytes(opt) == _slot_bytes(ref)
+
     @pytest.mark.parametrize("kind", ["ademamix_convex", "ademamix_lean_convex"])
     def test_convex_form_adds_a_slow_term_of_weight_zero(self, kind):
         # at alpha_hat == 0, + 0.0*m2 still turns a -0.0 numerator into +0.0; a

@@ -402,24 +402,22 @@ class TestBlocks:
 
     @pytest.mark.parametrize("last", [0, -1, 2.0, True, "3"])
     def test_a_last_step_that_is_not_an_int_from_one_is_refused(self, last):
+        ds = SyntheticDataset(4, 8, seed=5)
         with pytest.raises(ValueError, match=re.escape("last must be >= 1 (an integer)")):
-            SyntheticDataset(4, 8, seed=5).batch(1, last)
+            ds.batch(1, last)
+        ds.batch(1, 10)
+        with pytest.raises(ValueError, match=re.escape("last must be >= 1 (an integer)")):
+            ds.batch(2, last)  # also when the step is served from the block
 
-    def test_the_eval_batch_is_made_once_and_copies_carry_it_read_only(self, monkeypatch):
-        ds = SyntheticDataset(input_dim=5, batch_size=6, seed=3, eval_size=40)
-        x, y = ds.eval_batch()
-        assert all(a is b for a, b in zip(ds.eval_batch(), (x, y)))
-        for array in (x, y):
-            with pytest.raises(ValueError, match="read-only"):
-                array[0, 0] = 1.0
+    def test_copies_carry_the_block_read_only(self, monkeypatch):
+        ds = SyntheticDataset(input_dim=5, batch_size=6, seed=3)
         made, synthesize = [], SyntheticDataset._synthesize
         monkeypatch.setattr(SyntheticDataset, "_synthesize",
                             lambda self, *args: made.append(args) or synthesize(self, *args))
         ds.batch(3)
         for dup in (copy.deepcopy(ds), pickle.loads(pickle.dumps(ds))):
-            assert _batch_digest(dup.eval_batch()) == _batch_digest((x, y))
             assert _batch_digest(dup.batch(2)) == _batch_digest(ds.batch(2))
-            for array in (*dup.eval_batch(), *dup.batch(2)):
+            for array in dup.batch(2):
                 with pytest.raises(ValueError, match="read-only"):
                     array[0, 0] = 1.0
         assert len(made) == 1  # the block of step 3, made before the copies
